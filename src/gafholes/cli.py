@@ -528,6 +528,12 @@ def _verify_quick(suite: _Suite) -> None:
                 dec.outcome == holes.OUTCOME_ZERO and dec.zero_count == 1)
 
 
+def _sampler_variance_check(rows: np.ndarray):
+    """(mean |c_n|^2 over n >= 1, whether it is in (0.9, 1.1)) for L = 1 rows."""
+    var = float(np.mean(np.abs(rows[:, 1:]) ** 2))
+    return var, 0.9 < var < 1.1
+
+
 def _verify_full(suite: _Suite) -> None:
     m1 = CoefficientModel(kind="Hyperbolic", L=1.0)
 
@@ -598,19 +604,13 @@ def _verify_full(suite: _Suite) -> None:
     suite.check("split_offdiag_correlation", off_max,
                 "<= 4/sqrt(4000)+slack", off_max <= 4 / math.sqrt(4000) + 0.02)
 
-    # negative control: crippled sampler must be caught
-    gaf.TEST_FORCE_ZERO_COEFFS = True
-    try:
-        rows_z = gaf.sample_coeff_batch(m1, 3, np.arange(64), 10)
-        var = float(np.mean(np.abs(rows_z[:, 1:]) ** 2))
-        control_failed = not (0.5 < var < 2.0)
-    finally:
-        gaf.TEST_FORCE_ZERO_COEFFS = False
-    suite.check("negative_control_detected", var,
-                "variance check fails under forced zeros", control_failed)
-    rows_n = gaf.sample_coeff_batch(m1, 3, np.arange(64), 10)
-    var = float(np.mean(np.abs(rows_n[:, 1:]) ** 2))
-    suite.check("sampler_variance", var, "in (0.9, 1.1)", 0.9 < var < 1.1)
+    # sampler variance, with an all-zero batch as its negative control
+    rows = gaf.sample_coeff_batch(m1, 3, np.arange(64), 10)
+    var, ok = _sampler_variance_check(rows)
+    var_z, ok_z = _sampler_variance_check(np.zeros_like(rows))
+    suite.check("negative_control_detected", var_z,
+                "variance check fails on all-zero coefficients", not ok_z)
+    suite.check("sampler_variance", var, "in (0.9, 1.1)", ok)
 
 
 def cmd_verify(cfg: dict) -> int:

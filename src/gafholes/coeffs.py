@@ -30,8 +30,8 @@ from .errors import (
     NoConvergence,
 )
 
-HARD_TERM_CAP = 10**7      # series-scan cap shared by sums in this module
-_BLOCK = 1 << 16           # scan block size for open-ended series
+HARD_TERM_CAP = 10**7      # index cap of every open-ended series scan
+_BLOCK = 1 << 16           # scan block size of sigma_sq and log_plus_sum
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ def log_sq_block(model: CoefficientModel, start: int, stop: int,
                  carry: Optional[float] = None) -> np.ndarray:
     """log(a_n^2) for n in [start, stop).
 
-    For Hyperbolic, `carry` must be log(a_start^2) when start > 0 (use the
-    return value's continuation); passing carry=None with start=0 is the
-    common entry point.  Other kinds ignore carry.
+    For Hyperbolic, `carry` must be log(a_start^2) when start > 0
+    (log_sq_blocks carries it from block to block); passing carry=None with
+    start=0 is the common entry point.  Other kinds ignore carry.
     """
     n = np.arange(start, stop, dtype=np.float64)
     if model.kind == "Hyperbolic":
@@ -132,25 +132,11 @@ def log_sq_block(model: CoefficientModel, start: int, stop: int,
     return out
 
 
-def _next_carry(model: CoefficientModel, block: np.ndarray, stop: int) -> float:
-    """log(a_stop^2) given the block ending at stop-1 (Hyperbolic only)."""
-    last = stop - 1
-    return float(block[-1] + np.log(model.L + last) - np.log(1.0 + last))
-
-
 def log_sq_range(model: CoefficientModel, n_max: int) -> np.ndarray:
-    """log(a_n^2) for n = 0..n_max inclusive (chunked for large n_max)."""
+    """log(a_n^2) for n = 0..n_max inclusive."""
     if n_max < 0:
         raise IndexOutOfRange(f"n_max must be >= 0, got {n_max}")
-    out = np.empty(n_max + 1)
-    carry = None
-    for start in range(0, n_max + 1, HARD_TERM_CAP):
-        stop = min(start + HARD_TERM_CAP, n_max + 1)
-        block = log_sq_block(model, start, stop, carry)
-        out[start:stop] = block
-        if model.kind == "Hyperbolic":
-            carry = _next_carry(model, block, stop)
-    return out
+    return log_sq_block(model, 0, n_max + 1)
 
 
 def coefficient(model: CoefficientModel, n: int) -> float:
@@ -166,15 +152,7 @@ def coefficient(model: CoefficientModel, n: int) -> float:
         return 1.0
     if model.kind == "PowerLaw":
         return 1.0 if n == 0 else float(n) ** ((model.L - 1.0) / 2.0)
-    # Hyperbolic, chunked recurrence
-    carry = 0.0
-    pos = 0
-    while pos < n:
-        stop = min(pos + HARD_TERM_CAP, n)
-        k = np.arange(pos, stop, dtype=np.float64)
-        carry += float(np.sum(np.log(model.L + k) - np.log(1.0 + k)))
-        pos = stop
-    return float(np.exp(0.5 * carry))
+    return float(np.exp(0.5 * log_sq_at(model, n)))
 
 
 def coefficients(model: CoefficientModel, n_max: int) -> np.ndarray:
@@ -204,13 +182,43 @@ def log_sq_at(model: CoefficientModel, n: int) -> float:
         block = log_sq_block(model, n, n + 1)
         return float(block[0])
     carry = 0.0
-    pos = 0
-    while pos < n:
-        stop = min(pos + HARD_TERM_CAP, n)
-        k = np.arange(pos, stop, dtype=np.float64)
+    for pos in range(0, n, HARD_TERM_CAP):
+        k = np.arange(pos, min(pos + HARD_TERM_CAP, n), dtype=np.float64)
         carry += float(np.sum(np.log(model.L + k) - np.log(1.0 + k)))
-        pos = stop
     return carry
+
+
+def log_sq_blocks(model: CoefficientModel, start: int = 0, size: int = 1 << 14,
+                  max_size: int = 1 << 20):
+    """Yield (n, log a_n^2) over consecutive index blocks from `start` on.
+
+    n is the integer index array of the block.  The first block holds `size`
+    indices and each later block twice as many as the one before, up to
+    `max_size`.  The Hyperbolic recurrence carries across blocks (seeded by
+    log_sq_at when start > 0).  The caller stops the scan with its own rule;
+    the scan raises NoConvergence instead of starting a block more than
+    HARD_TERM_CAP indices past `start`.
+
+    Geometric remainder rule used by the open-ended scans: for all supported
+    kinds the coefficient ratio a_{n+1}/a_n is decreasing when it exceeds 1
+    (L > 1) and below 1 when it does not (L <= 1), so every future step ratio
+    of a scanned series is bounded by max(current step ratio, radius factor);
+    the remainder past the last scanned term is then a geometric series.
+    """
+    carried = model.kind == "Hyperbolic"
+    carry = log_sq_at(model, start) if carried and start > 0 else None
+    pos = start
+    while pos - start <= HARD_TERM_CAP:
+        stop = pos + size
+        la = log_sq_block(model, pos, stop, carry)
+        if carried:
+            last = stop - 1
+            carry = float(la[-1] + np.log(model.L + last) - np.log(1.0 + last))
+        yield np.arange(pos, stop), la
+        pos = stop
+        size = min(2 * size, max_size)
+    raise NoConvergence(
+        f"series scan from n={start} did not converge within {HARD_TERM_CAP} terms")
 
 
 # -- sums on circles ---------------------------------------------------------
@@ -243,18 +251,13 @@ def sigma_sq(model: CoefficientModel, r: float) -> float:
     # and below 1 (increasing toward 1) for L <= 1.
     log_r2 = 2.0 * np.log(r)
     total = 0.0
-    start = 0
-    while start <= HARD_TERM_CAP:
-        stop = start + _BLOCK
-        g = log_sq_block(model, start, stop) + np.arange(start, stop) * log_r2
-        block = float(np.sum(np.exp(g)))
-        total += block
+    for n, la in log_sq_blocks(model, size=_BLOCK, max_size=_BLOCK):
+        g = la + n * log_r2
+        total += float(np.sum(np.exp(g)))
         last = float(np.exp(g[-1]))
         q = max(float(np.exp(g[-1] - g[-2])), r * r)
         if q < 1.0 and last * q / (1.0 - q) <= 1e-14 * total:
             return total
-        start = stop
-    raise NoConvergence(f"sigma_sq did not converge within {HARD_TERM_CAP} terms")
 
 
 def log_plus_sum(model: CoefficientModel, r: float) -> float:
@@ -274,17 +277,9 @@ def log_plus_sum(model: CoefficientModel, r: float) -> float:
         return float(np.sum(g[g > 0.0]))
     log_r2 = 2.0 * np.log(r)
     total = 0.0
-    carry = None
-    start = 0
-    while start <= HARD_TERM_CAP:
-        stop = start + _BLOCK
-        la = log_sq_block(model, start, stop, carry)
-        if model.kind == "Hyperbolic":
-            carry = _next_carry(model, la, stop)
-        g = la + np.arange(start, stop) * log_r2
+    for n, la in log_sq_blocks(model, size=_BLOCK, max_size=_BLOCK):
+        g = la + n * log_r2
         total += float(np.sum(g[g > 0.0]))
         # stop once the block is entirely past the maximizer and non-positive
         if g[-1] <= 0.0 and g[-1] <= g[0]:
             return total
-        start = stop
-    raise NoConvergence(f"log_plus_sum did not converge within {HARD_TERM_CAP} terms")

@@ -5,13 +5,9 @@ standard complex Gaussian zeta_n.  Truncation degrees are variance-based
 (the full series is a.s. unbounded in the disk, so sup-norm truncation
 criteria do not apply); coupling back to the infinite series is certified
 per trial by tail_sup_bound, an explicit per-coefficient union bound with
-failure probability <= e^{-fail_exp}/(1 - e^{-1}).
-
-Geometric remainder rule used by the open-ended scans: for all supported
-kinds the coefficient ratio a_{n+1}/a_n is decreasing when it exceeds 1
-(L > 1) and below 1 when it does not (L <= 1), so every future step ratio of
-a scanned series is bounded by max(current step ratio, radius factor); the
-remainder past the last scanned term is then a geometric series.
+failure probability <= e^{-fail_exp}/(1 - e^{-1}).  truncation_degree and
+tail_sup_bound scan the series with coeffs.log_sq_blocks and stop by its
+geometric remainder rule.
 """
 
 from __future__ import annotations
@@ -21,15 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .coeffs import (
-    HARD_TERM_CAP,
-    CoefficientModel,
-    _next_carry,
-    coefficients,
-    log_sq_at,
-    log_sq_block,
-    sigma_sq,
-)
+from .coeffs import CoefficientModel, coefficients, log_sq_blocks, sigma_sq
+# re-exported so the benchmark tracer can wrap them under these names
+from .coeffs import log_sq_at, log_sq_block  # noqa: F401
 from .errors import InvalidPoint, InvalidRadius, NoConvergence
 
 # tau_rel drives the tail bound floor of the certified decisions; 1e-8
@@ -37,10 +27,6 @@ from .errors import InvalidPoint, InvalidRadius, NoConvergence
 # to r = 0.9 at the cost of a modestly larger truncation degree.
 DEFAULT_TAU_REL = 1e-8
 DEFAULT_FAIL_EXP = 30.0
-
-# Test hook (negative control for the verify suite): when True, sample()
-# returns all-zero coefficients, which must make sampler variance checks fail.
-TEST_FORCE_ZERO_COEFFS = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,38 +71,18 @@ def truncation_degree(model: CoefficientModel, rho: float, tau_rel: float) -> in
         return int(np.argmax(tails <= target))
     # scan forward until the remainder past the scan is certainly small
     log_r2 = 2.0 * np.log(rho)
-    carry = None
-    start = 0
-    U = None
-    rest = 0.0
-    block_size = 1 << 14
-    while start <= HARD_TERM_CAP:
-        stop = start + block_size
-        la = log_sq_block(model, start, stop, carry)
-        if model.kind == "Hyperbolic":
-            carry = _next_carry(model, la, stop)
-        g = la + np.arange(start, stop) * log_r2
+    logw = []
+    for n, la in log_sq_blocks(model):
+        g = la + n * log_r2
+        logw.append(g)
         last = float(np.exp(g[-1]))
         q = max(float(np.exp(g[-1] - g[-2])), rho * rho)
         if q < 1.0:
             rest = last * q / (1.0 - q)
             if rest <= 0.25 * target:
-                U = stop
                 break
-        start = stop
-        block_size = min(2 * block_size, 1 << 20)
-    if U is None:
-        raise NoConvergence(f"truncation_degree cap {HARD_TERM_CAP} exceeded")
-    la = np.empty(U)
-    carry = None
-    for s in range(0, U, HARD_TERM_CAP):
-        e = min(s + HARD_TERM_CAP, U)
-        block = log_sq_block(model, s, e, carry)
-        la[s:e] = block
-        if model.kind == "Hyperbolic":
-            carry = _next_carry(model, block, e)
-    w = np.exp(la + np.arange(U) * log_r2)
-    # tails[N] = sum_{U > n > N} w_n + remainder-past-U bound
+    w = np.exp(np.concatenate(logw))
+    # tails[N] = sum_{U > n > N} w_n + remainder-past-U bound (U = len(w))
     tails = np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]]) + rest
     ok = tails <= target
     if not ok.any():
@@ -143,8 +109,6 @@ def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
     keys = rng.stream_key(seed, streams, rng.PURPOSE_SAMPLE)[:, None]
     idx = np.arange(N_t + 1, dtype=np.uint64)[None, :]
     zetas = rng.complex_gaussians(keys, idx)
-    if TEST_FORCE_ZERO_COEFFS:
-        zetas = np.zeros_like(zetas)
     a = coefficients(model, N_t)
     return zetas * a[None, :]
 
@@ -197,29 +161,17 @@ def tail_sup_bound(model: CoefficientModel, N_t: int, rho: float,
         return bound, log_fail_prob
     log_r = np.log(rho)
     total = 0.0
-    carry = log_sq_at(model, N_t + 1) if model.kind == "Hyperbolic" else None
-    start = N_t + 1
-    block_size = 1 << 14
-    scanned = 0
-    while scanned <= HARD_TERM_CAP:
-        stop = start + block_size
-        la = log_sq_block(model, start, stop, carry)
-        if model.kind == "Hyperbolic":
-            carry = _next_carry(model, la, stop)
-        n = np.arange(start, stop, dtype=np.float64)
+    for n, la in log_sq_blocks(model, start=N_t + 1):
         g = 0.5 * la + n * log_r + 0.5 * np.log(n - N_t + fail_exp)
         total += float(np.sum(np.exp(g)))
         last = float(np.exp(g[-1]))
-        # sqrt-factor step ratio is decreasing; coefficient ratio handled as
-        # in the module docstring
+        # sqrt-factor step ratio is decreasing; coefficient ratio handled by
+        # the geometric remainder rule
+        stop = int(n[-1]) + 1
         sq_now = np.sqrt((stop - N_t + fail_exp) / (stop - 1 - N_t + fail_exp))
         q = max(float(np.exp(g[-1] - g[-2])), rho * sq_now)
         if q < 1.0 and last * q / (1.0 - q) <= 1e-15 * total:
             return total, log_fail_prob
-        scanned += block_size
-        start = stop
-        block_size = min(2 * block_size, 1 << 20)
-    raise NoConvergence(f"tail_sup_bound cap {HARD_TERM_CAP} exceeded")
 
 
 def derivative_sup_bound(s: GafSample, rho: float) -> float:

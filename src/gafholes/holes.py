@@ -152,11 +152,11 @@ def _grid_points(rho: float, K: int) -> np.ndarray:
 
 
 def _eval_abs_stats(C: np.ndarray, rho: float, K: int):
-    """(grid_min, grid_max, winding, winding_ok_geometry) for each row.
+    """(grid_min, grid_max, winding) for each row on the K-point rho-grid.
 
-    winding_ok_geometry is the pure geometry flag |sum of rounded args| --
-    the caller combines it with the variation condition.  Rows are chunked
-    so memory stays bounded; per-row results do not depend on chunking.
+    winding is the rounded sum of the grid arguments; the caller decides
+    whether the variation condition certifies it.  Rows are chunked so
+    memory stays bounded; per-row results do not depend on chunking.
     """
     B = C.shape[0]
     z = _grid_points(rho, K)
@@ -378,6 +378,7 @@ def winding_number_certified(sample: GafSample, rho: float,
     """
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
+    _check_K_init(K_init)
     res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
     if not bool(res["wind_ok"][0]):
         return None
@@ -396,6 +397,7 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
     """
     if not (0.0 < r < 1.0):
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
+    _check_K_init(K_init)
     res = _decide_rows(sample.coeffs[None, :], r, float(tail_bound),
                        K_init, K_cap)
     return _decision_from_arrays(res, 0, tail_bound)
@@ -429,13 +431,20 @@ def _decision_from_arrays(res: dict, i: int, tail_bound: float) -> HoleDecision:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _check_estimator_args(r: float, trials: int, confidence: float):
+def _check_K_init(K_init: int):
+    if K_init < 1:
+        raise DomainError(f"K_init must be >= 1, got {K_init}")
+
+
+def _check_estimator_args(r: float, trials: int, confidence: float,
+                          K_init: int):
     if not (0.0 < r < 1.0):
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
+    _check_K_init(K_init)
 
 
 def _check_budget(trials: int, N_t: int, budget: float):
@@ -476,7 +485,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     widen the Wilson interval pessimistically: they count as hits for
     p_high and as misses for p_low.
     """
-    _check_estimator_args(r, trials, confidence)
+    _check_estimator_args(r, trials, confidence, K_init)
     N_t = truncation_degree(model, r, tau_rel)
     _check_budget(trials, N_t, budget)
     tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
@@ -581,7 +590,7 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     a lower bound.  eps, B and alpha_exp feed the default threshold and
     are ignored when M is given.
     """
-    _check_estimator_args(r, trials, confidence)
+    _check_estimator_args(r, trials, confidence, K_init)
     if M is None:
         if model.kind in ("Hyperbolic", "PowerLaw"):
             M = default_threshold(model.L, r, eps=eps, B=B,
@@ -701,7 +710,7 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     the two failures together stay within 1 - confidence.  p_low underflows
     to 0 deep in the asymptotic regime; metadata keeps log10_p_low.
     """
-    _check_estimator_args(r, trials, confidence)
+    _check_estimator_args(r, trials, confidence, K_init)
     q, N, N1, M, r2, alpha1, log_Q2 = tilt_profile(model, r, alpha_exp, alpha1)
     if N < 1:
         raise TiltOutOfRange(

@@ -36,22 +36,14 @@ import numpy as np
 
 from . import rng
 from .coeffs import (
-    HARD_TERM_CAP,
     CoefficientModel,
-    _next_carry,
     coefficients,
     is_nonincreasing,
     log_sq_at,
-    log_sq_block,
+    log_sq_blocks,
     log_sq_range,
 )
-from .errors import (
-    EmptySubset,
-    InvalidRadius,
-    NoConvergence,
-    NotMonotone,
-    SizeCap,
-)
+from .errors import EmptySubset, InvalidRadius, NotMonotone, SizeCap
 
 DENSE_SIZE_CAP = 1024
 
@@ -112,18 +104,9 @@ def _modular_log_sums(model: CoefficientModel, r: float, N: int,
                     acc[m] = np.logaddexp.reduce(sel)
         return acc
     acc = np.full(N, -np.inf)
-    carry = None
-    k = first_block
     prev_g = None
-    scanned = 0
-    while scanned <= HARD_TERM_CAP + 2 * N:
-        start, stop = k * N, (k + 1) * N
-        if model.kind == "Hyperbolic" and carry is None and start > 0:
-            carry = log_sq_at(model, start)
-        la = log_sq_block(model, start, stop, carry)
-        if model.kind == "Hyperbolic":
-            carry = _next_carry(model, la, stop)
-        g = la + np.arange(start, stop) * log_r2
+    for n, la in log_sq_blocks(model, first_block * N, size=N, max_size=N):
+        g = la + n * log_r2
         acc = np.logaddexp(acc, g)
         if prev_g is not None:
             q = max(float(np.max(g - prev_g)), float(np.exp(log_r2 * N)))
@@ -133,9 +116,6 @@ def _modular_log_sums(model: CoefficientModel, r: float, N: int,
                 if np.all(rem <= acc + np.log(1e-14)):
                     return acc
         prev_g = g
-        k += 1
-        scanned += N
-    raise NoConvergence(f"modular series cap {HARD_TERM_CAP} exceeded (N={N})")
 
 
 def circulant_eigenvalues(model: CoefficientModel, r: float, N: int) -> CirculantSpectrum:

@@ -110,6 +110,14 @@ def test_estimator_domain_error_reported_cleanly(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("k_init", ["0", "-8"])
+def test_non_positive_K_init_reported_cleanly(k_init, capsys):
+    assert cli.main(ESTIMATE_ARGS + ["--K-init", k_init]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "K_init" in err
+
+
 def test_coeffs_command_values(capsys):
     assert cli.main(["coeffs", "--model", "Hyperbolic", "--L", "2",
                      "--n-max", "4"]) == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gafholes import coeffs, gaf
+from gafholes import cli, coeffs, gaf, rng
 from gafholes.coeffs import constant_unit, hyperbolic
 
 
@@ -94,13 +94,13 @@ def test_derivative_sup_bound_formula():
     assert gaf.derivative_sup_bound(s, rho) == pytest.approx(ref, rel=1e-14)
 
 
-def test_forced_zero_hook_is_read_at_call_time():
+def test_sampler_variance_check_rejects_zero_draws(monkeypatch):
     m = hyperbolic(1.0)
-    gaf.TEST_FORCE_ZERO_COEFFS = True
-    try:
-        rows = gaf.sample_coeff_batch(m, 0, np.arange(4, dtype=np.uint64), 6)
-        assert np.all(rows == 0.0)
-    finally:
-        gaf.TEST_FORCE_ZERO_COEFFS = False
-    rows = gaf.sample_coeff_batch(m, 0, np.arange(4, dtype=np.uint64), 6)
-    assert np.any(rows != 0.0)
+    streams = np.arange(64, dtype=np.uint64)
+    assert cli._sampler_variance_check(gaf.sample_coeff_batch(m, 3, streams, 10))[1]
+    monkeypatch.setattr(rng, "complex_gaussians",
+                        lambda keys, idx: np.zeros(np.broadcast(keys, idx).shape,
+                                                   dtype=complex))
+    rows = gaf.sample_coeff_batch(m, 3, streams, 10)
+    assert np.all(rows == 0.0)
+    assert not cli._sampler_variance_check(rows)[1]

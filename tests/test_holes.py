@@ -308,3 +308,17 @@ def test_estimator_argument_guards():
         holes.estimate_hole_direct(m, 0.5, 8, 0, confidence=1.0)
     with pytest.raises(ComputeBudgetExceeded):
         holes.estimate_hole_direct(m, 0.9, 10 ** 7, 0, budget=1e3)
+
+
+@pytest.mark.parametrize("K_init", [0, -8])
+def test_non_positive_K_init_rejected(K_init):
+    s = _poly_sample([1.0])
+    with pytest.raises(DomainError):
+        holes.hole_decision(s, 0.5, 0.1, K_init=K_init)
+    with pytest.raises(DomainError):
+        holes.winding_number_certified(s, 0.5, K_init=K_init)
+    for est in (holes.estimate_hole_direct, holes.estimate_hole_lower_threshold):
+        with pytest.raises(DomainError):
+            est(hyperbolic(1.0), 0.5, 8, 0, K_init=K_init)
+    with pytest.raises(DomainError):
+        holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, K_init=K_init)
