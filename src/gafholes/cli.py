@@ -21,7 +21,9 @@ Determinism contract: the data outputs (JSONL rows, CSV bodies) are
 byte-identical across reruns with the same resolved configuration, at any
 worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
-per-record wall times.
+per-record wall times; direct estimates add, per record, how many rows
+each path of the decision kernel settled ("kernel": zero_first,
+uniform_ladder, adaptive, inconclusive).
 """
 
 from __future__ import annotations
@@ -183,14 +185,15 @@ def _dump_row(row: dict) -> str:
 
 
 def write_jsonl(rows: List[dict], out: Optional[str],
-                wall_times: Optional[List[float]] = None) -> None:
+                wall_times: Optional[List[float]] = None,
+                kernel: Optional[List[dict]] = None) -> None:
     body = "".join(_dump_row(r) + "\n" for r in rows)
     if out is None:
         sys.stdout.write(body)
         return
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(body)
-    _write_sidecar(out, wall_times)
+    _write_sidecar(out, wall_times, kernel)
 
 
 def write_csv(header: List[str], rows: List[List[object]],
@@ -211,10 +214,13 @@ def write_csv(header: List[str], rows: List[List[object]],
     _write_sidecar(out, None)
 
 
-def _write_sidecar(out: str, wall_times: Optional[List[float]]) -> None:
+def _write_sidecar(out: str, wall_times: Optional[List[float]],
+                   kernel: Optional[List[dict]] = None) -> None:
     meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     if wall_times is not None:
         meta["wall_time_s"] = wall_times
+    if kernel is not None:
+        meta["kernel"] = kernel
     with open(out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -288,15 +294,17 @@ def _run_one_estimate(cfg: dict, model: CoefficientModel,
 
 def cmd_estimate(cfg: dict) -> int:
     model = build_model(cfg)
-    rows, walls = [], []
+    rows, walls, kernels = [], [], []
     for r in cfg["r"]:
         t0 = time.perf_counter()
         est = _run_one_estimate(cfg, model, r)
         walls.append(time.perf_counter() - t0)
+        kernels.append(est.kernel)
         row = est.to_record()
         row.update(_provenance(cfg, streams=[0, cfg["trials"]]))
         rows.append(row)
-    write_jsonl(rows, cfg["out"], wall_times=walls)
+    write_jsonl(rows, cfg["out"], wall_times=walls,
+                kernel=kernels if any(kernels) else None)
     return 0
 
 

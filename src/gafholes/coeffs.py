@@ -94,6 +94,35 @@ def model_from_descriptor(d: dict) -> CoefficientModel:
 
 # -- log a_n^2 ---------------------------------------------------------------
 
+def _hyperbolic_periods(model: CoefficientModel, start: int, stop: int,
+                        period: int, carry: Optional[float]):
+    """Hyperbolic log a_n^2 on [start, stop) in runs of `period` indices,
+    and the carry log a_stop^2 into the next run.
+
+    carry is log a_start^2 (ignored at start = 0).  Within a run the values
+    are base + a running sum of log a_{n+1}^2 - log a_n^2 = log(L+n) -
+    log(1+n), one cumsum along the rows of a (runs, period) array; the base
+    of each run is the scalar carry of the one before, so the values do not
+    depend on how many runs one call covers.
+    """
+    n = np.arange(start, stop, dtype=np.float64).reshape(-1, period)
+    steps = np.log(model.L + n) - np.log(1.0 + n)
+    sums = np.cumsum(steps[:, :-1], axis=1)
+    last = n[:, -1]
+    up = np.log(model.L + last).tolist()
+    down = np.log(1.0 + last).tolist()
+    ends = (sums[:, -1] if period > 1 else np.zeros(len(last))).tolist()
+    bases = np.empty(len(last))
+    b = 0.0 if start == 0 else carry
+    for j in range(len(last)):
+        bases[j] = b
+        b = float(b + ends[j] + up[j] - down[j])
+    out = np.empty_like(n)
+    out[:, 0] = bases
+    out[:, 1:] = bases[:, None] + sums
+    return out.reshape(-1), b
+
+
 def log_sq_block(model: CoefficientModel, start: int, stop: int,
                  carry: Optional[float] = None) -> np.ndarray:
     """log(a_n^2) for n in [start, stop).
@@ -102,21 +131,11 @@ def log_sq_block(model: CoefficientModel, start: int, stop: int,
     (log_sq_blocks carries it from block to block); passing carry=None with
     start=0 is the common entry point.  Other kinds ignore carry.
     """
-    n = np.arange(start, stop, dtype=np.float64)
     if model.kind == "Hyperbolic":
-        if start == 0:
-            base = 0.0
-        else:
-            if carry is None:
-                raise ValueError("Hyperbolic block continuation needs carry")
-            base = carry
-        # log a_{n+1}^2 - log a_n^2 = log(L+n) - log(1+n)
-        steps = np.log(model.L + n) - np.log(1.0 + n)
-        out = np.empty(stop - start)
-        out[0] = base
-        if stop - start > 1:
-            out[1:] = base + np.cumsum(steps[:-1])
-        return out
+        if start > 0 and carry is None:
+            raise ValueError("Hyperbolic block continuation needs carry")
+        return _hyperbolic_periods(model, start, stop, stop - start, carry)[0]
+    n = np.arange(start, stop, dtype=np.float64)
     if model.kind == "PowerLaw":
         out = np.where(n > 0, (model.L - 1.0) * np.log(np.maximum(n, 1.0)), 0.0)
         return out
@@ -189,7 +208,7 @@ def log_sq_at(model: CoefficientModel, n: int) -> float:
 
 
 def log_sq_blocks(model: CoefficientModel, start: int = 0, size: int = 1 << 14,
-                  max_size: int = 1 << 20):
+                  max_size: int = 1 << 20, period: int = 0):
     """Yield (n, log a_n^2) over consecutive index blocks from `start` on.
 
     n is the integer index array of the block.  The first block holds `size`
@@ -198,6 +217,11 @@ def log_sq_blocks(model: CoefficientModel, start: int = 0, size: int = 1 << 14,
     log_sq_at when start > 0).  The caller stops the scan with its own rule;
     the scan raises NoConvergence instead of starting a block more than
     HARD_TERM_CAP indices past `start`.
+
+    With period > 0 (size and max_size multiples of it) a block is a run of
+    whole periods whose values are bit for bit those of blocks of `period`
+    indices, and the cap applies per period: the last block ends with the
+    last period that starts within HARD_TERM_CAP of `start`.
 
     Geometric remainder rule used by the open-ended scans: for all supported
     kinds the coefficient ratio a_{n+1}/a_n is decreasing when it exceeds 1
@@ -209,11 +233,15 @@ def log_sq_blocks(model: CoefficientModel, start: int = 0, size: int = 1 << 14,
     carry = log_sq_at(model, start) if carried and start > 0 else None
     pos = start
     while pos - start <= HARD_TERM_CAP:
+        if period:
+            size = min(size, (start + HARD_TERM_CAP - pos) // period * period
+                       + period)
         stop = pos + size
-        la = log_sq_block(model, pos, stop, carry)
         if carried:
-            last = stop - 1
-            carry = float(la[-1] + np.log(model.L + last) - np.log(1.0 + last))
+            la, carry = _hyperbolic_periods(model, pos, stop, period or size,
+                                            carry)
+        else:
+            la = log_sq_block(model, pos, stop)
         yield np.arange(pos, stop), la
         pos = stop
         size = min(2 * size, max_size)

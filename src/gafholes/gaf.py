@@ -123,18 +123,28 @@ def evaluate(s: GafSample, z: complex) -> complex:
     return acc
 
 
-def evaluate_on_grid(coeff_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Horner evaluation of each coefficient row at each point -> (rows, K).
+def horner(coeff_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Horner value of each coefficient row at points -> (rows, K).
 
-    Elementwise throughout, so results are independent of how rows are
-    batched (part of the bit-exactness contract for estimators).
+    points has shape (K,), the same points for every row, or (rows, K),
+    points of its own for each row.  Elementwise throughout, so results
+    are independent of how rows are batched (part of the bit-exactness
+    contract for estimators).
     """
     rows, n1 = coeff_rows.shape
-    acc = np.broadcast_to(coeff_rows[:, -1][:, None], (rows, len(points))).copy()
+    z = np.broadcast_to(points, (rows, points.shape[-1]))
+    acc = np.broadcast_to(coeff_rows[:, -1:], z.shape).astype(
+        np.result_type(coeff_rows, points))
     for n in range(n1 - 2, -1, -1):
-        acc *= points[None, :]
-        acc += coeff_rows[:, n][:, None]
+        acc *= z
+        acc += coeff_rows[:, n:n + 1]
     return acc
+
+
+def evaluate_on_grid(coeff_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Horner evaluation of each coefficient row at each of the K points
+    -> (rows, K)."""
+    return horner(coeff_rows, points)
 
 
 def tail_sup_bound(model: CoefficientModel, N_t: int, rho: float,

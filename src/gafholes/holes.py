@@ -18,6 +18,30 @@ radius r.  For a truncated sample the decision is made on the circle:
     principle), so a winding of 0 certifies a hole and a winding of k >= 1
     certifies k zeros.
 
+The direct estimator only needs hole versus non-hole, and "at least one
+zero in the closed disk" has a cheaper local certificate (zero-first stage,
+Becker, Sagraloff, Sharma, Yap, J. Symbolic Comput. 2018).  Newton's
+method from a few fixed interior starts proposes z0; with F_N(z0), F_N'(z0)
+computed by Horner as Fh, Fh', a disk D(z0, eps) with |z0| + eps <= r holds
+exactly one zero of F when
+
+    (|Fh'| - E_d) eps > |Fh| + E_f + eps^2 S_2 + tail,
+    S_2 = sum_{n>=2} |c_n| C(n,2) (|z0| + eps)^{n-2},
+
+by Rouche against the linear term F_N'(z0)(z - z0): the Taylor remainder
+of F_N is at most eps^2 S_2, and tail is the same tail_sup_bound value the
+ladder uses, which bounds |F - F_N| on the whole closed disk under the same
+failure budget.  E_f = g sum |c_n| |z0|^n and E_d = g sum n |c_n| |z0|^{n-1}
+bound the Horner rounding errors, with g = gamma_{8(N+2)} covering the
+gamma_{4N} of complex Horner (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed.: gamma_k algebra in 3.1, complex products within
+sqrt(2) gamma_2 in 3.6, Horner in 5.1) and the rounding of the bounds
+themselves; each side is further scaled by (1 -/+ g).  A hole sample cannot
+pass the test, so the stage only moves rows from the ladder to
+ZeroCertified.  The scalar operations (hole_decision,
+min_modulus_certified, winding_number_certified) never use it: they keep
+the exact winding count.
+
 Estimators (all Monte Carlo over independent per-trial streams):
 
   * direct: certify each trial sample; Wilson interval on the hit rate,
@@ -60,6 +84,7 @@ from .gaf import (
     GafSample,
     derivative_sup_bound_rows,
     evaluate_on_grid,
+    horner,
     sample_coeff_batch,
     tail_sup_bound,
     truncation_degree,
@@ -87,7 +112,9 @@ class HoleDecision:
     outcome: str               # HoleCertified | ZeroCertified | Inconclusive
     margin: float              # certified min-modulus lower bound minus tail bound
     grid_size_used: int
-    zero_count: int = 0        # winding number when ZeroCertified
+    zero_count: int = 0        # exact winding number when ZeroCertified
+                               # (the scalar decision never takes the
+                               # zero-first exit, so the count stays exact)
     reason: str = ""           # populated when Inconclusive
 
 
@@ -107,6 +134,9 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
+    # rows settled by each path of the direct decision kernel; run
+    # diagnostics for the CLI sidecar, never part of the record
+    kernel: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:
         """Deterministic record (runtime excluded; see CLI sidecar)."""
@@ -181,7 +211,8 @@ def _eval_abs_stats(C: np.ndarray, rho: float, K: int):
 def _certify_rows(C: np.ndarray, rho: float,
                   K_init: int = K_INIT_DEFAULT,
                   K_cap: int = K_CAP_DEFAULT,
-                  tail: Optional[float] = None):
+                  tail: Optional[float] = None,
+                  zero_first: bool = False):
     """Joint min-modulus / winding ladder over coefficient rows.
 
     Returns a dict of arrays over rows:
@@ -192,6 +223,7 @@ def _certify_rows(C: np.ndarray, rho: float,
       wind_ok    whether the winding certificate fired before K_cap
       wind_K     grid size at the winding certificate level (0 if none)
       hopeless   grid minimum fell to or below the tail bound (tail mode)
+      zero_first row left the ladder with a zero-first certificate
 
     Both ladders visit the same K schedule (K_init, doubling); running them
     jointly is exactly the composition of the two scalar operations.
@@ -202,7 +234,10 @@ def _certify_rows(C: np.ndarray, rho: float,
     its fate against the tail bound is settled, either decided (bound
     above the tail with a certified winding) or hopeless (the grid minimum
     is at or below the tail, which refining can only confirm, since grid
-    minima decrease toward the true minimum).
+    minima decrease toward the true minimum).  With zero_first (tail mode)
+    the rows still open at the first level K >= min(_ZERO_FIRST_K, K_cap)
+    get one zero-first test before that level is evaluated; rows that pass
+    leave the ladder with that certificate.
     """
     B = C.shape[0]
     D = derivative_sup_bound_rows(C, rho)
@@ -214,9 +249,16 @@ def _certify_rows(C: np.ndarray, rho: float,
     wind_ok = np.zeros(B, dtype=bool)
     wind_K = np.zeros(B, dtype=np.int64)
     hopeless = np.zeros(B, dtype=bool)
+    zf = np.zeros(B, dtype=bool)
+    zf_pending = zero_first
     active = np.arange(B)
     K = int(K_init)
     while active.size:
+        if zf_pending and K >= min(_ZERO_FIRST_K, K_cap):
+            zf_pending = False
+            zf[active] = _zero_certified(C[active], rho, tail)
+            active = active[~zf[active]]
+            continue
         gmin, gmax, w = _eval_abs_stats(C[active], rho, K)
         Da = D[active]
         lb = gmin - Da * (np.pi * rho / K)
@@ -250,8 +292,89 @@ def _certify_rows(C: np.ndarray, rho: float,
     return {
         "mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K,
         "wind": wind, "wind_ok": wind_ok, "wind_K": wind_K,
-        "hopeless": hopeless,
+        "hopeless": hopeless, "zero_first": zf,
     }
+
+
+def _rounding_gamma(n_coeffs: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53, at k = 8 (N + 2).
+
+    N = n_coeffs - 1 is the degree; see the module docstring for what the
+    factor covers.
+    """
+    ku = 8 * (n_coeffs + 1) * 2.0 ** -53
+    return ku / (1.0 - ku)
+
+
+def _derivative_rows(C: np.ndarray) -> np.ndarray:
+    """Coefficient rows of F_N' (C has at least two columns)."""
+    return C[:, 1:] * np.arange(1, C.shape[1], dtype=np.float64)
+
+
+def _newton_points(C: np.ndarray, rho: float) -> np.ndarray:
+    """Newton iterates from rho * _NEWTON_STARTS after _NEWTON_STEPS -> (B, S).
+
+    An iterate leaving the closed rho-disk is pulled back radially onto its
+    circle; a non-finite step keeps the previous iterate.
+    """
+    dC = _derivative_rows(C)
+    z = np.repeat((rho * _NEWTON_STARTS)[None, :], C.shape[0], axis=0)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            z_next = z - horner(C, z) / horner(dC, z)
+            z = np.where(np.isfinite(z_next), z_next, z)
+            a = np.abs(z)
+            z = np.where(a > rho, z * (rho / a), z)
+    return z
+
+
+def _rounded_values(C: np.ndarray, z: np.ndarray):
+    """(Fh, Fh', E_f, E_d) at the points z[i, j].
+
+    Fh and Fh' are the Horner values of F_N and F_N'; E_f and E_d bound
+    |Fh - F_N(z)| and |Fh' - F_N'(z)| a priori.
+    """
+    g = _rounding_gamma(C.shape[1])
+    dC = _derivative_rows(C)
+    az = np.abs(z)
+    e_f = g * horner(np.abs(C), az)
+    e_d = g * horner(np.abs(dC), az)
+    return horner(C, z), horner(dC, z), e_f, e_d
+
+
+def _zero_certified(C: np.ndarray, rho: float, tail: float) -> np.ndarray:
+    """Rows of C with a certified zero of F in the closed rho-disk.
+
+    Newton from the fixed starts, then the rounding-aware Rouche test of
+    the module docstring at each final iterate z0 for eps = m * (|Fh| +
+    E_f + tail) / (|Fh'| - E_d), m in _EPS_FACTORS.  A row passes if any
+    (start, m) does.
+    """
+    B, n1 = C.shape
+    if B == 0 or n1 < 2:
+        return np.zeros(B, dtype=bool)
+    z = _newton_points(C, rho)
+    fh, dh, e_f, e_d = _rounded_values(C, z)
+    g = _rounding_gamma(n1)
+    if n1 > 2:
+        n = np.arange(2, n1, dtype=np.float64)
+        curv = np.abs(C[:, 2:]) * (n * (n - 1.0) / 2.0)   # |c_n| C(n, 2)
+    else:
+        curv = np.zeros((B, 1))
+    az = np.abs(z)
+    ok = np.zeros(B, dtype=bool)
+    with np.errstate(all="ignore"):
+        lin = np.abs(dh) - e_d                 # <= |F_N'(z0)|
+        const = np.abs(fh) + e_f + tail        # >= |F(z0)| under the tail event
+        for m in _EPS_FACTORS:
+            eps = m * const / lin
+            rho_out = (az + eps) * (1.0 + g)   # >= |z0| + eps
+            fits = (lin > 0.0) & (rho_out <= rho)
+            S2 = (1.0 + g) * horner(curv, np.where(fits, rho_out, 0.0))
+            lhs = (1.0 - g) * lin * eps
+            rhs = (1.0 + g) * (const + eps * eps * S2)
+            ok |= np.any(fits & (lhs > rhs), axis=1)
+    return ok
 
 
 def _horner_row(c: np.ndarray, rho: float, theta: np.ndarray) -> np.ndarray:
@@ -317,23 +440,48 @@ def _decide_row_adaptive(c: np.ndarray, rho: float, tail: float,
 # the grid cap (default cap 2^20 -> adaptive arcs down to 2 pi / 2^30)
 _UNIFORM_STAGE_CAP = 1 << 14
 _ADAPTIVE_REFINE_FACTOR = 1024.0
+# zero-first stage: the ladder level where it runs, Newton starts as
+# fractions of the radius (centre, 3 at 1/2, 6 at 0.85), Newton steps, and
+# the multiples m of the break-even disk radius that the Rouche test tries
+_ZERO_FIRST_K = 1 << 10
+_NEWTON_STARTS = np.concatenate([
+    [0.0],
+    0.5 * np.exp(2j * np.pi * np.arange(3) / 3),
+    0.85 * np.exp(2j * np.pi * (np.arange(6) + 0.5) / 6),
+])
+_NEWTON_STEPS = 12
+_EPS_FACTORS = (1.125, 1.5, 2.0)
 
 
 def _decide_rows(C: np.ndarray, rho: float, tail: float,
                  K_init: int = K_INIT_DEFAULT,
-                 K_cap: int = K_CAP_DEFAULT):
+                 K_cap: int = K_CAP_DEFAULT,
+                 zero_first: bool = False):
     """Decision kernel over rows: uniform ladder, then adaptive fallback.
 
     The vectorized uniform ladder settles the bulk cheaply (capped well
     below K_cap, where it stops paying off); rows it leaves open are
     near-vanishing on the circle and go to the per-row adaptive certifier,
     whose cost scales with the log of the resolved modulus.
+
+    zero_first (direct estimator only) adds the zero-first stage of the
+    module docstring: once per batch, on the rows still open at the first
+    ladder level K >= _ZERO_FIRST_K (the top of the last uniform level
+    when the cap is lower, so always before the adaptive fallback),
+    Newton plus the rounding-aware Rouche test
+    (|Fh'| - E_d) eps > |Fh| + E_f + eps^2 S_2 + tail, with the ladder's
+    tail bound and a-priori Horner rounding bounds E_f, E_d.  Rows that pass
+    are flagged in res["zero_first"] and leave with no winding number: they
+    have at least one zero in the disk, which is all a hole estimate needs.
+    res["adaptive"] flags the rows handed to the adaptive fallback.
     """
     res = _certify_rows(C, rho, K_init, min(int(K_cap), _UNIFORM_STAGE_CAP),
-                        tail=tail)
+                        tail=tail, zero_first=zero_first)
     res["extra_evals"] = np.zeros(C.shape[0], dtype=np.int64)
-    open_rows = np.nonzero(~res["hopeless"]
-                           & ~((res["mm_lb"] > tail) & res["wind_ok"]))[0]
+    open_mask = (~res["hopeless"] & ~res["zero_first"]
+                 & ~((res["mm_lb"] > tail) & res["wind_ok"]))
+    res["adaptive"] = open_mask
+    open_rows = np.nonzero(open_mask)[0]
     if open_rows.size == 0:
         return res
     h_floor = 2.0 * np.pi / (float(K_cap) * _ADAPTIVE_REFINE_FACTOR)
@@ -362,7 +510,7 @@ def min_modulus_certified(sample: GafSample, rho: float,
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
     if K_init < 8:
-        raise InvalidRadius(f"K_init must be >= 8, got {K_init}")
+        raise DomainError(f"K_init must be >= 8, got {K_init}")
     res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
     return float(res["mm_lb"][0]), float(res["mm_gm"][0]), int(res["mm_K"][0])
 
@@ -492,14 +640,19 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     def worker(lo: int, hi: int):
         C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
-        res = _decide_rows(C, r, tail, K_init, K_cap)
+        res = _decide_rows(C, r, tail, K_init, K_cap, zero_first=True)
+        zf = res["zero_first"]
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
-        zero = ok & (res["wind"] >= 1)
+        zero = (ok & (res["wind"] >= 1)) | zf
         inc = ~(hole | zero)
-        return int(hole.sum()), int(zero.sum()), int(inc.sum())
+        by_adaptive = (hole | zero) & res["adaptive"]
+        by_ladder = (hole | zero) & ~zf & ~res["adaptive"]
+        return (int(hole.sum()), int(zero.sum()), int(inc.sum()),
+                int(zf.sum()), int(by_ladder.sum()), int(by_adaptive.sum()))
 
-    holes_n, zeros_n, inc_n = _batched_counts(trials, workers, worker)
+    holes_n, zeros_n, inc_n, zf_n, ladder_n, adaptive_n = _batched_counts(
+        trials, workers, worker)
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(
@@ -512,7 +665,9 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
             "tail_bound": tail,
             "zeros_certified": int(zeros_n),
             "certificate_failure_budget": trials * math.exp(log_fail),
-        })
+        },
+        kernel={"zero_first": zf_n, "uniform_ladder": ladder_n,
+                "adaptive": adaptive_n, "inconclusive": int(inc_n)})
 
 
 def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,

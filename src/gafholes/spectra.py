@@ -46,6 +46,7 @@ from .coeffs import (
 from .errors import EmptySubset, InvalidRadius, NotMonotone, SizeCap
 
 DENSE_SIZE_CAP = 1024
+_MODULAR_BLOCK = 1 << 16   # indices per block of the modular scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,19 +104,28 @@ def _modular_log_sums(model: CoefficientModel, r: float, N: int,
                 if sel.size:
                     acc[m] = np.logaddexp.reduce(sel)
         return acc
+    # each block holds many periods of N indices as the rows of a
+    # (periods, N) array; the fold and the stop rule run period by period
+    # in the same order as a scan of one period at a time
+    size = max(1, _MODULAR_BLOCK // N) * N
+    q_floor = float(np.exp(log_r2 * N))
     acc = np.full(N, -np.inf)
     prev_g = None
-    for n, la in log_sq_blocks(model, first_block * N, size=N, max_size=N):
-        g = la + n * log_r2
-        acc = np.logaddexp(acc, g)
-        if prev_g is not None:
-            q = max(float(np.max(g - prev_g)), float(np.exp(log_r2 * N)))
-            if q < 1.0:
-                # remainder for residue m <= g_m * q/(1-q)
-                rem = g + np.log(q / (1.0 - q))
-                if np.all(rem <= acc + np.log(1e-14)):
-                    return acc
-        prev_g = g
+    for n, la in log_sq_blocks(model, first_block * N, size=size,
+                               max_size=size, period=N):
+        g = (la + n * log_r2).reshape(-1, N)
+        accs = np.logaddexp.accumulate(np.vstack([acc, g]), axis=0)[1:]
+        # periods with a predecessor and their step ratio bound q
+        lo = 0 if prev_g is not None else 1
+        prev = g[:-1] if prev_g is None else np.vstack([prev_g, g[:-1]])
+        q = np.maximum(np.max(g[lo:] - prev, axis=1), q_floor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # remainder for residue m <= g_m * q/(1-q)
+            rem = g[lo:] + np.log(q / (1.0 - q))[:, None]
+        stop = (q < 1.0) & np.all(rem <= accs[lo:] + np.log(1e-14), axis=1)
+        if stop.any():
+            return accs[lo + int(np.argmax(stop))].copy()
+        acc, prev_g = accs[-1], g[-1]
 
 
 def circulant_eigenvalues(model: CoefficientModel, r: float, N: int) -> CirculantSpectrum:

@@ -38,8 +38,26 @@ def test_estimate_sidecar_holds_runtime_facts(tmp_path):
     out = tmp_path / "est.jsonl"
     cli.main(ESTIMATE_ARGS + ["--out", str(out)])
     meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
-    assert set(meta) == {"timestamp", "wall_time_s"}
+    assert set(meta) == {"timestamp", "wall_time_s", "kernel"}
     assert all(t >= 0.0 for t in meta["wall_time_s"])
+
+
+def test_estimate_sidecar_counts_kernel_paths(tmp_path):
+    out = tmp_path / "est.jsonl"
+    cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.7", "--out", str(out)])
+    meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
+    assert len(meta["kernel"]) == 2
+    for k in meta["kernel"]:
+        assert set(k) == {"zero_first", "uniform_ladder", "adaptive",
+                          "inconclusive"}
+        assert sum(k.values()) == 256
+    # the lower-bound modes do not run the direct kernel: no counters
+    thr = tmp_path / "thr.jsonl"
+    cli.main(["estimate", "--model", "Hyperbolic", "--L", "1", "--r", "0.5",
+              "--mode", "threshold_lower", "--M", "2", "--trials", "64",
+              "--seed", "1", "--out", str(thr)])
+    meta = json.loads((tmp_path / "thr.jsonl.meta.json").read_text())
+    assert set(meta) == {"timestamp", "wall_time_s"}
 
 
 def test_estimate_deterministic_across_worker_counts(tmp_path):

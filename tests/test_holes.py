@@ -317,6 +317,8 @@ def test_non_positive_K_init_rejected(K_init):
         holes.hole_decision(s, 0.5, 0.1, K_init=K_init)
     with pytest.raises(DomainError):
         holes.winding_number_certified(s, 0.5, K_init=K_init)
+    with pytest.raises(DomainError):
+        holes.min_modulus_certified(s, 0.5, K_init=K_init)
     for est in (holes.estimate_hole_direct, holes.estimate_hole_lower_threshold):
         with pytest.raises(DomainError):
             est(hyperbolic(1.0), 0.5, 8, 0, K_init=K_init)

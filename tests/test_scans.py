@@ -60,14 +60,41 @@ def test_modular_sum_goldens():
     assert split.b[0] == 0.243144429535363
 
 
+def test_modular_sum_goldens_small_period():
+    # N = 7 at r = 0.999 folds thousands of periods, Hyperbolic carry included
+    sp = spectra.circulant_eigenvalues(hyperbolic(1.5), 0.999, 7)
+    assert sp.log_lambdas.tolist() == [
+        9.322749093035311, 9.322837556410816, 9.322826466756899,
+        9.322756773120716, 9.32264457072858, 9.322498363370093,
+        9.322323414875273]
+    assert sp.log_det == 65.25863623829768
+    split = spectra.split_coefficients(hyperbolic(0.8), 0.999, 7)
+    assert split.b.tolist() == [
+        0.29829420762465797, 0.41836218193010954, 0.5085875084617943,
+        0.5833222887410733, 0.6481738508625926, 0.7060332229804901]
+    assert split.sigma_g1_sq == 141.0850586054967
+
+
+@pytest.mark.parametrize("period", [1, 3, 7])
+def test_period_blocks_match_blocks_of_one_period(period):
+    m = hyperbolic(2.5)
+    whole = coeffs.log_sq_blocks(m, start=11, size=4 * period,
+                                 max_size=4 * period, period=period)
+    single = coeffs.log_sq_blocks(m, start=11, size=period, max_size=period)
+    got = np.concatenate([next(whole)[1] for _ in range(3)])
+    ref = np.concatenate([next(single)[1] for _ in range(12)])
+    assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("scan", [
     lambda: coeffs.sigma_sq(power_law(3.0), TOO_CLOSE),
     lambda: coeffs.log_plus_sum(hyperbolic(2.0), TOO_CLOSE),
     lambda: gaf.truncation_degree(hyperbolic(2.0), TOO_CLOSE, 1e-8),
     lambda: gaf.tail_sup_bound(hyperbolic(2.0), 100, TOO_CLOSE),
     lambda: spectra.circulant_eigenvalues(constant_unit(), TOO_CLOSE, 1 << 20),
+    lambda: spectra.circulant_eigenvalues(hyperbolic(2.0), TOO_CLOSE, 7),
 ], ids=["sigma_sq", "log_plus_sum", "truncation_degree", "tail_sup_bound",
-        "circulant_eigenvalues"])
+        "circulant_eigenvalues", "circulant_eigenvalues_small_period"])
 def test_scans_stop_at_the_term_cap(scan):
     with pytest.raises(NoConvergence):
         scan()
