@@ -117,10 +117,7 @@ def evaluate(s: GafSample, z: complex) -> complex:
     """Horner evaluation of the truncated series at a point of the open disk."""
     if abs(z) >= 1.0:
         raise InvalidPoint(f"|z| must be < 1, got |z|={abs(z)}")
-    acc = complex(s.coeffs[-1])
-    for n in range(s.trunc_degree - 1, -1, -1):
-        acc = acc * z + complex(s.coeffs[n])
-    return acc
+    return complex(horner(s.coeffs[None, :], np.asarray([z]))[0, 0])
 
 
 def horner(coeff_rows: np.ndarray, points: np.ndarray) -> np.ndarray:

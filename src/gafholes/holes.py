@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import rng
 from .coeffs import CoefficientModel, log_sq_range
@@ -161,9 +161,11 @@ def wilson_interval(hits: int, trials: int, confidence: float) -> Tuple[float, f
     """Two-sided Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (0 <= hits <= trials):
+        raise ValueError(f"hits must lie in [0, trials={trials}], got {hits}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     n = float(trials)
     p = hits / n
     denom = 1.0 + z * z / n

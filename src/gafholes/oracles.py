@@ -43,6 +43,7 @@ from scipy.special import i0e
 from . import rng
 from .coeffs import CoefficientModel
 from .errors import DomainError, RatioOutOfRange, ZeroConstantTerm
+from .gaf import horner
 from .spectra import circulant_eigenvalues
 
 EULER_GAMMA = 0.5772156649015328606
@@ -229,26 +230,6 @@ def neg_moment_sup_check(theta, t, w_grid=None,
         constants={"C_cfg": C_cfg})
 
 
-def log_moment_growth_report(t_values=(0.5, 1.0, 2.0), n_max: int = 6,
-                             trials: int = 200000, seed: int = 0) -> CheckReport:
-    """Report E|log|1 + zeta/t||^n / n! across n (bounded growth; not asserted)."""
-    gen = np.random.default_rng(seed)
-    grid, measured, asserted = [], [], []
-    for tv in t_values:
-        z = (gen.standard_normal(trials) + 1j * gen.standard_normal(trials)) \
-            / math.sqrt(2.0)
-        logs = np.abs(np.log(np.abs(1.0 + z / tv)))
-        for n in range(1, n_max + 1):
-            val = float(np.mean(logs ** n) / math.factorial(n))
-            grid.append({"t": float(tv), "n": n})
-            measured.append(val)
-            asserted.append(None)
-    return CheckReport(
-        check_id="log_moment_growth", grid=grid, measured=measured,
-        asserted=asserted, passed=True,
-        constants={"trials": trials, "seed": seed, "report_only": True})
-
-
 def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
                            theta: float, trials: int,
                            seed: int = 0) -> CheckReport:
@@ -312,11 +293,8 @@ def unity_average_defect(poly_coeffs, k: int) -> float:
     deg = len(c) - 1
     R = k * k * deg
     z = np.exp(2j * np.pi * np.arange(R) / R)
-    vals = np.zeros(R, dtype=complex)
-    for coeff in c[::-1]:
-        vals = vals * z + coeff
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(vals))
+        logs = np.log(np.abs(horner(c[None, :], z)[0]))
     # tau = e(i0/R): the k rotated roots are indices i0 + j R/k (mod R);
     # distinct averages correspond to i0 in 0..R/k-1
     averages = logs.reshape(k, R // k).mean(axis=0)
@@ -436,7 +414,6 @@ def standard_reports(seed: int = 0, quick: bool = False) -> List[CheckReport]:
         neg_moment_sup_check(theta=[0.2, 0.5, 1.0], t=[0.5, 1.0, 3.0]),
         neg_moment_contraction_check(
             t=[0.1, 0.5, 1.0, 2.0, 4.0], theta=[0.01, 0.1, 0.25, 0.5]),
-        log_moment_growth_report(trials=50000 if quick else 200000, seed=seed),
         joint_neg_moment_check(
             CoefficientModel(kind="ConstantUnit"), r=0.5, N=4, theta=0.5,
             trials=trials_joint, seed=seed),
@@ -452,7 +429,6 @@ __all__ = [
     "log_abs_moment_exact",
     "neg_moment_contraction_check",
     "neg_moment_sup_check",
-    "log_moment_growth_report",
     "joint_neg_moment_check",
     "unity_average_defect",
     "unity_average_defect_check",

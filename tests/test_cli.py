@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from gafholes import cli, envelopes, spectra
+from gafholes import cli, envelopes, oracles, spectra
 from gafholes.coeffs import hyperbolic
 
 # One full output line, frozen byte for byte.  The payload is a pure
@@ -214,6 +216,48 @@ def test_verify_quick_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_verify_full_passes(capsys):
+    assert cli.main(["verify", "--level", "full"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "PASS  direct_vs_oracle" in out
+    assert out.strip().endswith("checks passed")
+
+
+def test_verify_unknown_level_rejected(capsys):
+    assert cli.main(["verify", "--level", "bogus"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    failing = oracles.CheckReport(check_id="always_fails", grid=[{}],
+                                  measured=[1.0], asserted=[0.0], passed=False)
+    monkeypatch.setattr(oracles, "standard_reports",
+                        lambda seed, quick: [failing])
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  always_fails" in out
+    assert out.strip().endswith("1/2 checks passed")
+
+
+def test_oracle_verify_writes_one_row_per_report(tmp_path):
+    out = tmp_path / "oracles.jsonl"
+    assert cli.main(["oracle-verify", "--quick", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == len(oracles.standard_reports(seed=0, quick=True))
+    assert all(row["check_id"] and row["passed"] for row in rows)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes about 0.45 s to import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, gafholes.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_version_flag():

@@ -145,6 +145,9 @@ def test_wilson_interval_basics():
     # widening confidence widens the interval
     lo2, hi2 = holes.wilson_interval(50, 100, 0.99)
     assert lo2 < lo and hi2 > hi
+    for hits in (11, -1):
+        with pytest.raises(ValueError, match="hits"):
+            holes.wilson_interval(hits, 10, 0.99)
 
 
 def test_direct_estimate_frozen_and_contains_oracle():

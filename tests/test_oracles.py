@@ -96,7 +96,6 @@ def test_contraction_and_sup_reports_pass():
     assert oracles.neg_moment_contraction_check(
         (0.5, 1.0, 2.0), (0.01, 0.05, 0.1)).passed
     assert oracles.neg_moment_sup_check(0.5, 2.0).passed
-    assert oracles.log_moment_growth_report().passed
 
 
 def test_joint_neg_moment_bound_holds():
