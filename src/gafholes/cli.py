@@ -23,9 +23,12 @@ Determinism contract: the data outputs (JSONL rows, CSV bodies) are
 byte-identical across reruns with the same resolved configuration, at any
 worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
-per-record wall times; direct estimates add, per record, how many rows
-each path of the decision kernel settled ("kernel": zero_first,
-uniform_ladder, adaptive, inconclusive).
+per-record wall times, and per record what the kernel did ("kernel"):
+for direct estimates the rows each path of the decision kernel settled
+(zero_first, uniform_ladder, adaptive, inconclusive), for the lower-bound
+modes, per sup-ladder stream ("sup" for threshold_lower, "middle" and
+"tail" for tilted_lower), the hit, miss and inconclusive rows, the grid
+points evaluated and the rows settled at each grid size ("settle_K").
 """
 
 from __future__ import annotations

@@ -94,7 +94,7 @@ K_INIT_DEFAULT = 8
 K_CAP_DEFAULT = 1 << 20
 BATCH_TRIALS = 2048            # fixed batch width (part of determinism contract)
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
-_CHUNK_ELEMS = 1 << 23         # max complex grid entries evaluated at once
+_CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
 
 OUTCOME_HOLE = "HoleCertified"
 OUTCOME_ZERO = "ZeroCertified"
@@ -134,8 +134,9 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
-    # rows settled by each path of the direct decision kernel; run
-    # diagnostics for the CLI sidecar, never part of the record
+    # what the kernel did (rows settled by each path of the direct kernel,
+    # or per stream of the sup ladder); run diagnostics for the CLI
+    # sidecar, never part of the record
     kernel: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:
@@ -184,7 +185,7 @@ def _grid_points(rho: float, K: int) -> np.ndarray:
 
 
 def _eval_abs_stats(C: np.ndarray, rho: float, K: int):
-    """(grid_min, grid_max, winding) for each row on the K-point rho-grid.
+    """(grid_min, winding) for each row on the K-point rho-grid.
 
     winding is the rounded sum of the grid arguments; the caller decides
     whether the variation condition certifies it.  Rows are chunked so
@@ -193,21 +194,38 @@ def _eval_abs_stats(C: np.ndarray, rho: float, K: int):
     B = C.shape[0]
     z = _grid_points(rho, K)
     gmin = np.empty(B)
-    gmax = np.empty(B)
     wind = np.zeros(B, dtype=np.int64)
     rows_per = max(1, _CHUNK_ELEMS // max(K, 1))
     for lo in range(0, B, rows_per):
         hi = min(B, lo + rows_per)
         V = evaluate_on_grid(C[lo:hi], z)
-        A = np.abs(V)
-        gmin[lo:hi] = A.min(axis=1)
-        gmax[lo:hi] = A.max(axis=1)
+        gmin[lo:hi] = np.abs(V).min(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.roll(V, -1, axis=1) / V
             args = np.angle(ratios)
         args = np.where(np.isfinite(args), args, 0.0)
         wind[lo:hi] = np.rint(np.sum(args, axis=1) / (2.0 * np.pi)).astype(np.int64)
-    return gmin, gmax, wind
+    return gmin, wind
+
+
+def _grid_max(C: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max |F| over the points z for each row, in cache-sized chunks.
+
+    Whole rows per chunk while the points fit in _CHUNK_ELEMS, slices of
+    the points of one row above that.  Horner is elementwise and the max
+    is exact, so the result does not depend on the chunking; a NaN value
+    makes the row's max NaN, as a single full-width evaluation would.
+    """
+    B, K = C.shape[0], z.shape[0]
+    rows_per = max(1, _CHUNK_ELEMS // K)
+    pts = min(K, _CHUNK_ELEMS)
+    gmax = np.full(B, -np.inf)
+    for lo in range(0, B, rows_per):
+        rows = slice(lo, lo + rows_per)
+        for p in range(0, K, pts):
+            V = evaluate_on_grid(C[rows], z[p:p + pts])
+            gmax[rows] = np.maximum(gmax[rows], np.abs(V).max(axis=1))
+    return gmax
 
 
 def _certify_rows(C: np.ndarray, rho: float,
@@ -261,7 +279,7 @@ def _certify_rows(C: np.ndarray, rho: float,
             zf[active] = _zero_certified(C[active], rho, tail)
             active = active[~zf[active]]
             continue
-        gmin, gmax, w = _eval_abs_stats(C[active], rho, K)
+        gmin, w = _eval_abs_stats(C[active], rho, K)
         Da = D[active]
         lb = gmin - Da * (np.pi * rho / K)
         # min-modulus ladder: record best-so-far, freeze at lb > gmin/2
@@ -693,6 +711,14 @@ def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
     return delta ** -0.5 * math.log(1.0 / delta) ** alpha_exp
 
 
+def _sup_levels(K_init: int, K_cap: int) -> list:
+    """Grid sizes the sup ladder visits: K_init, doubling, up to >= K_cap."""
+    Ks = [int(K_init)]
+    while Ks[-1] < K_cap:
+        Ks.append(2 * Ks[-1])
+    return Ks
+
+
 def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
                 K_init: int, K_cap: int, scale: float = 1.0,
                 extra_D: Optional[np.ndarray] = None):
@@ -703,27 +729,54 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     sup) holds; rows still open at K_cap count as inconclusive.
     extra_D overrides the variation bound (used when the rows are an inner
     polynomial evaluated in place of z^{N+1} * inner).
+
+    The grids are nested: _grid_points(rho, 2K)[::2] is bit for bit
+    _grid_points(rho, K), since fl(2 pi / (2K)) = fl(2 pi / K) / 2 and
+    (2j) (y / 2) = j y exactly.  Horner is elementwise, so the values at
+    those points are the ones the previous level computed, and max is
+    exact; each doubling therefore evaluates only the K new odd points and
+    takes np.maximum with the previous level's maximum, which is bit for
+    bit the maximum over the full 2K grid.  A NaN propagates the same way,
+    so such a row still runs to the cap and ends inconclusive.
+
+    Returns (hit, miss, inconclusive, grid points evaluated, *settled),
+    with settled[j] the rows decided at grid size _sup_levels(...)[j].
     """
     B = C.shape[0]
     D = extra_D if extra_D is not None else derivative_sup_bound_rows(C, rho)
-    hit = np.zeros(B, dtype=bool)
-    miss = np.zeros(B, dtype=bool)
+    Ks = _sup_levels(K_init, K_cap)
+    settled = [0] * len(Ks)
+    hits = misses = 0
     active = np.arange(B)
-    K = int(K_init)
-    while active.size:
-        _, gmax, _ = _eval_abs_stats(C[active], rho, K)
+    gmax = _grid_max(C, _grid_points(rho, Ks[0]))
+    points = B * Ks[0]
+    for j, K in enumerate(Ks):
+        if j:
+            z_new = _grid_points(rho, K)[1::2]
+            gmax = np.maximum(gmax, _grid_max(C[active], z_new))
+            points += active.size * z_new.size
         smax = scale * gmax
         cert = smax + D[active] * (np.pi * rho / K) + tail
         h = cert <= M
         m = smax > M
-        hit[active[h]] = True
-        miss[active[m & ~h]] = True
-        if K >= K_cap:
+        hits += int(h.sum())
+        misses += int((m & ~h).sum())
+        keep = ~(h | m)
+        settled[j] = int(active.size - keep.sum())
+        active = active[keep]
+        gmax = gmax[keep]
+        if not active.size:
             break
-        active = active[~(h | m)]
-        K *= 2
-    inc = int(B - hit.sum() - miss.sum())
-    return int(hit.sum()), int(miss.sum()), inc
+    return (hits, misses, B - hits - misses, points, *settled)
+
+
+def _sup_kernel(counts, K_init: int, K_cap: int) -> dict:
+    """Sidecar counters of one sup-ladder stream from summed _sup_counts."""
+    hits, misses, inc, points, *settled = counts
+    return {"hit": hits, "miss": misses, "inconclusive": inc,
+            "grid_points": points,
+            "settle_K": {K: n for K, n in zip(_sup_levels(K_init, K_cap),
+                                              settled) if n}}
 
 
 def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
@@ -765,7 +818,8 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
         C[:, 0] = 0.0  # G = F - F(0)
         return _sup_counts(C, r, M, tail, K_init, K_cap)
 
-    hits, _, inc = _batched_counts(trials, workers, worker)
+    counts = _batched_counts(trials, workers, worker)
+    hits, _, inc = counts[:3]
     q_low = wilson_interval(hits, trials, confidence)[0]
     p_low = math.exp(-M * M) * q_low
     return HoleEstimate(
@@ -777,7 +831,8 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
             "fail_exp": fail_exp, "tau_rel": tau_rel, "N_t": N_t,
             "tail_bound": tail, "q_low": q_low,
             "certificate_failure_budget": trials * math.exp(log_fail),
-        })
+        },
+        kernel={"sup": _sup_kernel(counts, K_init, K_cap)})
 
 
 def tilt_profile(model: CoefficientModel, r: float, alpha_exp: float = 0.75,
@@ -903,8 +958,10 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
         return _sup_counts(inner, r, half, tail_beyond, K_init, K_cap,
                            scale=r ** (N + 1), extra_D=D_T)
 
-    mid_hits, _, mid_inc = _batched_counts(trials, workers, worker_mid)
-    tail_hits, _, tail_inc = _batched_counts(trials, workers, worker_tail)
+    mid_counts = _batched_counts(trials, workers, worker_mid)
+    tail_counts = _batched_counts(trials, workers, worker_tail)
+    mid_hits, _, mid_inc = mid_counts[:3]
+    tail_hits, _, tail_inc = tail_counts[:3]
     q_mid = wilson_interval(mid_hits, trials, conf_each)[0]
     q_tail = wilson_interval(tail_hits, trials, conf_each)[0]
     log_p = -M * M + log_Q2 \
@@ -924,7 +981,9 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
             "mid_hits": int(mid_hits), "tail_hits": int(tail_hits),
             "log10_p_low": log_p / math.log(10.0) if math.isfinite(log_p) else None,
             "certificate_failure_budget": trials * math.exp(log_fail),
-        })
+        },
+        kernel={"middle": _sup_kernel(mid_counts, K_init, K_cap),
+                "tail": _sup_kernel(tail_counts, K_init, K_cap)})
 
 
 def log_determinantal_hole_probability(r: float) -> float:

@@ -53,13 +53,17 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
         assert set(k) == {"zero_first", "uniform_ladder", "adaptive",
                           "inconclusive"}
         assert sum(k.values()) == 256
-    # the lower-bound modes do not run the direct kernel: no counters
+    # the lower-bound modes do not run the direct kernel: they count the
+    # rows of their sup ladder instead
     thr = tmp_path / "thr.jsonl"
     cli.main(["estimate", "--model", "Hyperbolic", "--L", "1", "--r", "0.5",
               "--mode", "threshold_lower", "--M", "2", "--trials", "64",
               "--seed", "1", "--out", str(thr)])
     meta = json.loads((tmp_path / "thr.jsonl.meta.json").read_text())
-    assert set(meta) == {"timestamp", "wall_time_s"}
+    assert set(meta) == {"timestamp", "wall_time_s", "kernel"}
+    (k,) = meta["kernel"]
+    assert set(k) == {"sup"}
+    assert k["sup"]["hit"] + k["sup"]["miss"] + k["sup"]["inconclusive"] == 64
 
 
 def test_estimate_deterministic_across_worker_counts(tmp_path):
