@@ -85,8 +85,7 @@ _KEYS: Dict[str, tuple] = {
     "band": (str, "hyperbolic", "envelope family: hyperbolic|decaying|flat"),
     "out": (str, None, "output path (stdout when omitted)"),
     "results": (str, None, "results directory or file for report"),
-    "level": (str, "quick", "verify level: quick|full (Monte Carlo size of the battery)"),
-    "quick": (bool, False, "oracle-verify: smaller Monte Carlo sizes"),
+    "level": (str, "quick", "verify/oracle-verify battery size: quick|full"),
 }
 
 _FLAG_KEYS = [k for k in _KEYS if k != "command"]
@@ -101,14 +100,6 @@ def _parse_value(key: str, raw) -> object:
             if isinstance(raw, (list, tuple)):
                 return [float(x) for x in raw]
             return [float(x) for x in str(raw).split(",") if x != ""]
-        if kind is bool:
-            if isinstance(raw, bool):
-                return raw
-            if str(raw).lower() in ("1", "true", "yes"):
-                return True
-            if str(raw).lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}")
@@ -157,11 +148,14 @@ def resolve_config(command: str, cli_values: dict,
 # computed.  They stay out of the hash so that reruns to a different path,
 # or at a different worker count, produce byte-identical payloads.
 _OPERATIONAL_KEYS = ("out", "results", "workers")
+# Keys removed from the registry keep their last default in the hash, so
+# retiring a key does not change the hash of any configuration.
+_RETIRED_KEYS = {"quick": False}
 
 
 def config_hash(resolved: dict) -> str:
-    semantic = {k: v for k, v in resolved.items()
-                if k not in _OPERATIONAL_KEYS}
+    semantic = {**_RETIRED_KEYS, **{k: v for k, v in resolved.items()
+                                    if k not in _OPERATIONAL_KEYS}}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -336,8 +330,16 @@ def cmd_envelope(cfg: dict) -> int:
     return 0
 
 
+def _battery(cfg: dict) -> list:
+    """The verifier battery at the configured level (quick|full)."""
+    if cfg["level"] not in ("quick", "full"):
+        raise ConfigError(f"config key 'level': unknown level {cfg['level']!r}")
+    return oracles.standard_reports(seed=cfg["seed"],
+                                    quick=cfg["level"] == "quick")
+
+
 def cmd_oracle_verify(cfg: dict) -> int:
-    reports = oracles.standard_reports(seed=cfg["seed"], quick=cfg["quick"])
+    reports = _battery(cfg)
     rows = [rep.to_record() for rep in reports]
     write_jsonl(rows, cfg["out"])
     failed = [rep.check_id for rep in reports if not rep.passed]
@@ -421,10 +423,7 @@ def _direct_vs_oracle_report() -> oracles.CheckReport:
 
 
 def cmd_verify(cfg: dict) -> int:
-    if cfg["level"] not in ("quick", "full"):
-        raise ConfigError(f"config key 'level': unknown level {cfg['level']!r}")
-    reports = oracles.standard_reports(seed=cfg["seed"],
-                                       quick=cfg["level"] == "quick")
+    reports = _battery(cfg)
     reports.append(_direct_vs_oracle_report())
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.check_id}")
@@ -455,12 +454,8 @@ def _add_flags(sub: argparse.ArgumentParser) -> None:
     for key in _FLAG_KEYS:
         kind, default, help_text = _KEYS[key]
         flag = "--" + key.replace("_", "-")
-        if kind is bool:
-            sub.add_argument(flag, dest=key, action="store_const", const=True,
-                             default=None, help=help_text)
-        else:
-            sub.add_argument(flag, dest=key, default=None,
-                             help=f"{help_text} (default {default!r})")
+        sub.add_argument(flag, dest=key, default=None,
+                         help=f"{help_text} (default {default!r})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,14 @@ radius r.  For a truncated sample the decision is made on the circle:
     principle), so a winding of 0 certifies a hole and a winding of k >= 1
     certifies k zeros.
 
+This ladder and the sup ladder of the lower bounds visit the grid sizes
+K_init, 2 K_init, ... up to the cap on nested grids: the even points of
+the 2K-point grid are the K-point grid bit for bit (fl(2 pi / (2K)) =
+fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly), Horner is elementwise and
+min and max are exact, so each doubling evaluates only the K new odd points
+and folds their extreme |F| into the previous level's, bit for bit the
+extreme over the full grid; a NaN propagates the same way.
+
 The direct estimator only needs hole versus non-hole, and "at least one
 zero in the closed disk" has a cheaper local certificate (zero-first stage,
 Becker, Sagraloff, Sharma, Yap, J. Symbolic Comput. 2018).  Newton's
@@ -46,9 +54,10 @@ Estimators (all Monte Carlo over independent per-trial streams):
 
   * direct: certify each trial sample; Wilson interval on the hit rate,
     inconclusive trials widen it pessimistically;
-  * threshold lower bound: P[Hole] >= e^{-M^2} * P[sup |F - F(0)| <= M]
-    (the constant term exceeds M with probability exactly e^{-M^2} and the
-    rest then cannot reach back to zero);
+  * threshold lower bound: P[Hole] >= e^{-M^2/a_0^2} * P[sup |F - F(0)| <= M]
+    (the constant term a_0 zeta_0 exceeds M with probability exactly
+    e^{-M^2/a_0^2}, 0 when a_0 = 0, and the rest then cannot reach back
+    to zero);
   * tilted lower bound: the same threshold idea after damping coefficients
     1..N by factors q_n in (0, 1], which costs an explicit Gaussian
     change-of-measure factor Q^2 = prod q_n^2 but makes the supremum event
@@ -69,7 +78,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import rng
-from .coeffs import CoefficientModel, log_sq_range
+from .coeffs import CoefficientModel, coefficient, log_sq_range
 from .errors import (
     ComputeBudgetExceeded,
     DomainError,
@@ -184,18 +193,25 @@ def _grid_points(rho: float, K: int) -> np.ndarray:
     return rho * (np.cos(theta) + 1j * np.sin(theta))
 
 
-def _eval_abs_stats(C: np.ndarray, rho: float, K: int):
-    """(grid_min, winding) for each row on the K-point rho-grid.
+def _ladder_levels(K_init: int, K_cap: int) -> list:
+    """Grid sizes both ladders visit: K_init, doubling, up to >= K_cap."""
+    Ks = [int(K_init)]
+    while Ks[-1] < K_cap:
+        Ks.append(2 * Ks[-1])
+    return Ks
+
+
+def _eval_abs_stats(C: np.ndarray, z: np.ndarray):
+    """(grid_min, winding) for each row on the full circle grid z.
 
     winding is the rounded sum of the grid arguments; the caller decides
     whether the variation condition certifies it.  Rows are chunked so
     memory stays bounded; per-row results do not depend on chunking.
     """
-    B = C.shape[0]
-    z = _grid_points(rho, K)
+    B, K = C.shape[0], z.shape[0]
     gmin = np.empty(B)
     wind = np.zeros(B, dtype=np.int64)
-    rows_per = max(1, _CHUNK_ELEMS // max(K, 1))
+    rows_per = max(1, _CHUNK_ELEMS // K)
     for lo in range(0, B, rows_per):
         hi = min(B, lo + rows_per)
         V = evaluate_on_grid(C[lo:hi], z)
@@ -208,63 +224,67 @@ def _eval_abs_stats(C: np.ndarray, rho: float, K: int):
     return gmin, wind
 
 
-def _grid_max(C: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """max |F| over the points z for each row, in cache-sized chunks.
+def _grid_extreme(C: np.ndarray, z: np.ndarray, op) -> np.ndarray:
+    """op-extreme of |F| over the points z for each row, in cache-sized chunks.
 
-    Whole rows per chunk while the points fit in _CHUNK_ELEMS, slices of
-    the points of one row above that.  Horner is elementwise and the max
-    is exact, so the result does not depend on the chunking; a NaN value
-    makes the row's max NaN, as a single full-width evaluation would.
+    op is np.minimum or np.maximum.  Whole rows per chunk while the points
+    fit in _CHUNK_ELEMS, slices of the points of one row above that.
+    Horner is elementwise and min/max are exact, so the result does not
+    depend on the chunking; a NaN value makes the row's extreme NaN, as a
+    single full-width evaluation would.
     """
     B, K = C.shape[0], z.shape[0]
     rows_per = max(1, _CHUNK_ELEMS // K)
     pts = min(K, _CHUNK_ELEMS)
-    gmax = np.full(B, -np.inf)
+    ext = np.full(B, np.inf if op is np.minimum else -np.inf)
     for lo in range(0, B, rows_per):
         rows = slice(lo, lo + rows_per)
         for p in range(0, K, pts):
             V = evaluate_on_grid(C[rows], z[p:p + pts])
-            gmax[rows] = np.maximum(gmax[rows], np.abs(V).max(axis=1))
-    return gmax
+            ext[rows] = op(ext[rows], op.reduce(np.abs(V), axis=1))
+    return ext
 
 
 def _certify_rows(C: np.ndarray, rho: float,
                   K_init: int = K_INIT_DEFAULT,
                   K_cap: int = K_CAP_DEFAULT,
-                  tail: Optional[float] = None,
+                  tail: float = -np.inf,
                   zero_first: bool = False):
     """Joint min-modulus / winding ladder over coefficient rows.
 
     Returns a dict of arrays over rows:
-      mm_lb      best certified lower bound at the minimum-modulus stop rule
-      mm_gm      grid minimum at the level where the stop rule fired (or last)
-      mm_K       grid size at the stop level
+      mm_lb      best certified lower bound for min |F| on the circle
+      mm_gm      grid minimum at the level of that bound
+      mm_K       grid size at that level
       wind       certified winding number (valid where wind_ok)
       wind_ok    whether the winding certificate fired before K_cap
       wind_K     grid size at the winding certificate level (0 if none)
-      hopeless   grid minimum fell to or below the tail bound (tail mode)
+      hopeless   grid minimum fell to or below the tail bound
       zero_first row left the ladder with a zero-first certificate
 
-    Both ladders visit the same K schedule (K_init, doubling); running them
-    jointly is exactly the composition of the two scalar operations.
+    At grid size K, lb = gmin - t with t = D pi rho / K.  The winding
+    certificate fires once 2t < gmin, and lb improves only until then.
+    That step condition is the factor-2 stop rule lb > gmin/2:
+    fl(2 pi rho / K) = 2 fl(pi rho / K), gmin/2 is exact and rounding is
+    monotone, so the two differ only when gmin - t rounds onto gmin/2.
 
-    With tail=None (the scalar operations) a row refines until the
-    minimum-modulus stop rule and the winding certificate have both fired.
-    In tail mode the ladder is a decision kernel: a row exits as soon as
-    its fate against the tail bound is settled, either decided (bound
-    above the tail with a certified winding) or hopeless (the grid minimum
-    is at or below the tail, which refining can only confirm, since grid
-    minima decrease toward the true minimum).  With zero_first (tail mode)
-    the rows still open at the first level K >= min(_ZERO_FIRST_K, K_cap)
-    get one zero-first test before that level is evaluated; rows that pass
-    leave the ladder with that certificate.
+    A row exits once decided against the tail bound (lb above it with a
+    certified winding) or hopeless (gmin at or below it, which refining
+    can only confirm, since grid minima decrease toward the true minimum).
+    The scalar operations use tail = -inf, so a row refines until its
+    winding certificate fires.  With zero_first the rows still open at the
+    first level K >= min(_ZERO_FIRST_K, K_cap) get one zero-first test
+    before that level is evaluated; rows that pass leave the ladder.
+
+    The grids are nested (module docstring).  A row's whole grid is
+    evaluated again only at the level where its step condition fires, for
+    the winding; earlier levels' values are not stored.
     """
     B = C.shape[0]
     D = derivative_sup_bound_rows(C, rho)
     mm_lb = np.full(B, -np.inf)
     mm_gm = np.zeros(B)
     mm_K = np.zeros(B, dtype=np.int64)
-    mm_done = np.zeros(B, dtype=bool)
     wind = np.zeros(B, dtype=np.int64)
     wind_ok = np.zeros(B, dtype=bool)
     wind_K = np.zeros(B, dtype=np.int64)
@@ -272,43 +292,39 @@ def _certify_rows(C: np.ndarray, rho: float,
     zf = np.zeros(B, dtype=bool)
     zf_pending = zero_first
     active = np.arange(B)
-    K = int(K_init)
-    while active.size:
+    gmin = np.full(B, np.inf)      # grid minimum of each active row so far
+    for j, K in enumerate(_ladder_levels(K_init, K_cap)):
         if zf_pending and K >= min(_ZERO_FIRST_K, K_cap):
             zf_pending = False
             zf[active] = _zero_certified(C[active], rho, tail)
-            active = active[~zf[active]]
-            continue
-        gmin, w = _eval_abs_stats(C[active], rho, K)
+            keep = ~zf[active]
+            active, gmin = active[keep], gmin[keep]
+        if not active.size:
+            break
+        z = _grid_points(rho, K)
+        if j == 0:
+            gmin, w = _eval_abs_stats(C[active], z)
+        else:
+            gmin = np.minimum(gmin, _grid_extreme(C[active], z[1::2], np.minimum))
         Da = D[active]
         lb = gmin - Da * (np.pi * rho / K)
-        # min-modulus ladder: record best-so-far, freeze at lb > gmin/2
-        pend = ~mm_done[active]
+        pend = ~wind_ok[active]
         better = pend & (lb > mm_lb[active])
         rows = active[better]
         mm_lb[rows] = lb[better]
         mm_gm[rows] = gmin[better]
         mm_K[rows] = K
-        freeze = pend & (lb > gmin / 2.0)
-        mm_done[active[freeze]] = True
-        # winding ladder: full-step variation must drop below the grid min
-        wpend = ~wind_ok[active]
-        can = wpend & (Da * (2.0 * np.pi * rho / K) < gmin)
+        can = pend & (Da * (2.0 * np.pi * rho / K) < gmin)
         rows = active[can]
-        wind[rows] = w[can]
+        wind[rows] = w[can] if j == 0 else _eval_abs_stats(C[rows], z)[1]
         wind_ok[rows] = True
         wind_K[rows] = K
         if K >= K_cap:
             break
-        if tail is None:
-            still = ~(mm_done[active] & wind_ok[active])
-        else:
-            hp = gmin <= tail
-            hopeless[active[hp]] = True
-            settled = hp | ((mm_lb[active] > tail) & wind_ok[active])
-            still = ~settled
-        active = active[still]
-        K *= 2
+        hp = gmin <= tail
+        hopeless[active[hp]] = True
+        keep = ~(hp | ((mm_lb[active] > tail) & wind_ok[active]))
+        active, gmin = active[keep], gmin[keep]
     return {
         "mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K,
         "wind": wind, "wind_ok": wind_ok, "wind_K": wind_K,
@@ -523,9 +539,10 @@ def min_modulus_certified(sample: GafSample, rho: float,
     """Certified lower bound for min |F| on the rho-circle.
 
     Returns (lower_bound, grid_min, K_used).  The grid doubles from K_init
-    until the bound exceeds half the grid minimum (within a factor 2 of
-    optimal) or the cap is reached; the best bound found is returned, which
-    may be <= 0 for samples nearly vanishing on the circle.
+    until the winding certificate fires, which puts the bound above half
+    the grid minimum (within a factor 2 of optimal), or the cap is reached;
+    the best bound found is returned, which may be <= 0 for samples nearly
+    vanishing on the circle.
     """
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
@@ -574,9 +591,7 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
 def _decision_from_arrays(res: dict, i: int, tail_bound: float) -> HoleDecision:
     lb = float(res["mm_lb"][i])
     margin = lb - tail_bound
-    K_used = int(max(res["mm_K"][i], res["wind_K"][i]))
-    if "extra_evals" in res:
-        K_used += int(res["extra_evals"][i])
+    K_used = int(max(res["mm_K"][i], res["wind_K"][i])) + int(res["extra_evals"][i])
     if margin > 0.0 and bool(res["wind_ok"][i]):
         w = int(res["wind"][i])
         if w == 0:
@@ -711,14 +726,6 @@ def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
     return delta ** -0.5 * math.log(1.0 / delta) ** alpha_exp
 
 
-def _sup_levels(K_init: int, K_cap: int) -> list:
-    """Grid sizes the sup ladder visits: K_init, doubling, up to >= K_cap."""
-    Ks = [int(K_init)]
-    while Ks[-1] < K_cap:
-        Ks.append(2 * Ks[-1])
-    return Ks
-
-
 def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
                 K_init: int, K_cap: int, scale: float = 1.0,
                 extra_D: Optional[np.ndarray] = None):
@@ -730,30 +737,24 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     extra_D overrides the variation bound (used when the rows are an inner
     polynomial evaluated in place of z^{N+1} * inner).
 
-    The grids are nested: _grid_points(rho, 2K)[::2] is bit for bit
-    _grid_points(rho, K), since fl(2 pi / (2K)) = fl(2 pi / K) / 2 and
-    (2j) (y / 2) = j y exactly.  Horner is elementwise, so the values at
-    those points are the ones the previous level computed, and max is
-    exact; each doubling therefore evaluates only the K new odd points and
-    takes np.maximum with the previous level's maximum, which is bit for
-    bit the maximum over the full 2K grid.  A NaN propagates the same way,
-    so such a row still runs to the cap and ends inconclusive.
+    The grids are nested (module docstring); a NaN row runs to the cap
+    and ends inconclusive.
 
     Returns (hit, miss, inconclusive, grid points evaluated, *settled),
-    with settled[j] the rows decided at grid size _sup_levels(...)[j].
+    with settled[j] the rows decided at grid size _ladder_levels(...)[j].
     """
     B = C.shape[0]
     D = extra_D if extra_D is not None else derivative_sup_bound_rows(C, rho)
-    Ks = _sup_levels(K_init, K_cap)
+    Ks = _ladder_levels(K_init, K_cap)
     settled = [0] * len(Ks)
     hits = misses = 0
     active = np.arange(B)
-    gmax = _grid_max(C, _grid_points(rho, Ks[0]))
+    gmax = _grid_extreme(C, _grid_points(rho, Ks[0]), np.maximum)
     points = B * Ks[0]
     for j, K in enumerate(Ks):
         if j:
             z_new = _grid_points(rho, K)[1::2]
-            gmax = np.maximum(gmax, _grid_max(C[active], z_new))
+            gmax = np.maximum(gmax, _grid_extreme(C[active], z_new, np.maximum))
             points += active.size * z_new.size
         smax = scale * gmax
         cert = smax + D[active] * (np.pi * rho / K) + tail
@@ -775,7 +776,7 @@ def _sup_kernel(counts, K_init: int, K_cap: int) -> dict:
     hits, misses, inc, points, *settled = counts
     return {"hit": hits, "miss": misses, "inconclusive": inc,
             "grid_points": points,
-            "settle_K": {K: n for K, n in zip(_sup_levels(K_init, K_cap),
+            "settle_K": {K: n for K, n in zip(_ladder_levels(K_init, K_cap),
                                               settled) if n}}
 
 
@@ -794,11 +795,11 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     """Certified lower confidence bound via the threshold decomposition.
 
     P[Hole(r)] >= P[|F(0)| > M] * P[sup_circle |F - F(0)| <= M]
-               =  e^{-M^2}      * q,
+               =  e^{-M^2/a_0^2} * q,
     with q estimated by Monte Carlo on certified sup bounds (grid max +
-    variation bound + tail bound).  p_high is 1: this mode only certifies
-    a lower bound.  eps, B and alpha_exp feed the default threshold and
-    are ignored when M is given.
+    variation bound + tail bound); the first factor is 0 when a_0 = 0.
+    p_high is 1: this mode only certifies a lower bound.  eps, B and
+    alpha_exp feed the default threshold and are ignored when M is given.
     """
     _check_estimator_args(r, trials, confidence, K_init)
     if M is None:
@@ -821,7 +822,8 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     counts = _batched_counts(trials, workers, worker)
     hits, _, inc = counts[:3]
     q_low = wilson_interval(hits, trials, confidence)[0]
-    p_low = math.exp(-M * M) * q_low
+    a0 = coefficient(model, 0)
+    p_low = (math.exp(-M * M / (a0 * a0)) if a0 > 0.0 else 0.0) * q_low
     return HoleEstimate(
         model=model, r=float(r), mode=MODE_THRESHOLD, trials=int(trials),
         hits=int(hits), inconclusive=int(inc),

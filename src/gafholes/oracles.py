@@ -237,9 +237,10 @@ def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
 
     eta is the Gaussian vector of values at the N scaled roots of unity,
     synthesized from the circulant spectrum: eta_j = sum_m sqrt(lambda_m)
-    g_m e(jm/N)/sqrt(N) with iid standard complex g_m.  det S and the top
-    eigenvalue Lambda come from the same spectrum.  theta <= 1 keeps the MC
-    variance finite (the squared product needs 2 theta < 2).
+    g_m e(jm/N)/sqrt(N) with iid standard complex g_m (counter index m on
+    the trial's PURPOSE_JOINT_MOMENT stream).  det S and the top eigenvalue
+    Lambda come from the same spectrum.  theta <= 1 keeps the MC variance
+    finite (the squared product needs 2 theta < 2).
     """
     if not (0.0 <= theta <= 1.0):
         raise DomainError(
@@ -247,7 +248,6 @@ def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
     if N < 1 or N > 8:
         raise DomainError(f"N must lie in 1..8 for the joint check, got {N}")
     sp = circulant_eigenvalues(model, r, N)
-    gen = np.random.default_rng(seed)
     m = np.arange(N)
     fourier = np.exp(2j * np.pi * np.outer(m, m) / N) / math.sqrt(N)  # (j, m)
     scale = np.sqrt(sp.lambdas)
@@ -255,8 +255,9 @@ def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
     step = 1 << 16
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
-        g = (gen.standard_normal((hi - lo, N))
-             + 1j * gen.standard_normal((hi - lo, N))) / math.sqrt(2.0)
+        keys = rng.stream_key(seed, np.arange(lo, hi, dtype=np.uint64),
+                              rng.PURPOSE_JOINT_MOMENT)[:, None]
+        g = rng.complex_gaussians(keys, m.astype(np.uint64)[None, :])
         eta = (g * scale[None, :]) @ fourier.T
         prods[lo:hi] = np.prod(np.abs(eta) ** -theta, axis=1)
     est = float(np.mean(prods))

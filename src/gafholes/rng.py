@@ -44,6 +44,7 @@ PURPOSE_SPLIT_SECONDARY = 3 # zeta'' in the splitting coupling
 PURPOSE_COUPLING = 4        # mixture/rejection coupling draws
 PURPOSE_TILT_MIDDLE = 5     # tilted estimator, middle block
 PURPOSE_TILT_TAIL = 6       # tilted estimator, tail block
+PURPOSE_JOINT_MOMENT = 7    # joint negative-moment Monte Carlo check
 
 
 def mix64(x: np.ndarray) -> np.ndarray:

@@ -248,7 +248,7 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
 
 def test_oracle_verify_writes_one_row_per_report(tmp_path):
     out = tmp_path / "oracles.jsonl"
-    assert cli.main(["oracle-verify", "--quick", "--out", str(out)]) == 0
+    assert cli.main(["oracle-verify", "--level", "quick", "--out", str(out)]) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == len(oracles.standard_reports(seed=0, quick=True))
     assert all(row["check_id"] and row["passed"] for row in rows)

@@ -246,6 +246,22 @@ def test_threshold_never_exceeds_direct_upper():
     assert violations <= 1
 
 
+def test_threshold_constant_factor_uses_a0():
+    # P[|F(0)| > M] = exp(-M^2 / a_0^2): F(0) = a_0 zeta_0, and F(0) = 0
+    # when a_0 = 0, so no sample is a hole at any radius
+    m = explicit((0.0, 0.3, 0.2))
+    thr = holes.estimate_hole_lower_threshold(m, 0.5, 2000, 1, M=1.0)
+    direct = holes.estimate_hole_direct(m, 0.5, 2000, 1)
+    assert thr.metadata["q_low"] > 0.99
+    assert thr.p_low == 0.0
+    assert direct.hits == 0 and thr.p_low <= direct.p_high
+    m = explicit((0.2, 0.05))
+    thr = holes.estimate_hole_lower_threshold(m, 0.5, 2000, 1, M=0.5)
+    assert thr.metadata["q_low"] > 0.99
+    assert thr.p_low == pytest.approx(
+        math.exp(-0.25 / 0.04) * thr.metadata["q_low"], rel=1e-12)
+
+
 def test_tilt_profile_frozen():
     q, N, N1, M, r2, alpha1, log_Q2 = holes.tilt_profile(hyperbolic(2.0), 0.9)
     assert (N, N1) == (92, 11)

@@ -171,7 +171,7 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
                                 scale=scale, extra_D=D_T),
               holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
     z = holes._grid_points(0.9, 4096)[1::2]
-    gmax = holes._grid_max(mid, z)
+    gmax = holes._grid_extreme(mid, z, np.maximum)
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
     after = [holes._sup_counts(mid, 0.9, half, 0.0, 8, 4096),
              holes._sup_counts(inner, 0.9, half, tail, 12, 3000,
@@ -179,7 +179,7 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
              holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
     assert after == before
     # above the chunk size a row is evaluated in slices of its points
-    assert holes._grid_max(mid, z).tobytes() == gmax.tobytes()
+    assert holes._grid_extreme(mid, z, np.maximum).tobytes() == gmax.tobytes()
     full = np.abs(gaf.evaluate_on_grid(mid, z)).max(axis=1)
     assert gmax.tobytes() == full.tobytes()
 
@@ -228,5 +228,5 @@ def test_threshold_kernel_counts_every_trial():
     assert s["hit"] == est.hits and s["inconclusive"] == est.inconclusive
     assert s["hit"] + s["miss"] + s["inconclusive"] == 600
     assert sum(s["settle_K"].values()) == s["hit"] + s["miss"]
-    assert set(s["settle_K"]) <= set(holes._sup_levels(8, 256))
+    assert set(s["settle_K"]) <= set(holes._ladder_levels(8, 256))
     assert "kernel" not in est.to_record()
