@@ -26,6 +26,24 @@ min and max are exact, so each doubling evaluates only the K new odd points
 and folds their extreme |F| into the previous level's, bit for bit the
 extreme over the full grid; a NaN propagates the same way.
 
+The sup ladder bounds |F| between grid points to second order as well.
+Let f(theta) = F(rho e^{i theta}), h = 2 pi / K and D_2 = sum n^2 |c_n|
+rho^n >= sup |f''|.  On an arc [a, a + h] the linear interpolant l of f
+satisfies f(t) - l(t) = int_a^{a+h} k(t, s) f''(s) ds with the Peano kernel
+k(t, s) = -(s - a)(a + h - t)/h for s <= t and -(t - a)(a + h - s)/h for
+s >= t, which does not change sign and has int |k(t, s)| ds = (t - a)(a + h
+- t)/2 <= h^2/8.  The representation is linear in f, so it holds for
+complex-valued f, and |f(t)| <= max(|f(a)|, |f(a + h)|) + (h^2/8) D_2,
+since the modulus of a convex combination is at most the larger endpoint
+modulus.  With the first-order bound D pi rho / K of the min ladder, sup |F|
+<= (grid max of the exact |F|) + min(D pi rho / K, (h^2/8) D_2), and the
+grid a row needs grows like gap^{-1/2} instead of 1/gap.  The computed grid
+max differs from the exact one by two rounding terms, which the hit test
+adds: the Horner error g sum |c_n| (rho (1 + eta))^n (g as in the Rouche
+test below) and the point error D eta rho, since a computed grid point lies
+within (eta/2) rho of the exact one (eta = 32 u; sampled grid points of
+up to 2^20 points stay within 10.5 u rho of the mpmath values).
+
 The direct estimator only needs hole versus non-hole, and "at least one
 zero in the closed disk" has a cheaper local certificate (zero-first stage,
 Becker, Sagraloff, Sharma, Yap, J. Symbolic Comput. 2018).  Newton's
@@ -104,6 +122,7 @@ K_CAP_DEFAULT = 1 << 20
 BATCH_TRIALS = 2048            # fixed batch width (part of determinism contract)
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
 _CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
+_GRID_ETA = 32 * 2.0 ** -53    # twice the relative error of a grid point
 
 OUTCOME_HOLE = "HoleCertified"
 OUTCOME_ZERO = "ZeroCertified"
@@ -189,6 +208,8 @@ def wilson_interval(hits: int, trials: int, confidence: float) -> Tuple[float, f
 # ---------------------------------------------------------------------------
 
 def _grid_points(rho: float, K: int) -> np.ndarray:
+    """The K-point circle grid rho e^{2 pi i j / K}, each point within
+    (_GRID_ETA / 2) rho of the exact one."""
     theta = np.arange(K) * (2.0 * np.pi / K)
     return rho * (np.cos(theta) + 1j * np.sin(theta))
 
@@ -546,8 +567,7 @@ def min_modulus_certified(sample: GafSample, rho: float,
     """
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
-    if K_init < 8:
-        raise DomainError(f"K_init must be >= 8, got {K_init}")
+    _check_K_init(K_init)
     res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
     return float(res["mm_lb"][0]), float(res["mm_gm"][0]), int(res["mm_K"][0])
 
@@ -727,27 +747,52 @@ def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
 
 
 def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
-                K_init: int, K_cap: int, scale: float = 1.0,
-                extra_D: Optional[np.ndarray] = None):
-    """Count rows whose certified sup (scale * |grid|) + tail is <= M.
+                K_init: int, K_cap: int, shift: int = 0):
+    """Count rows of T = z^shift * F, F the polynomial of a row of C, whose
+    certified sup over the rho-circle plus tail is below M.
 
-    The ladder refines while neither 'certified sup <= M' (hit) nor
-    'grid max > M' (definite miss: the grid max is a lower bound for the
-    sup) holds; rows still open at K_cap count as inconclusive.
-    extra_D overrides the variation bound (used when the rows are an inner
-    polynomial evaluated in place of z^{N+1} * inner).
+    At grid size K, with gmax the computed grid max of |F|, a row is a hit
+    when
+
+        (1 + g) [scale gmax + min(D pi rho / K, (h^2/8) D_2) + E] + tail < M,
+
+    h = 2 pi / K, scale = rho^shift = |z^shift| on the circle,
+    D = sum n |c_n| rho^{n-1} >= sup |T'| and D_2 = sum n^2 |c_n| rho^n >=
+    sup |d^2 T / d theta^2|, both over the indices n of T.  The min is the
+    first-order and the second-order (Peano kernel) bound on how far |T|
+    rises between grid points (module docstring).  E = scale g sum |c_n|
+    (rho (1 + eta))^n + D eta rho covers the Horner error of the grid values
+    and the distance of the computed grid points from the circle grid.
+    g = _rounding_gamma(columns of C) also covers, through the factor
+    1 + g, the rounding of D, D_2, E, scale and the bound itself, and the
+    strict < keeps the last rounding, the sum with tail, from turning a
+    bound above M into a hit.
+
+    The ladder refines while neither the hit test nor 'scale gmax > M'
+    (definite miss: the grid max is a lower bound for the sup) holds; rows
+    still open at K_cap count as inconclusive.  Only hits enter a lower
+    bound, so the miss test carries no rounding term.
 
     The grids are nested (module docstring); a NaN row runs to the cap
     and ends inconclusive.
 
-    Returns (hit, miss, inconclusive, grid points evaluated, *settled),
-    with settled[j] the rows decided at grid size _ladder_levels(...)[j].
+    Returns (hit, miss, inconclusive, tube hits, grid points evaluated,
+    *settled): tube hits are the hits whose bound with the first-order term
+    in place of the min is not below M, and settled[j] the rows decided at
+    grid size _ladder_levels(...)[j].
     """
-    B = C.shape[0]
-    D = extra_D if extra_D is not None else derivative_sup_bound_rows(C, rho)
+    B, n1 = C.shape
+    n = np.arange(shift, shift + n1, dtype=np.float64)
+    A = np.abs(C)
+    scale = rho ** shift
+    g = _rounding_gamma(n1)
+    D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
+    D2 = np.sum(A * (n * n * rho ** n), axis=1)
+    horner_abs = np.sum(A * (rho * (1.0 + _GRID_ETA)) ** np.arange(n1), axis=1)
+    E = (scale * g) * horner_abs + D * (_GRID_ETA * rho)
     Ks = _ladder_levels(K_init, K_cap)
     settled = [0] * len(Ks)
-    hits = misses = 0
+    hits = misses = tube_hits = 0
     active = np.arange(B)
     gmax = _grid_extreme(C, _grid_points(rho, Ks[0]), np.maximum)
     points = B * Ks[0]
@@ -757,25 +802,28 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
             gmax = np.maximum(gmax, _grid_extreme(C[active], z_new, np.maximum))
             points += active.size * z_new.size
         smax = scale * gmax
-        cert = smax + D[active] * (np.pi * rho / K) + tail
-        h = cert <= M
+        first = D[active] * (np.pi * rho / K)
+        tube = D2[active] * (0.5 * (np.pi / K) ** 2)
+        Ea = E[active]
+        h = (1.0 + g) * (smax + np.minimum(first, tube) + Ea) + tail < M
         m = smax > M
         hits += int(h.sum())
         misses += int((m & ~h).sum())
+        tube_hits += int((h & ~((1.0 + g) * (smax + first + Ea) + tail < M)).sum())
         keep = ~(h | m)
         settled[j] = int(active.size - keep.sum())
         active = active[keep]
         gmax = gmax[keep]
         if not active.size:
             break
-    return (hits, misses, B - hits - misses, points, *settled)
+    return (hits, misses, B - hits - misses, tube_hits, points, *settled)
 
 
 def _sup_kernel(counts, K_init: int, K_cap: int) -> dict:
     """Sidecar counters of one sup-ladder stream from summed _sup_counts."""
-    hits, misses, inc, points, *settled = counts
+    hits, misses, inc, tube_hits, points, *settled = counts
     return {"hit": hits, "miss": misses, "inconclusive": inc,
-            "grid_points": points,
+            "tube_hits": tube_hits, "grid_points": points,
             "settle_K": {K: n for K, n in zip(_ladder_levels(K_init, K_cap),
                                               settled) if n}}
 
@@ -952,13 +1000,9 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
         idx = np.arange(N + 1, N_t + 1, dtype=np.uint64)[None, :]
         zetas = rng.complex_gaussians(keys, idx)
         inner = zetas * a[N + 1:N_t + 1][None, :]
-        # T(z) = z^{N+1} * inner(z): |T| on the circle = r^{N+1} * |inner|,
-        # and sup |T'| <= sum_n n |c_n| r^{n-1} over the original indices
-        n_full = np.arange(N + 1, N_t + 1)
-        D_T = np.sum(np.abs(inner) * (n_full * r ** (n_full - 1))[None, :],
-                     axis=1)
+        # T(z) = z^{N+1} * inner(z), evaluated as inner on the circle
         return _sup_counts(inner, r, half, tail_beyond, K_init, K_cap,
-                           scale=r ** (N + 1), extra_D=D_T)
+                           shift=N + 1)
 
     mid_counts = _batched_counts(trials, workers, worker_mid)
     tail_counts = _batched_counts(trials, workers, worker_tail)

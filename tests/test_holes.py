@@ -343,3 +343,23 @@ def test_non_positive_K_init_rejected(K_init):
             est(hyperbolic(1.0), 0.5, 8, 0, K_init=K_init)
     with pytest.raises(DomainError):
         holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, K_init=K_init)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_small_K_init_accepted_by_every_scalar_operation(r):
+    # the three scalar operations share one K_init check and one ladder;
+    # with tail 0 hole_decision stops where the winding certificate fires,
+    # as the other two do, so all three report the same circle
+    for stream in range(8):
+        s = gaf.sample(hyperbolic(1.0), 4, stream, 24)
+        lb, gmin, K = holes.min_modulus_certified(s, r, K_init=4)
+        w = holes.winding_number_certified(s, r, K_init=4)
+        d = holes.hole_decision(s, r, 0.0, K_init=4)
+        assert w is not None and w == holes.winding_number_certified(s, r)
+        assert 0.0 < lb <= gmin
+        assert d.margin == lb
+        assert d.grid_size_used == K
+        if w == 0:
+            assert d.outcome == holes.OUTCOME_HOLE
+        else:
+            assert (d.outcome, d.zero_count) == (holes.OUTCOME_ZERO, w)
