@@ -40,9 +40,11 @@ modulus.  With the first-order bound D pi rho / K of the min ladder, sup |F|
 grid a row needs grows like gap^{-1/2} instead of 1/gap.  The computed grid
 max differs from the exact one by two rounding terms, which the hit test
 adds: the Horner error g sum |c_n| (rho (1 + eta))^n (g as in the Rouche
-test below) and the point error D eta rho, since a computed grid point lies
-within (eta/2) rho of the exact one (eta = 32 u; sampled grid points of
-up to 2^20 points stay within 10.5 u rho of the mpmath values).
+test below) and the point error D eta rho.  A computed grid point lies
+within (eta/2) rho of the exact one (eta = 32 u; sampled points of grids
+of up to 2^20 points stay within 10.5 u rho of the mpmath values), and the
+factor 2 also covers D at the radius rho (1 + eta/2) of the segment between
+them for any degree below 10^14.
 
 The direct estimator only needs hole versus non-hole, and "at least one
 zero in the closed disk" has a cheaper local certificate (zero-first stage,
@@ -122,7 +124,7 @@ K_CAP_DEFAULT = 1 << 20
 BATCH_TRIALS = 2048            # fixed batch width (part of determinism contract)
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
 _CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
-_GRID_ETA = 32 * 2.0 ** -53    # twice the relative error of a grid point
+_GRID_ETA = 32 * 2.0 ** -53    # grid points lie within (eta/2) rho of exact
 
 OUTCOME_HOLE = "HoleCertified"
 OUTCOME_ZERO = "ZeroCertified"
