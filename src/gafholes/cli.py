@@ -25,7 +25,9 @@ worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
 per-record wall times, and per record what the kernel did ("kernel"):
 for direct estimates the rows each path of the decision kernel settled
-(zero_first, uniform_ladder, adaptive, inconclusive), for the lower-bound
+(zero_first, uniform_ladder, adaptive, inconclusive), the ladder rows that
+only the second-order bound decided ("tube") and the rows that left the
+ladder at each grid size ("settle_K"); for the lower-bound
 modes, per sup-ladder stream ("sup" for threshold_lower, "middle" and
 "tail" for tilted_lower), the hit, miss and inconclusive rows, the grid
 points evaluated and the rows settled at each grid size ("settle_K").

@@ -1,50 +1,70 @@
 """Certified hole detection and hole-probability estimators.
 
 A hole at radius r means the function has no zeros in the closed disk of
-radius r.  For a truncated sample the decision is made on the circle:
+radius r.  For a truncated sample the decision is made on a grid of K
+points of the circle, with computed values V_j:
 
-  * a certified minimum-modulus lower bound comes from a grid of K points
-    plus the derivative sup bound D (between adjacent grid points the value
-    moves by at most D * (pi * rho / K) from the nearer endpoint);
-  * a certified winding number comes from the same grid once the full-step
-    variation D * (2 pi rho / K) drops below the grid minimum: then the
-    image of each step stays inside an open disk around its anchor value
-    that excludes the origin, each argument increment is below pi/2, and
-    the accumulated increments give the exact winding of the truncated
-    polynomial, i.e. its zero count inside the disk;
+  * a certified lower bound for min |F| on the circle, the larger of a
+    first-order and a second-order ("tube") bound (below);
+  * a certified winding number, the winding of the closed polygon through
+    the V_j, once that polygon provably winds like F (below): the zero
+    count of the truncated polynomial inside the disk;
   * if the certified circle minimum exceeds the tail bound of the dropped
     series remainder, the truncated polynomial and the full series have the
     same zero count in the disk (Rouche on the circle plus the maximum
     principle), so a winding of 0 certifies a hole and a winding of k >= 1
     certifies k zeros.
 
-This ladder and the sup ladder of the lower bounds visit the grid sizes
-K_init, 2 K_init, ... up to the cap on nested grids: the even points of
-the 2K-point grid are the K-point grid bit for bit (fl(2 pi / (2K)) =
-fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly), Horner is elementwise and
-min and max are exact, so each doubling evaluates only the K new odd points
-and folds their extreme |F| into the previous level's, bit for bit the
-extreme over the full grid; a NaN propagates the same way.
+Both ladders (this one and the sup ladder of the lower bounds) visit the
+grid sizes K_init, 2 K_init, ... up to the cap on nested grids: the even
+points of the 2K-point grid are the K-point grid bit for bit (fl(2 pi /
+(2K)) = fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly) and Horner is
+elementwise, so each doubling evaluates only the K new odd points.  The sup
+ladder folds their maximum |F| into the previous level's (max is exact);
+the min ladder keeps the values of its open rows and interleaves the new
+ones, so it holds the full grid bit for bit.  A NaN propagates the same
+way.
 
-The sup ladder bounds |F| between grid points to second order as well.
-Let f(theta) = F(rho e^{i theta}), h = 2 pi / K and D_2 = sum n^2 |c_n|
-rho^n >= sup |f''|.  On an arc [a, a + h] the linear interpolant l of f
-satisfies f(t) - l(t) = int_a^{a+h} k(t, s) f''(s) ds with the Peano kernel
-k(t, s) = -(s - a)(a + h - t)/h for s <= t and -(t - a)(a + h - s)/h for
-s >= t, which does not change sign and has int |k(t, s)| ds = (t - a)(a + h
-- t)/2 <= h^2/8.  The representation is linear in f, so it holds for
-complex-valued f, and |f(t)| <= max(|f(a)|, |f(a + h)|) + (h^2/8) D_2,
+Let f(theta) = F(rho e^{i theta}), h = 2 pi / K, D = sum n |c_n| rho^{n-1}
+>= sup |F'| and D_2 = sum n^2 |c_n| rho^n >= sup |f''|.  Between adjacent
+grid points f moves by at most D rho h / 2 from the nearer endpoint (first
+order).  On an arc [a, a + h] the linear interpolant l of f satisfies
+f(t) - l(t) = int_a^{a+h} k(t, s) f''(s) ds with the Peano kernel k(t, s) =
+-(s - a)(a + h - t)/h for s <= t and -(t - a)(a + h - s)/h for s >= t,
+which does not change sign and has int |k(t, s)| ds = (t - a)(a + h - t)/2
+<= h^2/8.  The representation is linear in f, so it holds for
+complex-valued f: f stays within (h^2/8) D_2 of the segment [f(a), f(a +
+h)] (second order), and the grid a row needs grows like gap^{-1/2} instead
+of 1/gap.  Hence on each arc
+
+    |f(t)| <= max(|f(a)|, |f(a + h)|) + min(D pi rho / K, (h^2/8) D_2),
+    |f(t)| >= max(min(|f(a)|, |f(a + h)|) - D pi rho / K,
+                  dist(0, [f(a), f(a + h)]) - (h^2/8) D_2),
+
 since the modulus of a convex combination is at most the larger endpoint
-modulus.  With the first-order bound D pi rho / K of the min ladder, sup |F|
-<= (grid max of the exact |F|) + min(D pi rho / K, (h^2/8) D_2), and the
-grid a row needs grows like gap^{-1/2} instead of 1/gap.  The computed grid
-max differs from the exact one by two rounding terms, which the hit test
-adds: the Horner error g sum |c_n| (rho (1 + eta))^n (g as in the Rouche
-test below) and the point error D eta rho.  A computed grid point lies
+modulus and at least the distance from 0 to the segment.  The computed
+values differ from the exact values at the exact grid points by at most
+E = g sum |c_n| (rho (1 + eta))^n + D eta rho: the Horner error (g as in
+the Rouche test below) and the point error.  A computed grid point lies
 within (eta/2) rho of the exact one (eta = 32 u; sampled points of grids
 of up to 2^20 points stay within 10.5 u rho of the mpmath values), and the
 factor 2 also covers D at the radius rho (1 + eta/2) of the segment between
-them for any degree below 10^14.
+them for any degree below 10^14.  A segment between computed values then
+lies within E of the exact one, so the sup ladder adds E and the min
+ladder subtracts it, each under a factor 1 + g for the rounding of the
+bounds.  The slack between g and the gamma_{4N} of Horner, at least 16 u
+sum |c_n| (rho (1 + eta))^n, also covers the rounding of |V_j| and of the
+computed segment distances (a few u max |V_j|).
+
+The winding certificate fires on either of two conditions.  Tube: if
+dist(0, [V_j, V_{j+1}]) > (h^2/8) D_2 + E on every arc, then |F - P| <
+|P| on the circle for the polygon P through the V_j (parametrized linearly
+on each arc), so F and P have the same winding, and P has no zero on the
+circle.  Step: if D 2 pi rho / K + 2E < min_j |V_j|, then the disk of
+radius D rho h + 2E around each V_j excludes 0 and holds the exact values
+on its arc and V_{j+1}.  Either way each segment [V_j, V_{j+1}] misses 0,
+so the principal arguments of V_{j+1} / V_j sum to 2 pi times the winding
+of F.
 
 The direct estimator only needs hole versus non-hole, and "at least one
 zero in the closed disk" has a cheaper local certificate (zero-first stage,
@@ -224,48 +244,110 @@ def _ladder_levels(K_init: int, K_cap: int) -> list:
     return Ks
 
 
-def _eval_abs_stats(C: np.ndarray, z: np.ndarray):
-    """(grid_min, winding) for each row on the full circle grid z.
+def _row_slices(B: int, K: int) -> list:
+    """Slices of at most _CHUNK_ELEMS // K rows (at least one) covering B."""
+    step = max(1, _CHUNK_ELEMS // K)
+    return [slice(lo, lo + step) for lo in range(0, B, step)]
 
-    winding is the rounded sum of the grid arguments; the caller decides
-    whether the variation condition certifies it.  Rows are chunked so
-    memory stays bounded; per-row results do not depend on chunking.
+
+def _grid_chunks(C: np.ndarray, z: np.ndarray):
+    """Yield (rows, points, values) over cache-sized chunks of the grid.
+
+    Whole rows per chunk while the points fit in _CHUNK_ELEMS, slices of
+    the points of one row above that.  Horner is elementwise, so the
+    values do not depend on the chunking.
     """
-    B, K = C.shape[0], z.shape[0]
-    gmin = np.empty(B)
-    wind = np.zeros(B, dtype=np.int64)
-    rows_per = max(1, _CHUNK_ELEMS // K)
-    for lo in range(0, B, rows_per):
-        hi = min(B, lo + rows_per)
-        V = evaluate_on_grid(C[lo:hi], z)
-        gmin[lo:hi] = np.abs(V).min(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.roll(V, -1, axis=1) / V
-            args = np.angle(ratios)
-        args = np.where(np.isfinite(args), args, 0.0)
-        wind[lo:hi] = np.rint(np.sum(args, axis=1) / (2.0 * np.pi)).astype(np.int64)
-    return gmin, wind
+    pts = min(z.shape[0], _CHUNK_ELEMS)
+    for rows in _row_slices(C.shape[0], z.shape[0]):
+        for p in range(0, z.shape[0], pts):
+            yield rows, slice(p, p + pts), evaluate_on_grid(C[rows], z[p:p + pts])
 
 
 def _grid_extreme(C: np.ndarray, z: np.ndarray, op) -> np.ndarray:
     """op-extreme of |F| over the points z for each row, in cache-sized chunks.
 
-    op is np.minimum or np.maximum.  Whole rows per chunk while the points
-    fit in _CHUNK_ELEMS, slices of the points of one row above that.
-    Horner is elementwise and min/max are exact, so the result does not
-    depend on the chunking; a NaN value makes the row's extreme NaN, as a
-    single full-width evaluation would.
+    op is np.minimum or np.maximum.  min/max are exact, so the result does
+    not depend on the chunking; a NaN value makes the row's extreme NaN, as
+    a single full-width evaluation would.
     """
-    B, K = C.shape[0], z.shape[0]
-    rows_per = max(1, _CHUNK_ELEMS // K)
-    pts = min(K, _CHUNK_ELEMS)
-    ext = np.full(B, np.inf if op is np.minimum else -np.inf)
-    for lo in range(0, B, rows_per):
-        rows = slice(lo, lo + rows_per)
-        for p in range(0, K, pts):
-            V = evaluate_on_grid(C[rows], z[p:p + pts])
-            ext[rows] = op(ext[rows], op.reduce(np.abs(V), axis=1))
+    ext = np.full(C.shape[0], np.inf if op is np.minimum else -np.inf)
+    for rows, _, V in _grid_chunks(C, z):
+        ext[rows] = op(ext[rows], op.reduce(np.abs(V), axis=1))
     return ext
+
+
+def _grid_values(C: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values of each row at the points z -> (rows, K), in cache-sized chunks."""
+    V = np.empty((C.shape[0], z.shape[0]), dtype=complex)
+    for rows, pts, W in _grid_chunks(C, z):
+        V[rows, pts] = W
+    return V
+
+
+def _segment_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dist(0, [a, b]) elementwise, to within a few u max(|a|, |b|).
+
+    When the foot of the perpendicular from 0 falls strictly inside the
+    segment (Re(conj(a) d) < 0 < Re(conj(b) d), d = b - a), the distance
+    is |Im(conj(a) d)| / |d|; otherwise it is min(|a|, |b|), which also
+    covers a = b.  A NaN endpoint gives NaN.
+    """
+    d = b - a
+    inside = ((a.real * d.real + a.imag * d.imag < 0.0)
+              & (b.real * d.real + b.imag * d.imag > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        perp = np.abs(a.real * d.imag - a.imag * d.real) / np.abs(d)
+    return np.where(inside, perp, np.minimum(np.abs(a), np.abs(b)))
+
+
+def _arc_bounds(V: np.ndarray):
+    """(grid min of |V|, min over arcs of dist(0, [V_j, V_{j+1}])) per row.
+
+    The arcs are cyclic: the last one joins V_{K-1} to V_0.  Row chunks
+    bound the temporaries; min is exact, so chunking changes nothing.
+    """
+    gmin, segmin = np.empty(V.shape[0]), np.empty(V.shape[0])
+    for rows in _row_slices(*V.shape):
+        a = V[rows]
+        gmin[rows] = np.abs(a).min(axis=1)
+        segmin[rows] = _segment_dist(a, np.roll(a, -1, axis=1)).min(axis=1)
+    return gmin, segmin
+
+
+def _winding(V: np.ndarray) -> np.ndarray:
+    """Winding number of the closed polygon through each row of V.
+
+    Each step adds the principal argument of V_{j+1} / V_j; that is the
+    argument swept along the segment whenever the segment misses 0.  The
+    caller certifies the rows, so no value is zero or NaN.
+    """
+    wind = np.empty(V.shape[0], dtype=np.int64)
+    for rows in _row_slices(*V.shape):
+        a = V[rows]
+        turns = np.sum(np.angle(np.roll(a, -1, axis=1) / a), axis=1) / (2.0 * np.pi)
+        wind[rows] = np.rint(turns).astype(np.int64)
+    return wind
+
+
+def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
+    """(g, scale, D, D_2, E) of T = z^shift * F on the rho-circle per row.
+
+    scale = rho^shift, D = sum n |c_n| rho^{n-1} >= sup |T'| and D_2 =
+    sum n^2 |c_n| rho^n >= sup |d^2 T / d theta^2|, both over the indices
+    n of T; E = scale g sum |c_n| (rho (1 + eta))^n + D eta rho bounds the
+    distance of a computed grid value from the exact value at the exact
+    grid point, and g = _rounding_gamma(columns of C) (module docstring).
+    """
+    n1 = C.shape[1]
+    n = np.arange(shift, shift + n1, dtype=np.float64)
+    A = np.abs(C)
+    scale = rho ** shift
+    g = _rounding_gamma(n1)
+    D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
+    D2 = np.sum(A * (n * n * rho ** n), axis=1)
+    horner_abs = np.sum(A * (rho * (1.0 + _GRID_ETA)) ** np.arange(n1), axis=1)
+    E = (scale * g) * horner_abs + D * (_GRID_ETA * rho)
+    return g, scale, D, D2, E
 
 
 def _certify_rows(C: np.ndarray, rho: float,
@@ -280,31 +362,44 @@ def _certify_rows(C: np.ndarray, rho: float,
       mm_gm      grid minimum at the level of that bound
       mm_K       grid size at that level
       wind       certified winding number (valid where wind_ok)
-      wind_ok    whether the winding certificate fired before K_cap
+      wind_ok    whether the winding certificate fired by K_cap
       wind_K     grid size at the winding certificate level (0 if none)
       hopeless   grid minimum fell to or below the tail bound
       zero_first row left the ladder with a zero-first certificate
+      tube       row settled where the first-order certificate alone
+                 (lb_1 > tail and the step condition) does not hold
+      settle_K   grid size at which the row left the ladder (0 if open)
 
-    At grid size K, lb = gmin - t with t = D pi rho / K.  The winding
-    certificate fires once 2t < gmin, and lb improves only until then.
-    That step condition is the factor-2 stop rule lb > gmin/2:
-    fl(2 pi rho / K) = 2 fl(pi rho / K), gmin/2 is exact and rounding is
-    monotone, so the two differ only when gmin - t rounds onto gmin/2.
+    At grid size K, with gmin the grid minimum of |V| (V the computed
+    values), segmin the minimum over arcs of dist(0, [V_j, V_{j+1}]),
+    t = D pi rho / K, h = 2 pi / K and D_2, E as in _circle_bounds,
 
-    A row exits once decided against the tail bound (lb above it with a
-    certified winding) or hopeless (gmin at or below it, which refining
-    can only confirm, since grid minima decrease toward the true minimum).
-    The scalar operations use tail = -inf, so a row refines until its
-    winding certificate fires.  With zero_first the rows still open at the
-    first level K >= min(_ZERO_FIRST_K, K_cap) get one zero-first test
-    before that level is evaluated; rows that pass leave the ladder.
+        lb_1 = gmin - (1 + g)(t + E),
+        lb_2 = (1 - g) segmin - (1 + g)((h^2/8) D_2 + E),
+        lb   = max(lb_1, lb_2).
 
-    The grids are nested (module docstring).  A row's whole grid is
-    evaluated again only at the level where its step condition fires, for
-    the winding; earlier levels' values are not stored.
+    Each is a lower bound for min |F_N| on the circle (module docstring);
+    the last subtraction rounds monotonically, so lb > t for a float t
+    means the exact bound exceeds t.  The winding certificate fires once lb_2 > 0 (tube: F stays within
+    (h^2/8) D_2 + E of the polygon through V, which misses 0) or the step
+    condition 2 (1 + g)(t + E) < gmin holds.  Either way the winding of the
+    polygon through V is that of F, and it is computed from the kept V.
+
+    One stop rule: a row exits once decided against the tail bound (lb
+    above it with a certified winding) or hopeless (gmin at or below it,
+    which refining can only confirm, since grid minima decrease toward the
+    true minimum).  While a row is open, its best lb keeps rising.  The
+    scalar operations use tail = -inf, so a row refines until its winding
+    certificate fires.  With zero_first the rows still open at the first
+    level K >= min(_ZERO_FIRST_K, K_cap) get one zero-first test before
+    that level is evaluated; rows that pass leave the ladder.
+
+    The grids are nested (module docstring): each doubling evaluates only
+    the K new odd points of the open rows and interleaves them with the
+    kept values of the previous level, bit for bit the full grid.
     """
     B = C.shape[0]
-    D = derivative_sup_bound_rows(C, rho)
+    g, _, D, D2, E = _circle_bounds(C, rho)
     mm_lb = np.full(B, -np.inf)
     mm_gm = np.zeros(B)
     mm_K = np.zeros(B, dtype=np.int64)
@@ -313,45 +408,59 @@ def _certify_rows(C: np.ndarray, rho: float,
     wind_K = np.zeros(B, dtype=np.int64)
     hopeless = np.zeros(B, dtype=bool)
     zf = np.zeros(B, dtype=bool)
+    tube = np.zeros(B, dtype=bool)
+    settle_K = np.zeros(B, dtype=np.int64)
     zf_pending = zero_first
     active = np.arange(B)
-    gmin = np.full(B, np.inf)      # grid minimum of each active row so far
-    for j, K in enumerate(_ladder_levels(K_init, K_cap)):
+    V = np.empty((B, 0), dtype=complex)   # kept grid values of the open rows
+    for K in _ladder_levels(K_init, K_cap):
         if zf_pending and K >= min(_ZERO_FIRST_K, K_cap):
             zf_pending = False
-            zf[active] = _zero_certified(C[active], rho, tail)
-            keep = ~zf[active]
-            active, gmin = active[keep], gmin[keep]
+            passed = _zero_certified(C[active], rho, tail)
+            zf[active[passed]] = True
+            settle_K[active[passed]] = K
+            active, V = active[~passed], V[~passed]
         if not active.size:
             break
         z = _grid_points(rho, K)
-        if j == 0:
-            gmin, w = _eval_abs_stats(C[active], z)
+        if V.shape[1]:
+            new = _grid_values(C[active], z[1::2])
+            V = np.stack([V, new], axis=2).reshape(active.size, K)
         else:
-            gmin = np.minimum(gmin, _grid_extreme(C[active], z[1::2], np.minimum))
-        Da = D[active]
-        lb = gmin - Da * (np.pi * rho / K)
-        pend = ~wind_ok[active]
-        better = pend & (lb > mm_lb[active])
+            V = _grid_values(C[active], z)
+        gmin, segmin = _arc_bounds(V)
+        Ea = E[active]
+        t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + Ea)
+        lb1 = gmin - t1
+        t2 = (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + Ea)
+        lb2 = (1.0 - g) * segmin - t2
+        lb = np.maximum(lb1, lb2)
+        better = lb > mm_lb[active]
         rows = active[better]
         mm_lb[rows] = lb[better]
         mm_gm[rows] = gmin[better]
         mm_K[rows] = K
-        can = pend & (Da * (2.0 * np.pi * rho / K) < gmin)
+        step = 2.0 * t1 < gmin
+        can = ~wind_ok[active] & (step | (lb2 > 0.0))
         rows = active[can]
-        wind[rows] = w[can] if j == 0 else _eval_abs_stats(C[rows], z)[1]
+        wind[rows] = _winding(V[can])
         wind_ok[rows] = True
         wind_K[rows] = K
+        done = wind_ok[active] & (mm_lb[active] > tail)
+        tube[active[done & ~((lb1 > tail) & step)]] = True
         if K >= K_cap:
+            settle_K[active[done]] = K
             break
         hp = gmin <= tail
         hopeless[active[hp]] = True
-        keep = ~(hp | ((mm_lb[active] > tail) & wind_ok[active]))
-        active, gmin = active[keep], gmin[keep]
+        out = hp | done
+        settle_K[active[out]] = K
+        active, V = active[~out], V[~out]
     return {
         "mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K,
         "wind": wind, "wind_ok": wind_ok, "wind_K": wind_K,
         "hopeless": hopeless, "zero_first": zf,
+        "tube": tube, "settle_K": settle_K,
     }
 
 
@@ -561,11 +670,13 @@ def min_modulus_certified(sample: GafSample, rho: float,
                           K_cap: int = K_CAP_DEFAULT) -> Tuple[float, float, int]:
     """Certified lower bound for min |F| on the rho-circle.
 
-    Returns (lower_bound, grid_min, K_used).  The grid doubles from K_init
-    until the winding certificate fires, which puts the bound above half
-    the grid minimum (within a factor 2 of optimal), or the cap is reached;
-    the best bound found is returned, which may be <= 0 for samples nearly
-    vanishing on the circle.
+    Returns (lower_bound, grid_min, K_used): the best bound of the levels
+    visited, the grid minimum and the grid size at that level.  The grid
+    doubles from K_init until the winding certificate fires or the cap is
+    reached.  When the step condition fires the bound exceeds half the grid
+    minimum; when the tube condition fires first the bound is positive,
+    with no such ratio.  It may be <= 0 for samples nearly vanishing on
+    the circle.
     """
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
@@ -705,11 +816,14 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         inc = ~(hole | zero)
         by_adaptive = (hole | zero) & res["adaptive"]
         by_ladder = (hole | zero) & ~zf & ~res["adaptive"]
+        settled = [int(np.sum(res["settle_K"] == K)) for K in levels]
         return (int(hole.sum()), int(zero.sum()), int(inc.sum()),
-                int(zf.sum()), int(by_ladder.sum()), int(by_adaptive.sum()))
+                int(zf.sum()), int(by_ladder.sum()), int(by_adaptive.sum()),
+                int((by_ladder & res["tube"]).sum()), *settled)
 
-    holes_n, zeros_n, inc_n, zf_n, ladder_n, adaptive_n = _batched_counts(
-        trials, workers, worker)
+    levels = _ladder_levels(K_init, min(int(K_cap), _UNIFORM_STAGE_CAP))
+    (holes_n, zeros_n, inc_n, zf_n, ladder_n, adaptive_n, tube_n,
+     *settled) = _batched_counts(trials, workers, worker)
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(
@@ -724,7 +838,9 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
             "certificate_failure_budget": trials * math.exp(log_fail),
         },
         kernel={"zero_first": zf_n, "uniform_ladder": ladder_n,
-                "adaptive": adaptive_n, "inconclusive": int(inc_n)})
+                "adaptive": adaptive_n, "inconclusive": int(inc_n),
+                "tube": tube_n,
+                "settle_K": {K: n for K, n in zip(levels, settled) if n}})
 
 
 def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
@@ -783,15 +899,8 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     in place of the min is not below M, and settled[j] the rows decided at
     grid size _ladder_levels(...)[j].
     """
-    B, n1 = C.shape
-    n = np.arange(shift, shift + n1, dtype=np.float64)
-    A = np.abs(C)
-    scale = rho ** shift
-    g = _rounding_gamma(n1)
-    D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
-    D2 = np.sum(A * (n * n * rho ** n), axis=1)
-    horner_abs = np.sum(A * (rho * (1.0 + _GRID_ETA)) ** np.arange(n1), axis=1)
-    E = (scale * g) * horner_abs + D * (_GRID_ETA * rho)
+    B = C.shape[0]
+    g, scale, D, D2, E = _circle_bounds(C, rho, shift)
     Ks = _ladder_levels(K_init, K_cap)
     settled = [0] * len(Ks)
     hits = misses = tube_hits = 0

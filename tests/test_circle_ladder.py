@@ -1,49 +1,138 @@
 """The min-modulus / winding ladder behind every hole decision.
 
-holes._certify_rows doubles the circle grid and, after the first level,
-folds the minimum of only the new odd points into the previous minimum;
-the full grid is evaluated again only where a row's winding certificate
-fires.  These tests pin all eight result arrays, bit for bit, against a
-ladder written here that re-evaluates every full grid and keeps the
-minimum-modulus stop rule and the winding certificate as two flags.
+holes._certify_rows doubles the circle grid, evaluates only the new odd
+points at each doubling and interleaves them with the kept values of the
+previous level.  Its lower bound is the larger of the first-order bound
+gmin - D pi rho / K and the second-order ("tube") bound segmin - (h^2/8) D_2,
+less rounding terms, where segmin is the smallest distance from 0 to a
+segment between adjacent grid values.  These tests pin all ten result
+arrays, bit for bit, against a ladder written here that re-evaluates every
+full grid; check that no row decided by the first-order ladder (the
+ladder before the tube bound) changes its outcome; pin the segment
+distance against mpmath; and plant roots on, near and around the circle,
+where no certificate may be wrong.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
 from gafholes import gaf, holes
-from gafholes.coeffs import hyperbolic
+from gafholes.coeffs import explicit, hyperbolic
 
 KEYS = ("mm_lb", "mm_gm", "mm_K", "wind", "wind_ok", "wind_K", "hopeless",
-        "zero_first")
+        "zero_first", "tube", "settle_K")
+
+
+def _empty(B):
+    return {"mm_lb": np.full(B, -np.inf), "mm_gm": np.zeros(B),
+            "mm_K": np.zeros(B, dtype=np.int64),
+            "wind": np.zeros(B, dtype=np.int64),
+            "wind_ok": np.zeros(B, dtype=bool),
+            "wind_K": np.zeros(B, dtype=np.int64),
+            "hopeless": np.zeros(B, dtype=bool),
+            "zero_first": np.zeros(B, dtype=bool),
+            "tube": np.zeros(B, dtype=bool),
+            "settle_K": np.zeros(B, dtype=np.int64)}
 
 
 def _full_grid(C, rho, K):
-    """(grid_min, winding) of each row on the full K-point grid."""
-    V = gaf.evaluate_on_grid(C, holes._grid_points(rho, K))
+    """Values of each row on the full K-point grid."""
+    return gaf.evaluate_on_grid(C, holes._grid_points(rho, K))
+
+
+def _winding(V):
+    args = np.angle(np.roll(V, -1, axis=1) / V)
+    return np.rint(np.sum(args, axis=1) / (2.0 * np.pi)).astype(np.int64)
+
+
+def _bounds(C, rho):
+    """(g, D, D_2, E) of each row: rounding factor, sup |F'|, sup |d^2F/dt^2|
+    and the distance of a computed grid value from the exact one."""
+    n1 = C.shape[1]
+    n = np.arange(n1, dtype=np.float64)
+    A = np.abs(C)
+    g = holes._rounding_gamma(n1)
+    eta = holes._GRID_ETA
+    D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
+    D2 = np.sum(A * (n * n * rho ** n), axis=1)
+    E = g * np.sum(A * (rho * (1.0 + eta)) ** n, axis=1) + D * (eta * rho)
+    return g, D, D2, E
+
+
+def _seg_dist(a, b):
+    """dist(0, [a, b]): the perpendicular when its foot is inside the
+    segment, the nearer endpoint otherwise."""
+    d = b - a
+    inside = ((a.real * d.real + a.imag * d.imag < 0.0)
+              & (b.real * d.real + b.imag * d.imag > 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        args = np.angle(np.roll(V, -1, axis=1) / V)
-    args = np.where(np.isfinite(args), args, 0.0)
-    wind = np.rint(np.sum(args, axis=1) / (2.0 * np.pi)).astype(np.int64)
-    return np.abs(V).min(axis=1), wind
+        perp = np.abs(a.real * d.imag - a.imag * d.real) / np.abs(d)
+    return np.where(inside, perp, np.minimum(np.abs(a), np.abs(b)))
 
 
-def _reference(C, rho, K_init, K_cap, tail=None, zero_first=False):
-    """The ladder with two stop flags and a full grid at every level.
+def _reference(C, rho, K_init, K_cap, tail=-np.inf, zero_first=False):
+    """The tube ladder with a full grid at every level and one stop rule."""
+    B = C.shape[0]
+    g, D, D2, E = _bounds(C, rho)
+    res = _empty(B)
+    zf_pending = zero_first
+    active = np.arange(B)
+    K = int(K_init)
+    while active.size:
+        if zf_pending and K >= min(holes._ZERO_FIRST_K, K_cap):
+            zf_pending = False
+            passed = holes._zero_certified(C[active], rho, tail)
+            res["zero_first"][active[passed]] = True
+            res["settle_K"][active[passed]] = K
+            active = active[~passed]
+            continue
+        V = _full_grid(C[active], rho, K)
+        gmin = np.abs(V).min(axis=1)
+        segmin = _seg_dist(V, np.roll(V, -1, axis=1)).min(axis=1)
+        t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + E[active])
+        lb1 = gmin - t1
+        lb2 = (1.0 - g) * segmin \
+            - (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + E[active])
+        lb = np.maximum(lb1, lb2)
+        better = lb > res["mm_lb"][active]
+        rows = active[better]
+        res["mm_lb"][rows] = lb[better]
+        res["mm_gm"][rows] = gmin[better]
+        res["mm_K"][rows] = K
+        step = 2.0 * t1 < gmin
+        can = ~res["wind_ok"][active] & (step | (lb2 > 0.0))
+        rows = active[can]
+        res["wind"][rows] = _winding(V[can])
+        res["wind_ok"][rows] = True
+        res["wind_K"][rows] = K
+        done = res["wind_ok"][active] & (res["mm_lb"][active] > tail)
+        res["tube"][active[done & ~((lb1 > tail) & step)]] = True
+        if K >= K_cap:
+            res["settle_K"][active[done]] = K
+            break
+        hp = gmin <= tail
+        res["hopeless"][active[hp]] = True
+        res["settle_K"][active[hp | done]] = K
+        active = active[~(hp | done)]
+        K *= 2
+    return res
+
+
+def _first_order_reference(C, rho, K_init, K_cap, tail=None,
+                           zero_first=False):
+    """The ladder before the tube bound: lb = gmin - D pi rho / K with no
+    rounding term, and the winding once D 2 pi rho / K < gmin.
 
     tail=None refines a row until both the minimum-modulus stop rule
     (lb > gmin / 2) and the winding certificate have fired; with a tail
-    bound a row stops once it is decided or hopeless against it.
+    bound a row stops once it is decided or hopeless against it.  Also
+    returns wind_gm, the grid minimum at the level where the winding fired.
     """
     B = C.shape[0]
     D = gaf.derivative_sup_bound_rows(C, rho)
-    res = {"mm_lb": np.full(B, -np.inf), "mm_gm": np.zeros(B),
-           "mm_K": np.zeros(B, dtype=np.int64),
-           "wind": np.zeros(B, dtype=np.int64),
-           "wind_ok": np.zeros(B, dtype=bool),
-           "wind_K": np.zeros(B, dtype=np.int64),
-           "hopeless": np.zeros(B, dtype=bool),
-           "zero_first": np.zeros(B, dtype=bool)}
+    res = _empty(B)
+    res["wind_gm"] = np.zeros(B)
     mm_done = np.zeros(B, dtype=bool)
     zf_pending = zero_first
     active = np.arange(B)
@@ -55,7 +144,8 @@ def _reference(C, rho, K_init, K_cap, tail=None, zero_first=False):
             res["zero_first"][active[passed]] = True
             active = active[~passed]
             continue
-        gmin, w = _full_grid(C[active], rho, K)
+        V = _full_grid(C[active], rho, K)
+        gmin = np.abs(V).min(axis=1)
         Da = D[active]
         lb = gmin - Da * (np.pi * rho / K)
         pend = ~mm_done[active]
@@ -67,9 +157,10 @@ def _reference(C, rho, K_init, K_cap, tail=None, zero_first=False):
         mm_done[active[pend & (lb > gmin / 2.0)]] = True
         can = ~res["wind_ok"][active] & (Da * (2.0 * np.pi * rho / K) < gmin)
         rows = active[can]
-        res["wind"][rows] = w[can]
+        res["wind"][rows] = _winding(V[can])
         res["wind_ok"][rows] = True
         res["wind_K"][rows] = K
+        res["wind_gm"][rows] = gmin[can]
         if K >= K_cap:
             break
         if tail is None:
@@ -108,23 +199,90 @@ MODES = [("tail", False), ("tail", True), ("wide", False), ("-inf", False)]
 WIDE_TAIL = 0.05
 
 
+def _tail_for(mode, tail):
+    return {"tail": tail, "wide": WIDE_TAIL, "-inf": -np.inf}[mode]
+
+
 @pytest.mark.parametrize("K_init, K_cap", LEVELS)
 @pytest.mark.parametrize("L, r, n", CASES)
 @pytest.mark.parametrize("mode, zero_first", MODES)
-def test_ladder_matches_the_full_grid_two_flag_ladder(K_init, K_cap, L, r, n,
-                                                      mode, zero_first):
+def test_ladder_matches_the_full_grid_ladder(K_init, K_cap, L, r, n, mode,
+                                             zero_first):
     C, tail = _rows(L, r, n)
+    tail = _tail_for(mode, tail)
     if mode != "-inf":
-        tail = tail if mode == "tail" else WIDE_TAIL
         res = holes._certify_rows(C, r, K_init, K_cap, tail=tail,
                                   zero_first=zero_first)
-        ref = _reference(C, r, K_init, K_cap, tail=tail, zero_first=zero_first)
     else:
         res = holes._certify_rows(C, r, K_init, K_cap)
-        ref = _reference(C, r, K_init, K_cap)
+    ref = _reference(C, r, K_init, K_cap, tail=tail, zero_first=zero_first)
     _assert_bytes_equal(res, ref)
     # the NaN row never certifies and runs to the cap
     assert not res["wind_ok"][3] and not res["hopeless"][3]
+    assert res["settle_K"][3] == 0
+
+
+def _outcomes(res, tail):
+    """Per row: ('hole' | 'zero', winding), 'hopeless', 'zero_first' or None
+    (open)."""
+    decided = res["wind_ok"] & (res["mm_lb"] > tail)
+    out = []
+    for i in range(len(decided)):
+        if res["zero_first"][i]:
+            out.append("zero_first")
+        elif decided[i]:
+            w = int(res["wind"][i])
+            out.append(("hole" if w == 0 else "zero", w))
+        elif res["hopeless"][i]:
+            out.append("hopeless")
+        else:
+            out.append(None)
+    return out
+
+
+def _same(a, b):
+    """Equal outcomes; a zero-first exit agrees with any positive winding."""
+    def zero(o):
+        return o == "zero_first" or (isinstance(o, tuple) and o[0] == "zero")
+    return a == b or ("zero_first" in (a, b) and zero(a) and zero(b))
+
+
+# Rows a first-order decision may lose, by (L, r, K_init, K_cap, mode): only
+# rows whose first-order margin is below E may appear here.  None do.
+FLIP_EXCEPTIONS = {}
+
+
+@pytest.mark.parametrize("K_init, K_cap", LEVELS)
+@pytest.mark.parametrize("L, r, n", CASES)
+@pytest.mark.parametrize("mode, zero_first", MODES)
+def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap, L, r, n,
+                                                     mode, zero_first):
+    C, tail = _rows(L, r, n)
+    tail = _tail_for(mode, tail)
+    new = holes._certify_rows(C, r, K_init, K_cap, tail=tail,
+                              zero_first=zero_first)
+    old = _first_order_reference(C, r, K_init, K_cap,
+                                 tail=None if mode == "-inf" else tail,
+                                 zero_first=zero_first)
+    _, D, _, E = _bounds(C, r)
+    # slack of the first-order certificate: clearing the tail, and the step
+    # condition at the level where the winding fired
+    step_slack = old["wind_gm"] - D * (2.0 * np.pi * r / np.maximum(old["wind_K"], 1))
+    lb_slack = old["mm_lb"] - tail if np.isfinite(tail) else np.inf
+    margin = np.minimum(lb_slack, step_slack / 2.0)
+    before, after = _outcomes(old, tail), _outcomes(new, tail)
+    flips = [i for i, (a, b) in enumerate(zip(before, after))
+             if a is not None and not _same(a, b)]
+    assert flips == FLIP_EXCEPTIONS.get((L, r, K_init, K_cap, mode), [])
+    assert all(margin[i] < E[i] for i in flips)
+    # newly decided rows were open before, never hopeless
+    for a, b in zip(before, after):
+        if a is None:
+            assert b is None or isinstance(b, tuple)
+    # the tube bound decides rows the first-order ladder left open (with
+    # zero-first, that stage takes them at 1024 points in both ladders)
+    if K_cap >= 256 and not zero_first:
+        assert any(a is None and b is not None for a, b in zip(before, after))
 
 
 def test_rows_settle_across_the_levels():
@@ -134,14 +292,17 @@ def test_rows_settle_across_the_levels():
     res = holes._certify_rows(C, 0.9, 8, 1 << 14, tail=tail)
     assert res["wind_K"].max() >= 1024
     assert len(set(res["wind_K"][res["wind_ok"]])) >= 3
+    assert res["tube"].any() and len(set(res["settle_K"])) >= 4
     for L, r, n in CASES:
         C, _ = _rows(L, r, n)
         res = holes._certify_rows(C, r, 8, 1 << 14, tail=WIDE_TAIL)
         assert res["hopeless"].any()
         assert ((res["mm_lb"] > WIDE_TAIL) & res["wind_ok"]).any()
-    C, tail = _rows(1.0, 0.7, 256)
-    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail, zero_first=True)
+    C, tail = _rows(2.0, 0.9, 48)
+    res = holes._certify_rows(C, 0.9, 8, 1 << 14, tail=tail, zero_first=True)
     assert res["zero_first"].any()
+    C, tail = _rows(1.0, 0.7, 256)
+    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail)
     assert (res["wind_ok"] & (res["wind"] == 0)).any()
     assert (res["wind_ok"] & (res["wind"] >= 1)).any()
 
@@ -159,5 +320,122 @@ def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     for a, b in zip(res, ref):
         _assert_bytes_equal(a, b)
     z = holes._grid_points(0.9, 4096)[1::2]
-    full = np.abs(gaf.evaluate_on_grid(C, z)).min(axis=1)
-    assert holes._grid_extreme(C, z, np.minimum).tobytes() == full.tobytes()
+    full = gaf.evaluate_on_grid(C, z)
+    assert holes._grid_values(C, z).tobytes() == full.tobytes()
+    assert holes._grid_extreme(C, z, np.minimum).tobytes() \
+        == np.abs(full).min(axis=1).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# soundness: the segment distance, and roots on and near the circle
+# ---------------------------------------------------------------------------
+
+def _segment_cases():
+    """Endpoint pairs: random, nearly parallel to the radius, nearly
+    through 0, perpendicular feet near either end, tiny segments far from
+    0, degenerate (a = b), and NaN."""
+    rng = np.random.default_rng(5)
+    a = (rng.normal(size=400) + 1j * rng.normal(size=400)) \
+        * 10.0 ** rng.uniform(-8, 3, 400)
+    b = np.concatenate([
+        rng.normal(size=100) + 1j * rng.normal(size=100),
+        a[100:160] * (1.0 + rng.uniform(-1, 1, 60) * 1e-9),
+        -a[160:220] * rng.uniform(0.1, 10, 60) * np.exp(1j * rng.normal(size=60) * 1e-10),
+        a[220:280] + 1j * a[220:280] * rng.uniform(1e-12, 1e-6, 60) * np.sign(rng.normal(size=60)),
+        a[280:340] + a[280:340] * rng.uniform(1e-13, 1e-9, 60) * np.exp(1j * rng.uniform(0, 6.3, 60)),
+        a[340:400],
+    ])
+    a, b = np.concatenate([a, [np.nan, 1.0]]), np.concatenate([b, [1.0, np.nan + 0j]])
+    return a, b
+
+
+def test_segment_distance_against_mpmath():
+    a, b = _segment_cases()
+    got = holes._segment_dist(a, b)
+    assert np.isnan(got[-2:]).all()
+    u = 2.0 ** -53
+    with mpmath.workprec(200):
+        for x, y, d in zip(a[:-2], b[:-2], got[:-2]):
+            A = mpmath.mpc(float(x.real), float(x.imag))
+            Bp = mpmath.mpc(float(y.real), float(y.imag))
+            seg = Bp - A
+            n2 = abs(seg) ** 2
+            t = 0 if n2 == 0 else min(1, max(0, -mpmath.re(mpmath.conj(A) * seg) / n2))
+            exact = abs(A + t * seg)
+            # the slack that E leaves above the Horner error covers this
+            assert abs(mpmath.mpf(float(d)) - exact) <= 8 * u * max(abs(x), abs(y))
+    # degenerate segments are their endpoint
+    assert np.array_equal(got[340:400], np.abs(a[340:400]))
+
+
+def _poly_rows(roots_list, width):
+    rows = []
+    for roots in roots_list:
+        c = np.poly(roots)[::-1].astype(complex)
+        rows.append(np.pad(c, (0, width - len(c))))
+    return np.array(rows)
+
+
+def _assert_sound(C, rho, tail, K_cap=1 << 14):
+    """No certified hole has a root inside the rho-disk, and no certified
+    winding differs from the count of np.roots inside it; in tail mode and
+    in the scalar mode.  Returns the tail-mode result."""
+    inside = np.array([np.sum(np.abs(np.roots(c[::-1])) < rho) for c in C])
+    for t in (tail, -np.inf):
+        res = holes._certify_rows(C, rho, 8, K_cap, tail=t)
+        ok = res["wind_ok"]
+        assert np.array_equal(res["wind"][ok], inside[ok])
+        hole = ok & (res["mm_lb"] > t) & (res["wind"] == 0)
+        assert not np.any(hole & (inside > 0))
+    return holes._certify_rows(C, rho, 8, K_cap, tail=tail)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-4, -1e-4, -1e-9, -1e-12])
+def test_roots_planted_near_the_circle(delta):
+    # one root at modulus rho (1 + delta), one to three more away from the
+    # circle on either side
+    rho = 0.6
+    rng = np.random.default_rng(int(abs(np.log10(abs(delta)))) + (delta < 0))
+    roots = []
+    for _ in range(48):
+        k = int(rng.integers(1, 4))
+        mods = np.concatenate([[rho * (1.0 + delta)],
+                               rng.choice([0.3, 1.5], k) * rho * rng.uniform(0.8, 1.2, k)])
+        roots.append(mods * np.exp(2j * np.pi * rng.uniform(size=k + 1)))
+    C = _poly_rows(roots, 5) * (rng.normal(size=(48, 1)) + 1j * rng.normal(size=(48, 1)))
+    res = _assert_sound(C, rho, 0.0)
+    if abs(delta) >= 1e-4:
+        # resolved at 2^14 points: every row is decided
+        assert (res["wind_ok"] & (res["mm_lb"] > 0.0)).all()
+
+
+@pytest.mark.parametrize("e", [8, 16, 24, 40])
+@pytest.mark.parametrize("side", [1, -1])
+def test_dyadic_root_clusters(e, side):
+    # (z - a u)^k (z - 3/4 v) with a = 1/2 +- 2^-e and units u, v: dyadic
+    # roots, so every coefficient is exact and the roots are exactly these
+    rho, a = 0.5, 0.5 + side * 2.0 ** -e
+    roots = [[a * u] * k + [0.75 * v]
+             for k in (1, 2, 3) for u in (1, -1, 1j, -1j) for v in (1, -1j)]
+    C = _poly_rows(roots, 5)
+    inside = np.array([k if side < 0 else 0 for k in (1, 2, 3) for _ in range(8)])
+    for t in (0.0, -np.inf):
+        res = holes._certify_rows(C, rho, 8, 1 << 14, tail=t)
+        ok = res["wind_ok"]
+        assert np.array_equal(res["wind"][ok], inside[ok])
+        assert not np.any(ok & (res["mm_lb"] > t) & (inside > 0)
+                          & (res["wind"] == 0))
+    if e <= 8:
+        # simple roots 2^-8 off the circle are resolved
+        assert ok[:8].all()
+
+
+def test_explicit_model_with_zero_tail():
+    m, r = explicit([1.0, 0.9, 0.8, 0.7, 0.6, 0.5]), 0.9
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    tail, _ = gaf.tail_sup_bound(m, N_t, r)
+    assert N_t == 5 and tail == 0.0
+    C = gaf.sample_coeff_batch(m, 3, np.arange(2048, dtype=np.uint64), N_t)
+    res = _assert_sound(C, r, tail)
+    hole = res["wind_ok"] & (res["mm_lb"] > 0.0) & (res["wind"] == 0)
+    assert hole.sum() > 100 and (res["wind_ok"] & (res["wind"] >= 1)).sum() > 1000

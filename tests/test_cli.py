@@ -49,10 +49,15 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
     cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.7", "--out", str(out)])
     meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
     assert len(meta["kernel"]) == 2
+    paths = ("zero_first", "uniform_ladder", "adaptive", "inconclusive")
     for k in meta["kernel"]:
-        assert set(k) == {"zero_first", "uniform_ladder", "adaptive",
-                          "inconclusive"}
-        assert sum(k.values()) == 256
+        assert set(k) == set(paths) | {"tube", "settle_K"}
+        assert sum(k[p] for p in paths) == 256
+        # rows decided only by the second-order bound, and the ladder levels
+        # (JSON keys) at which every non-adaptive row settled
+        assert 0 <= k["tube"] <= k["uniform_ladder"]
+        assert all(int(K) >= 8 for K in k["settle_K"])
+        assert sum(k["settle_K"].values()) == 256 - k["adaptive"]
     # the lower-bound modes do not run the direct kernel: they count the
     # rows of their sup ladder instead
     thr = tmp_path / "thr.jsonl"

@@ -29,17 +29,20 @@ def _poly_sample(c):
 # ---------------------------------------------------------------------------
 
 def test_min_modulus_constant():
+    # F = 1: no variation, so the bound is the grid value less the rounding
+    # term E = g |c_0|
     lb, gmin, K = holes.min_modulus_certified(_poly_sample([1.0]), 0.5)
-    assert (lb, gmin, K) == (1.0, 1.0, 8)
+    assert (lb, gmin, K) == (1.0 - holes._rounding_gamma(1), 1.0, 8)
 
 
 def test_min_modulus_linear():
-    # F = z on the circle of radius 1/2: true minimum 1/2, certified
-    # bound one derivative step below it
+    # F = z on the circle of radius 1/2: true minimum 1/2; the certified
+    # bound is the tube bound, the distance 0.5 cos(pi/8) from 0 to a side
+    # of the grid octagon less (h^2/8) D_2 = (pi/8)^2 / 4
     lb, gmin, K = holes.min_modulus_certified(_poly_sample([0.0, 1.0]), 0.5)
     assert gmin == 0.5
     assert K == 8
-    assert lb == pytest.approx(0.30365045915063793, rel=1e-12)
+    assert lb == pytest.approx(0.42338662406388355, rel=1e-12)
     assert lb <= 0.5
 
 
@@ -75,13 +78,13 @@ def test_decision_zero_inside():
     d = holes.hole_decision(_poly_sample([-0.1, 1.0]), 0.5, 0.01)
     assert d.outcome == holes.OUTCOME_ZERO
     assert d.zero_count == 1
-    assert d.margin == pytest.approx(0.19365045915063794, rel=1e-12)
+    assert d.margin == pytest.approx(0.3209986708127549, rel=1e-12)
     assert d.grid_size_used == 8
 
 
 def test_decision_near_circle_root_uses_refinement():
-    # root a relative 1e-7 outside the circle: the uniform ladder cannot
-    # separate this from zero, the adaptive stage must
+    # root a relative 1e-7 outside the circle: the ladder separates it
+    # from zero only on a fine grid (8192 points, with the tube bound)
     root = 0.5 * (1.0 + 1e-7)
     d = holes.hole_decision(_poly_sample([-root, 1.0]), 0.5, 1e-9)
     assert d.outcome == holes.OUTCOME_HOLE
@@ -128,8 +131,8 @@ def test_decision_fixture_frozen():
     assert tail == pytest.approx(8.427397834823821e-08, rel=1e-12)
     d = holes.hole_decision(gaf.sample(m, 7, 0, N_t), 0.5, tail)
     assert d.outcome == holes.OUTCOME_HOLE
-    assert d.margin == pytest.approx(0.8775012880206593, rel=1e-12)
-    assert d.grid_size_used == 16
+    assert d.margin == pytest.approx(0.9595074670466474, rel=1e-12)
+    assert d.grid_size_used == 8
 
 
 # ---------------------------------------------------------------------------
