@@ -298,11 +298,9 @@ def test_rows_settle_across_the_levels():
         res = holes._certify_rows(C, r, 8, 1 << 14, tail=WIDE_TAIL)
         assert res["hopeless"].any()
         assert ((res["mm_lb"] > WIDE_TAIL) & res["wind_ok"]).any()
-    C, tail = _rows(2.0, 0.9, 48)
-    res = holes._certify_rows(C, 0.9, 8, 1 << 14, tail=tail, zero_first=True)
-    assert res["zero_first"].any()
     C, tail = _rows(1.0, 0.7, 256)
-    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail)
+    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail, zero_first=True)
+    assert res["zero_first"].any()
     assert (res["wind_ok"] & (res["wind"] == 0)).any()
     assert (res["wind_ok"] & (res["wind"] >= 1)).any()
 
@@ -439,3 +437,40 @@ def test_explicit_model_with_zero_tail():
     res = _assert_sound(C, r, tail)
     hole = res["wind_ok"] & (res["mm_lb"] > 0.0) & (res["wind"] == 0)
     assert hole.sum() > 100 and (res["wind_ok"] & (res["wind"] >= 1)).sum() > 1000
+
+
+def test_step_condition_carries_the_rounding_term():
+    # F = 1 + eps z^20 at rho = 1/2: on the 8-point grid z^20 = +-rho^20,
+    # so gmin = 1 - eps rho^20, and the tube bound is far below 0 (D_2 is
+    # 20 times D), so only the step condition can certify the winding at
+    # K = 8.  Bisect eps to the edge of 2 (1 + g)(D pi rho / 8 + E) < gmin:
+    # just inside, the winding fires at 8; just outside, where the same
+    # test without E would still pass, it fires at 16.
+    rho = 0.5
+
+    def row(eps):
+        c = np.zeros((1, 21), dtype=complex)
+        c[0, 0], c[0, 20] = 1.0, eps
+        return c
+
+    def step_holds(eps):
+        C = row(eps)
+        g, D, _, E = _bounds(C, rho)
+        gmin = np.abs(_full_grid(C, rho, 8)).min()
+        return 2.0 * ((1.0 + g) * (D[0] * (np.pi * rho / 8) + E[0])) < gmin
+
+    lo, hi = 0.05 / rho ** 20, 0.07 / rho ** 20
+    assert step_holds(lo) and not step_holds(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if step_holds(mid) else (lo, mid)
+    # the E terms matter at the edge: without them the step would hold
+    g, D, _, E = _bounds(row(hi), rho)
+    assert 2.0 * ((1.0 + g) * D[0] * (np.pi * rho / 8)) \
+        < np.abs(_full_grid(row(hi), rho, 8)).min() - E[0]
+    for eps, K in ((lo, 8), (hi, 16)):
+        res = holes._certify_rows(row(eps), rho, 8, 16)
+        assert res["wind_ok"][0] and res["wind"][0] == 0
+        assert res["wind_K"][0] == K and not res["tube"][0]
