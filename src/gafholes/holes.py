@@ -263,17 +263,16 @@ def _grid_chunks(C: np.ndarray, z: np.ndarray):
             yield rows, slice(p, p + pts), evaluate_on_grid(C[rows], z[p:p + pts])
 
 
-def _grid_extreme(C: np.ndarray, z: np.ndarray, op) -> np.ndarray:
-    """op-extreme of |F| over the points z for each row, in cache-sized chunks.
+def _grid_max(C: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Max of |F| over the points z for each row, in cache-sized chunks.
 
-    op is np.minimum or np.maximum.  min/max are exact, so the result does
-    not depend on the chunking; a NaN value makes the row's extreme NaN, as
-    a single full-width evaluation would.
+    max is exact, so the result does not depend on the chunking; a NaN
+    value makes the row's max NaN, as a single full-width evaluation would.
     """
-    ext = np.full(C.shape[0], np.inf if op is np.minimum else -np.inf)
+    gmax = np.full(C.shape[0], -np.inf)
     for rows, _, V in _grid_chunks(C, z):
-        ext[rows] = op(ext[rows], op.reduce(np.abs(V), axis=1))
-    return ext
+        gmax[rows] = np.maximum(gmax[rows], np.abs(V).max(axis=1))
+    return gmax
 
 
 def _grid_values(C: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -905,12 +904,12 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     settled = [0] * len(Ks)
     hits = misses = tube_hits = 0
     active = np.arange(B)
-    gmax = _grid_extreme(C, _grid_points(rho, Ks[0]), np.maximum)
+    gmax = _grid_max(C, _grid_points(rho, Ks[0]))
     points = B * Ks[0]
     for j, K in enumerate(Ks):
         if j:
             z_new = _grid_points(rho, K)[1::2]
-            gmax = np.maximum(gmax, _grid_extreme(C[active], z_new, np.maximum))
+            gmax = np.maximum(gmax, _grid_max(C[active], z_new))
             points += active.size * z_new.size
         smax = scale * gmax
         first = D[active] * (np.pi * rho / K)

@@ -320,8 +320,6 @@ def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     z = holes._grid_points(0.9, 4096)[1::2]
     full = gaf.evaluate_on_grid(C, z)
     assert holes._grid_values(C, z).tobytes() == full.tobytes()
-    assert holes._grid_extreme(C, z, np.minimum).tobytes() \
-        == np.abs(full).min(axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------

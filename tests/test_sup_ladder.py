@@ -245,7 +245,7 @@ GAP = 1e-13
 def _scaled_to(C, rho, M, shift, factor):
     """C scaled so that rho^shift * max |F| over the 2^16-point grid is
     M * factor (for factor > 1 a lower bound on the sup of every row)."""
-    gmax = holes._grid_extreme(C, holes._grid_points(rho, 1 << 16), np.maximum)
+    gmax = holes._grid_max(C, holes._grid_points(rho, 1 << 16))
     return C * (M * factor / (rho ** shift * gmax))[:, None]
 
 
@@ -302,7 +302,7 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
                                 shift=shift),
               holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
     z = holes._grid_points(0.9, 4096)[1::2]
-    gmax = holes._grid_extreme(mid, z, np.maximum)
+    gmax = holes._grid_max(mid, z)
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
     after = [holes._sup_counts(mid, 0.9, half, 0.0, 8, 4096),
              holes._sup_counts(inner, 0.9, half, tail, 12, 3000,
@@ -310,7 +310,7 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
              holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
     assert after == before
     # above the chunk size a row is evaluated in slices of its points
-    assert holes._grid_extreme(mid, z, np.maximum).tobytes() == gmax.tobytes()
+    assert holes._grid_max(mid, z).tobytes() == gmax.tobytes()
     full = np.abs(gaf.evaluate_on_grid(mid, z)).max(axis=1)
     assert gmax.tobytes() == full.tobytes()
 
