@@ -25,8 +25,9 @@ worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
 per-record wall times, and per record what the kernel did ("kernel"):
 for direct estimates the rows each path of the decision kernel settled
-(zero_first, uniform_ladder, adaptive, inconclusive), the ladder rows that
-only the second-order bound decided ("tube") and the rows that left the
+(zero_first, uniform_ladder, inconclusive), the ladder rows that only the
+second-order bound decided ("tube"), the rows still open at the grid cap
+("open_at_cap", a subset of inconclusive) and the rows that left the
 ladder at each grid size ("settle_K"); for the lower-bound
 modes, per sup-ladder stream ("sup" for threshold_lower, "middle" and
 "tail" for tilted_lower), the hit, miss and inconclusive rows, the grid
@@ -81,7 +82,7 @@ _KEYS: Dict[str, tuple] = {
     "tau_rel": (float, gaf.DEFAULT_TAU_REL, "relative truncation tolerance"),
     "budget": (float, holes.DEFAULT_COMPUTE_BUDGET, "trials*N_t compute cap"),
     "K_init": (int, holes.K_INIT_DEFAULT, "initial certification grid size"),
-    "K_cap": (int, holes.K_CAP_DEFAULT, "certification grid size cap"),
+    "K_cap": (int, holes.K_CAP_DEFAULT, "grid cap; rows open there are Inconclusive"),
     "c_cfg": (float, None, "lower band/defect constant override"),
     "C_cfg": (float, None, "upper band/defect constant override"),
     "band": (str, "hyperbolic", "envelope family: hyperbolic|decaying|flat"),

@@ -23,7 +23,8 @@ elementwise, so each doubling evaluates only the K new odd points.  The sup
 ladder folds their maximum |F| into the previous level's (max is exact);
 the min ladder keeps the values of its open rows and interleaves the new
 ones, so it holds the full grid bit for bit.  A NaN propagates the same
-way.
+way.  The cap is the largest grid either ladder visits, in every operation
+and estimator: a row still open there is Inconclusive.
 
 Let f(theta) = F(rho e^{i theta}), h = 2 pi / K, D = sum n |c_n| rho^{n-1}
 >= sup |F'| and D_2 = sum n^2 |c_n| rho^n >= sup |f''|.  Between adjacent
@@ -131,7 +132,7 @@ from .gaf import (
     DEFAULT_FAIL_EXP,
     DEFAULT_TAU_REL,
     GafSample,
-    derivative_sup_bound_rows,
+    derivative_sup_bound_rows,  # noqa: F401 (unused; bench tracer wraps it)
     evaluate_on_grid,
     horner,
     sample_coeff_batch,
@@ -184,9 +185,9 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
-    # what the kernel did (rows settled by each path of the direct kernel,
-    # or per stream of the sup ladder); run diagnostics for the CLI
-    # sidecar, never part of the record
+    # what the kernel did (rows settled by each path of the direct kernel
+    # and rows open at the cap, or per stream of the sup ladder); run
+    # diagnostics for the CLI sidecar, never part of the record
     kernel: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:
@@ -379,82 +380,88 @@ def _certify_rows(C: np.ndarray, rho: float,
 
     Each is a lower bound for min |F_N| on the circle (module docstring);
     the last subtraction rounds monotonically, so lb > t for a float t
-    means the exact bound exceeds t.  The winding certificate fires once lb_2 > 0 (tube: F stays within
-    (h^2/8) D_2 + E of the polygon through V, which misses 0) or the step
-    condition 2 (1 + g)(t + E) < gmin holds.  Either way the winding of the
-    polygon through V is that of F, and it is computed from the kept V.
+    means the exact bound exceeds t.  The winding certificate fires once
+    lb_2 > 0 (tube: F stays within (h^2/8) D_2 + E of the polygon through
+    V, which misses 0) or the step condition 2 (1 + g)(t + E) < gmin holds.
+    Either way the winding of the polygon through V is that of F, and it is
+    computed from the kept V.
 
     One stop rule: a row exits once decided against the tail bound (lb
     above it with a certified winding) or hopeless (gmin at or below it,
     which refining can only confirm, since grid minima decrease toward the
     true minimum).  While a row is open, its best lb keeps rising.  The
     scalar operations use tail = -inf, so a row refines until its winding
-    certificate fires.  With zero_first the rows still open at the first
-    level K >= min(_ZERO_FIRST_K, K_cap) get one zero-first test before
-    that level is evaluated; rows that pass leave the ladder.
+    certificate fires.  With zero_first (direct estimator) the rows open at
+    the first level K >= min(_ZERO_FIRST_K, K_cap) first get one zero-first
+    test (module docstring); rows that pass leave with no winding number.
 
     The grids are nested (module docstring): each doubling evaluates only
     the K new odd points of the open rows and interleaves them with the
-    kept values of the previous level, bit for bit the full grid.
+    kept values of the previous level, bit for bit the full grid.  Above
+    _CHUNK_ELEMS points open rows climb one at a time, so the kept values
+    never exceed one row at the cap; per-row results do not change.
     """
     B = C.shape[0]
     g, _, D, D2, E = _circle_bounds(C, rho)
     mm_lb = np.full(B, -np.inf)
     mm_gm = np.zeros(B)
-    mm_K = np.zeros(B, dtype=np.int64)
-    wind = np.zeros(B, dtype=np.int64)
-    wind_ok = np.zeros(B, dtype=bool)
-    wind_K = np.zeros(B, dtype=np.int64)
-    hopeless = np.zeros(B, dtype=bool)
-    zf = np.zeros(B, dtype=bool)
-    tube = np.zeros(B, dtype=bool)
-    settle_K = np.zeros(B, dtype=np.int64)
-    zf_pending = zero_first
-    active = np.arange(B)
-    V = np.empty((B, 0), dtype=complex)   # kept grid values of the open rows
-    for K in _ladder_levels(K_init, K_cap):
-        if zf_pending and K >= min(_ZERO_FIRST_K, K_cap):
-            zf_pending = False
-            passed = _zero_certified(C[active], rho, tail)
-            zf[active[passed]] = True
-            settle_K[active[passed]] = K
-            active, V = active[~passed], V[~passed]
-        if not active.size:
-            break
-        z = _grid_points(rho, K)
-        if V.shape[1]:
-            new = _grid_values(C[active], z[1::2])
-            V = np.stack([V, new], axis=2).reshape(active.size, K)
-        else:
-            V = _grid_values(C[active], z)
-        gmin, segmin = _arc_bounds(V)
-        Ea = E[active]
-        t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + Ea)
-        lb1 = gmin - t1
-        t2 = (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + Ea)
-        lb2 = (1.0 - g) * segmin - t2
-        lb = np.maximum(lb1, lb2)
-        better = lb > mm_lb[active]
-        rows = active[better]
-        mm_lb[rows] = lb[better]
-        mm_gm[rows] = gmin[better]
-        mm_K[rows] = K
-        step = 2.0 * t1 < gmin
-        can = ~wind_ok[active] & (step | (lb2 > 0.0))
-        rows = active[can]
-        wind[rows] = _winding(V[can])
-        wind_ok[rows] = True
-        wind_K[rows] = K
-        done = wind_ok[active] & (mm_lb[active] > tail)
-        tube[active[done & ~((lb1 > tail) & step)]] = True
-        if K >= K_cap:
-            settle_K[active[done]] = K
-            break
-        hp = gmin <= tail
-        hopeless[active[hp]] = True
-        out = hp | done
-        settle_K[active[out]] = K
-        active, V = active[~out], V[~out]
+    mm_K, wind, wind_K, settle_K = np.zeros((4, B), dtype=np.int64)
+    wind_ok, hopeless, zf, tube = np.zeros((4, B), dtype=bool)
+    Ks = _ladder_levels(K_init, K_cap)
+    zf_K = min(K for K in Ks if K >= min(_ZERO_FIRST_K, K_cap)) if zero_first else 0
+    grids = {}   # grid points by size, shared by rows that climb alone
+    # (open rows, their kept grid values, index of their next level)
+    groups = [(np.arange(B), np.empty((B, 0), dtype=complex), 0)]
+    while groups:
+        active, V, j0 = groups.pop()
+        for j, K in enumerate(Ks[j0:], j0):
+            if K > _CHUNK_ELEMS and active.size > 1:
+                groups += [(active[i:i + 1], V[i:i + 1], j)
+                           for i in range(active.size)]
+                break
+            if K == zf_K:
+                passed = _zero_certified(C[active], rho, tail)
+                zf[active[passed]] = True
+                settle_K[active[passed]] = K
+                active, V = active[~passed], V[~passed]
+            if not active.size:
+                break
+            if K not in grids:
+                grids[K] = _grid_points(rho, K)
+            z = grids[K]
+            if V.shape[1]:
+                new = _grid_values(C[active], z[1::2])
+                V = np.stack([V, new], axis=2).reshape(active.size, K)
+            else:
+                V = _grid_values(C[active], z)
+            gmin, segmin = _arc_bounds(V)
+            Ea = E[active]
+            t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + Ea)
+            lb1 = gmin - t1
+            t2 = (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + Ea)
+            lb2 = (1.0 - g) * segmin - t2
+            lb = np.maximum(lb1, lb2)
+            better = lb > mm_lb[active]
+            rows = active[better]
+            mm_lb[rows] = lb[better]
+            mm_gm[rows] = gmin[better]
+            mm_K[rows] = K
+            step = 2.0 * t1 < gmin
+            can = ~wind_ok[active] & (step | (lb2 > 0.0))
+            rows = active[can]
+            wind[rows] = _winding(V[can])
+            wind_ok[rows] = True
+            wind_K[rows] = K
+            done = wind_ok[active] & (mm_lb[active] > tail)
+            tube[active[done & ~((lb1 > tail) & step)]] = True
+            if K >= K_cap:
+                settle_K[active[done]] = K
+                break
+            hp = gmin <= tail
+            hopeless[active[hp]] = True
+            out = hp | done
+            settle_K[active[out]] = K
+            active, V = active[~out], V[~out]
     return {
         "mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K,
         "wind": wind, "wind_ok": wind_ok, "wind_K": wind_K,
@@ -544,69 +551,6 @@ def _zero_certified(C: np.ndarray, rho: float, tail: float) -> np.ndarray:
     return ok
 
 
-def _horner_row(c: np.ndarray, rho: float, theta: np.ndarray) -> np.ndarray:
-    z = rho * (np.cos(theta) + 1j * np.sin(theta))
-    return evaluate_on_grid(c[None, :], z)[0]
-
-
-def _decide_row_adaptive(c: np.ndarray, rho: float, tail: float,
-                         h_floor: float,
-                         eval_budget: int = 1 << 15):
-    """Certified decision for one row by adaptive arc subdivision.
-
-    Returns (lb, wind, evals): lb is a certified lower bound for the circle
-    minimum (taken over per-arc bounds (|F_j| + |F_{j+1}| - D rho h_j)/2,
-    which hold with no step condition), wind the certified winding number
-    or None when certification failed.  An arc refines while its variation
-    bound D rho h exceeds half the smaller endpoint modulus or while its
-    certified bound has not cleared the tail; refinement therefore
-    concentrates near small minima and the cost of resolving scale s grows
-    like log(1/s) rather than 1/s.  Once every arc is quiet, each step's
-    image stays inside the half-modulus disk around its left endpoint, so
-    principal-branch argument increments sum to the exact winding number.
-    """
-    D = float(derivative_sup_bound_rows(c[None, :], rho)[0])
-    if D == 0.0:
-        v = float(abs(complex(c[0])))
-        return v, (0 if v > tail else None), 1
-    K0 = 256
-    theta = np.arange(K0) * (2.0 * np.pi / K0)
-    vals = _horner_row(c, rho, theta)
-    evals = K0
-    while True:
-        a = np.abs(vals)
-        h = np.diff(theta, append=theta[0] + 2.0 * np.pi)
-        a_next = np.roll(a, -1)
-        arc_lb = 0.5 * (a + a_next - D * rho * h)
-        lb = float(arc_lb.min())
-        if float(a.min()) <= tail:
-            return lb, None, evals           # hopeless: grid min at/below tail
-        quiet = D * rho * h <= 0.5 * np.minimum(a, a_next)
-        need = ~quiet | (arc_lb <= tail)
-        if not need.any():
-            break
-        if evals >= eval_budget or not (h[need] > h_floor).all():
-            return lb, None, evals           # resolution or budget exhausted
-        mid = theta[need] + 0.5 * h[need]
-        vals_mid = _horner_row(c, rho, mid)
-        evals += mid.size
-        theta = np.concatenate([theta, mid])
-        vals = np.concatenate([vals, vals_mid])
-        order = np.argsort(theta)
-        theta = theta[order]
-        vals = vals[order]
-    a = np.abs(vals)
-    h = np.diff(theta, append=theta[0] + 2.0 * np.pi)
-    lb = float(np.min(0.5 * (a + np.roll(a, -1) - D * rho * h)))
-    dargs = np.angle(np.roll(vals, -1) / vals)
-    wind_n = int(np.rint(float(dargs.sum()) / (2.0 * np.pi)))
-    return lb, wind_n, evals
-
-
-# uniform stage cap and extra resolution of the adaptive stage relative to
-# the grid cap (default cap 2^20 -> adaptive arcs down to 2 pi / 2^30)
-_UNIFORM_STAGE_CAP = 1 << 14
-_ADAPTIVE_REFINE_FACTOR = 1024.0
 # zero-first stage: the ladder level where it runs, Newton starts as
 # fractions of the radius (centre, 3 at 1/2, 6 at 0.85), Newton steps, and
 # the multiples m of the break-even disk radius that the Rouche test tries
@@ -618,50 +562,6 @@ _NEWTON_STARTS = np.concatenate([
 ])
 _NEWTON_STEPS = 12
 _EPS_FACTORS = (1.125, 1.5, 2.0)
-
-
-def _decide_rows(C: np.ndarray, rho: float, tail: float,
-                 K_init: int = K_INIT_DEFAULT,
-                 K_cap: int = K_CAP_DEFAULT,
-                 zero_first: bool = False):
-    """Decision kernel over rows: uniform ladder, then adaptive fallback.
-
-    The vectorized uniform ladder settles the bulk cheaply (capped well
-    below K_cap, where it stops paying off); rows it leaves open are
-    near-vanishing on the circle and go to the per-row adaptive certifier,
-    whose cost scales with the log of the resolved modulus.
-
-    zero_first (direct estimator only) adds the zero-first stage of the
-    module docstring: once per batch, on the rows still open at the first
-    ladder level K >= _ZERO_FIRST_K (the top of the last uniform level
-    when the cap is lower, so always before the adaptive fallback),
-    Newton plus the rounding-aware Rouche test
-    (|Fh'| - E_d) eps > |Fh| + E_f + eps^2 S_2 + tail, with the ladder's
-    tail bound and a-priori Horner rounding bounds E_f, E_d.  Rows that pass
-    are flagged in res["zero_first"] and leave with no winding number: they
-    have at least one zero in the disk, which is all a hole estimate needs.
-    res["adaptive"] flags the rows handed to the adaptive fallback.
-    """
-    res = _certify_rows(C, rho, K_init, min(int(K_cap), _UNIFORM_STAGE_CAP),
-                        tail=tail, zero_first=zero_first)
-    res["extra_evals"] = np.zeros(C.shape[0], dtype=np.int64)
-    open_mask = (~res["hopeless"] & ~res["zero_first"]
-                 & ~((res["mm_lb"] > tail) & res["wind_ok"]))
-    res["adaptive"] = open_mask
-    open_rows = np.nonzero(open_mask)[0]
-    if open_rows.size == 0:
-        return res
-    h_floor = 2.0 * np.pi / (float(K_cap) * _ADAPTIVE_REFINE_FACTOR)
-    for i in open_rows:
-        lb, wind_n, evals = _decide_row_adaptive(C[i], rho, tail, h_floor)
-        res["extra_evals"][i] = evals
-        if lb > res["mm_lb"][i]:
-            res["mm_lb"][i] = lb
-        if wind_n is not None:
-            res["wind"][i] = wind_n
-            res["wind_ok"][i] = True
-            res["wind_K"][i] = max(int(res["wind_K"][i]), evals)
-    return res
 
 
 def min_modulus_certified(sample: GafSample, rho: float,
@@ -677,9 +577,7 @@ def min_modulus_certified(sample: GafSample, rho: float,
     with no such ratio.  It may be <= 0 for samples nearly vanishing on
     the circle.
     """
-    if not (0.0 < rho < 1.0):
-        raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
-    _check_K_init(K_init)
+    _check_ladder_args(rho, K_init, K_cap)
     res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
     return float(res["mm_lb"][0]), float(res["mm_gm"][0]), int(res["mm_K"][0])
 
@@ -693,9 +591,7 @@ def winding_number_certified(sample: GafSample, rho: float,
     still inconclusive at the grid cap (the sample nearly vanishes on the
     circle).
     """
-    if not (0.0 < rho < 1.0):
-        raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
-    _check_K_init(K_init)
+    _check_ladder_args(rho, K_init, K_cap)
     res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
     if not bool(res["wind_ok"][0]):
         return None
@@ -710,22 +606,16 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
     tail_bound must come from tail_sup_bound for the same (model, N_t, r);
     when the certified circle minimum of the truncated polynomial exceeds
     it, the truncation and the full series have equal zero counts in the
-    disk, and the winding number decides between hole and zeros.
+    disk, and the winding number decides between hole and zeros.  The
+    ladder runs to K_cap; a sample still open there is Inconclusive.
     """
-    if not (0.0 < r < 1.0):
-        raise InvalidRadius(f"r must lie in (0, 1), got {r}")
-    _check_K_init(K_init)
-    res = _decide_rows(sample.coeffs[None, :], r, float(tail_bound),
-                       K_init, K_cap)
-    return _decision_from_arrays(res, 0, tail_bound)
-
-
-def _decision_from_arrays(res: dict, i: int, tail_bound: float) -> HoleDecision:
-    lb = float(res["mm_lb"][i])
-    margin = lb - tail_bound
-    K_used = int(max(res["mm_K"][i], res["wind_K"][i])) + int(res["extra_evals"][i])
-    if margin > 0.0 and bool(res["wind_ok"][i]):
-        w = int(res["wind"][i])
+    _check_ladder_args(r, K_init, K_cap)
+    res = _certify_rows(sample.coeffs[None, :], r, K_init, K_cap,
+                        tail=float(tail_bound))
+    margin = float(res["mm_lb"][0]) - tail_bound
+    K_used = int(max(res["mm_K"][0], res["wind_K"][0]))
+    if margin > 0.0 and bool(res["wind_ok"][0]):
+        w = int(res["wind"][0])
         if w == 0:
             return HoleDecision(outcome=OUTCOME_HOLE, margin=margin,
                                 grid_size_used=K_used)
@@ -746,20 +636,22 @@ def _decision_from_arrays(res: dict, i: int, tail_bound: float) -> HoleDecision:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _check_K_init(K_init: int):
+def _check_ladder_args(r: float, K_init: int, K_cap: int):
+    if not (0.0 < r < 1.0):
+        raise InvalidRadius(f"r must lie in (0, 1), got {r}")
     if K_init < 1:
         raise DomainError(f"K_init must be >= 1, got {K_init}")
+    if K_cap < 1:
+        raise DomainError(f"K_cap must be >= 1, got {K_cap}")
 
 
 def _check_estimator_args(r: float, trials: int, confidence: float,
-                          K_init: int):
-    if not (0.0 < r < 1.0):
-        raise InvalidRadius(f"r must lie in (0, 1), got {r}")
+                          K_init: int, K_cap: int):
+    _check_ladder_args(r, K_init, K_cap)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
-    _check_K_init(K_init)
 
 
 def _check_budget(trials: int, N_t: int, budget: float):
@@ -796,32 +688,35 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """Direct Monte Carlo estimate of the hole probability at radius r.
 
     Each trial samples a truncated series on its own stream (stream id =
-    trial index) and runs the certified decision.  Inconclusive trials
-    widen the Wilson interval pessimistically: they count as hits for
-    p_high and as misses for p_low.
+    trial index) and runs the certified decision: the ladder to K_cap with
+    the zero-first stage; rows still open at the cap are Inconclusive.
+    Inconclusive trials widen the Wilson interval pessimistically: they
+    count as hits for p_high and as misses for p_low.  kernel counts the
+    rows of each path (zero_first + uniform_ladder + inconclusive = trials)
+    and those open at the cap (open_at_cap, the trials not in settle_K).
     """
-    _check_estimator_args(r, trials, confidence, K_init)
+    _check_estimator_args(r, trials, confidence, K_init, K_cap)
     N_t = truncation_degree(model, r, tau_rel)
     _check_budget(trials, N_t, budget)
     tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
 
     def worker(lo: int, hi: int):
         C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
-        res = _decide_rows(C, r, tail, K_init, K_cap, zero_first=True)
+        res = _certify_rows(C, r, K_init, K_cap, tail=tail, zero_first=True)
         zf = res["zero_first"]
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
         zero = (ok & (res["wind"] >= 1)) | zf
         inc = ~(hole | zero)
-        by_adaptive = (hole | zero) & res["adaptive"]
-        by_ladder = (hole | zero) & ~zf & ~res["adaptive"]
+        by_ladder = (hole | zero) & ~zf
         settled = [int(np.sum(res["settle_K"] == K)) for K in levels]
         return (int(hole.sum()), int(zero.sum()), int(inc.sum()),
-                int(zf.sum()), int(by_ladder.sum()), int(by_adaptive.sum()),
+                int(zf.sum()), int(by_ladder.sum()),
+                int(np.sum(res["settle_K"] == 0)),
                 int((by_ladder & res["tube"]).sum()), *settled)
 
-    levels = _ladder_levels(K_init, min(int(K_cap), _UNIFORM_STAGE_CAP))
-    (holes_n, zeros_n, inc_n, zf_n, ladder_n, adaptive_n, tube_n,
+    levels = _ladder_levels(K_init, K_cap)
+    (holes_n, zeros_n, inc_n, zf_n, ladder_n, open_n, tube_n,
      *settled) = _batched_counts(trials, workers, worker)
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
@@ -837,7 +732,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
             "certificate_failure_budget": trials * math.exp(log_fail),
         },
         kernel={"zero_first": zf_n, "uniform_ladder": ladder_n,
-                "adaptive": adaptive_n, "inconclusive": int(inc_n),
+                "open_at_cap": open_n, "inconclusive": int(inc_n),
                 "tube": tube_n,
                 "settle_K": {K: n for K, n in zip(levels, settled) if n}})
 
@@ -959,7 +854,7 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     p_high is 1: this mode only certifies a lower bound.  eps, B and
     alpha_exp feed the default threshold and are ignored when M is given.
     """
-    _check_estimator_args(r, trials, confidence, K_init)
+    _check_estimator_args(r, trials, confidence, K_init, K_cap)
     if M is None:
         if model.kind in ("Hyperbolic", "PowerLaw"):
             M = default_threshold(model.L, r, eps=eps, B=B,
@@ -1082,7 +977,7 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     the two failures together stay within 1 - confidence.  p_low underflows
     to 0 deep in the asymptotic regime; metadata keeps log10_p_low.
     """
-    _check_estimator_args(r, trials, confidence, K_init)
+    _check_estimator_args(r, trials, confidence, K_init, K_cap)
     q, N, N1, M, r2, alpha1, log_Q2 = tilt_profile(model, r, alpha_exp, alpha1)
     if N < 1:
         raise TiltOutOfRange(

@@ -311,6 +311,8 @@ def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     ref = [_reference(C, 0.9, 8, 4096, tail=tail),
            _reference(C, 0.9, 12, 4096, tail=tail, zero_first=True),
            _reference(C, 0.9, 8, 2048)]
+    # a chunk below the grid size also sends the open rows up the rest of
+    # the ladder one at a time
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
     res = [holes._certify_rows(C, 0.9, 8, 4096, tail=tail),
            holes._certify_rows(C, 0.9, 12, 4096, tail=tail, zero_first=True),

@@ -49,15 +49,16 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
     cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.7", "--out", str(out)])
     meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
     assert len(meta["kernel"]) == 2
-    paths = ("zero_first", "uniform_ladder", "adaptive", "inconclusive")
+    paths = ("zero_first", "uniform_ladder", "inconclusive")
     for k in meta["kernel"]:
-        assert set(k) == set(paths) | {"tube", "settle_K"}
+        assert set(k) == set(paths) | {"open_at_cap", "tube", "settle_K"}
         assert sum(k[p] for p in paths) == 256
         # rows decided only by the second-order bound, and the ladder levels
-        # (JSON keys) at which every non-adaptive row settled
+        # (JSON keys) at which every row not open at the cap settled
         assert 0 <= k["tube"] <= k["uniform_ladder"]
         assert all(int(K) >= 8 for K in k["settle_K"])
-        assert sum(k["settle_K"].values()) == 256 - k["adaptive"]
+        assert sum(k["settle_K"].values()) == 256 - k["open_at_cap"]
+        assert k["open_at_cap"] <= k["inconclusive"]
     # the lower-bound modes do not run the direct kernel: they count the
     # rows of their sup ladder instead
     thr = tmp_path / "thr.jsonl"
@@ -141,10 +142,15 @@ def test_estimator_domain_error_reported_cleanly(capsys):
 
 @pytest.mark.parametrize("k_init", ["0", "-8"])
 def test_non_positive_K_init_reported_cleanly(k_init, capsys):
-    assert cli.main(ESTIMATE_ARGS + ["--K-init", k_init]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "K_init" in err
+    # K_cap shares the check, in every mode (a zero cap used to crash the
+    # direct kernel and pass silently through the lower-bound modes)
+    for mode in ("direct", "threshold_lower", "tilted_lower"):
+        for flag, key in (("--K-init", "K_init"), ("--K-cap", "K_cap")):
+            args = ESTIMATE_ARGS + ["--L", "2", "--r", "0.9", "--mode", mode]
+            assert cli.main(args + [flag, k_init]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert key in err
 
 
 def test_coeffs_command_values(capsys):

@@ -82,14 +82,27 @@ def test_decision_zero_inside():
     assert d.grid_size_used == 8
 
 
-def test_decision_near_circle_root_uses_refinement():
-    # root a relative 1e-7 outside the circle: the ladder separates it
-    # from zero only on a fine grid (8192 points, with the tube bound)
-    root = 0.5 * (1.0 + 1e-7)
-    d = holes.hole_decision(_poly_sample([-root, 1.0]), 0.5, 1e-9)
-    assert d.outcome == holes.OUTCOME_HOLE
-    assert 0.0 < d.margin <= 5e-8
-    assert d.grid_size_used > 1000
+@pytest.mark.parametrize("delta, tail, side", [
+    (1e-7, 1e-9, 1),
+    *[(delta, 1e-13, side) for delta in (1e-9, 1e-10, 1e-11, 1e-12)
+      for side in (1, -1)],
+])
+def test_decision_near_circle_root_uses_refinement(delta, tail, side):
+    # root a relative delta outside (side 1) or inside (side -1) the
+    # circle: the ladder separates it from the circle only on a fine grid,
+    # 8192 points at 1e-7 (tube bound) and 2^17 to 2^20 points below 1e-8
+    root = 0.5 * (1.0 + side * delta)
+    d = holes.hole_decision(_poly_sample([-root, 1.0]), 0.5, tail)
+    wrong = holes.OUTCOME_ZERO if side > 0 else holes.OUTCOME_HOLE
+    assert d.outcome != wrong
+    if delta < 1e-11:
+        return   # below what the default cap resolves: may be Inconclusive
+    if side > 0:
+        assert d.outcome == holes.OUTCOME_HOLE
+    else:
+        assert (d.outcome, d.zero_count) == (holes.OUTCOME_ZERO, 1)
+    assert 0.0 < d.margin <= delta / 2
+    assert d.grid_size_used > (1000 if delta > 1e-8 else 1 << 14)
 
 
 def test_decisions_sound_on_planted_roots():
@@ -332,20 +345,23 @@ def test_estimator_argument_guards():
         holes.estimate_hole_direct(m, 0.9, 10 ** 7, 0, budget=1e3)
 
 
-@pytest.mark.parametrize("K_init", [0, -8])
-def test_non_positive_K_init_rejected(K_init):
+@pytest.mark.parametrize("K", [0, -8])
+def test_non_positive_K_init_rejected(K):
+    # the first and the largest grid size share one check
     s = _poly_sample([1.0])
-    with pytest.raises(DomainError):
-        holes.hole_decision(s, 0.5, 0.1, K_init=K_init)
-    with pytest.raises(DomainError):
-        holes.winding_number_certified(s, 0.5, K_init=K_init)
-    with pytest.raises(DomainError):
-        holes.min_modulus_certified(s, 0.5, K_init=K_init)
-    for est in (holes.estimate_hole_direct, holes.estimate_hole_lower_threshold):
+    for kw in ({"K_init": K}, {"K_cap": K}):
         with pytest.raises(DomainError):
-            est(hyperbolic(1.0), 0.5, 8, 0, K_init=K_init)
-    with pytest.raises(DomainError):
-        holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, K_init=K_init)
+            holes.hole_decision(s, 0.5, 0.1, **kw)
+        with pytest.raises(DomainError):
+            holes.winding_number_certified(s, 0.5, **kw)
+        with pytest.raises(DomainError):
+            holes.min_modulus_certified(s, 0.5, **kw)
+        for est in (holes.estimate_hole_direct,
+                    holes.estimate_hole_lower_threshold):
+            with pytest.raises(DomainError):
+                est(hyperbolic(1.0), 0.5, 8, 0, **kw)
+        with pytest.raises(DomainError):
+            holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, **kw)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])

@@ -35,15 +35,16 @@ def _hole(res, tail):
 @pytest.mark.parametrize("L, r", [(1.0, 0.7), (2.0, 0.9)])
 def test_row_results_identical_alone_and_in_a_full_batch(L, r):
     C, tail = _batch(L, r, 61, holes.BATCH_TRIALS)
-    batch = holes._decide_rows(C, r, tail, zero_first=True)
-    zf, adaptive = batch["zero_first"], batch["adaptive"]
-    # rows from every path the kernel has: zero-first, ladder, adaptive
+    batch = holes._certify_rows(C, r, tail=tail, zero_first=True)
+    zf = batch["zero_first"]
+    # rows from every path the kernel has: zero-first, ladder, and the
+    # rows that climbed the ladder highest
     picks = np.concatenate([np.nonzero(zf)[0][:6],
-                            np.nonzero(~zf & ~adaptive)[0][:6],
-                            np.nonzero(adaptive)[0][:4]])
+                            np.nonzero(~zf)[0][:6],
+                            np.argsort(batch["settle_K"], kind="stable")[-4:]])
     assert np.any(zf[picks])
     for i in picks:
-        alone = holes._decide_rows(C[i:i + 1], r, tail, zero_first=True)
+        alone = holes._certify_rows(C[i:i + 1], r, tail=tail, zero_first=True)
         for key, col in batch.items():
             assert col[i:i + 1].tobytes() == alone[key].tobytes(), (i, key)
 
@@ -52,12 +53,13 @@ def test_kernel_counters_add_up_and_ignore_worker_count():
     a = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=1)
     b = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=2)
     assert a.kernel == b.kernel
-    paths = ("zero_first", "uniform_ladder", "adaptive", "inconclusive")
+    paths = ("zero_first", "uniform_ladder", "inconclusive")
     assert sum(a.kernel[k] for k in paths) == a.trials
-    # the tube rows are ladder rows; every row but the adaptive ones left
-    # the ladder at some level
+    # the tube rows are ladder rows; every row but those open at the cap
+    # left the ladder at some level, and an open row is inconclusive
     assert 0 < a.kernel["tube"] <= a.kernel["uniform_ladder"]
-    assert sum(a.kernel["settle_K"].values()) == a.trials - a.kernel["adaptive"]
+    assert sum(a.kernel["settle_K"].values()) == a.trials - a.kernel["open_at_cap"]
+    assert a.kernel["open_at_cap"] <= a.kernel["inconclusive"]
     assert a.kernel["inconclusive"] == a.inconclusive
     assert a.kernel["zero_first"] > 0 and a.kernel["uniform_ladder"] > 0
     assert a.kernel["zero_first"] <= a.metadata["zeros_certified"]
@@ -80,8 +82,8 @@ def test_kernel_counters_add_up_and_ignore_worker_count():
 ])
 def test_ladder_never_calls_a_zero_first_row_a_hole(L, r, rows, K_cap):
     C, tail = _batch(L, r, 71, rows)
-    fast = holes._decide_rows(C, r, tail, K_cap=K_cap, zero_first=True)
-    exact = holes._decide_rows(C, r, tail, K_cap=K_cap)
+    fast = holes._certify_rows(C, r, K_cap=K_cap, tail=tail, zero_first=True)
+    exact = holes._certify_rows(C, r, K_cap=K_cap, tail=tail)
     zf = fast["zero_first"]
     assert zf.sum() >= rows // 8
     assert not np.any(_hole(exact, tail) & zf)
@@ -96,7 +98,7 @@ def test_direct_estimate_matches_ladder_only_counts():
     r, trials = 0.7, 2048
     est = holes.estimate_hole_direct(hyperbolic(1.0), r, trials, 23)
     C, tail = _batch(1.0, r, 23, trials)
-    exact = holes._decide_rows(C, r, tail)
+    exact = holes._certify_rows(C, r, tail=tail)
     ok = (exact["mm_lb"] > tail) & exact["wind_ok"]
     assert est.hits == int(np.sum(ok & (exact["wind"] == 0)))
     assert est.metadata["zeros_certified"] == int(np.sum(ok & (exact["wind"] >= 1)))
@@ -109,7 +111,7 @@ def test_direct_estimate_matches_ladder_only_counts():
 
 def _assert_never_zero_first(C, rho, tail):
     assert not holes._zero_certified(C, rho, tail).any()
-    res = holes._decide_rows(C, rho, tail, zero_first=True)
+    res = holes._certify_rows(C, rho, tail=tail, zero_first=True)
     assert not res["zero_first"].any()
     ok = (res["mm_lb"] > tail) & res["wind_ok"]
     assert not np.any(ok & (res["wind"] != 0))
@@ -167,7 +169,7 @@ def test_explicit_model_with_zero_tail_certifies_only_true_zeros():
     inside = np.array([np.min(np.abs(np.roots(c[::-1]))) < r for c in C[zf]])
     assert inside.all()
     est = holes.estimate_hole_direct(m, r, 4096, 3)
-    exact = holes._decide_rows(C, r, tail)
+    exact = holes._certify_rows(C, r, tail=tail)
     assert est.hits == int(np.sum(_hole(exact, tail)))
 
 
