@@ -646,17 +646,19 @@ def _check_ladder_args(r: float, K_init: int, K_cap: int):
 
 
 def _check_estimator_args(r: float, trials: int, confidence: float,
-                          K_init: int, K_cap: int):
+                          K_init: int, K_cap: int, workers: int):
     _check_ladder_args(r, K_init, K_cap)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
 
 
 def _check_budget(trials: int, N_t: int, budget: float):
     cost = float(trials) * float(N_t)
-    if cost > budget:
+    if not (cost <= budget):  # a NaN budget rejects, never disables
         raise ComputeBudgetExceeded(
             f"trials * N_t = {cost:.3e} exceeds compute budget {budget:.3e}")
 
@@ -695,7 +697,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     rows of each path (zero_first + uniform_ladder + inconclusive = trials)
     and those open at the cap (open_at_cap, the trials not in settle_K).
     """
-    _check_estimator_args(r, trials, confidence, K_init, K_cap)
+    _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t = truncation_degree(model, r, tau_rel)
     _check_budget(trials, N_t, budget)
     tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
@@ -854,15 +856,15 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     p_high is 1: this mode only certifies a lower bound.  eps, B and
     alpha_exp feed the default threshold and are ignored when M is given.
     """
-    _check_estimator_args(r, trials, confidence, K_init, K_cap)
+    _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     if M is None:
         if model.kind in ("Hyperbolic", "PowerLaw"):
             M = default_threshold(model.L, r, eps=eps, B=B,
                                   alpha_exp=alpha_exp)
         else:
             M = default_threshold(1.0, r, eps=eps, B=B, alpha_exp=alpha_exp)
-    if M <= 0.0:
-        raise ValueError(f"threshold M must be positive, got {M}")
+    if not (0.0 < M < math.inf):
+        raise DomainError(f"threshold M must be positive and finite, got {M}")
     N_t = truncation_degree(model, r, tau_rel)
     _check_budget(trials, N_t, budget)
     tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
@@ -941,10 +943,10 @@ def tilt_profile(model: CoefficientModel, r: float, alpha_exp: float = 0.75,
                          - L * math.log(log1d))
         log_S = parts[0] if len(parts) == 1 else np.logaddexp(parts[0], parts[1])
         alpha1 = min(cap, math.exp(-math.log(4.0 * delta) - float(log_S)))
-    elif alpha1 <= 0.0 or alpha1 > cap * (1.0 + 1e-12):
+    elif not (0.0 < alpha1 <= cap * (1.0 + 1e-12)):
         raise TiltOutOfRange(
-            f"alpha1={alpha1} exceeds the admissible cap {cap:.6g} "
-            "(q_n must stay in (0, 1])")
+            f"alpha1 must lie in (0, {cap:.6g}], the admissible cap, got "
+            f"{alpha1} (q_n must stay in (0, 1])")
     log_q_sq = np.empty(N)
     log_q_sq[:N1] = math.log(alpha1) - log_head_scale[:N1]
     log_q_sq[N1:] = math.log(alpha1) - L * math.log(log1d)
@@ -977,7 +979,7 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     the two failures together stay within 1 - confidence.  p_low underflows
     to 0 deep in the asymptotic regime; metadata keeps log10_p_low.
     """
-    _check_estimator_args(r, trials, confidence, K_init, K_cap)
+    _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     q, N, N1, M, r2, alpha1, log_Q2 = tilt_profile(model, r, alpha_exp, alpha1)
     if N < 1:
         raise TiltOutOfRange(

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import i0e
 
 from . import rng
@@ -141,6 +140,9 @@ def neg_moment_quadrature(theta: float, t: float, w: complex) -> float:
     Absolute error well below 1e-8 (the integrand is bounded by 1 and the
     quadrature is adaptive with the kink location supplied).
     """
+    # scipy.integrate takes about 0.3 s to import and only this needs it
+    from scipy.integrate import quad
+
     if not (0.0 <= theta < 2.0):
         raise DomainError(f"theta must lie in [0, 2), got {theta}")
     if not (t > 0.0):

@@ -140,17 +140,39 @@ def test_estimator_domain_error_reported_cleanly(capsys):
     assert "trials" in err
 
 
-@pytest.mark.parametrize("k_init", ["0", "-8"])
-def test_non_positive_K_init_reported_cleanly(k_init, capsys):
-    # K_cap shares the check, in every mode (a zero cap used to crash the
-    # direct kernel and pass silently through the lower-bound modes)
-    for mode in ("direct", "threshold_lower", "tilted_lower"):
-        for flag, key in (("--K-init", "K_init"), ("--K-cap", "K_cap")):
-            args = ESTIMATE_ARGS + ["--L", "2", "--r", "0.9", "--mode", mode]
-            assert cli.main(args + [flag, k_init]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error:")
-            assert key in err
+# (flags, text the error must name), each on L=2, r=0.9, where all three
+# modes apply.  K_cap shares the K_init check in every mode, and a NaN must
+# fail each range check rather than slip past it.
+_MODES = ("direct", "threshold_lower", "tilted_lower")
+_BAD_ESTIMATE_FLAGS = (
+    [(["--mode", m, flag, v], key) for m in _MODES
+     for flag, key in (("--K-init", "K_init"), ("--K-cap", "K_cap"))
+     for v in ("0", "-8")]
+    + [(["--mode", m, "--workers", v], "workers") for m in _MODES
+       for v in ("0", "-3")]
+    + [(["--mode", m, "--budget", "nan"], "budget") for m in _MODES]
+    + [(["--mode", "threshold_lower"] + f, "threshold M") for f in (
+        ["--M", "0"], ["--M", "-1"], ["--M", "nan"], ["--M", "inf"],
+        ["--L", "1", "--B", "-3"], ["--L", "0.5", "--eps", "nan"],
+        ["--alpha-exp", "nan"])]
+    + [(["--mode", "tilted_lower", "--alpha1", v], "alpha1 must lie in (0, ")
+       for v in ("nan", "-1", "1e9")]
+)
+
+
+def _flags_id(flags):
+    return ",".join(f"{k.lstrip('-')}={v}"
+                    for k, v in zip(flags[::2], flags[1::2]))
+
+
+@pytest.mark.parametrize("flags, key", _BAD_ESTIMATE_FLAGS,
+                         ids=[_flags_id(f) for f, _ in _BAD_ESTIMATE_FLAGS])
+def test_non_positive_K_init_reported_cleanly(flags, key, capsys):
+    args = ESTIMATE_ARGS + ["--L", "2", "--r", "0.9"]
+    assert cli.main(args + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err
 
 
 def test_coeffs_command_values(capsys):
@@ -265,14 +287,28 @@ def test_oracle_verify_writes_one_row_per_report(tmp_path):
     assert all(row["check_id"] and row["passed"] for row in rows)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes about 0.45 s to import
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats and scipy.integrate take about 0.45 s and 0.3 s to import;
+    # importing the CLI and estimating in every mode needs scipy.special only
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, gafholes.cli; print('scipy.stats' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code],
+    code = """
+import json, sys
+from gafholes import cli
+base = ["estimate", "--model", "Hyperbolic", "--trials", "64", "--seed", "1",
+        "--out", sys.argv[1]]
+for mode in (["--L", "1", "--r", "0.5", "--mode", "direct"],
+             ["--L", "1", "--r", "0.5", "--mode", "threshold_lower"],
+             ["--L", "2", "--r", "0.9", "--mode", "tilted_lower",
+              "--K-cap", "256"]):
+    assert cli.main(base + mode) == 0
+print(json.dumps(sorted({name.split(".")[1] for name, mod in sys.modules.items()
+                         if name.startswith("scipy.") and hasattr(mod, "__path__")
+                         and not name.split(".")[1].startswith("_")})))
+"""
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "e.jsonl")],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert json.loads(done.stdout.splitlines()[-1]) == ["special"]
 
 
 def test_version_flag():

@@ -347,7 +347,8 @@ def test_estimator_argument_guards():
 
 @pytest.mark.parametrize("K", [0, -8])
 def test_non_positive_K_init_rejected(K):
-    # the first and the largest grid size share one check
+    # the first and the largest grid size share one check; the estimators
+    # check the worker count with it
     s = _poly_sample([1.0])
     for kw in ({"K_init": K}, {"K_cap": K}):
         with pytest.raises(DomainError):
@@ -356,6 +357,7 @@ def test_non_positive_K_init_rejected(K):
             holes.winding_number_certified(s, 0.5, **kw)
         with pytest.raises(DomainError):
             holes.min_modulus_certified(s, 0.5, **kw)
+    for kw in ({"K_init": K}, {"K_cap": K}, {"workers": K}):
         for est in (holes.estimate_hole_direct,
                     holes.estimate_hole_lower_threshold):
             with pytest.raises(DomainError):
