@@ -105,10 +105,7 @@ def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
     draw depends only on (seed, stream_id, n), and all transformations are
     elementwise.
     """
-    streams = np.asarray(stream_ids, dtype=np.uint64)
-    keys = rng.stream_key(seed, streams, rng.PURPOSE_SAMPLE)[:, None]
-    idx = np.arange(N_t + 1, dtype=np.uint64)[None, :]
-    zetas = rng.complex_gaussians(keys, idx)
+    zetas = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1)
     a = coefficients(model, N_t)
     return zetas * a[None, :]
 

@@ -192,7 +192,6 @@ class HoleEstimate:
 
     def to_record(self) -> dict:
         """Deterministic record (runtime excluded; see CLI sidecar)."""
-        md = {k: v for k, v in self.metadata.items() if k != "wall_time_s"}
         return {
             "mode": self.mode,
             "model": self.model.describe(),
@@ -205,7 +204,7 @@ class HoleEstimate:
             "p_high": self.p_high,
             "confidence": self.confidence,
             "seed": self.seed,
-            **md,
+            **self.metadata,
         }
 
 
@@ -753,6 +752,9 @@ def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
     delta = 1.0 - r
     if L < 1.0:
+        if 1.0 - L + 2.0 * eps < 0.0:
+            raise DomainError(
+                f"eps must be >= (L - 1)/2 = {(L - 1.0) / 2.0} at L < 1, got {eps}")
         return math.sqrt(1.0 - L + 2.0 * eps) * (1.0 - r * r) ** (-L / 2.0) \
             * math.sqrt(math.log(1.0 / delta))
     if L == 1.0:
@@ -993,19 +995,15 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     half = M / 2.0
 
     def worker_mid(lo: int, hi: int):
-        streams = np.arange(lo, hi, dtype=np.uint64)
-        keys = rng.stream_key(seed, streams, rng.PURPOSE_TILT_MIDDLE)[:, None]
-        idx = np.arange(1, N + 1, dtype=np.uint64)[None, :]
-        zetas = rng.complex_gaussians(keys, idx)
-        C = np.zeros((len(streams), N + 1), dtype=complex)
+        zetas = rng.gaussian_rows(seed, np.arange(lo, hi),
+                                  rng.PURPOSE_TILT_MIDDLE, 1, N + 1)
+        C = np.zeros((hi - lo, N + 1), dtype=complex)
         C[:, 1:] = zetas * (q * a[1:N + 1])[None, :]
         return _sup_counts(C, r, half, 0.0, K_init, K_cap)
 
     def worker_tail(lo: int, hi: int):
-        streams = np.arange(lo, hi, dtype=np.uint64)
-        keys = rng.stream_key(seed, streams, rng.PURPOSE_TILT_TAIL)[:, None]
-        idx = np.arange(N + 1, N_t + 1, dtype=np.uint64)[None, :]
-        zetas = rng.complex_gaussians(keys, idx)
+        zetas = rng.gaussian_rows(seed, np.arange(lo, hi),
+                                  rng.PURPOSE_TILT_TAIL, N + 1, N_t + 1)
         inner = zetas * a[N + 1:N_t + 1][None, :]
         # T(z) = z^{N+1} * inner(z), evaluated as inner on the circle
         return _sup_counts(inner, r, half, tail_beyond, K_init, K_cap,

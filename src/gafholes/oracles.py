@@ -16,7 +16,8 @@ rely on:
     bound over shifts;
   * mixture/rejection coupling samplers realizing a standard complex
     Gaussian that conditionally has a smaller variance (componentwise over
-    coefficient sequences: conditionally a damped Gaussian Taylor series).
+    coefficient sequences: conditionally a damped Gaussian Taylor series),
+    vectorized over streams on fixed per-stream counters.
 
 The quadrature for E|w + zeta/t|^{-theta} reduces the planar integral to a
 radial one in polar coordinates around the singularity; the substitution
@@ -257,9 +258,7 @@ def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
     step = 1 << 16
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
-        keys = rng.stream_key(seed, np.arange(lo, hi, dtype=np.uint64),
-                              rng.PURPOSE_JOINT_MOMENT)[:, None]
-        g = rng.complex_gaussians(keys, m.astype(np.uint64)[None, :])
+        g = rng.gaussian_rows(seed, np.arange(lo, hi), rng.PURPOSE_JOINT_MOMENT, 0, N)
         eta = (g * scale[None, :]) @ fourier.T
         prods[lo:hi] = np.prod(np.abs(eta) ** -theta, axis=1)
     est = float(np.mean(prods))
@@ -332,19 +331,7 @@ def unity_average_defect_check(polys=None, ks=(4, 8, 16),
 # coupling samplers
 # ---------------------------------------------------------------------------
 
-def _coupling_uniform(key: np.ndarray, counter: int) -> float:
-    return float(rng.uniforms(key, np.asarray([counter], dtype=np.uint64))[0])
-
-
-def _coupling_gaussian(key: np.ndarray, base: int) -> complex:
-    u1 = _coupling_uniform(key, base)
-    u2 = _coupling_uniform(key, base + 1)
-    rad = math.sqrt(-math.log(u1))
-    ang = 2.0 * math.pi * u2
-    return rad * complex(math.cos(ang), math.sin(ang))
-
-
-def gaussian_coupling_sample(sigma: float, seed: int, stream: int):
+def gaussian_coupling_sample(sigma, seed: int, stream):
     """(zeta, in_event): standard complex Gaussian that conditionally shrinks.
 
     With probability sigma^2 returns (sigma * standard draw, True): on the
@@ -353,60 +340,71 @@ def gaussian_coupling_sample(sigma: float, seed: int, stream: int):
     z, accept with probability 1 - exp(-|z|^2 (1/sigma^2 - 1)); acceptance
     rate exactly 1 - sigma^2) and returns (z, False).  Marginally zeta is
     a standard complex Gaussian.
+
+    stream may be an integer array that sigma broadcasts against; a scalar
+    call returns (complex, bool).  Each element draws only on its stream's
+    PURPOSE_COUPLING key: uniform 0 decides the event, and rejection round
+    j = 0, 1, ... proposes the Gaussian at index 2j + 1 (uniforms 4j + 2,
+    4j + 3) and accepts on uniform 4j + 4; on the event, zeta is sigma
+    times the round-0 proposal.
     """
-    if not (0.0 < sigma <= 1.0):
+    sig = np.asarray(sigma, dtype=float)
+    if not np.all((0.0 < sig) & (sig <= 1.0)):
         raise DomainError(f"sigma must lie in (0, 1], got {sigma}")
-    key = rng.stream_key(seed, np.asarray(stream, dtype=np.uint64),
-                         rng.PURPOSE_COUPLING)
-    u0 = _coupling_uniform(key, 0)
-    if u0 < sigma * sigma:
-        return sigma * _coupling_gaussian(key, 1), True
-    inv = 1.0 / (sigma * sigma) - 1.0
-    base = 3
-    while True:
-        z = _coupling_gaussian(key, base)
-        u = _coupling_uniform(key, base + 2)
-        if u < 1.0 - math.exp(-abs(z) ** 2 * inv):
-            return z, False
-        base += 3
+    keys = rng.stream_key(seed, stream, rng.PURPOSE_COUPLING)
+    shape = np.broadcast_shapes(sig.shape, keys.shape)
+    keys, sig = (np.broadcast_to(x, shape).ravel() for x in (keys, sig))
+    in_event = rng.uniforms(keys, 0) < sig * sig
+    zeta = rng.complex_gaussians(keys, 1)
+    zeta[in_event] *= sig[in_event]
+    inv = 1.0 / (sig * sig) - 1.0
+    open_, j = np.flatnonzero(~in_event), 0
+    while open_.size:
+        k = keys[open_]
+        z = rng.complex_gaussians(k, 2 * j + 1)
+        accept = rng.uniforms(k, 4 * j + 4) \
+            < -np.expm1(-np.abs(z) ** 2 * inv[open_])
+        zeta[open_[accept]] = z[accept]
+        open_, j = open_[~accept], j + 1
+    if not shape:
+        return complex(zeta[0]), bool(in_event[0])
+    return zeta.reshape(shape), in_event.reshape(shape)
 
 
-def gaf_coupling_sample(b_seq, c_seq, N: int, seed: int, stream: int):
+def gaf_coupling_sample(b_seq, c_seq, N: int, seed: int, stream):
     """(coefficients, in_event) for the componentwise series coupling.
 
     Marginally the coefficient vector is (zeta_n b_n)_{n<=N}; conditioned
     on in_event (probability Q^2 = prod |c_n/b_n|^2) its law is that of
     (zeta_n c_n) up to coefficient phases, which the rotation-invariant
-    Gaussians make irrelevant.  Componentwise substreams are derived as
-    stream * 2^32 + n.
+    Gaussians make irrelevant.  zeta_n is gaussian_coupling_sample with
+    sigma_n = |c_n/b_n| (1 where b_n = c_n = 0) on the substream
+    stream * 2^32 + n, so stream must lie in [0, 2^32).  An array of
+    streams returns rows of shape stream.shape + (N + 1,).
     """
     b = np.asarray(b_seq, dtype=complex)
     c = np.asarray(c_seq, dtype=complex)
     if len(b) < N + 1 or len(c) < N + 1:
         raise RatioOutOfRange(
             f"need coefficients 0..{N}, got lengths {len(b)}, {len(c)}")
-    coeffs = np.zeros(N + 1, dtype=complex)
-    in_event = True
-    for n in range(N + 1):
-        bn, cn = abs(b[n]), abs(c[n])
-        if bn == 0.0:
-            if cn != 0.0:
-                raise RatioOutOfRange(
-                    f"|c_{n}| = {cn} > |b_{n}| = 0 is not a damping")
-            sigma_n = 1.0
-        else:
-            sigma_n = cn / bn
-            if sigma_n > 1.0:
-                raise RatioOutOfRange(
-                    f"|c_{n}|/|b_{n}| = {sigma_n} > 1 is not a damping")
-            if sigma_n == 0.0:
-                raise RatioOutOfRange(
-                    f"c_{n} = 0 with b_{n} != 0 makes the event probability 0")
-        zeta, ok = gaussian_coupling_sample(
-            sigma_n, seed, (int(stream) << 32) + n)
-        coeffs[n] = zeta * b[n]
-        in_event = in_event and ok
-    return coeffs, in_event
+    bn, cn = np.abs(b[:N + 1]), np.abs(c[:N + 1])
+    for n in np.flatnonzero((cn > bn) | ((cn == 0.0) & (bn > 0.0))):
+        if bn[n] == 0.0:
+            raise RatioOutOfRange(
+                f"|c_{n}| = {cn[n]} > |b_{n}| = 0 is not a damping")
+        if cn[n] == 0.0:
+            raise RatioOutOfRange(
+                f"c_{n} = 0 with b_{n} != 0 makes the event probability 0")
+        raise RatioOutOfRange(
+            f"|c_{n}|/|b_{n}| = {cn[n] / bn[n]} > 1 is not a damping")
+    s = np.asarray(stream)
+    if s.dtype.kind not in "iu" or np.any(s < 0) or np.any(s >= 1 << 32):
+        raise DomainError(f"stream must be an integer in [0, 2^32), got {stream}")
+    sub = (s.astype(np.uint64)[..., None] << 32) + np.arange(N + 1, dtype=np.uint64)
+    sigma = np.divide(cn, bn, out=np.ones_like(bn), where=bn != 0.0)
+    zeta, ok = gaussian_coupling_sample(sigma, seed, sub)
+    in_event = np.all(ok, axis=-1)
+    return zeta * b[:N + 1], (bool(in_event) if s.ndim == 0 else in_event)
 
 
 def standard_reports(seed: int = 0, quick: bool = False) -> List[CheckReport]:

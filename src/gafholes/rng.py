@@ -96,3 +96,12 @@ def complex_gaussians(key: np.ndarray, index) -> np.ndarray:
     radius = np.sqrt(-np.log(u1))
     angle = 2.0 * np.pi * u2
     return radius * (np.cos(angle) + 1j * np.sin(angle))
+
+
+def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int) -> np.ndarray:
+    """The row sampler: Gaussians at indices lo..hi-1 of each stream's key.
+
+    Shape (len(streams), hi - lo); every batch of draws comes from here.
+    """
+    keys = stream_key(seed, streams, purpose)[:, None]
+    return complex_gaussians(keys, np.arange(lo, hi, dtype=np.uint64)[None, :])

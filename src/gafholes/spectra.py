@@ -247,19 +247,15 @@ def split_sample_batch(split: SplitModel, N_t: int, seed: int, stream_ids):
     (coefficient variances a_n^2), G1 uses b_n (a_n beyond N-1) with the
     primary stream, G2 uses d_n (zero beyond N-1) with the secondary stream.
     """
-    streams = np.asarray(stream_ids, dtype=np.uint64)
-    idx = np.arange(1, N_t + 1, dtype=np.uint64)[None, :]
-    k1 = rng.stream_key(seed, streams, rng.PURPOSE_SPLIT_PRIMARY)[:, None]
-    k2 = rng.stream_key(seed, streams, rng.PURPOSE_SPLIT_SECONDARY)[:, None]
-    z1 = rng.complex_gaussians(k1, idx)
-    z2 = rng.complex_gaussians(k2, idx)
+    z1 = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SPLIT_PRIMARY, 1, N_t + 1)
+    z2 = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SPLIT_SECONDARY, 1, N_t + 1)
     a = coefficients(split.model, N_t)
     b_full = a.copy()
     d_full = np.zeros(N_t + 1)
     upto = min(split.N - 1, N_t)
     b_full[1:upto + 1] = split.b[:upto]
     d_full[1:upto + 1] = split.d[:upto]
-    B = len(streams)
+    B = len(z1)
     g1 = np.zeros((B, N_t + 1), dtype=complex)
     g2 = np.zeros((B, N_t + 1), dtype=complex)
     g1[:, 1:] = z1 * b_full[None, 1:]

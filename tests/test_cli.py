@@ -155,6 +155,8 @@ _BAD_ESTIMATE_FLAGS = (
         ["--M", "0"], ["--M", "-1"], ["--M", "nan"], ["--M", "inf"],
         ["--L", "1", "--B", "-3"], ["--L", "0.5", "--eps", "nan"],
         ["--alpha-exp", "nan"])]
+    + [(["--mode", "threshold_lower", "--L", "0.5", "--r", "0.5",
+         "--eps", "-1"], "eps")]
     + [(["--mode", "tilted_lower", "--alpha1", v], "alpha1 must lie in (0, ")
        for v in ("nan", "-1", "1e9")]
 )

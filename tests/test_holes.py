@@ -249,6 +249,15 @@ def test_threshold_default_M_by_regime():
         rel=1e-12)
 
 
+def test_threshold_default_M_rejects_negative_radicand():
+    # decaying regime: sqrt(1 - L + 2 eps) needs eps >= (L - 1)/2
+    with pytest.raises(DomainError, match="eps"):
+        holes.default_threshold(0.5, 0.5, eps=-1.0)
+    with pytest.raises(DomainError, match="eps"):
+        holes.estimate_hole_lower_threshold(hyperbolic(0.5), 0.5, 8, 0, eps=-1.0)
+    assert holes.default_threshold(0.5, 0.5, eps=-0.25) == 0.0
+
+
 def test_threshold_never_exceeds_direct_upper():
     # paired runs on disjoint seeds; a certified lower bound crossing an
     # independent 99% upper bound more than once in twenty pairs would

@@ -150,23 +150,16 @@ def test_defect_guards():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_coupling_marginal_and_event():
-    zs = np.empty(4000, dtype=complex)
-    hits = 0
-    for i in range(4000):
-        z, ok = oracles.gaussian_coupling_sample(0.6, 7, i)
-        zs[i] = z
-        hits += ok
+    zs, ok = oracles.gaussian_coupling_sample(0.6, 7, np.arange(4000))
     # marginal law is the standard complex Gaussian whatever the event
     assert abs(float(np.mean(np.abs(zs) ** 2)) - 1.0) < 4.0 / math.sqrt(4000)
-    p = hits / 4000
+    p = np.count_nonzero(ok) / 4000
     assert abs(p - 0.36) < 4.0 * math.sqrt(0.36 * 0.64 / 4000)
 
 
 def test_gaussian_coupling_shrinks_on_event():
-    on, off = [], []
-    for i in range(4000):
-        z, ok = oracles.gaussian_coupling_sample(0.5, 8, i)
-        (on if ok else off).append(abs(z) ** 2)
+    z, ok = oracles.gaussian_coupling_sample(0.5, 8, np.arange(4000))
+    on, off = np.abs(z[ok]) ** 2, np.abs(z[~ok]) ** 2
     # conditional second moments: sigma^2 on the event, larger off it
     assert abs(np.mean(on) - 0.25) < 0.1
     assert np.mean(off) > np.mean(on)
@@ -176,23 +169,44 @@ def test_gaussian_coupling_deterministic_and_guarded():
     a = oracles.gaussian_coupling_sample(0.6, 7, 123)
     b = oracles.gaussian_coupling_sample(0.6, 7, 123)
     assert a == b
-    with pytest.raises(DomainError):
-        oracles.gaussian_coupling_sample(1.5, 0, 0)
-    with pytest.raises(DomainError):
-        oracles.gaussian_coupling_sample(0.0, 0, 0)
+    assert type(a[0]) is complex and type(a[1]) is bool
+    for sigma in (1.5, 0.0, float("nan"), [0.5, float("nan")]):
+        with pytest.raises(DomainError):
+            oracles.gaussian_coupling_sample(sigma, 0, 0)
+
+
+# every stream draws on its own key, so a batch neither shares nor shifts
+# counters: element i of any batch is the one-stream call on stream i
+_BATCHES = ([5, 3, 1000, 7], [7], [1000, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            [3, 5, 7, 1000] * 3)
+
+
+@pytest.mark.parametrize("streams", _BATCHES)
+def test_gaussian_coupling_batch_equals_single_streams(streams):
+    for sigma in (0.05, 0.6, 1.0):
+        z, ok = oracles.gaussian_coupling_sample(sigma, 9, np.asarray(streams))
+        for i, s in enumerate(streams):
+            assert (z[i], ok[i]) == oracles.gaussian_coupling_sample(sigma, 9, s)
+
+
+@pytest.mark.parametrize("streams", _BATCHES)
+def test_gaf_coupling_batch_equals_single_streams(streams):
+    b = [1.0, 2.0, 0.0, 1.0j, 0.5]
+    c = [0.3, 2.0, 0.0, 0.9, 0.1j]
+    rows, ok = oracles.gaf_coupling_sample(b, c, 4, 9, np.asarray(streams))
+    assert rows.shape == (len(streams), 5) and ok.shape == (len(streams),)
+    for i, s in enumerate(streams):
+        row, ok_i = oracles.gaf_coupling_sample(b, c, 4, 9, s)
+        assert np.array_equal(rows[i], row) and ok[i] == ok_i
+        assert type(ok_i) is bool
 
 
 def test_gaf_coupling_event_and_marginal():
     b = np.ones(6)
     c = np.full(6, 0.9)
     q2 = 0.9 ** 12  # event probability: product over the six components
-    rows = np.empty((4000, 6), dtype=complex)
-    hits = 0
-    for i in range(4000):
-        row, ok = oracles.gaf_coupling_sample(b, c, 5, 17, i)
-        rows[i] = row
-        hits += ok
-    p = hits / 4000
+    rows, ok = oracles.gaf_coupling_sample(b, c, 5, 17, np.arange(4000))
+    p = np.count_nonzero(ok) / 4000
     assert abs(p - q2) < 4.0 * math.sqrt(q2 * (1.0 - q2) / 4000)
     # marginal coefficient variances are b_n^2 = 1
     v = np.mean(np.abs(rows) ** 2, axis=0)
@@ -204,6 +218,20 @@ def test_gaf_coupling_rejects_non_damping():
         oracles.gaf_coupling_sample([1.0, 1.0], [1.0, 1.1], 1, 0, 0)
     with pytest.raises(RatioOutOfRange):
         oracles.gaf_coupling_sample([1.0], [1.0, 1.0], 1, 0, 0)
+    with pytest.raises(RatioOutOfRange, match=r"\|c_1\| = 0.5 > \|b_1\| = 0 is"):
+        oracles.gaf_coupling_sample([1.0, 0.0], [1.0, 0.5], 1, 0, 0)
+    with pytest.raises(RatioOutOfRange,
+                       match="c_1 = 0 with b_1 != 0 makes the event probability 0"):
+        oracles.gaf_coupling_sample([1.0, 2.0], [1.0, 0.0], 1, 0, 0)
+
+
+@pytest.mark.parametrize("stream", [
+    -1, 1 << 32, 1 << 40, 1 << 70, np.asarray([0, 1 << 32], dtype=np.uint64),
+    np.asarray([3, -2]), 2.0])
+def test_gaf_coupling_rejects_streams_outside_32_bits(stream):
+    # substream stream * 2^32 + n would overflow, or alias stream - 2^32
+    with pytest.raises(DomainError, match="stream must be an integer"):
+        oracles.gaf_coupling_sample([1.0, 1.0], [0.5, 0.5], 1, 0, stream)
 
 
 def test_standard_reports_quick_all_pass():

@@ -68,6 +68,22 @@ def test_complex_gaussians_index_addressable():
     assert z[9] == z9[0]
 
 
+def test_gaussian_rows_match_hand_built_keys_and_indices():
+    streams = np.asarray([0, 7, 3, 1 << 40], dtype=np.uint64)
+    for purpose, lo, hi in ((rng.PURPOSE_SAMPLE, 0, 9),
+                            (rng.PURPOSE_TILT_TAIL, 17, 40),
+                            (rng.PURPOSE_JOINT_MOMENT, 5, 5)):
+        keys = rng.stream_key(21, streams, purpose)[:, None]
+        idx = np.arange(lo, hi, dtype=np.uint64)[None, :]
+        ref = rng.complex_gaussians(keys, idx)
+        got = rng.gaussian_rows(21, streams, purpose, lo, hi)
+        assert got.shape == (4, hi - lo)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # int64 stream ids address the same streams as uint64 ones
+    assert np.array_equal(rng.gaussian_rows(21, [0, 7], 1, 0, 4),
+                          rng.gaussian_rows(21, streams[:2], 1, 0, 4))
+
+
 def test_complex_gaussians_streams_uncorrelated():
     idx = np.arange(50000, dtype=np.uint64)
     z0 = rng.complex_gaussians(_key(0, 0), idx)
