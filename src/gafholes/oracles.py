@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import i0e
 
 from . import rng
 from .coeffs import CoefficientModel
@@ -141,8 +140,10 @@ def neg_moment_quadrature(theta: float, t: float, w: complex) -> float:
     Absolute error well below 1e-8 (the integrand is bounded by 1 and the
     quadrature is adaptive with the kink location supplied).
     """
-    # scipy.integrate takes about 0.3 s to import and only this needs it
+    # scipy.integrate and scipy.special take about 0.3 s each to import and
+    # only this needs them; the estimate path loads numpy only
     from scipy.integrate import quad
+    from scipy.special import i0e
 
     if not (0.0 <= theta < 2.0):
         raise DomainError(f"theta must lie in [0, 2), got {theta}")
@@ -341,9 +342,10 @@ def gaussian_coupling_sample(sigma, seed: int, stream):
     rate exactly 1 - sigma^2) and returns (z, False).  Marginally zeta is
     a standard complex Gaussian.
 
-    stream may be an integer array that sigma broadcasts against; a scalar
-    call returns (complex, bool).  Each element draws only on its stream's
-    PURPOSE_COUPLING key: uniform 0 decides the event, and rejection round
+    stream is an integer in [0, 2^64) or an array of them that sigma
+    broadcasts against; a scalar call returns (complex, bool).  Each
+    element draws only on its stream's PURPOSE_COUPLING key: uniform 0
+    decides the event, and rejection round
     j = 0, 1, ... proposes the Gaussian at index 2j + 1 (uniforms 4j + 2,
     4j + 3) and accepts on uniform 4j + 4; on the event, zeta is sigma
     times the round-0 proposal.
@@ -351,7 +353,10 @@ def gaussian_coupling_sample(sigma, seed: int, stream):
     sig = np.asarray(sigma, dtype=float)
     if not np.all((0.0 < sig) & (sig <= 1.0)):
         raise DomainError(f"sigma must lie in (0, 1], got {sigma}")
-    keys = rng.stream_key(seed, stream, rng.PURPOSE_COUPLING)
+    s = np.asarray(stream)
+    if s.dtype.kind not in "iu" or np.any(s < 0):
+        raise DomainError(f"stream must be an integer in [0, 2^64), got {stream}")
+    keys = rng.stream_key(seed, s, rng.PURPOSE_COUPLING)
     shape = np.broadcast_shapes(sig.shape, keys.shape)
     keys, sig = (np.broadcast_to(x, shape).ravel() for x in (keys, sig))
     in_event = rng.uniforms(keys, 0) < sig * sig

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gafholes import coeffs, gaf, holes
 from gafholes.coeffs import constant_unit, explicit, hyperbolic
@@ -164,6 +165,43 @@ def test_wilson_interval_basics():
     for hits in (11, -1):
         with pytest.raises(ValueError, match="hits"):
             holes.wilson_interval(hits, 10, 0.99)
+
+
+def _quantile_args():
+    """p = 0.5 + c/2 as wilson_interval forms it, over the port's branches."""
+    cs = list(np.random.default_rng(12).random(20000))
+    cs += [1.0 - 10.0 ** -k for k in range(1, 16)] + [0.99, 0.995, 1.0 - 2.0 ** -53]
+    ps = [0.5 + c / 2.0 for c in cs]
+    # the p = 1 - e^-2 branch boundary and the x = 8 switch, with neighbours
+    for edge in (1.0 - 0.13533528323661269189, 1.0 - math.exp(-32.0)):
+        ps += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    return [float(p) for p in ps]
+
+
+def test_normal_quantile_equals_scipy_ndtri():
+    ps = _quantile_args()
+    x8 = [math.sqrt(-2.0 * math.log(1.0 - p)) for p in ps[-3:]]
+    assert min(x8) < 8.0 <= max(x8)
+    assert 1.0 in ps
+    for p in ps:
+        assert holes._ndtri_upper(p) == float(ndtri(p)), p
+
+
+def _wilson_with_scipy_z(hits, trials, confidence):
+    z = float(ndtri(0.5 + confidence / 2.0))
+    n = float(trials)
+    p = hits / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
+def test_wilson_interval_equals_the_scipy_quantile_formula():
+    for n in (1, 2, 7, 100, 4096, 400000):
+        for k in sorted({0, 1, n // 3, n - 1, n}):
+            for conf in (0.5, 0.9, 0.95, 0.99, 0.995, 1.0 - 1e-15, 1.0 - 2.0 ** -53):
+                assert holes.wilson_interval(k, n, conf) == _wilson_with_scipy_z(k, n, conf)
 
 
 def test_direct_estimate_frozen_and_contains_oracle():

@@ -234,6 +234,13 @@ def test_gaf_coupling_rejects_streams_outside_32_bits(stream):
         oracles.gaf_coupling_sample([1.0, 1.0], [0.5, 0.5], 1, 0, stream)
 
 
+@pytest.mark.parametrize("stream", [-1, np.array([-1, 2]), 1 << 64, 1.5])
+def test_gaussian_coupling_rejects_streams_outside_64_bits(stream):
+    # a uint64 cast would raise OverflowError, or wrap -1 onto stream 2^64 - 1
+    with pytest.raises(DomainError, match="stream must be an integer"):
+        oracles.gaussian_coupling_sample(0.5, 0, stream)
+
+
 def test_standard_reports_quick_all_pass():
     reports = oracles.standard_reports(seed=0, quick=True)
     assert len(reports) >= 4
