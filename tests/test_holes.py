@@ -167,22 +167,16 @@ def test_wilson_interval_basics():
             holes.wilson_interval(hits, 10, 0.99)
 
 
-def _quantile_args():
-    """p = 0.5 + c/2 as wilson_interval forms it, over the port's branches."""
+def test_normal_quantile_equals_scipy_ndtri():
+    # p = 0.5 + c/2 as wilson_interval forms it (c = 1 - 2^-53 gives p = 1)
     cs = list(np.random.default_rng(12).random(20000))
     cs += [1.0 - 10.0 ** -k for k in range(1, 16)] + [0.99, 0.995, 1.0 - 2.0 ** -53]
     ps = [0.5 + c / 2.0 for c in cs]
     # the p = 1 - e^-2 branch boundary and the x = 8 switch, with neighbours
     for edge in (1.0 - 0.13533528323661269189, 1.0 - math.exp(-32.0)):
-        ps += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-    return [float(p) for p in ps]
-
-
-def test_normal_quantile_equals_scipy_ndtri():
-    ps = _quantile_args()
+        ps += [float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 1.0))]
     x8 = [math.sqrt(-2.0 * math.log(1.0 - p)) for p in ps[-3:]]
-    assert min(x8) < 8.0 <= max(x8)
-    assert 1.0 in ps
+    assert min(x8) < 8.0 <= max(x8) and 1.0 in ps
     for p in ps:
         assert holes._ndtri_upper(p) == float(ndtri(p)), p
 
