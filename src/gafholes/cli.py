@@ -24,8 +24,8 @@ byte-identical across reruns with the same resolved configuration, at any
 worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
 per-record wall times, and per record what the kernel did ("kernel"):
-for direct estimates the rows each path of the decision kernel settled
-(zero_first, uniform_ladder, inconclusive), the ladder rows that only the
+for direct estimates the rows the ladder decided ("uniform_ladder") and
+left open ("inconclusive"), the ladder rows that only the
 second-order bound decided ("tube"), the rows still open at the grid cap
 ("open_at_cap", a subset of inconclusive) and the rows that left the
 ladder at each grid size ("settle_K"); for the lower-bound

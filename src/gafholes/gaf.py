@@ -118,19 +118,16 @@ def evaluate(s: GafSample, z: complex) -> complex:
 
 
 def horner(coeff_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Horner value of each coefficient row at points -> (rows, K).
+    """Horner value of each coefficient row at the K points -> (rows, K).
 
-    points has shape (K,), the same points for every row, or (rows, K),
-    points of its own for each row.  Elementwise throughout, so results
-    are independent of how rows are batched (part of the bit-exactness
-    contract for estimators).
+    Elementwise throughout, so results are independent of how rows are
+    batched (part of the bit-exactness contract for estimators).
     """
     rows, n1 = coeff_rows.shape
-    z = np.broadcast_to(points, (rows, points.shape[-1]))
-    acc = np.broadcast_to(coeff_rows[:, -1:], z.shape).astype(
+    acc = np.broadcast_to(coeff_rows[:, -1:], (rows, points.shape[0])).astype(
         np.result_type(coeff_rows, points))
     for n in range(n1 - 2, -1, -1):
-        acc *= z
+        acc *= points
         acc += coeff_rows[:, n:n + 1]
     return acc
 

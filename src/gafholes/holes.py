@@ -18,13 +18,13 @@ points of the circle, with computed values V_j:
 Both ladders (this one and the sup ladder of the lower bounds) visit the
 grid sizes K_init, 2 K_init, ... up to the cap on nested grids: the even
 points of the 2K-point grid are the K-point grid bit for bit (fl(2 pi /
-(2K)) = fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly) and Horner is
-elementwise, so each doubling evaluates only the K new odd points.  The sup
-ladder folds their maximum |F| into the previous level's (max is exact);
-the min ladder keeps the values of its open rows and interleaves the new
-ones, so it holds the full grid bit for bit.  A NaN propagates the same
-way.  The cap is the largest grid either ladder visits, in every operation
-and estimator: a row still open there is Inconclusive.
+(2K)) = fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly), so each doubling
+evaluates only the K new odd points.  The sup ladder folds their maximum
+|F| into the previous level's (max is exact); the min ladder keeps the
+values of its open rows and interleaves the new ones, so it holds the
+whole grid.  A NaN propagates the same way.  The cap is the largest grid
+either ladder visits, in every operation and estimator: a row still open
+there is Inconclusive.
 
 Let f(theta) = F(rho e^{i theta}), h = 2 pi / K, D = sum n |c_n| rho^{n-1}
 >= sup |F'| and D_2 = sum n^2 |c_n| rho^n >= sup |f''|.  Between adjacent
@@ -43,19 +43,50 @@ of 1/gap.  Hence on each arc
                   dist(0, [f(a), f(a + h)]) - (h^2/8) D_2),
 
 since the modulus of a convex combination is at most the larger endpoint
-modulus and at least the distance from 0 to the segment.  The computed
-values differ from the exact values at the exact grid points by at most
-E = g sum |c_n| (rho (1 + eta))^n + D eta rho: the Horner error (g as in
-the Rouche test below) and the point error.  A computed grid point lies
-within (eta/2) rho of the exact one (eta = 32 u; sampled points of grids
-of up to 2^20 points stay within 10.5 u rho of the mpmath values), and the
-factor 2 also covers D at the radius rho (1 + eta/2) of the segment between
-them for any degree below 10^14.  A segment between computed values then
-lies within E of the exact one, so the sup ladder adds E and the min
-ladder subtracts it, each under a factor 1 + g for the rounding of the
-bounds.  The slack between g and the gamma_{4N} of Horner, at least 16 u
-sum |c_n| (rho (1 + eta))^n, also covers the rounding of |V_j| and of the
-computed segment distances (a few u max |V_j|).
+modulus and at least the distance from 0 to the segment.  Each computed
+value lies within E of the exact value at its exact grid point, E from the
+evaluator of its level (below), and a ladder uses the largest E of the
+levels whose values it holds.  A segment between computed values then lies
+within E of the exact one, so the sup ladder adds E and the min ladder
+subtracts it, each under a factor 1 + g for the rounding of the bounds.
+
+g = gamma_{8(N+2)} for degree N (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed.: gamma_k in 3.1, complex products within
+sqrt(2) gamma_2 in 3.6, or 2u with a fused multiply-add by Jeannerod et
+al., Math. Comp. 2017), eta = 32 u, and a level is the K values of a row or
+the K/2 odd ones of a doubling, computed by one of two evaluators:
+
+  * Horner at the computed grid points: E = g sum |c_n| (rho (1 + eta))^n
+    + D eta rho, the Horner error (gamma_{4N}, Higham 5.1) and the point
+    error: a computed point lies within (eta/2) rho of the exact one (10.5 u
+    rho in samples of grids up to 2^20 points), and the factor 2 also covers
+    D at the radius rho (1 + eta/2) of the segment between them (N < 10^14).
+  * A radix-2 FFT on levels of P = 2^t points with N >= 2t + _FFT_MIN_DEGREE
+    (the measured Horner crossover).  With w = e^{2 pi i / K}, b_n = c_n
+    rho^n and y_j = sum_k x_k e^{2 pi i jk / P}, F(rho w^j) is y_j for x =
+    b folded mod P (x_k = sum of b_n over n = k mod P), and F(rho w^{2j+1})
+    is y_j for x = (b_n w^n) folded mod P.  rho^n by repeated products, the
+    twist by a unit grid point (within eta/2 of w^n) and a fold in fixed
+    order put the computed x within (2N + 21) u sum |c_n| rho^n of x in the
+    1-norm.  For the DFT of the computed x, Higham's Theorem 24.2 bounds a
+    Cooley-Tukey radix-2 FFT with twiddles within mu of exact: ||y^ - y||_2
+    <= t eta' / (1 - t eta') ||y||_2, eta' = mu + gamma_4 (sqrt 2 + mu).
+    Its proof bounds each butterfly stage (a + w b, a - w b) in the 2-norm,
+    and the Stockham (autosort) order only permutes data between stages, so
+    it holds here, with mu = eta/2 (the twiddles are unit grid points).
+    A value's error is at most ||y^ - y||_2, and ||y||_2 = sqrt(P) ||x||_2, so
+
+        E = g sum |c_n| (rho (1 + eta))^n
+            + (1 + g) t eta' / (1 - t eta') sqrt(P) ||x||_2,
+
+    with the computed ||x||_2 raised by 1 + 2 gamma_{P+2} for its rounding
+    (2P squares, their sum and a root) and 1 + g for that of the constants.
+    The values are at the exact points: no point error.
+
+The slack of g over gamma_{4N} (Horner) or (2N + 21) u (FFT input, N >= 12
+there), at least 16 u sum |c_n| (rho (1 + eta))^n, covers the rounding of
+|V_j| and of the segment distances (a few u max |V_j|).  For T = z^s F
+(the tilted tail stream) both evaluate F, and E is scaled by rho^s.
 
 The winding certificate fires on either of two conditions.  Tube: if
 dist(0, [V_j, V_{j+1}]) > (h^2/8) D_2 + E on every arc, then |F - P| <
@@ -65,31 +96,8 @@ circle.  Step: if D 2 pi rho / K + 2E < min_j |V_j|, then the disk of
 radius D rho h + 2E around each V_j excludes 0 and holds the exact values
 on its arc and V_{j+1}.  Either way each segment [V_j, V_{j+1}] misses 0,
 so the principal arguments of V_{j+1} / V_j sum to 2 pi times the winding
-of F.
-
-The direct estimator only needs hole versus non-hole, and "at least one
-zero in the closed disk" has a cheaper local certificate (zero-first stage,
-Becker, Sagraloff, Sharma, Yap, J. Symbolic Comput. 2018).  Newton's
-method from a few fixed interior starts proposes z0; with F_N(z0), F_N'(z0)
-computed by Horner as Fh, Fh', a disk D(z0, eps) with |z0| + eps <= r holds
-exactly one zero of F when
-
-    (|Fh'| - E_d) eps > |Fh| + E_f + eps^2 S_2 + tail,
-    S_2 = sum_{n>=2} |c_n| C(n,2) (|z0| + eps)^{n-2},
-
-by Rouche against the linear term F_N'(z0)(z - z0): the Taylor remainder
-of F_N is at most eps^2 S_2, and tail is the same tail_sup_bound value the
-ladder uses, which bounds |F - F_N| on the whole closed disk under the same
-failure budget.  E_f = g sum |c_n| |z0|^n and E_d = g sum n |c_n| |z0|^{n-1}
-bound the Horner rounding errors, with g = gamma_{8(N+2)} covering the
-gamma_{4N} of complex Horner (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed.: gamma_k algebra in 3.1, complex products within
-sqrt(2) gamma_2 in 3.6, Horner in 5.1) and the rounding of the bounds
-themselves; each side is further scaled by (1 -/+ g).  A hole sample cannot
-pass the test, so the stage only moves rows from the ladder to
-ZeroCertified.  The scalar operations (hole_decision,
-min_modulus_certified, winding_number_certified) never use it: they keep
-the exact winding count.
+of F.  The direct estimator and the scalar operations share this ladder,
+so every ZeroCertified row carries its exact zero count.
 
 Estimators (all Monte Carlo over independent per-trial streams):
 
@@ -133,7 +141,6 @@ from .gaf import (
     GafSample,
     derivative_sup_bound_rows,  # noqa: F401 (unused; bench tracer wraps it)
     evaluate_on_grid,
-    horner,
     sample_coeff_batch,
     tail_sup_bound,
     truncation_degree,
@@ -144,7 +151,12 @@ K_CAP_DEFAULT = 1 << 20
 BATCH_TRIALS = 2048            # fixed batch width (part of determinism contract)
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
 _CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
+_ARC_ELEMS = 1 << 14           # max grid values per segment-distance chunk
 _GRID_ETA = 32 * 2.0 ** -53    # grid points lie within (eta/2) rho of exact
+# Horner crossover: a level of P = 2^t points runs on the FFT when the degree
+# is at least 2 t + _FFT_MIN_DEGREE (measured: Horner costs about N P, the
+# FFT about P t plus overheads)
+_FFT_MIN_DEGREE = 12
 
 OUTCOME_HOLE = "HoleCertified"
 OUTCOME_ZERO = "ZeroCertified"
@@ -163,8 +175,6 @@ class HoleDecision:
     margin: float              # certified min-modulus lower bound minus tail bound
     grid_size_used: int
     zero_count: int = 0        # exact winding number when ZeroCertified
-                               # (the scalar decision never takes the
-                               # zero-first exit, so the count stays exact)
     reason: str = ""           # populated when Inconclusive
 
 
@@ -184,8 +194,8 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
-    # what the kernel did (rows settled by each path of the direct kernel
-    # and rows open at the cap, or per stream of the sup ladder); run
+    # what the kernel did (rows the direct ladder settled and left open at
+    # the cap, or per stream of the sup ladder); run
     # diagnostics for the CLI sidecar, never part of the record
     kernel: dict = field(default_factory=dict, compare=False)
 
@@ -287,43 +297,119 @@ def _ladder_levels(K_init: int, K_cap: int) -> list:
     return Ks
 
 
-def _row_slices(B: int, K: int) -> list:
-    """Slices of at most _CHUNK_ELEMS // K rows (at least one) covering B."""
-    step = max(1, _CHUNK_ELEMS // K)
+def _row_slices(B: int, K: int, elems: int) -> list:
+    """Slices of at most elems // K rows (at least one) covering B."""
+    step = max(1, elems // K)
     return [slice(lo, lo + step) for lo in range(0, B, step)]
 
 
-def _grid_chunks(C: np.ndarray, z: np.ndarray):
-    """Yield (rows, points, values) over cache-sized chunks of the grid.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    ku = k * 2.0 ** -53
+    return ku / (1.0 - ku)
 
-    Whole rows per chunk while the points fit in _CHUNK_ELEMS, slices of
-    the points of one row above that.  Horner is elementwise, so the
-    values do not depend on the chunking.
+
+def _fft_level(n_coeffs: int, P: int) -> bool:
+    """Whether a level of P points of degree n_coeffs - 1 runs the FFT."""
+    t = P.bit_length() - 1
+    return P == 1 << t and n_coeffs - 1 >= 2 * t + _FFT_MIN_DEGREE
+
+
+def _fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y_j = sum_k x_k w_1^{jk} over each row of x, by a radix-2 Stockham FFT.
+
+    x has P = 2^t columns and is overwritten; w is the unit P-point grid.
+    Stage s joins pairs of length-m transforms (m = 2^s) by the
+    Cooley-Tukey butterfly (a + w b, a - w b) with w = e^{2 pi i k / 2m} =
+    w_{k P / 2m}; the autosort layout only permutes data between the
+    stages and leaves the output in natural order.
     """
-    pts = min(z.shape[0], _CHUNK_ELEMS)
-    for rows in _row_slices(C.shape[0], z.shape[0]):
-        for p in range(0, z.shape[0], pts):
-            yield rows, slice(p, p + pts), evaluate_on_grid(C[rows], z[p:p + pts])
+    R, P = x.shape
+    src, dst = x, np.empty_like(x)
+    t = np.empty((R, P // 2), dtype=complex)
+    m = 1
+    while m < P:
+        l = P // (2 * m)
+        X, T = src.reshape(R, 2, l, m), t.reshape(R, l, m)
+        Y = dst.reshape(R, l, 2, m)
+        np.multiply(X[:, 1], w[0:P // 2:l], out=T)
+        np.add(X[:, 0], T, out=Y[:, :, 0])
+        np.subtract(X[:, 0], T, out=Y[:, :, 1])
+        src, dst = dst, src
+        m *= 2
+    return src
 
 
-def _grid_max(C: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Max of |F| over the points z for each row, in cache-sized chunks.
+def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
+    """(values, FFT error) of each row of C at the K exact grid points
+    rho e^{2 pi i j / K}, or their K/2 odd ones; u is the unit K-point grid.
 
-    max is exact, so the result does not depend on the chunking; a NaN
-    value makes the row's max NaN, as a single full-width evaluation would.
+    The FFT error is t eta' / (1 - t eta') sqrt(P) ||x||_2 (1 + 2
+    gamma_{P+2}) for the folded input x of P points (module docstring).
     """
-    gmax = np.full(C.shape[0], -np.inf)
-    for rows, _, V in _grid_chunks(C, z):
+    B, n1 = C.shape
+    K = u.shape[0]
+    P = K // 2 if odd else K
+    b = C * np.cumprod(np.concatenate([[1.0], np.full(n1 - 1, rho)]))
+    if odd:
+        b *= u[np.arange(n1) % K]
+    x = np.zeros((B, P), dtype=complex)
+    for lo in range(0, n1, P):
+        x[:, :min(P, n1 - lo)] += b[:, lo:lo + P]
+    nrm = np.sqrt(np.sum(x.real * x.real + x.imag * x.imag, axis=1))
+    t = P.bit_length() - 1
+    eta = 0.5 * _GRID_ETA + _gamma(4) * (math.sqrt(2.0) + 0.5 * _GRID_ETA)
+    c = t * eta / (1.0 - t * eta) * math.sqrt(P) * (1.0 + 2.0 * _gamma(P + 2))
+    return _fft(x, u[::2] if odd else u), c * nrm
+
+
+def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
+    """Yield (rows, points, values, E) of the level K (its K/2 odd points
+    when odd) over chunks of at most _CHUNK_ELEMS values.
+
+    An FFT level (_fft_level) takes whole rows, one row above the chunk;
+    Horner takes whole rows while they fit, slices of one row's points
+    above.  bounds = (scale, g, Eg, Eh) of the rows (_circle_bounds): E is
+    Eh on Horner, Eg + scale (1 + g) (FFT error) on the FFT.  Every
+    operation is elementwise per row, so nothing depends on the chunking.
+    """
+    scale, g, Eg, Eh = bounds
+    P = K // 2 if odd else K
+    fft = _fft_level(C.shape[1], P)
+    r = 1.0 if fft else rho
+    if (r, K) not in grids:
+        grids[r, K] = _grid_points(r, K)
+    if fft:
+        for rows in _row_slices(C.shape[0], P, _CHUNK_ELEMS):
+            V, err = _fft_values(C[rows], rho, grids[r, K], odd)
+            yield rows, slice(0, P), V, Eg[rows] + (scale * (1.0 + g)) * err
+        return
+    z = grids[r, K][1::2] if odd else grids[r, K]
+    pts = min(P, _CHUNK_ELEMS)
+    for rows in _row_slices(C.shape[0], P, _CHUNK_ELEMS):
+        for p in range(0, P, pts):
+            yield (rows, slice(p, p + pts),
+                   evaluate_on_grid(C[rows], z[p:p + pts]), Eh[rows])
+
+
+def _grid_max(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
+    """(max of |F| over the level's points, E) per row.  max is exact and
+    keeps a NaN, so the result does not depend on the chunking."""
+    gmax, E = np.full(C.shape[0], -np.inf), np.empty(C.shape[0])
+    for rows, _, V, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
         gmax[rows] = np.maximum(gmax[rows], np.abs(V).max(axis=1))
-    return gmax
+        E[rows] = Ec
+    return gmax, E
 
 
-def _grid_values(C: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Values of each row at the points z -> (rows, K), in cache-sized chunks."""
-    V = np.empty((C.shape[0], z.shape[0]), dtype=complex)
-    for rows, pts, W in _grid_chunks(C, z):
+def _grid_values(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
+    """(values at the level's points -> (rows, points), E) per row."""
+    P = K // 2 if odd else K
+    V, E = np.empty((C.shape[0], P), dtype=complex), np.empty(C.shape[0])
+    for rows, pts, W, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
         V[rows, pts] = W
-    return V
+        E[rows] = Ec
+    return V, E
 
 
 def _segment_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,24 +421,40 @@ def _segment_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     covers a = b.  A NaN endpoint gives NaN.
     """
     d = b - a
-    inside = ((a.real * d.real + a.imag * d.imag < 0.0)
-              & (b.real * d.real + b.imag * d.imag > 0.0))
+    s = a.real * d.real
+    s += a.imag * d.imag
+    inside = s < 0.0
+    np.multiply(b.real, d.real, out=s)
+    s += b.imag * d.imag
+    inside &= s > 0.0
+    np.multiply(a.real, d.imag, out=s)
+    s -= a.imag * d.real
+    np.abs(s, out=s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        perp = np.abs(a.real * d.imag - a.imag * d.real) / np.abs(d)
-    return np.where(inside, perp, np.minimum(np.abs(a), np.abs(b)))
+        s /= np.abs(d)
+    dist = np.abs(a)
+    np.minimum(dist, np.abs(b), out=dist)
+    np.copyto(dist, s, where=inside)
+    return dist
 
 
 def _arc_bounds(V: np.ndarray):
     """(grid min of |V|, min over arcs of dist(0, [V_j, V_{j+1}])) per row.
 
-    The arcs are cyclic: the last one joins V_{K-1} to V_0.  Row chunks
-    bound the temporaries; min is exact, so chunking changes nothing.
+    The arcs are cyclic: the last one joins V_{K-1} to V_0.  Chunks of at
+    most _ARC_ELEMS values (whole rows, or slices of one row's arcs) bound
+    the temporaries; min is exact, so chunking changes nothing.
     """
-    gmin, segmin = np.empty(V.shape[0]), np.empty(V.shape[0])
-    for rows in _row_slices(*V.shape):
-        a = V[rows]
-        gmin[rows] = np.abs(a).min(axis=1)
-        segmin[rows] = _segment_dist(a, np.roll(a, -1, axis=1)).min(axis=1)
+    B, K = V.shape
+    gmin, segmin = np.full(B, np.inf), np.full(B, np.inf)
+    pts = min(K, _ARC_ELEMS)
+    for rows in _row_slices(B, K, _ARC_ELEMS):
+        for p in range(0, K, pts):
+            a = V[rows, p:p + pts]
+            b = V[rows, np.arange(p + 1, p + a.shape[1] + 1) % K]
+            gmin[rows] = np.minimum(gmin[rows], np.abs(a).min(axis=1))
+            segmin[rows] = np.minimum(segmin[rows],
+                                      _segment_dist(a, b).min(axis=1))
     return gmin, segmin
 
 
@@ -364,7 +466,7 @@ def _winding(V: np.ndarray) -> np.ndarray:
     caller certifies the rows, so no value is zero or NaN.
     """
     wind = np.empty(V.shape[0], dtype=np.int64)
-    for rows in _row_slices(*V.shape):
+    for rows in _row_slices(*V.shape, _CHUNK_ELEMS):
         a = V[rows]
         turns = np.sum(np.angle(np.roll(a, -1, axis=1) / a), axis=1) / (2.0 * np.pi)
         wind[rows] = np.rint(turns).astype(np.int64)
@@ -372,13 +474,13 @@ def _winding(V: np.ndarray) -> np.ndarray:
 
 
 def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
-    """(g, scale, D, D_2, E) of T = z^shift * F on the rho-circle per row.
+    """(g, scale, D, D_2, Eg, Eh) of T = z^shift * F on the rho-circle per row.
 
     scale = rho^shift, D = sum n |c_n| rho^{n-1} >= sup |T'| and D_2 =
     sum n^2 |c_n| rho^n >= sup |d^2 T / d theta^2|, both over the indices
-    n of T; E = scale g sum |c_n| (rho (1 + eta))^n + D eta rho bounds the
-    distance of a computed grid value from the exact value at the exact
-    grid point, and g = _rounding_gamma(columns of C) (module docstring).
+    n of T; Eg = scale g sum |c_n| (rho (1 + eta))^n and Eh = Eg + D eta rho,
+    the E of a Horner level (_grid_chunks), with g = _rounding_gamma(columns
+    of C) (module docstring).
     """
     n1 = C.shape[1]
     n = np.arange(shift, shift + n1, dtype=np.float64)
@@ -388,15 +490,14 @@ def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
     D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
     D2 = np.sum(A * (n * n * rho ** n), axis=1)
     horner_abs = np.sum(A * (rho * (1.0 + _GRID_ETA)) ** np.arange(n1), axis=1)
-    E = (scale * g) * horner_abs + D * (_GRID_ETA * rho)
-    return g, scale, D, D2, E
+    Eg = (scale * g) * horner_abs
+    return g, scale, D, D2, Eg, Eg + D * (_GRID_ETA * rho)
 
 
 def _certify_rows(C: np.ndarray, rho: float,
                   K_init: int = K_INIT_DEFAULT,
                   K_cap: int = K_CAP_DEFAULT,
-                  tail: float = -np.inf,
-                  zero_first: bool = False):
+                  tail: float = -np.inf):
     """Joint min-modulus / winding ladder over coefficient rows.
 
     Returns a dict of arrays over rows:
@@ -407,14 +508,14 @@ def _certify_rows(C: np.ndarray, rho: float,
       wind_ok    whether the winding certificate fired by K_cap
       wind_K     grid size at the winding certificate level (0 if none)
       hopeless   grid minimum fell to or below the tail bound
-      zero_first row left the ladder with a zero-first certificate
       tube       row settled where the first-order certificate alone
                  (lb_1 > tail and the step condition) does not hold
       settle_K   grid size at which the row left the ladder (0 if open)
 
     At grid size K, with gmin the grid minimum of |V| (V the computed
     values), segmin the minimum over arcs of dist(0, [V_j, V_{j+1}]),
-    t = D pi rho / K, h = 2 pi / K and D_2, E as in _circle_bounds,
+    t = D pi rho / K, h = 2 pi / K, D_2 as in _circle_bounds and E the
+    largest E of the levels whose values the row holds (_grid_chunks),
 
         lb_1 = gmin - (1 + g)(t + E),
         lb_2 = (1 - g) segmin - (1 + g)((h^2/8) D_2 + E),
@@ -433,24 +534,22 @@ def _certify_rows(C: np.ndarray, rho: float,
     which refining can only confirm, since grid minima decrease toward the
     true minimum).  While a row is open, its best lb keeps rising.  The
     scalar operations use tail = -inf, so a row refines until its winding
-    certificate fires.  With zero_first (direct estimator) the rows open at
-    the first level K >= min(_ZERO_FIRST_K, K_cap) first get one zero-first
-    test (module docstring); rows that pass leave with no winding number.
+    certificate fires.
 
     The grids are nested (module docstring): each doubling evaluates only
     the K new odd points of the open rows and interleaves them with the
-    kept values of the previous level, bit for bit the full grid.  Above
+    kept values of the previous level, so a row holds its whole grid.  Above
     _CHUNK_ELEMS points open rows climb one at a time, so the kept values
     never exceed one row at the cap; per-row results do not change.
     """
     B = C.shape[0]
-    g, _, D, D2, E = _circle_bounds(C, rho)
+    g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho)
+    E = np.full(B, -np.inf)   # running max of the E of the levels held
     mm_lb = np.full(B, -np.inf)
     mm_gm = np.zeros(B)
     mm_K, wind, wind_K, settle_K = np.zeros((4, B), dtype=np.int64)
-    wind_ok, hopeless, zf, tube = np.zeros((4, B), dtype=bool)
+    wind_ok, hopeless, tube = np.zeros((3, B), dtype=bool)
     Ks = _ladder_levels(K_init, K_cap)
-    zf_K = min(K for K in Ks if K >= min(_ZERO_FIRST_K, K_cap)) if zero_first else 0
     grids = {}   # grid points by size, shared by rows that climb alone
     # (open rows, their kept grid values, index of their next level)
     groups = [(np.arange(B), np.empty((B, 0), dtype=complex), 0)]
@@ -461,21 +560,15 @@ def _certify_rows(C: np.ndarray, rho: float,
                 groups += [(active[i:i + 1], V[i:i + 1], j)
                            for i in range(active.size)]
                 break
-            if K == zf_K:
-                passed = _zero_certified(C[active], rho, tail)
-                zf[active[passed]] = True
-                settle_K[active[passed]] = K
-                active, V = active[~passed], V[~passed]
             if not active.size:
                 break
-            if K not in grids:
-                grids[K] = _grid_points(rho, K)
-            z = grids[K]
+            bounds = (scale, g, Eg[active], Eh[active])
             if V.shape[1]:
-                new = _grid_values(C[active], z[1::2])
+                new, El = _grid_values(C[active], rho, K, True, bounds, grids)
                 V = np.stack([V, new], axis=2).reshape(active.size, K)
             else:
-                V = _grid_values(C[active], z)
+                V, El = _grid_values(C[active], rho, K, False, bounds, grids)
+            E[active] = np.maximum(E[active], El)
             gmin, segmin = _arc_bounds(V)
             Ea = E[active]
             t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + Ea)
@@ -507,103 +600,13 @@ def _certify_rows(C: np.ndarray, rho: float,
     return {
         "mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K,
         "wind": wind, "wind_ok": wind_ok, "wind_K": wind_K,
-        "hopeless": hopeless, "zero_first": zf,
-        "tube": tube, "settle_K": settle_K,
+        "hopeless": hopeless, "tube": tube, "settle_K": settle_K,
     }
 
 
 def _rounding_gamma(n_coeffs: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u = 2^-53, at k = 8 (N + 2).
-
-    N = n_coeffs - 1 is the degree; see the module docstring for what the
-    factor covers.
-    """
-    ku = 8 * (n_coeffs + 1) * 2.0 ** -53
-    return ku / (1.0 - ku)
-
-
-def _derivative_rows(C: np.ndarray) -> np.ndarray:
-    """Coefficient rows of F_N' (C has at least two columns)."""
-    return C[:, 1:] * np.arange(1, C.shape[1], dtype=np.float64)
-
-
-def _newton_points(C: np.ndarray, rho: float) -> np.ndarray:
-    """Newton iterates from rho * _NEWTON_STARTS after _NEWTON_STEPS -> (B, S).
-
-    An iterate leaving the closed rho-disk is pulled back radially onto its
-    circle; a non-finite step keeps the previous iterate.
-    """
-    dC = _derivative_rows(C)
-    z = np.repeat((rho * _NEWTON_STARTS)[None, :], C.shape[0], axis=0)
-    with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            z_next = z - horner(C, z) / horner(dC, z)
-            z = np.where(np.isfinite(z_next), z_next, z)
-            a = np.abs(z)
-            z = np.where(a > rho, z * (rho / a), z)
-    return z
-
-
-def _rounded_values(C: np.ndarray, z: np.ndarray):
-    """(Fh, Fh', E_f, E_d) at the points z[i, j].
-
-    Fh and Fh' are the Horner values of F_N and F_N'; E_f and E_d bound
-    |Fh - F_N(z)| and |Fh' - F_N'(z)| a priori.
-    """
-    g = _rounding_gamma(C.shape[1])
-    dC = _derivative_rows(C)
-    az = np.abs(z)
-    e_f = g * horner(np.abs(C), az)
-    e_d = g * horner(np.abs(dC), az)
-    return horner(C, z), horner(dC, z), e_f, e_d
-
-
-def _zero_certified(C: np.ndarray, rho: float, tail: float) -> np.ndarray:
-    """Rows of C with a certified zero of F in the closed rho-disk.
-
-    Newton from the fixed starts, then the rounding-aware Rouche test of
-    the module docstring at each final iterate z0 for eps = m * (|Fh| +
-    E_f + tail) / (|Fh'| - E_d), m in _EPS_FACTORS.  A row passes if any
-    (start, m) does.
-    """
-    B, n1 = C.shape
-    if B == 0 or n1 < 2:
-        return np.zeros(B, dtype=bool)
-    z = _newton_points(C, rho)
-    fh, dh, e_f, e_d = _rounded_values(C, z)
-    g = _rounding_gamma(n1)
-    if n1 > 2:
-        n = np.arange(2, n1, dtype=np.float64)
-        curv = np.abs(C[:, 2:]) * (n * (n - 1.0) / 2.0)   # |c_n| C(n, 2)
-    else:
-        curv = np.zeros((B, 1))
-    az = np.abs(z)
-    ok = np.zeros(B, dtype=bool)
-    with np.errstate(all="ignore"):
-        lin = np.abs(dh) - e_d                 # <= |F_N'(z0)|
-        const = np.abs(fh) + e_f + tail        # >= |F(z0)| under the tail event
-        for m in _EPS_FACTORS:
-            eps = m * const / lin
-            rho_out = (az + eps) * (1.0 + g)   # >= |z0| + eps
-            fits = (lin > 0.0) & (rho_out <= rho)
-            S2 = (1.0 + g) * horner(curv, np.where(fits, rho_out, 0.0))
-            lhs = (1.0 - g) * lin * eps
-            rhs = (1.0 + g) * (const + eps * eps * S2)
-            ok |= np.any(fits & (lhs > rhs), axis=1)
-    return ok
-
-
-# zero-first stage: the ladder level where it runs, Newton starts as
-# fractions of the radius (centre, 3 at 1/2, 6 at 0.85), Newton steps, and
-# the multiples m of the break-even disk radius that the Rouche test tries
-_ZERO_FIRST_K = 1 << 10
-_NEWTON_STARTS = np.concatenate([
-    [0.0],
-    0.5 * np.exp(2j * np.pi * np.arange(3) / 3),
-    0.85 * np.exp(2j * np.pi * (np.arange(6) + 0.5) / 6),
-])
-_NEWTON_STEPS = 12
-_EPS_FACTORS = (1.125, 1.5, 2.0)
+    """g = gamma_{8(N+2)} for degree N = n_coeffs - 1 (module docstring)."""
+    return _gamma(8 * (n_coeffs + 1))
 
 
 def min_modulus_certified(sample: GafSample, rho: float,
@@ -732,12 +735,14 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """Direct Monte Carlo estimate of the hole probability at radius r.
 
     Each trial samples a truncated series on its own stream (stream id =
-    trial index) and runs the certified decision: the ladder to K_cap with
-    the zero-first stage; rows still open at the cap are Inconclusive.
-    Inconclusive trials widen the Wilson interval pessimistically: they
-    count as hits for p_high and as misses for p_low.  kernel counts the
-    rows of each path (zero_first + uniform_ladder + inconclusive = trials)
-    and those open at the cap (open_at_cap, the trials not in settle_K).
+    trial index) and runs the certified decision: the ladder to K_cap;
+    rows still open at the cap are Inconclusive, and zeros_certified holds
+    the certified non-holes.  Inconclusive trials widen the Wilson interval
+    pessimistically: they count as hits for p_high and as misses for p_low.
+    kernel counts the rows the ladder decided (uniform_ladder = trials -
+    inconclusive), those only the second-order bound decided (tube), those
+    open at the cap (open_at_cap, the trials not in settle_K) and the rows
+    that left the ladder at each grid size (settle_K).
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t = truncation_degree(model, r, tau_rel)
@@ -746,21 +751,17 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     def worker(lo: int, hi: int):
         C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
-        res = _certify_rows(C, r, K_init, K_cap, tail=tail, zero_first=True)
-        zf = res["zero_first"]
+        res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
-        zero = (ok & (res["wind"] >= 1)) | zf
-        inc = ~(hole | zero)
-        by_ladder = (hole | zero) & ~zf
+        zero = ok & (res["wind"] >= 1)
         settled = [int(np.sum(res["settle_K"] == K)) for K in levels]
-        return (int(hole.sum()), int(zero.sum()), int(inc.sum()),
-                int(zf.sum()), int(by_ladder.sum()),
+        return (int(hole.sum()), int(zero.sum()), int((~(hole | zero)).sum()),
                 int(np.sum(res["settle_K"] == 0)),
-                int((by_ladder & res["tube"]).sum()), *settled)
+                int(((hole | zero) & res["tube"]).sum()), *settled)
 
     levels = _ladder_levels(K_init, K_cap)
-    (holes_n, zeros_n, inc_n, zf_n, ladder_n, open_n, tube_n,
+    (holes_n, zeros_n, inc_n, open_n, tube_n,
      *settled) = _batched_counts(trials, workers, worker)
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
@@ -775,7 +776,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
             "zeros_certified": int(zeros_n),
             "certificate_failure_budget": trials * math.exp(log_fail),
         },
-        kernel={"zero_first": zf_n, "uniform_ladder": ladder_n,
+        kernel={"uniform_ladder": int(holes_n + zeros_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
                 "tube": tube_n,
                 "settle_K": {K: n for K, n in zip(levels, settled) if n}})
@@ -819,9 +820,9 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     D = sum n |c_n| rho^{n-1} >= sup |T'| and D_2 = sum n^2 |c_n| rho^n >=
     sup |d^2 T / d theta^2|, both over the indices n of T.  The min is the
     first-order and the second-order (Peano kernel) bound on how far |T|
-    rises between grid points (module docstring).  E = scale g sum |c_n|
-    (rho (1 + eta))^n + D eta rho covers the Horner error of the grid values
-    and the distance of the computed grid points from the circle grid.
+    rises between grid points (module docstring).  E, the largest E of the
+    levels visited (_grid_chunks), bounds the distance of every computed
+    grid value of T from its exact value at its exact grid point.
     g = _rounding_gamma(columns of C) also covers, through the factor
     1 + g, the rounding of D, D_2, E, scale and the bound itself, and the
     strict < keeps the last rounding, the sum with tail, from turning a
@@ -841,22 +842,22 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     grid size _ladder_levels(...)[j].
     """
     B = C.shape[0]
-    g, scale, D, D2, E = _circle_bounds(C, rho, shift)
+    g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho, shift)
     Ks = _ladder_levels(K_init, K_cap)
     settled = [0] * len(Ks)
     hits = misses = tube_hits = 0
     active = np.arange(B)
-    gmax = _grid_max(C, _grid_points(rho, Ks[0]))
+    gmax, Ea = _grid_max(C, rho, Ks[0], False, (scale, g, Eg, Eh), {})
     points = B * Ks[0]
     for j, K in enumerate(Ks):
         if j:
-            z_new = _grid_points(rho, K)[1::2]
-            gmax = np.maximum(gmax, _grid_max(C[active], z_new))
-            points += active.size * z_new.size
+            bounds = (scale, g, Eg[active], Eh[active])
+            gnew, El = _grid_max(C[active], rho, K, True, bounds, {})
+            gmax, Ea = np.maximum(gmax, gnew), np.maximum(Ea, El)
+            points += active.size * (K // 2)
         smax = scale * gmax
         first = D[active] * (np.pi * rho / K)
         tube = D2[active] * (0.5 * (np.pi / K) ** 2)
-        Ea = E[active]
         h = (1.0 + g) * (smax + np.minimum(first, tube) + Ea) + tail < M
         m = smax > M
         hits += int(h.sum())
@@ -865,7 +866,7 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
         keep = ~(h | m)
         settled[j] = int(active.size - keep.sum())
         active = active[keep]
-        gmax = gmax[keep]
+        gmax, Ea = gmax[keep], Ea[keep]
         if not active.size:
             break
     return (hits, misses, B - hits - misses, tube_hits, points, *settled)

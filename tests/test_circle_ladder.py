@@ -5,12 +5,13 @@ points at each doubling and interleaves them with the kept values of the
 previous level.  Its lower bound is the larger of the first-order bound
 gmin - D pi rho / K and the second-order ("tube") bound segmin - (h^2/8) D_2,
 less rounding terms, where segmin is the smallest distance from 0 to a
-segment between adjacent grid values.  These tests pin all ten result
-arrays, bit for bit, against a ladder written here that re-evaluates every
-full grid; check that no row decided by the first-order ladder (the
-ladder before the tube bound) changes its outcome; pin the segment
-distance against mpmath; and plant roots on, near and around the circle,
-where no certificate may be wrong.
+segment between adjacent grid values.  These tests pin all nine result
+arrays, bit for bit, against a ladder written here that assembles every
+full grid afresh from the level evaluator (FFT or Horner); check that no
+row decided by the first-order ladder (the ladder before the tube bound,
+on Horner values) changes its outcome; pin the segment distance against
+mpmath; and plant roots on, near and around the circle, where no
+certificate may be wrong.
 """
 
 import mpmath
@@ -21,7 +22,7 @@ from gafholes import gaf, holes
 from gafholes.coeffs import explicit, hyperbolic
 
 KEYS = ("mm_lb", "mm_gm", "mm_K", "wind", "wind_ok", "wind_K", "hopeless",
-        "zero_first", "tube", "settle_K")
+        "tube", "settle_K")
 
 
 def _empty(B):
@@ -31,14 +32,27 @@ def _empty(B):
             "wind_ok": np.zeros(B, dtype=bool),
             "wind_K": np.zeros(B, dtype=np.int64),
             "hopeless": np.zeros(B, dtype=bool),
-            "zero_first": np.zeros(B, dtype=bool),
             "tube": np.zeros(B, dtype=bool),
             "settle_K": np.zeros(B, dtype=np.int64)}
 
 
 def _full_grid(C, rho, K):
-    """Values of each row on the full K-point grid."""
+    """Horner values of each row on the full K-point grid."""
     return gaf.evaluate_on_grid(C, holes._grid_points(rho, K))
+
+
+def _level_grid(C, rho, K_init, K, bounds):
+    """(values, E) of each row on the full K-point grid, assembled afresh
+    from the level evaluator: the K_init-point level, then the odd points
+    of every doubling up to K, interleaved; E is the largest level E."""
+    V, E = holes._grid_values(C, rho, K_init, False, bounds, {})
+    K2 = 2 * K_init
+    while K2 <= K:
+        new, E2 = holes._grid_values(C, rho, K2, True, bounds, {})
+        V = np.stack([V, new], axis=2).reshape(C.shape[0], K2)
+        E = np.maximum(E, E2)
+        K2 *= 2
+    return V, E
 
 
 def _winding(V):
@@ -48,7 +62,7 @@ def _winding(V):
 
 def _bounds(C, rho):
     """(g, D, D_2, E) of each row: rounding factor, sup |F'|, sup |d^2F/dt^2|
-    and the distance of a computed grid value from the exact one."""
+    and the distance of a Horner grid value from the exact one."""
     n1 = C.shape[1]
     n = np.arange(n1, dtype=np.float64)
     A = np.abs(C)
@@ -58,6 +72,16 @@ def _bounds(C, rho):
     D2 = np.sum(A * (n * n * rho ** n), axis=1)
     E = g * np.sum(A * (rho * (1.0 + eta)) ** n, axis=1) + D * (eta * rho)
     return g, D, D2, E
+
+
+def _evaluator_bounds(C, rho):
+    """(scale, g, Eg, Eh) of the level evaluator for the rows of C."""
+    n1 = C.shape[1]
+    g = holes._rounding_gamma(n1)
+    eta = holes._GRID_ETA
+    A = np.abs(C)
+    Eg = g * np.sum(A * (rho * (1.0 + eta)) ** np.arange(n1), axis=1)
+    return 1.0, g, Eg, _bounds(C, rho)[3]
 
 
 def _seg_dist(a, b):
@@ -71,29 +95,23 @@ def _seg_dist(a, b):
     return np.where(inside, perp, np.minimum(np.abs(a), np.abs(b)))
 
 
-def _reference(C, rho, K_init, K_cap, tail=-np.inf, zero_first=False):
+def _reference(C, rho, K_init, K_cap, tail=-np.inf):
     """The tube ladder with a full grid at every level and one stop rule."""
     B = C.shape[0]
-    g, D, D2, E = _bounds(C, rho)
+    g, D, D2, _ = _bounds(C, rho)
+    scale, _, Eg, Eh = _evaluator_bounds(C, rho)
     res = _empty(B)
-    zf_pending = zero_first
     active = np.arange(B)
     K = int(K_init)
     while active.size:
-        if zf_pending and K >= min(holes._ZERO_FIRST_K, K_cap):
-            zf_pending = False
-            passed = holes._zero_certified(C[active], rho, tail)
-            res["zero_first"][active[passed]] = True
-            res["settle_K"][active[passed]] = K
-            active = active[~passed]
-            continue
-        V = _full_grid(C[active], rho, K)
+        V, E = _level_grid(C[active], rho, K_init, K,
+                           (scale, g, Eg[active], Eh[active]))
         gmin = np.abs(V).min(axis=1)
         segmin = _seg_dist(V, np.roll(V, -1, axis=1)).min(axis=1)
-        t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + E[active])
+        t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + E)
         lb1 = gmin - t1
         lb2 = (1.0 - g) * segmin \
-            - (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + E[active])
+            - (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + E)
         lb = np.maximum(lb1, lb2)
         better = lb > res["mm_lb"][active]
         rows = active[better]
@@ -119,8 +137,7 @@ def _reference(C, rho, K_init, K_cap, tail=-np.inf, zero_first=False):
     return res
 
 
-def _first_order_reference(C, rho, K_init, K_cap, tail=None,
-                           zero_first=False):
+def _first_order_reference(C, rho, K_init, K_cap, tail=None):
     """The ladder before the tube bound: lb = gmin - D pi rho / K with no
     rounding term, and the winding once D 2 pi rho / K < gmin.
 
@@ -134,16 +151,9 @@ def _first_order_reference(C, rho, K_init, K_cap, tail=None,
     res = _empty(B)
     res["wind_gm"] = np.zeros(B)
     mm_done = np.zeros(B, dtype=bool)
-    zf_pending = zero_first
     active = np.arange(B)
     K = int(K_init)
     while active.size:
-        if zf_pending and K >= min(holes._ZERO_FIRST_K, K_cap):
-            zf_pending = False
-            passed = holes._zero_certified(C[active], rho, tail)
-            res["zero_first"][active[passed]] = True
-            active = active[~passed]
-            continue
         V = _full_grid(C[active], rho, K)
         gmin = np.abs(V).min(axis=1)
         Da = D[active]
@@ -192,9 +202,11 @@ def _assert_bytes_equal(res, ref):
 
 
 LEVELS = [(8, 1 << 14), (12, 1000), (1, 256), (8, 64)]
+# both cases run the FFT on every power-of-two level (K_init = 12 stays on
+# Horner)
 CASES = [(1.0, 0.7, 256), (2.0, 0.9, 48)]
-# the model's tail bound, with and without the zero-first stage; a tail of
-# 0.05 that sends rows out hopeless; and the scalar operations' -inf
+# the model's tail bound, on the default evaluators and on Horner alone; a
+# tail of 0.05 that sends rows out hopeless; and the scalar operations' -inf
 MODES = [("tail", False), ("tail", True), ("wide", False), ("-inf", False)]
 WIDE_TAIL = 0.05
 
@@ -203,19 +215,25 @@ def _tail_for(mode, tail):
     return {"tail": tail, "wide": WIDE_TAIL, "-inf": -np.inf}[mode]
 
 
+def _horner_only(monkeypatch):
+    """Raise the FFT crossover above every degree: each level runs Horner."""
+    monkeypatch.setattr(holes, "_FFT_MIN_DEGREE", 1 << 30)
+
+
 @pytest.mark.parametrize("K_init, K_cap", LEVELS)
 @pytest.mark.parametrize("L, r, n", CASES)
-@pytest.mark.parametrize("mode, zero_first", MODES)
+@pytest.mark.parametrize("mode, horner", MODES)
 def test_ladder_matches_the_full_grid_ladder(K_init, K_cap, L, r, n, mode,
-                                             zero_first):
+                                             horner, monkeypatch):
+    if horner:
+        _horner_only(monkeypatch)
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
     if mode != "-inf":
-        res = holes._certify_rows(C, r, K_init, K_cap, tail=tail,
-                                  zero_first=zero_first)
+        res = holes._certify_rows(C, r, K_init, K_cap, tail=tail)
     else:
         res = holes._certify_rows(C, r, K_init, K_cap)
-    ref = _reference(C, r, K_init, K_cap, tail=tail, zero_first=zero_first)
+    ref = _reference(C, r, K_init, K_cap, tail=tail)
     _assert_bytes_equal(res, ref)
     # the NaN row never certifies and runs to the cap
     assert not res["wind_ok"][3] and not res["hopeless"][3]
@@ -223,14 +241,11 @@ def test_ladder_matches_the_full_grid_ladder(K_init, K_cap, L, r, n, mode,
 
 
 def _outcomes(res, tail):
-    """Per row: ('hole' | 'zero', winding), 'hopeless', 'zero_first' or None
-    (open)."""
+    """Per row: ('hole' | 'zero', winding), 'hopeless' or None (open)."""
     decided = res["wind_ok"] & (res["mm_lb"] > tail)
     out = []
     for i in range(len(decided)):
-        if res["zero_first"][i]:
-            out.append("zero_first")
-        elif decided[i]:
+        if decided[i]:
             w = int(res["wind"][i])
             out.append(("hole" if w == 0 else "zero", w))
         elif res["hopeless"][i]:
@@ -240,13 +255,6 @@ def _outcomes(res, tail):
     return out
 
 
-def _same(a, b):
-    """Equal outcomes; a zero-first exit agrees with any positive winding."""
-    def zero(o):
-        return o == "zero_first" or (isinstance(o, tuple) and o[0] == "zero")
-    return a == b or ("zero_first" in (a, b) and zero(a) and zero(b))
-
-
 # Rows a first-order decision may lose, by (L, r, K_init, K_cap, mode): only
 # rows whose first-order margin is below E may appear here.  None do.
 FLIP_EXCEPTIONS = {}
@@ -254,16 +262,17 @@ FLIP_EXCEPTIONS = {}
 
 @pytest.mark.parametrize("K_init, K_cap", LEVELS)
 @pytest.mark.parametrize("L, r, n", CASES)
-@pytest.mark.parametrize("mode, zero_first", MODES)
+@pytest.mark.parametrize("mode, horner", MODES)
 def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap, L, r, n,
-                                                     mode, zero_first):
+                                                     mode, horner,
+                                                     monkeypatch):
+    if horner:
+        _horner_only(monkeypatch)
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
-    new = holes._certify_rows(C, r, K_init, K_cap, tail=tail,
-                              zero_first=zero_first)
+    new = holes._certify_rows(C, r, K_init, K_cap, tail=tail)
     old = _first_order_reference(C, r, K_init, K_cap,
-                                 tail=None if mode == "-inf" else tail,
-                                 zero_first=zero_first)
+                                 tail=None if mode == "-inf" else tail)
     _, D, _, E = _bounds(C, r)
     # slack of the first-order certificate: clearing the tail, and the step
     # condition at the level where the winding fired
@@ -272,16 +281,15 @@ def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap, L, r, n,
     margin = np.minimum(lb_slack, step_slack / 2.0)
     before, after = _outcomes(old, tail), _outcomes(new, tail)
     flips = [i for i, (a, b) in enumerate(zip(before, after))
-             if a is not None and not _same(a, b)]
+             if a is not None and a != b]
     assert flips == FLIP_EXCEPTIONS.get((L, r, K_init, K_cap, mode), [])
     assert all(margin[i] < E[i] for i in flips)
     # newly decided rows were open before, never hopeless
     for a, b in zip(before, after):
         if a is None:
             assert b is None or isinstance(b, tuple)
-    # the tube bound decides rows the first-order ladder left open (with
-    # zero-first, that stage takes them at 1024 points in both ladders)
-    if K_cap >= 256 and not zero_first:
+    # the tube bound decides rows the first-order ladder left open
+    if K_cap >= 256:
         assert any(a is None and b is not None for a, b in zip(before, after))
 
 
@@ -299,8 +307,7 @@ def test_rows_settle_across_the_levels():
         assert res["hopeless"].any()
         assert ((res["mm_lb"] > WIDE_TAIL) & res["wind_ok"]).any()
     C, tail = _rows(1.0, 0.7, 256)
-    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail, zero_first=True)
-    assert res["zero_first"].any()
+    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail)
     assert (res["wind_ok"] & (res["wind"] == 0)).any()
     assert (res["wind_ok"] & (res["wind"] >= 1)).any()
 
@@ -309,19 +316,26 @@ def test_rows_settle_across_the_levels():
 def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     C, tail = _rows(2.0, 0.9, 48)
     ref = [_reference(C, 0.9, 8, 4096, tail=tail),
-           _reference(C, 0.9, 12, 4096, tail=tail, zero_first=True),
+           _reference(C, 0.9, 12, 4096, tail=tail),
            _reference(C, 0.9, 8, 2048)]
+    bounds = _evaluator_bounds(C, 0.9)
+    level = holes._grid_values(C, 0.9, 4096, True, bounds, {})
     # a chunk below the grid size also sends the open rows up the rest of
-    # the ladder one at a time
+    # the ladder one at a time, and evaluates one row per FFT chunk
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
     res = [holes._certify_rows(C, 0.9, 8, 4096, tail=tail),
-           holes._certify_rows(C, 0.9, 12, 4096, tail=tail, zero_first=True),
+           holes._certify_rows(C, 0.9, 12, 4096, tail=tail),
            holes._certify_rows(C, 0.9, 8, 2048)]
     for a, b in zip(res, ref):
         _assert_bytes_equal(a, b)
+    for a, b in zip(holes._grid_values(C, 0.9, 4096, True, bounds, {}), level):
+        assert a.tobytes() == b.tobytes()
+    # on Horner, a row's points are evaluated in slices above the chunk
+    _horner_only(monkeypatch)
     z = holes._grid_points(0.9, 4096)[1::2]
-    full = gaf.evaluate_on_grid(C, z)
-    assert holes._grid_values(C, z).tobytes() == full.tobytes()
+    V, E = holes._grid_values(C, 0.9, 4096, True, bounds, {})
+    assert V.tobytes() == gaf.evaluate_on_grid(C, z).tobytes()
+    assert E.tobytes() == bounds[3].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +469,9 @@ def test_step_condition_carries_the_rounding_term():
 
     def step_holds(eps):
         C = row(eps)
-        g, D, _, E = _bounds(C, rho)
-        gmin = np.abs(_full_grid(C, rho, 8)).min()
+        g, D, _, _ = _bounds(C, rho)
+        V, E = _level_grid(C, rho, 8, 8, _evaluator_bounds(C, rho))
+        gmin = np.abs(V).min()
         return 2.0 * ((1.0 + g) * (D[0] * (np.pi * rho / 8) + E[0])) < gmin
 
     lo, hi = 0.05 / rho ** 20, 0.07 / rho ** 20
@@ -467,9 +482,9 @@ def test_step_condition_carries_the_rounding_term():
             break
         lo, hi = (mid, hi) if step_holds(mid) else (lo, mid)
     # the E terms matter at the edge: without them the step would hold
-    g, D, _, E = _bounds(row(hi), rho)
-    assert 2.0 * ((1.0 + g) * D[0] * (np.pi * rho / 8)) \
-        < np.abs(_full_grid(row(hi), rho, 8)).min() - E[0]
+    g, D, _, _ = _bounds(row(hi), rho)
+    V, E = _level_grid(row(hi), rho, 8, 8, _evaluator_bounds(row(hi), rho))
+    assert 2.0 * ((1.0 + g) * D[0] * (np.pi * rho / 8)) < np.abs(V).min() - E[0]
     for eps, K in ((lo, 8), (hi, 16)):
         res = holes._certify_rows(row(eps), rho, 8, 16)
         assert res["wind_ok"][0] and res["wind"][0] == 0

@@ -49,7 +49,7 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
     cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.7", "--out", str(out)])
     meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
     assert len(meta["kernel"]) == 2
-    paths = ("zero_first", "uniform_ladder", "inconclusive")
+    paths = ("uniform_ladder", "inconclusive")
     for k in meta["kernel"]:
         assert set(k) == set(paths) | {"open_at_cap", "tube", "settle_K"}
         assert sum(k[p] for p in paths) == 256

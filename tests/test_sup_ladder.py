@@ -5,10 +5,11 @@ only the new odd points: the even points of the 2K-grid are the K-grid bit
 for bit, and the maximum is exact.  A row is a hit once its grid max plus
 the smaller of the first-order and the second-order ("tube") interpolation
 bound, plus rounding terms, stays below M.  These tests pin the nesting of
-the grids, agreement with a ladder that re-evaluates every full grid, that
-no row flips against the first-order ladder, the soundness of the hit test
-on rows just above M and of the grid points, batch independence,
-independence of the chunk size, and the sidecar counters.
+the grids, agreement with a ladder that assembles every full grid afresh
+from the level evaluator, that no row flips against the first-order
+ladder (on Horner values), the soundness of the hit test on rows just
+above M and of the grid points, batch independence, independence of the
+chunk size, and the sidecar counters.
 """
 
 import json
@@ -21,6 +22,21 @@ from gafholes import cli, gaf, holes, rng
 from gafholes.coeffs import hyperbolic, log_sq_range
 
 HIT, MISS, OPEN = 1, -1, 0
+
+
+def _level_max(C, rho, K_init, K, bounds):
+    """(max |F| over the full K-point grid, E) of each row, from the level
+    evaluator: the K_init-point level and the odd points of every doubling
+    up to K; E is the largest level E."""
+    V, E = holes._grid_values(C, rho, K_init, False, bounds, {})
+    gmax = np.abs(V).max(axis=1)
+    K2 = 2 * K_init
+    while K2 <= K:
+        V, E2 = holes._grid_values(C, rho, K2, True, bounds, {})
+        gmax = np.maximum(gmax, np.abs(V).max(axis=1))
+        E = np.maximum(E, E2)
+        K2 *= 2
+    return gmax, E
 
 
 def _reference_ladder(C, rho, M, tail, K_init, K_cap, shift=0,
@@ -45,25 +61,29 @@ def _reference_ladder(C, rho, M, tail, K_init, K_cap, shift=0,
         eta = holes._GRID_ETA
         D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
         D2 = np.sum(A * (n * n * rho ** n), axis=1)
-        E = (scale * g) * np.sum(A * (rho * (1.0 + eta)) ** np.arange(n1),
-                                 axis=1) + D * (eta * rho)
+        Eg = (scale * g) * np.sum(A * (rho * (1.0 + eta)) ** np.arange(n1),
+                                  axis=1)
+        Eh = Eg + D * (eta * rho)
     out = np.full(B, OPEN)
     tube = np.zeros(B, dtype=bool)
     settled = {}
     active = np.arange(B)
     K = int(K_init)
     while active.size:
-        z = holes._grid_points(rho, K)
-        smax = scale * np.abs(gaf.evaluate_on_grid(C[active], z)).max(axis=1)
+        if first_order:
+            z = holes._grid_points(rho, K)
+            gmax = np.abs(gaf.evaluate_on_grid(C[active], z)).max(axis=1)
+        else:
+            gmax, E = _level_max(C[active], rho, K_init, K,
+                                 (scale, g, Eg[active], Eh[active]))
+        smax = scale * gmax
         first = D[active] * (np.pi * rho / K)
         if first_order:
             h = smax + first + tail <= M
         else:
             second = D2[active] * (0.5 * (np.pi / K) ** 2)
-            h = (1.0 + g) * (smax + np.minimum(first, second) + E[active]) \
-                + tail < M
-            tube[active] = h & ~((1.0 + g) * (smax + first + E[active])
-                                 + tail < M)
+            h = (1.0 + g) * (smax + np.minimum(first, second) + E) + tail < M
+            tube[active] = h & ~((1.0 + g) * (smax + first + E) + tail < M)
         m = smax > M
         out[active[m]] = MISS
         out[active[h]] = HIT
@@ -221,8 +241,9 @@ def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap):
 # soundness of the hit test
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rho", [0.7, 0.9, 0.999])
+@pytest.mark.parametrize("rho", [0.7, 0.9, 0.999, 1.0])
 def test_grid_points_lie_within_half_eta_of_the_circle_grid(rho):
+    # rho = 1 gives the FFT's twiddles and twists
     # powers of two, and sizes whose step 2 pi / K is not exact
     pick = np.random.default_rng(11)
     bound = 0.5 * holes._GRID_ETA * rho
@@ -245,7 +266,8 @@ GAP = 1e-13
 def _scaled_to(C, rho, M, shift, factor):
     """C scaled so that rho^shift * max |F| over the 2^16-point grid is
     M * factor (for factor > 1 a lower bound on the sup of every row)."""
-    gmax = holes._grid_max(C, holes._grid_points(rho, 1 << 16))
+    z = holes._grid_points(rho, 1 << 16)
+    gmax = np.abs(gaf.evaluate_on_grid(C, z)).max(axis=1)
     return C * (M * factor / (rho ** shift * gmax))[:, None]
 
 
@@ -301,18 +323,24 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
               holes._sup_counts(inner, 0.9, half, tail, 12, 3000,
                                 shift=shift),
               holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
-    z = holes._grid_points(0.9, 4096)[1::2]
-    gmax = holes._grid_max(mid, z)
+    g, scale, _, _, Eg, Eh = holes._circle_bounds(mid, 0.9)
+    bounds = (scale, g, Eg, Eh)
+    level = holes._grid_max(mid, 0.9, 4096, True, bounds, {})
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
     after = [holes._sup_counts(mid, 0.9, half, 0.0, 8, 4096),
              holes._sup_counts(inner, 0.9, half, tail, 12, 3000,
                                shift=shift),
              holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
     assert after == before
-    # above the chunk size a row is evaluated in slices of its points
-    assert holes._grid_max(mid, z).tobytes() == gmax.tobytes()
+    for a, b in zip(holes._grid_max(mid, 0.9, 4096, True, bounds, {}), level):
+        assert a.tobytes() == b.tobytes()
+    # on Horner, a row's points are evaluated in slices above the chunk
+    monkeypatch.setattr(holes, "_FFT_MIN_DEGREE", 1 << 30)
+    z = holes._grid_points(0.9, 4096)[1::2]
+    gmax, E = holes._grid_max(mid, 0.9, 4096, True, bounds, {})
     full = np.abs(gaf.evaluate_on_grid(mid, z)).max(axis=1)
     assert gmax.tobytes() == full.tobytes()
+    assert E.tobytes() == bounds[3].tobytes()
 
 
 # ---------------------------------------------------------------------------
