@@ -35,7 +35,9 @@ def _no_horner(monkeypatch):
 
 @pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("N, K, r", [(15, 64, 0.5), (92, 256, 0.9),
-                                     (192, 1024, 0.9), (1842, 8192, 0.99)])
+                                     (192, 1024, 0.9), (1842, 8192, 0.99),
+                                     # folded: fewer points than coefficients
+                                     (192, 64, 0.9), (1842, 1024, 0.99)])
 def test_fft_values_lie_within_E_of_mpmath(N, K, r, odd, monkeypatch):
     # the smallest size sits below the default crossover: lower it so that
     # every size here runs the FFT
@@ -113,3 +115,22 @@ def test_the_crossover_depends_on_degree_and_size_only(monkeypatch):
     holes._certify_rows(C, 0.9, 8, 1 << 12, tail=0.0)
     holes._sup_counts(C, 0.9, 1e6, 0.0, 8, 1 << 12)
     assert calls == []
+
+
+def test_the_sup_ladder_keeps_the_largest_E_across_the_crossover():
+    # F = 1 + 2^-100 z^26 at rho = 1/2: every grid value has modulus 1 and
+    # D, D_2 are negligible, so a row is a hit iff (1 + g)(1 + E) < M.  At
+    # degree 26 the levels up to 128 points run the FFT, whose E exceeds
+    # the Horner E of the levels above; M sits between the two, so the row
+    # may never become a hit once an FFT level has raised its E.
+    C = np.zeros((1, 27), dtype=complex)
+    C[0, 0], C[0, 26] = 1.0, 2.0 ** -100
+    g, scale, _, _, Eg, Eh = holes._circle_bounds(C, 0.5)
+    bounds = (scale, g, Eg, Eh)
+    assert holes._fft_level(27, 128) and not holes._fft_level(27, 256)
+    V, E_fft = holes._grid_values(C, 0.5, 8, False, bounds, {})
+    assert np.all(np.abs(V) == 1.0) and Eh[0] < E_fft[0]
+    M = 0.5 * ((1.0 + g) * (1.0 + Eh[0]) + (1.0 + g) * (1.0 + E_fft[0]))
+    assert (1.0 + g) * (1.0 + Eh[0]) < M <= (1.0 + g) * (1.0 + E_fft[0])
+    hit, miss, inc, *_ = holes._sup_counts(C, 0.5, M, 0.0, 8, 1024)
+    assert (hit, miss, inc) == (0, 0, 1)
