@@ -347,15 +347,16 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
     The FFT error is t eta' / (1 - t eta') sqrt(P) ||x||_2 (1 + 2
     gamma_{P+2}) for the folded input x of P points (module docstring).
     """
-    B, n1 = C.shape
-    K = u.shape[0]
+    (B, n1), K = C.shape, u.shape[0]
     P = K // 2 if odd else K
-    b = C * np.cumprod(np.concatenate([[1.0], np.full(n1 - 1, rho)]))
-    if odd:
-        b *= u[np.arange(n1) % K]
+    pw = np.cumprod(np.concatenate([[1.0], np.full(n1 - 1, rho)]))
+    tw = u[np.arange(n1) % K] if odd else None
     x = np.zeros((B, P), dtype=complex)
-    for lo in range(0, n1, P):
-        x[:, :min(P, n1 - lo)] += b[:, lo:lo + P]
+    for lo in range(0, n1, P):  # b = c_n rho^n (twisted), slice by slice
+        b = C[:, lo:lo + P] * pw[lo:lo + P]
+        if odd:
+            b *= tw[lo:lo + P]
+        x[:, :b.shape[1]] += b
     nrm = np.sqrt(np.sum(x.real * x.real + x.imag * x.imag, axis=1))
     t = P.bit_length() - 1
     eta = 0.5 * _GRID_ETA + _gamma(4) * (math.sqrt(2.0) + 0.5 * _GRID_ETA)
