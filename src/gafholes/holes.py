@@ -102,7 +102,16 @@ so every ZeroCertified row carries its exact zero count.
 Estimators (all Monte Carlo over independent per-trial streams):
 
   * direct: certify each trial sample; Wilson interval on the hit rate,
-    inconclusive trials widen it pessimistically;
+    inconclusive trials widen it pessimistically.  A row whose constant
+    term dominates the rest of the series is a hole with no grid
+    (_constant_term_holes).  For |z| <= rho, |F_N(z)| >= |c_0| - sum_{n>=1}
+    |c_n| rho^n >= lb_0, with lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1}
+    |c_n| (rho (1 + eta))^n as computed.  The tail bound bounds |F - F_N|
+    on the circle, so on the disk too (maximum principle), and lb_0 above
+    it leaves F no zero in the disk.  Each computed weight is at least
+    rho^n; g (as above) covers the rounding of abs, the products, the
+    pairwise sum and the two scalings; and the last subtraction rounds
+    monotonically.  Only the other rows climb the ladder;
   * threshold lower bound: P[Hole] >= e^{-M^2/a_0^2} * P[sup |F - F(0)| <= M]
     (the constant term a_0 zeta_0 exceeds M with probability exactly
     e^{-M^2/a_0^2}, 0 when a_0 = 0, and the rest then cannot reach back
@@ -610,6 +619,18 @@ def _rounding_gamma(n_coeffs: int) -> float:
     return _gamma(8 * (n_coeffs + 1))
 
 
+def _constant_term_holes(C: np.ndarray, rho: float, tail: float) -> np.ndarray:
+    """Rows of C that are certified holes of the rho-disk by their constant
+    term alone: lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1} |c_n| (rho (1 +
+    eta))^n > max(tail, 0), the weights and g those of _circle_bounds
+    (proof in the module docstring).  A NaN row is never one."""
+    A = np.abs(C)
+    n1 = C.shape[1]
+    g = _rounding_gamma(n1)
+    R = np.sum(A[:, 1:] * (rho * (1.0 + _GRID_ETA)) ** np.arange(1, n1), axis=1)
+    return (1.0 - g) * A[:, 0] - (1.0 + g) * R > max(tail, 0.0)
+
+
 def min_modulus_certified(sample: GafSample, rho: float,
                           K_init: int = K_INIT_DEFAULT,
                           K_cap: int = K_CAP_DEFAULT) -> Tuple[float, float, int]:
@@ -736,14 +757,17 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """Direct Monte Carlo estimate of the hole probability at radius r.
 
     Each trial samples a truncated series on its own stream (stream id =
-    trial index) and runs the certified decision: the ladder to K_cap;
-    rows still open at the cap are Inconclusive, and zeros_certified holds
-    the certified non-holes.  Inconclusive trials widen the Wilson interval
+    trial index) and runs the certified decision.  Rows whose constant
+    term dominates the rest of the series on the disk are holes at once
+    (_constant_term_holes); the others climb the ladder to K_cap, and rows
+    still open at the cap are Inconclusive.  zeros_certified holds the
+    certified non-holes.  Inconclusive trials widen the Wilson interval
     pessimistically: they count as hits for p_high and as misses for p_low.
-    kernel counts the rows the ladder decided (uniform_ladder = trials -
+    kernel counts the rows settled before the ladder (constant_term), those
+    the ladder decided (uniform_ladder = trials - constant_term -
     inconclusive), those only the second-order bound decided (tube), those
-    open at the cap (open_at_cap, the trials not in settle_K) and the rows
-    that left the ladder at each grid size (settle_K).
+    open at the cap (open_at_cap) and the ladder rows that left it at each
+    grid size (settle_K, which holds every ladder row not open at the cap).
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t = truncation_degree(model, r, tau_rel)
@@ -752,17 +776,24 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     def worker(lo: int, hi: int):
         C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
+        pre = _constant_term_holes(C, r, tail)
+        n_pre = int(pre.sum())
+        if n_pre:
+            C = C[~pre]
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
         zero = ok & (res["wind"] >= 1)
-        settled = [int(np.sum(res["settle_K"] == K)) for K in levels]
-        return (int(hole.sum()), int(zero.sum()), int((~(hole | zero)).sum()),
-                int(np.sum(res["settle_K"] == 0)),
-                int(((hole | zero) & res["tube"]).sum()), *settled)
+        # [open at the cap, settled at levels[0], levels[1], ...] in one pass
+        at = np.bincount(np.searchsorted(edges, res["settle_K"]),
+                         minlength=edges.size)
+        return (n_pre + int(hole.sum()), int(zero.sum()),
+                int((~(hole | zero)).sum()), n_pre,
+                int(((hole | zero) & res["tube"]).sum()), *at)
 
     levels = _ladder_levels(K_init, K_cap)
-    (holes_n, zeros_n, inc_n, open_n, tube_n,
+    edges = np.array([0] + levels, dtype=np.int64)
+    (holes_n, zeros_n, inc_n, pre_n, tube_n, open_n,
      *settled) = _batched_counts(trials, workers, worker)
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
@@ -777,7 +808,8 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
             "zeros_certified": int(zeros_n),
             "certificate_failure_budget": trials * math.exp(log_fail),
         },
-        kernel={"uniform_ladder": int(holes_n + zeros_n),
+        kernel={"constant_term": pre_n,
+                "uniform_ladder": int(holes_n - pre_n + zeros_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
                 "tube": tube_n,
                 "settle_K": {K: n for K, n in zip(levels, settled) if n}})

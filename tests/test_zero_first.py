@@ -6,8 +6,13 @@ These tests pin the properties the estimator relies on: per-row
 determinism, kernel counters that add up and ignore the worker count,
 estimate counts equal to the ladder's, and no wrong certificate for
 polynomials whose roots all lie outside the disk (however close), for exact
-root clusters, or for an Explicit model with a zero tail bound.
+root clusters, or for an Explicit model with a zero tail bound.  The
+constant-term certificate, which settles rows before the ladder, must not
+settle a row with a root on or just inside the circle or a NaN row, and
+every row it settles must be a hole of the ladder.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,23 +60,31 @@ def test_kernel_counters_add_up_and_ignore_worker_count():
     a = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=1)
     b = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=2)
     assert a.kernel == b.kernel
-    assert set(a.kernel) == {"uniform_ladder", "inconclusive", "open_at_cap",
-                             "tube", "settle_K"}
-    assert a.kernel["uniform_ladder"] + a.kernel["inconclusive"] == a.trials
-    assert a.kernel["uniform_ladder"] == a.hits + a.metadata["zeros_certified"]
-    # the tube rows are ladder rows; every row but those open at the cap
-    # left the ladder at some level, and an open row is inconclusive
+    assert set(a.kernel) == {"constant_term", "uniform_ladder", "inconclusive",
+                             "open_at_cap", "tube", "settle_K"}
+    assert a.kernel["constant_term"] + a.kernel["uniform_ladder"] \
+        + a.kernel["inconclusive"] == a.trials
+    assert a.kernel["constant_term"] + a.kernel["uniform_ladder"] \
+        == a.hits + a.metadata["zeros_certified"]
+    # constant-term rows are holes settled before the ladder; the tube rows
+    # are ladder rows; every ladder row but those open at the cap left the
+    # ladder at some level, and an open row is inconclusive
+    assert 0 < a.kernel["constant_term"] <= a.hits
     assert 0 < a.kernel["tube"] <= a.kernel["uniform_ladder"]
-    assert sum(a.kernel["settle_K"].values()) == a.trials - a.kernel["open_at_cap"]
+    assert sum(a.kernel["settle_K"].values()) \
+        == a.trials - a.kernel["constant_term"] - a.kernel["open_at_cap"]
     assert a.kernel["open_at_cap"] <= a.kernel["inconclusive"]
     assert a.kernel["inconclusive"] == a.inconclusive
     # diagnostics only: the record does not carry them
     assert "kernel" not in a.to_record()
 
 
-def test_direct_estimate_matches_ladder_only_counts():
-    r, trials = 0.7, 2048
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_direct_estimate_matches_ladder_only_counts(r):
+    # about 85%, 50% and 5% of the rows are settled before the ladder
+    trials = 2048
     est = holes.estimate_hole_direct(hyperbolic(1.0), r, trials, 23)
+    assert est.kernel["constant_term"] > 0
     C, tail = _batch(1.0, r, 23, trials)
     exact = holes._certify_rows(C, r, tail=tail)
     ok = (exact["mm_lb"] > tail) & exact["wind_ok"]
@@ -155,3 +168,91 @@ def test_explicit_model_with_zero_tail_certifies_only_true_zeros():
     est = holes.estimate_hole_direct(m, r, 4096, 3)
     assert est.hits == int(np.sum(_hole(res, tail)))
     assert est.metadata["zeros_certified"] == int(zero.sum())
+
+
+# ---------------------------------------------------------------------------
+# the constant-term certificate (rows settled before the ladder)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rho", [0.5, 0.3, 0.7])
+def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
+    # c_0 + c_1 z with its root a = -c_0 / c_1 on the circle (k = 0) or k
+    # ulps inside it, at eight phases and two scales
+    rows = []
+    for k in range(5):
+        a = rho
+        for _ in range(k):
+            a = np.nextafter(a, 0.0)
+        for u in np.exp(2j * np.pi * np.arange(8) / 8):
+            for s in (1.0, 3.0e5):
+                rows.append([s * a * u, -s])
+                rows.append([s * a, -s * np.conj(u)])
+    C = np.array(rows, dtype=complex)
+    for tail in (0.0, -np.inf):
+        assert not np.any(holes._constant_term_holes(C, rho, tail))
+    # degree 5, every phase aligned: c_0 = -sum c_n rho^n rounded down, then
+    # k ulps lower, so F_N(rho) <= 0 < F_N(0) and a root lies in (0, rho]
+    rows = []
+    for a in np.random.default_rng(7).uniform(0.1, 2.0, (16, 5)):
+        exact = sum(Fraction(x) * Fraction(rho) ** n for n, x in enumerate(a, 1))
+        c0 = float(exact)
+        if Fraction(c0) > exact:
+            c0 = np.nextafter(c0, 0.0)
+        for k in range(5):
+            rows.append([c0, *-a])
+            c0 = np.nextafter(c0, 0.0)
+    assert not np.any(holes._constant_term_holes(np.array(rows, dtype=complex),
+                                                 rho, 0.0))
+
+
+def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
+    m, r = hyperbolic(1.0), 0.3
+    sample = holes.sample_coeff_batch
+    seen = []
+
+    def nan_rows(*args):
+        C = sample(*args)
+        C[0, 0] = np.nan   # constant term
+        C[1, 3] = np.nan   # a later coefficient
+        return C
+
+    def spy(C, *args, **kwargs):
+        seen.append(C.copy())
+        return certify(C, *args, **kwargs)
+
+    C = nan_rows(m, 5, np.arange(2, dtype=np.uint64), 15)
+    assert not np.any(holes._constant_term_holes(C, r, 0.0))
+    certify = holes._certify_rows
+    monkeypatch.setattr(holes, "sample_coeff_batch", nan_rows)
+    monkeypatch.setattr(holes, "_certify_rows", spy)
+    est = holes.estimate_hole_direct(m, r, 256, 5, K_cap=256)
+    (ladder,) = seen
+    assert np.sum(np.any(np.isnan(ladder), axis=1)) == 2
+    assert est.kernel["open_at_cap"] == 2 and est.inconclusive == 2
+    assert est.kernel["constant_term"] > 0
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_constant_term_certificate_with_an_explicit_zero_tail(r):
+    m = explicit([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    tail, _ = gaf.tail_sup_bound(m, N_t, r)
+    assert tail == 0.0
+    C = gaf.sample_coeff_batch(m, 3, np.arange(4096, dtype=np.uint64), N_t)
+    pre = holes._constant_term_holes(C, r, tail)
+    assert pre.any()
+    # F = F_N here: no settled row has a root in the closed disk
+    nearest = np.array([np.min(np.abs(np.roots(c[::-1]))) for c in C[pre]])
+    assert np.all(nearest > r)
+    assert np.all(_hole(holes._certify_rows(C[pre], r, tail=tail), tail))
+
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_constant_term_rows_are_holes_of_the_ladder(L, r):
+    C, tail = _batch(L, r, 71, holes.BATCH_TRIALS)
+    pre = holes._constant_term_holes(C, r, tail)
+    # at L = 2, r = 0.7 no row qualifies (its tail bound is the largest)
+    assert pre.any() or (L, r) == (2.0, 0.7)
+    res = holes._certify_rows(C[pre], r, tail=tail)
+    assert np.all(_hole(res, tail))
