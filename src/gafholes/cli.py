@@ -24,11 +24,12 @@ byte-identical across reruns with the same resolved configuration, at any
 worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
 per-record wall times, and per record what the kernel did ("kernel"):
-for direct estimates the rows the ladder decided ("uniform_ladder") and
-left open ("inconclusive"), the ladder rows that only the
-second-order bound decided ("tube"), the rows still open at the grid cap
-("open_at_cap", a subset of inconclusive) and the rows that left the
-ladder at each grid size ("settle_K"); for the lower-bound
+for direct estimates the rows the constant-term certificate settled
+before the ladder ("constant_term"), the rows the ladder decided
+("uniform_ladder") and left open ("inconclusive"), the ladder rows that
+only the second-order bound decided ("tube"), the rows still open at the
+grid cap ("open_at_cap", a subset of inconclusive) and the ladder rows
+that left the ladder at each grid size ("settle_K"); for the lower-bound
 modes, per sup-ladder stream ("sup" for threshold_lower, "middle" and
 "tail" for tilted_lower), the hit, miss and inconclusive rows, the grid
 points evaluated and the rows settled at each grid size ("settle_K").

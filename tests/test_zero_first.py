@@ -176,15 +176,15 @@ def test_explicit_model_with_zero_tail_certifies_only_true_zeros():
 
 @pytest.mark.parametrize("rho", [0.5, 0.3, 0.7])
 def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
-    # c_0 + c_1 z with its root a = -c_0 / c_1 on the circle (k = 0) or k
-    # ulps inside it, at eight phases and two scales
+    # c_0 + c_1 z with its root -c_0 / c_1 = a u on the circle (k = 0) or k
+    # ulps inside it; the units u and the scales s keep every value exact
     rows = []
     for k in range(5):
         a = rho
         for _ in range(k):
             a = np.nextafter(a, 0.0)
-        for u in np.exp(2j * np.pi * np.arange(8) / 8):
-            for s in (1.0, 3.0e5):
+        for u in (1, -1, 1j, -1j):
+            for s in (1.0, 2.0 ** 18):
                 rows.append([s * a * u, -s])
                 rows.append([s * a, -s * np.conj(u)])
     C = np.array(rows, dtype=complex)
@@ -207,7 +207,7 @@ def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
 
 def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
     m, r = hyperbolic(1.0), 0.3
-    sample = holes.sample_coeff_batch
+    sample, certify = holes.sample_coeff_batch, holes._certify_rows
     seen = []
 
     def nan_rows(*args):
@@ -222,7 +222,6 @@ def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
 
     C = nan_rows(m, 5, np.arange(2, dtype=np.uint64), 15)
     assert not np.any(holes._constant_term_holes(C, r, 0.0))
-    certify = holes._certify_rows
     monkeypatch.setattr(holes, "sample_coeff_batch", nan_rows)
     monkeypatch.setattr(holes, "_certify_rows", spy)
     est = holes.estimate_hole_direct(m, r, 256, 5, K_cap=256)
