@@ -83,7 +83,8 @@ _KEYS: Dict[str, tuple] = {
     "tau_rel": (float, gaf.DEFAULT_TAU_REL, "relative truncation tolerance"),
     "budget": (float, holes.DEFAULT_COMPUTE_BUDGET, "trials*N_t compute cap"),
     "K_init": (int, holes.K_INIT_DEFAULT, "initial certification grid size"),
-    "K_cap": (int, holes.K_CAP_DEFAULT, "grid cap; rows open there are Inconclusive"),
+    "K_cap": (int, holes.K_CAP_DEFAULT, "grid cap: the ladder stops at its first "
+              "level >= K_cap; rows open there are Inconclusive"),
     "c_cfg": (float, None, "lower band/defect constant override"),
     "C_cfg": (float, None, "upper band/defect constant override"),
     "band": (str, "hyperbolic", "envelope family: hyperbolic|decaying|flat"),
@@ -305,8 +306,7 @@ def cmd_estimate(cfg: dict) -> int:
         row = est.to_record()
         row.update(_provenance(cfg, streams=[0, cfg["trials"]]))
         rows.append(row)
-    write_jsonl(rows, cfg["out"], wall_times=walls,
-                kernel=kernels if any(kernels) else None)
+    write_jsonl(rows, cfg["out"], wall_times=walls, kernel=kernels)
     return 0
 
 
@@ -319,7 +319,8 @@ def cmd_envelope(cfg: dict) -> int:
             if cfg["band"] == "hyperbolic":
                 e = envelopes.hyperbolic_envelope(cfg["L"], r)
             elif cfg["band"] == "decaying":
-                e = envelopes.decaying_band(build_model(cfg), r)
+                # the model's own L where it has one (it is cfg["L"])
+                e = envelopes.decaying_band(build_model(cfg), r, L=cfg["L"])
             elif cfg["band"] == "flat":
                 e = envelopes.flat_band(
                     r,

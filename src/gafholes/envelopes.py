@@ -157,15 +157,13 @@ def flat_band(r: float, c_cfg: float = FLAT_BAND_C_LOW,
     return BoundEnvelope(1.0, r, c_cfg / delta, C_cfg / delta, "crit")
 
 
-def moment_exponent_certificate(L: float, r: float,
-                                a_cfg: Optional[float] = None,
-                                kappa_cfg: Optional[float] = None) -> float:
+def moment_exponent_certificate(L: float, r: float) -> float:
     """Normalized joint-moment Chebyshev exponent for the super-unit regime.
 
     With delta = 1 - r, N = floor(((L-1)/(2 delta)) log(1/delta)),
-    a = (log(1/delta))^{-1/2} unless overridden, theta = 2 - a^2, and the
-    circulant spectrum of the hyperbolic model at radius
-    r_0 = 1 - kappa delta (kappa = 1 + delta unless overridden), evaluates
+    a = (log(1/delta))^{-1/2}, theta = 2 - a^2, and the circulant spectrum
+    of the hyperbolic model at radius r_0 = 1 - kappa delta (kappa = 1 +
+    delta), evaluates
 
         N theta (1/2 + a) log(1/delta) - log det Sigma
             + N (1 - theta/2) log Lambda + N log Gamma(1 - theta/2)
@@ -183,15 +181,13 @@ def moment_exponent_certificate(L: float, r: float,
     if N < 2:
         raise InvalidRadius(
             f"r={r} is too far from 1 for the certificate (N={N})")
-    a = (log1d ** -0.5) if a_cfg is None else float(a_cfg)
+    a = log1d ** -0.5
     theta = 2.0 - a * a
     if not (0.0 < theta < 2.0):
         raise InvalidRadius(
             f"tilt exponent theta = 2 - a^2 = {theta} out of (0, 2)")
-    kappa = (1.0 + delta) if kappa_cfg is None else float(kappa_cfg)
-    r_0 = 1.0 - kappa * delta
-    if not (0.0 < r_0 < 1.0):
-        raise InvalidRadius(f"certificate radius r_0={r_0} out of (0, 1)")
+    # theta > 0 means log1d > 1/2, so delta (1 + delta) < 1 and r_0 > 0
+    r_0 = 1.0 - (1.0 + delta) * delta
     sp = circulant_eigenvalues(hyperbolic(L), r_0, N)
     exponent = (N * theta * (0.5 + a) * log1d
                 - sp.log_det

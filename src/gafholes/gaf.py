@@ -20,7 +20,7 @@ from . import rng
 from .coeffs import CoefficientModel, coefficients, log_sq_blocks, sigma_sq
 # re-exported so the benchmark tracer can wrap them under these names
 from .coeffs import log_sq_at, log_sq_block  # noqa: F401
-from .errors import InvalidPoint, InvalidRadius, NoConvergence
+from .errors import DomainError, InvalidPoint, InvalidRadius, NoConvergence
 
 # tau_rel drives the tail bound floor of the certified decisions; 1e-8
 # keeps the inconclusive fraction of the direct estimator below 1e-3 out
@@ -39,15 +39,6 @@ class GafSample:
     seed: int
     stream_id: int
 
-    def to_record(self) -> dict:
-        return {
-            "model": self.model.describe(),
-            "seed": int(self.seed),
-            "stream_id": int(self.stream_id),
-            "N_t": int(self.trunc_degree),
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
 
 def truncation_degree(model: CoefficientModel, rho: float, tau_rel: float) -> int:
     """Smallest N with tail variance sum_{n>N} a_n^2 rho^{2n} <= tau_rel^2 sigma^2.
@@ -59,7 +50,7 @@ def truncation_degree(model: CoefficientModel, rho: float, tau_rel: float) -> in
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
     if not (0.0 < tau_rel <= 1.0):
-        raise InvalidRadius(f"tau_rel must lie in (0, 1], got {tau_rel}")
+        raise DomainError(f"tau_rel must lie in (0, 1], got {tau_rel}")
     if tau_rel == 1.0:
         return 0
     total = sigma_sq(model, rho)
@@ -151,7 +142,7 @@ def tail_sup_bound(model: CoefficientModel, N_t: int, rho: float,
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
     if not (fail_exp > 0):
-        raise InvalidRadius(f"fail_exp must be > 0, got {fail_exp}")
+        raise DomainError(f"fail_exp must be > 0, got {fail_exp}")
     log_fail_prob = -float(fail_exp) - float(np.log(1.0 - np.exp(-1.0)))
     if model.kind == "Explicit":
         seq = np.asarray(model.explicit_seq)
@@ -175,22 +166,13 @@ def tail_sup_bound(model: CoefficientModel, N_t: int, rho: float,
             return total, log_fail_prob
 
 
-def derivative_sup_bound(s: GafSample, rho: float) -> float:
-    """Upper bound sum n |c_n| rho^{n-1} on |F_N'| over the closed rho-disk."""
-    if not (0.0 <= rho < 1.0):
-        raise InvalidRadius(f"rho must lie in [0, 1), got {rho}")
-    return float(derivative_sup_bound_rows(s.coeffs[None, :], rho)[0])
-
-
 def derivative_sup_bound_rows(coeff_rows: np.ndarray, rho: float) -> np.ndarray:
-    """Vector form of derivative_sup_bound over rows.
+    """Upper bound sum n |c_n| rho^{n-1} on |F_N'| over the closed rho-disk,
+    per row (0 for a constant row).
 
     Uses an explicit elementwise product and a row-local pairwise sum (no
     BLAS) so each row's value is independent of the batch it sits in.
     """
-    n1 = coeff_rows.shape[1]
-    if n1 == 1:
-        return np.zeros(coeff_rows.shape[0])
-    n = np.arange(1, n1, dtype=np.float64)
+    n = np.arange(1, coeff_rows.shape[1], dtype=np.float64)
     weights = n * rho ** (n - 1.0)
     return np.sum(np.abs(coeff_rows[:, 1:]) * weights[None, :], axis=1)

@@ -22,9 +22,9 @@ points of the 2K-point grid are the K-point grid bit for bit (fl(2 pi /
 evaluates only the K new odd points.  The sup ladder folds their maximum
 |F| into the previous level's (max is exact); the min ladder keeps the
 values of its open rows and interleaves the new ones, so it holds the
-whole grid.  A NaN propagates the same way.  The cap is the largest grid
-either ladder visits, in every operation and estimator: a row still open
-there is Inconclusive.
+whole grid.  A NaN propagates the same way.  Either ladder stops at its
+first level at or above the cap (K_init 2^k >= K_cap), in every operation
+and estimator: a row still open there is Inconclusive.
 
 Let f(theta) = F(rho e^{i theta}), h = 2 pi / K, D = sum n |c_n| rho^{n-1}
 >= sup |F'| and D_2 = sum n^2 |c_n| rho^n >= sup |f''|.  Between adjacent
@@ -374,14 +374,13 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
 
 
 def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
-    """Yield (rows, points, values, E) of the level K (its K/2 odd points
-    when odd) over chunks of at most _CHUNK_ELEMS values.
+    """Yield (rows, values, E) of the level K (its K/2 odd points when odd)
+    over chunks of whole rows, at most _CHUNK_ELEMS values or one row.
 
-    An FFT level (_fft_level) takes whole rows, one row above the chunk;
-    Horner takes whole rows while they fit, slices of one row's points
-    above.  bounds = (scale, g, Eg, Eh) of the rows (_circle_bounds): E is
-    Eh on Horner, Eg + scale (1 + g) (FFT error) on the FFT.  Every
-    operation is elementwise per row, so nothing depends on the chunking.
+    A level runs the FFT (_fft_level) or Horner.  bounds = (scale, g, Eg,
+    Eh) of the rows (_circle_bounds): E is Eh on Horner, Eg + scale (1 + g)
+    (FFT error) on the FFT.  Every operation is elementwise per row, so
+    nothing depends on the chunking.
     """
     scale, g, Eg, Eh = bounds
     P = K // 2 if odd else K
@@ -389,24 +388,20 @@ def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: di
     r = 1.0 if fft else rho
     if (r, K) not in grids:
         grids[r, K] = _grid_points(r, K)
-    if fft:
-        for rows in _row_slices(C.shape[0], P, _CHUNK_ELEMS):
-            V, err = _fft_values(C[rows], rho, grids[r, K], odd)
-            yield rows, slice(0, P), V, Eg[rows] + (scale * (1.0 + g)) * err
-        return
     z = grids[r, K][1::2] if odd else grids[r, K]
-    pts = min(P, _CHUNK_ELEMS)
     for rows in _row_slices(C.shape[0], P, _CHUNK_ELEMS):
-        for p in range(0, P, pts):
-            yield (rows, slice(p, p + pts),
-                   evaluate_on_grid(C[rows], z[p:p + pts]), Eh[rows])
+        if fft:
+            V, err = _fft_values(C[rows], rho, grids[r, K], odd)
+            yield rows, V, Eg[rows] + (scale * (1.0 + g)) * err
+        else:
+            yield rows, evaluate_on_grid(C[rows], z), Eh[rows]
 
 
 def _grid_max(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
     """(max of |F| over the level's points, E) per row.  max is exact and
     keeps a NaN, so the result does not depend on the chunking."""
     gmax, E = np.full(C.shape[0], -np.inf), np.empty(C.shape[0])
-    for rows, _, V, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
+    for rows, V, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
         gmax[rows] = np.maximum(gmax[rows], np.abs(V).max(axis=1))
         E[rows] = Ec
     return gmax, E
@@ -416,8 +411,8 @@ def _grid_values(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: di
     """(values at the level's points -> (rows, points), E) per row."""
     P = K // 2 if odd else K
     V, E = np.empty((C.shape[0], P), dtype=complex), np.empty(C.shape[0])
-    for rows, pts, W, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
-        V[rows, pts] = W
+    for rows, W, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
+        V[rows] = W
         E[rows] = Ec
     return V, E
 
@@ -723,11 +718,21 @@ def _check_estimator_args(r: float, trials: int, confidence: float,
         raise DomainError(f"workers must be >= 1, got {workers}")
 
 
-def _check_budget(trials: int, N_t: int, budget: float):
+def _truncate(model: CoefficientModel, r: float, trials: int, tau_rel: float,
+              fail_exp: float, budget: float, N_min: int = 0):
+    """(N_t, tail bound, the metadata every estimator records): the
+    truncation degree at r, at least N_min, with trials * N_t within budget,
+    and the tail bound, its failure probability summed over the trials."""
+    N_t = max(truncation_degree(model, r, tau_rel), N_min)
     cost = float(trials) * float(N_t)
     if not (cost <= budget):  # a NaN budget rejects, never disables
         raise ComputeBudgetExceeded(
             f"trials * N_t = {cost:.3e} exceeds compute budget {budget:.3e}")
+    tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
+    return N_t, tail, {
+        "fail_exp": fail_exp, "tau_rel": tau_rel, "N_t": N_t,
+        "tail_bound": tail,
+        "certificate_failure_budget": trials * math.exp(log_fail)}
 
 
 def _batched_counts(trials: int, workers: int, worker_fn):
@@ -770,9 +775,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     grid size (settle_K, which holds every ladder row not open at the cap).
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
-    N_t = truncation_degree(model, r, tau_rel)
-    _check_budget(trials, N_t, budget)
-    tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
+    N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
 
     def worker(lo: int, hi: int):
         C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
@@ -802,12 +805,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         hits=int(holes_n), inconclusive=int(inc_n),
         p_low=lo, p_high=hi, confidence=float(confidence), M=None,
         seed=int(seed),
-        metadata={
-            "fail_exp": fail_exp, "tau_rel": tau_rel, "N_t": N_t,
-            "tail_bound": tail,
-            "zeros_certified": int(zeros_n),
-            "certificate_failure_budget": trials * math.exp(log_fail),
-        },
+        metadata={**meta, "zeros_certified": int(zeros_n)},
         kernel={"constant_term": pre_n,
                 "uniform_ladder": int(holes_n - pre_n + zeros_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
@@ -944,9 +942,7 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
             M = default_threshold(1.0, r, eps=eps, B=B, alpha_exp=alpha_exp)
     if not (0.0 < M < math.inf):
         raise DomainError(f"threshold M must be positive and finite, got {M}")
-    N_t = truncation_degree(model, r, tau_rel)
-    _check_budget(trials, N_t, budget)
-    tail, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
+    N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
 
     def worker(lo: int, hi: int):
         C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
@@ -963,11 +959,7 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
         hits=int(hits), inconclusive=int(inc),
         p_low=p_low, p_high=1.0, confidence=float(confidence), M=float(M),
         seed=int(seed),
-        metadata={
-            "fail_exp": fail_exp, "tau_rel": tau_rel, "N_t": N_t,
-            "tail_bound": tail, "q_low": q_low,
-            "certificate_failure_budget": trials * math.exp(log_fail),
-        },
+        metadata={**meta, "q_low": q_low},
         kernel={"sup": _sup_kernel(counts, K_init, K_cap)})
 
 
@@ -1063,9 +1055,8 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     if N < 1:
         raise TiltOutOfRange(
             f"middle block is empty at r={r} (N={N}); r is too far from 1")
-    N_t = max(truncation_degree(model, r, tau_rel), N + 1)
-    _check_budget(trials, N_t, budget)
-    tail_beyond, log_fail = tail_sup_bound(model, N_t, r, fail_exp)
+    N_t, tail_beyond, meta = _truncate(model, r, trials, tau_rel, fail_exp,
+                                       budget, N_min=N + 1)
     la = log_sq_range(model, N_t)
     a = np.exp(0.5 * la)
     conf_each = 1.0 - (1.0 - confidence) / 2.0
@@ -1102,13 +1093,10 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
         p_low=p_low, p_high=1.0, confidence=float(confidence), M=float(M),
         seed=int(seed),
         metadata={
-            "fail_exp": fail_exp, "tau_rel": tau_rel, "N_t": N_t,
-            "tail_bound": tail_beyond,
-            "N": N, "N1": N1, "r2": r2, "alpha1": alpha1,
+            **meta, "N": N, "N1": N1, "r2": r2, "alpha1": alpha1,
             "log_Q2": log_Q2, "q_mid_low": q_mid, "q_tail_low": q_tail,
             "mid_hits": int(mid_hits), "tail_hits": int(tail_hits),
             "log10_p_low": log_p / math.log(10.0) if math.isfinite(log_p) else None,
-            "certificate_failure_budget": trials * math.exp(log_fail),
         },
         kernel={"middle": _sup_kernel(mid_counts, K_init, K_cap),
                 "tail": _sup_kernel(tail_counts, K_init, K_cap)})

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class CheckReport:
     check_id: str
     grid: List[dict]
     measured: List[float]
-    asserted: List[Optional[float]]   # None = report-only (no bound)
+    asserted: List[float]
     passed: bool
     constants: dict = field(default_factory=dict)
 
@@ -75,8 +75,8 @@ class CheckReport:
         }
 
 
-def _passed(measured: Sequence[float], asserted: Sequence[Optional[float]]) -> bool:
-    return all(b is None or m <= b for m, b in zip(measured, asserted))
+def _passed(measured: Sequence[float], asserted: Sequence[float]) -> bool:
+    return all(m <= b for m, b in zip(measured, asserted))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +205,14 @@ def neg_moment_contraction_check(t, theta,
         constants={"c_cfg": c_cfg, "C_cfg": C_cfg})
 
 
-def neg_moment_sup_check(theta, t, w_grid=None,
-                         C_cfg: float = DEFAULT_SUP_C) -> CheckReport:
+def neg_moment_sup_check(theta, t, C_cfg: float = DEFAULT_SUP_C) -> CheckReport:
     """Check sup_w E|w + zeta/t|^{-theta} <= t^theta (1 + C theta).
 
     The rearrangement argument places the supremum at w = 0, where the
     moment is exactly t^theta Gamma(1 - theta/2); the configured constant
     absorbs Gamma(1 - theta/2) <= 1 + C theta for theta <= 1.
     """
-    if w_grid is None:
-        w_grid = [0.0, 0.5, 1.0, 1.0 + 1.0j, 2.0, 5.0]
+    w_grid = [0.0, 0.5, 1.0, 1.0 + 1.0j, 2.0, 5.0]
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(thetas < 0.0) or np.any(thetas > 1.0):
@@ -304,20 +302,18 @@ def unity_average_defect(poly_coeffs, k: int) -> float:
     return float(math.log(abs(c[0])) - np.max(averages))
 
 
-def unity_average_defect_check(polys=None, ks=(4, 8, 16),
-                               C_cfg: float = DEFAULT_DEFECT_C) -> CheckReport:
+def unity_average_defect_check(C_cfg: float = DEFAULT_DEFECT_C) -> CheckReport:
     """Defect check D <= C/k^2 over sample polynomials, including the
     on-circle-root hard case."""
-    if polys is None:
-        polys = {
-            "1+0.5z": [1.0, 0.5],
-            "1-z": [1.0, -1.0],
-            "1+z+z^2": [1.0, 1.0, 1.0],
-            "1-0.9iz": [1.0, -0.9j],
-        }
+    polys = {
+        "1+0.5z": [1.0, 0.5],
+        "1-z": [1.0, -1.0],
+        "1+z+z^2": [1.0, 1.0, 1.0],
+        "1-0.9iz": [1.0, -0.9j],
+    }
     grid, measured, asserted = [], [], []
     for name, coeffs in polys.items():
-        for k in ks:
+        for k in (4, 8, 16):
             d = unity_average_defect(coeffs, k)
             grid.append({"poly": name, "k": k})
             measured.append(float(d))

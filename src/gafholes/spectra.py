@@ -43,7 +43,7 @@ from .coeffs import (
     log_sq_blocks,
     log_sq_range,
 )
-from .errors import EmptySubset, InvalidRadius, NotMonotone, SizeCap
+from .errors import DomainError, EmptySubset, InvalidRadius, NotMonotone, SizeCap
 
 DENSE_SIZE_CAP = 1024
 _MODULAR_BLOCK = 1 << 16   # indices per block of the modular scan
@@ -88,22 +88,16 @@ def _modular_log_sums(model: CoefficientModel, r: float, N: int,
 
     Per-residue logsumexp accumulation over index blocks [kN, (k+1)N), with
     the geometric remainder rule from the module docstring (relative tail
-    below 1e-14 per residue).
+    below 1e-14 per residue).  A finite Explicit sequence is padded with
+    -inf (log 0, which logaddexp adds exactly) to whole blocks and folded
+    in one reduction.
     """
     log_r2 = 2.0 * np.log(r)
     if model.kind == "Explicit":
-        # finite sequence: accumulate directly
-        n0 = first_block * N
-        seq_len = len(model.explicit_seq)
-        acc = np.full(N, -np.inf)
-        if n0 < seq_len:
-            la = log_sq_range(model, seq_len - 1)[n0:]
-            g = la + np.arange(n0, seq_len) * log_r2
-            for m in range(N):
-                sel = g[(np.arange(n0, seq_len) % N) == m]
-                if sel.size:
-                    acc[m] = np.logaddexp.reduce(sel)
-        return acc
+        n0, n1 = first_block * N, len(model.explicit_seq)
+        g = log_sq_range(model, n1 - 1)[n0:] + np.arange(n0, n1) * log_r2
+        g = np.concatenate([g, np.full(-g.size % N, -np.inf)])
+        return np.logaddexp.reduce(g.reshape(-1, N), axis=0)
     # each block holds many periods of N indices as the rows of a
     # (periods, N) array; the fold and the stop rule run period by period
     # in the same order as a scan of one period at a time
@@ -132,7 +126,7 @@ def circulant_eigenvalues(model: CoefficientModel, r: float, N: int) -> Circulan
     """Spectrum of the circulant covariance at N scaled roots of unity."""
     _check_radius(r)
     if N < 1:
-        raise InvalidRadius(f"N must be >= 1, got {N}")
+        raise DomainError(f"N must be >= 1, got {N}")
     log_s = _modular_log_sums(model, r, N, first_block=0)
     log_lam = np.log(float(N)) + log_s
     lambdas = np.exp(log_lam)
@@ -150,7 +144,7 @@ def covariance_matrix(model: CoefficientModel, r: float, N: int) -> np.ndarray:
     """Dense N x N circulant covariance (N <= 1024), Hermitian by construction."""
     _check_radius(r)
     if N < 1:
-        raise InvalidRadius(f"N must be >= 1, got {N}")
+        raise DomainError(f"N must be >= 1, got {N}")
     if N > DENSE_SIZE_CAP:
         raise SizeCap(f"dense covariance capped at N={DENSE_SIZE_CAP}, got {N}")
     s = np.exp(_modular_log_sums(model, r, N, first_block=0))  # lambda_m / N
@@ -173,7 +167,7 @@ def split_coefficients(model: CoefficientModel, r_0: float, N: int) -> SplitMode
     """The splitting coefficients (b_n, d_n) and sigma_G1^2 at (r_0, N)."""
     _check_radius(r_0)
     if N < 1:
-        raise InvalidRadius(f"N must be >= 1, got {N}")
+        raise DomainError(f"N must be >= 1, got {N}")
     if not is_nonincreasing(model):
         raise NotMonotone(
             "splitting requires non-increasing coefficients "

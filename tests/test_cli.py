@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gafholes import cli, envelopes, oracles, spectra
-from gafholes.coeffs import hyperbolic
+from gafholes.coeffs import explicit, hyperbolic
 
 # One full output line, frozen byte for byte.  The payload is a pure
 # function of the semantic config, so any drift here means either the
@@ -217,6 +217,25 @@ def test_envelope_command_csv(capsys):
     assert float(fields[3]) == pytest.approx(530.1898110478392, rel=1e-12)
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--band", "flat", "--r", "0.9"], lambda: envelopes.flat_band(0.9)),
+    (["--band", "decaying", "--L", "0.5", "--r", "0.9"],
+     lambda: envelopes.decaying_band(hyperbolic(0.5), 0.9)),
+    # an Explicit sequence has no exponent of its own: --L supplies it
+    (["--band", "decaying", "--model", "Explicit", "--explicit-seq",
+      "1,0.5,0.25", "--L", "0.5", "--r", "0.9"],
+     lambda: envelopes.decaying_band(explicit([1, 0.5, 0.25]), 0.9, L=0.5)),
+], ids=["flat", "decaying", "decaying-explicit"])
+def test_envelope_bands_write_csv_and_sidecar(tmp_path, flags, env):
+    out = tmp_path / "env.csv"
+    assert cli.main(["envelope", *flags, "--out", str(out)]) == 0
+    e = env()
+    assert out.read_text() == ("L,r,regime,lower,upper\n"
+                               f"{e.L!r},{e.r!r},{e.regime},{e.lower!r},{e.upper!r}\n")
+    meta = json.loads((tmp_path / "env.csv.meta.json").read_text())
+    assert set(meta) == {"timestamp"}
+
+
 def test_defaults_command_lists_registry(capsys):
     assert cli.main(["defaults"]) == 0
     d = json.loads(capsys.readouterr().out)
@@ -239,6 +258,36 @@ def test_report_joins_envelopes(tmp_path, capsys):
         env = envelopes.hyperbolic_envelope(1.0, 0.5)
     assert float(fields[6]) == pytest.approx(env.lower, rel=1e-12)
     assert fields[8] == "crit"
+
+
+def test_report_reads_a_single_results_file(tmp_path, capsys):
+    resdir = tmp_path / "results"
+    resdir.mkdir()
+    res = resdir / "run.jsonl"
+    cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.3", "--out", str(res)])
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(res)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one row per record, sorted by r; the sidecar next to it is not read
+    rec = [json.loads(s) for s in res.read_text().splitlines()]
+    assert [line.split(",")[1] for line in lines[1:]] == ["0.3", "0.5"]
+    assert [float(line.split(",")[4]) for line in lines[1:]] \
+        == [rec[1]["p_low"], rec[0]["p_low"]]
+    # the same table as a directory holding only that file
+    assert cli.main(["report", "--results", str(resdir)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("args", [
+    ESTIMATE_ARGS + ["--tau-rel", "0"],
+    ESTIMATE_ARGS + ["--fail-exp", "0"],
+    ["spectrum", "--N", "0"],
+], ids=["tau_rel", "fail_exp", "N"])
+def test_arguments_that_are_not_radii_exit_2(args, capsys):
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert args[-2].lstrip("-").replace("-", "_") in err
 
 
 def test_config_hash_ignores_operational_keys():

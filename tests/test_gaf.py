@@ -7,6 +7,7 @@ import pytest
 
 from gafholes import coeffs, gaf
 from gafholes.coeffs import constant_unit, hyperbolic
+from gafholes.errors import DomainError
 
 
 def test_truncation_degree_constant_unit_matches_scan():
@@ -47,6 +48,16 @@ def test_tail_sup_bound_against_partial_sum():
     assert log_fail == pytest.approx(-29.541324854612917, rel=1e-12)
     # failure budget close to exp(-fail_exp) by construction
     assert log_fail < -fe + 1.0
+
+
+def test_tolerance_and_failure_exponent_are_domain_errors():
+    m = hyperbolic(1.0)
+    for tau in (0.0, -1e-8, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="tau_rel"):
+            gaf.truncation_degree(m, 0.5, tau)
+    for fe in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="fail_exp"):
+            gaf.tail_sup_bound(m, 10, 0.5, fe)
 
 
 def test_tail_sup_bound_shrinks_with_degree():
@@ -90,6 +101,9 @@ def test_derivative_sup_bound_formula():
     ref = sum(n * abs(c[n]) * rho ** (n - 1) for n in range(1, 4))
     got = gaf.derivative_sup_bound_rows(c[None, :], rho)[0]
     assert got == pytest.approx(ref, rel=1e-14)
-    s = gaf.GafSample(constant_unit(), 3, c, 0, 0)
-    assert gaf.derivative_sup_bound(s, rho) == pytest.approx(ref, rel=1e-14)
+
+
+def test_derivative_sup_bound_of_constant_rows_is_zero():
+    c = np.array([[1.0 + 2.0j], [-3.0]])
+    assert np.array_equal(gaf.derivative_sup_bound_rows(c, 0.7), [0.0, 0.0])
 

@@ -64,6 +64,14 @@ def test_winding_counts_zeros():
     assert holes.winding_number_certified(_poly_sample([0.25, 0.0, 1.0]), 0.7) == 2
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_winding_is_none_for_a_root_on_the_circle(rho):
+    # F = z - rho vanishes exactly at the grid point rho of every level, so
+    # the grid minimum and the segment distance stay 0 and neither winding
+    # certificate fires up to the cap
+    assert holes.winding_number_certified(_poly_sample([-rho, 1.0]), rho) is None
+
+
 # ---------------------------------------------------------------------------
 # hole decisions
 # ---------------------------------------------------------------------------
@@ -279,6 +287,17 @@ def test_threshold_default_M_by_regime():
     assert holes.default_threshold(0.5, 0.99) == pytest.approx(
         math.sqrt(0.6) * (1 - 0.99 ** 2) ** -0.25 * math.sqrt(math.log(100.0)),
         rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [constant_unit(), explicit((1.0, 0.5, 0.25))])
+def test_threshold_default_M_without_an_exponent_is_the_flat_one(model):
+    # ConstantUnit and Explicit models carry no L: the default M is the
+    # L = 1 threshold B sqrt(1 / (1 - r))
+    est = holes.estimate_hole_lower_threshold(model, 0.5, 64, 3)
+    assert est.M == holes.default_threshold(1.0, 0.5) == 3.0 * math.sqrt(2.0)
+    assert est == holes.estimate_hole_lower_threshold(model, 0.5, 64, 3, M=est.M)
+    est = holes.estimate_hole_lower_threshold(model, 0.5, 64, 3, B=2.0)
+    assert est.M == 2.0 * math.sqrt(2.0)
 
 
 def test_threshold_default_M_rejects_negative_radicand():

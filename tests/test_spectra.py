@@ -7,7 +7,7 @@ import pytest
 
 from gafholes import coeffs, gaf, spectra
 from gafholes.coeffs import constant_unit, explicit, hyperbolic
-from gafholes.errors import EmptySubset, InvalidRadius, NotMonotone, SizeCap
+from gafholes.errors import DomainError, EmptySubset, InvalidRadius, NotMonotone, SizeCap
 
 MODELS = [hyperbolic(0.5), hyperbolic(1.0), hyperbolic(2.0), hyperbolic(5.0),
           constant_unit(), explicit([1.0, 0.5, 0.25, 0.125, 0.0625])]
@@ -134,7 +134,17 @@ def test_principal_minor_interlacing():
 def test_domain_guards():
     with pytest.raises(InvalidRadius):
         spectra.circulant_eigenvalues(hyperbolic(1.0), 1.0, 4)
-    with pytest.raises(InvalidRadius):
+    with pytest.raises(DomainError):
         spectra.circulant_eigenvalues(hyperbolic(1.0), 0.5, 0)
     with pytest.raises(SizeCap):
         spectra.covariance_matrix(hyperbolic(1.0), 0.5, spectra.DENSE_SIZE_CAP + 1)
+
+
+@pytest.mark.parametrize("fn", [spectra.circulant_eigenvalues,
+                                spectra.covariance_matrix,
+                                spectra.split_coefficients])
+def test_grid_size_below_one_is_a_domain_error(fn):
+    # N counts grid points; it is not a radius
+    for N in (0, -3):
+        with pytest.raises(DomainError, match="N must be >= 1"):
+            fn(hyperbolic(1.0), 0.5, N)
