@@ -101,6 +101,13 @@ def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
     return zetas * a[None, :]
 
 
+def sample_moduli_batch(model: CoefficientModel, seed: int, stream_ids,
+                        N_t: int) -> np.ndarray:
+    """The moduli fl(|zeta_n|) a_n of sample_coeff_batch's rows, no phases."""
+    rad = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1, True)
+    return rad * coefficients(model, N_t)[None, :]
+
+
 def evaluate(s: GafSample, z: complex) -> complex:
     """Horner evaluation of the truncated series at a point of the open disk."""
     if abs(z) >= 1.0:

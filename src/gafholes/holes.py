@@ -102,16 +102,22 @@ so every ZeroCertified row carries its exact zero count.
 Estimators (all Monte Carlo over independent per-trial streams):
 
   * direct: certify each trial sample; Wilson interval on the hit rate,
-    inconclusive trials widen it pessimistically.  A row whose constant
-    term dominates the rest of the series is a hole with no grid
+    inconclusive trials widen it pessimistically.  A screen draws only the
+    coefficient moduli of each batch and settles as a hole with no grid
+    every row whose constant term dominates the rest of the series
     (_constant_term_holes).  For |z| <= rho, |F_N(z)| >= |c_0| - sum_{n>=1}
     |c_n| rho^n >= lb_0, with lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1}
     |c_n| (rho (1 + eta))^n as computed.  The tail bound bounds |F - F_N|
     on the circle, so on the disk too (maximum principle), and lb_0 above
     it leaves F no zero in the disk.  Each computed weight is at least
-    rho^n; g (as above) covers the rounding of abs, the products, the
-    pairwise sum and the two scalings; and the last subtraction rounds
-    monotonically.  Only the other rows climb the ladder;
+    rho^n; g (as above) covers the one rounding of each |c_n|, the
+    products, the pairwise sum and the two scalings; and the last
+    subtraction rounds monotonically.  Moduli are all it reads, so it holds
+    for any phases: a screened row's sample has moduli fl(sqrt(-log u1))
+    a_n and its own undrawn phases, and g covers the rounding of that
+    product in place of that of abs.  The other rows, pooled in trial order
+    into chunks of at most BATCH_TRIALS, are drawn in full and climb the
+    ladder;
   * threshold lower bound: P[Hole] >= e^{-M^2/a_0^2} * P[sup |F - F(0)| <= M]
     (the constant term a_0 zeta_0 exceeds M with probability exactly
     e^{-M^2/a_0^2}, 0 when a_0 = 0, and the rest then cannot reach back
@@ -151,13 +157,16 @@ from .gaf import (
     derivative_sup_bound_rows,  # noqa: F401 (unused; bench tracer wraps it)
     evaluate_on_grid,
     sample_coeff_batch,
+    sample_moduli_batch,
     tail_sup_bound,
     truncation_degree,
 )
 
 K_INIT_DEFAULT = 8
 K_CAP_DEFAULT = 1 << 20
-BATCH_TRIALS = 2048            # fixed batch width (part of determinism contract)
+# fixed batch width (part of the determinism contract): the trials of a batch,
+# and the most rows of a direct ladder chunk
+BATCH_TRIALS = 2048
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
 _CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
 _ARC_ELEMS = 1 << 14           # max grid values per segment-distance chunk
@@ -203,9 +212,8 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
-    # what the kernel did (rows the direct ladder settled and left open at
-    # the cap, or per stream of the sup ladder); run
-    # diagnostics for the CLI sidecar, never part of the record
+    # what the kernel did (direct paths and ladder levels, or per stream of
+    # the sup ladder): run diagnostics for the sidecar, never in the record
     kernel: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:
@@ -279,6 +287,8 @@ def wilson_interval(hits: int, trials: int, confidence: float) -> Tuple[float, f
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     z = _ndtri_upper(0.5 + confidence / 2.0)
+    if z == math.inf:  # 0.5 + confidence / 2 rounds to 1: the whole range
+        return (0.0, 1.0)
     n = float(trials)
     p = hits / n
     denom = 1.0 + z * z / n
@@ -735,20 +745,18 @@ def _truncate(model: CoefficientModel, r: float, trials: int, tau_rel: float,
         "certificate_failure_budget": trials * math.exp(log_fail)}
 
 
+def _pool_map(worker_fn, n: int, workers: int) -> list:
+    """[worker_fn(lo, hi)] over the fixed-width spans of range(n), in order."""
+    spans = [(lo, min(lo + BATCH_TRIALS, n)) for lo in range(0, n, BATCH_TRIALS)]
+    if workers <= 1 or len(spans) <= 1:
+        return [worker_fn(lo, hi) for lo, hi in spans]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(lambda s: worker_fn(*s), spans))
+
+
 def _batched_counts(trials: int, workers: int, worker_fn):
     """Run worker_fn(lo, hi) over fixed-width trial batches; sum int tuples."""
-    spans = [(lo, min(lo + BATCH_TRIALS, trials))
-             for lo in range(0, trials, BATCH_TRIALS)]
-    if workers <= 1 or len(spans) == 1:
-        parts = [worker_fn(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda s: worker_fn(*s), spans))
-    totals = [0] * len(parts[0])
-    for p in parts:
-        for j, v in enumerate(p):
-            totals[j] += int(v)
-    return totals
+    return [sum(map(int, col)) for col in zip(*_pool_map(worker_fn, trials, workers))]
 
 
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
@@ -762,9 +770,10 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """Direct Monte Carlo estimate of the hole probability at radius r.
 
     Each trial samples a truncated series on its own stream (stream id =
-    trial index) and runs the certified decision.  Rows whose constant
-    term dominates the rest of the series on the disk are holes at once
-    (_constant_term_holes); the others climb the ladder to K_cap, and rows
+    trial index) and runs the certified decision.  A screen on the moduli
+    settles the rows whose constant term dominates the rest of the series
+    on the disk as holes (_constant_term_holes); the others, pooled across
+    batches, draw their phases and climb the ladder to K_cap, and rows
     still open at the cap are Inconclusive.  zeros_certified holds the
     certified non-holes.  Inconclusive trials widen the Wilson interval
     pessimistically: they count as hits for p_high and as misses for p_low.
@@ -777,12 +786,13 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
 
-    def worker(lo: int, hi: int):
-        C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
-        pre = _constant_term_holes(C, r, tail)
-        n_pre = int(pre.sum())
-        if n_pre:
-            C = C[~pre]
+    def screen(lo: int, hi: int):
+        ids = np.arange(lo, hi, dtype=np.uint64)
+        A = sample_moduli_batch(model, seed, ids, N_t)
+        return ids[~_constant_term_holes(A, r, tail)]
+
+    def ladder(lo: int, hi: int):
+        C = sample_coeff_batch(model, seed, rest[lo:hi], N_t)
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
@@ -790,14 +800,16 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         # [open at the cap, settled at levels[0], levels[1], ...] in one pass
         at = np.bincount(np.searchsorted(edges, res["settle_K"]),
                          minlength=edges.size)
-        return (n_pre + int(hole.sum()), int(zero.sum()),
-                int((~(hole | zero)).sum()), n_pre,
-                int(((hole | zero) & res["tube"]).sum()), *at)
+        return (hole.sum(), zero.sum(), (~(hole | zero)).sum(),
+                ((hole | zero) & res["tube"]).sum(), *at)
 
     levels = _ladder_levels(K_init, K_cap)
     edges = np.array([0] + levels, dtype=np.int64)
-    (holes_n, zeros_n, inc_n, pre_n, tube_n, open_n,
-     *settled) = _batched_counts(trials, workers, worker)
+    rest = np.concatenate(_pool_map(screen, trials, workers))
+    pre_n = trials - rest.size
+    (holes_n, zeros_n, inc_n, tube_n, open_n, *settled) = (
+        _batched_counts(rest.size, workers, ladder) or [0] * (4 + edges.size))
+    holes_n += pre_n
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(

@@ -22,6 +22,8 @@ from the uniforms at counters (2n, 2n+1) for coefficient index n.  The whole
 uniform-to-Gaussian path is part of the reproducibility contract: trial t is
 addressable without generating trials 0..t-1, and results are bit-identical
 for any batch size or thread count because every operation is elementwise.
+The moduli sqrt(-log(u1)) and phases exp(2 pi i u2) are separately addressable
+under the same contract, and a Gaussian is their product bit for bit.
 
 All arithmetic runs on numpy uint64 arrays (wrapping multiply/add), never on
 numpy scalars, to avoid scalar-overflow warnings and keep a single code path.
@@ -85,23 +87,31 @@ def uniforms(key: np.ndarray, counters) -> np.ndarray:
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def complex_gaussians(key: np.ndarray, index) -> np.ndarray:
-    """Standard complex Gaussians for coefficient indices (Box-Muller).
-
-    index: integer array; draw n consumes the uniforms at counters 2n, 2n+1.
-    """
+def gaussian_moduli(key: np.ndarray, index) -> np.ndarray:
+    """Box-Muller moduli sqrt(-log u1) of draws n (u1 at counter 2n)."""
     n = np.asarray(index, dtype=np.uint64)
-    u1 = uniforms(key, np.uint64(2) * n)
-    u2 = uniforms(key, np.uint64(2) * n + np.uint64(1))
-    radius = np.sqrt(-np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return radius * (np.cos(angle) + 1j * np.sin(angle))
+    return np.sqrt(-np.log(uniforms(key, np.uint64(2) * n)))
 
 
-def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int) -> np.ndarray:
-    """The row sampler: Gaussians at indices lo..hi-1 of each stream's key.
+def unit_phases(key: np.ndarray, index) -> np.ndarray:
+    """Box-Muller phases exp(2 pi i u2) of draws n (u2 at counter 2n + 1)."""
+    n = np.asarray(index, dtype=np.uint64)
+    angle = 2.0 * np.pi * uniforms(key, np.uint64(2) * n + np.uint64(1))
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+def complex_gaussians(key: np.ndarray, index) -> np.ndarray:
+    """Standard complex Gaussians of draws n (index): moduli times phases."""
+    return gaussian_moduli(key, index) * unit_phases(key, index)
+
+
+def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
+                  moduli: bool = False) -> np.ndarray:
+    """The row sampler: Gaussians at indices lo..hi-1 of each stream's key,
+    or with moduli=True their moduli alone.
 
     Shape (len(streams), hi - lo); every batch of draws comes from here.
     """
     keys = stream_key(seed, streams, purpose)[:, None]
-    return complex_gaussians(keys, np.arange(lo, hi, dtype=np.uint64)[None, :])
+    draw = gaussian_moduli if moduli else complex_gaussians
+    return draw(keys, np.arange(lo, hi, dtype=np.uint64)[None, :])
