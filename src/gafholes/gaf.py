@@ -103,7 +103,7 @@ def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
 
 def sample_moduli_batch(model: CoefficientModel, seed: int, stream_ids,
                         N_t: int) -> np.ndarray:
-    """The moduli fl(|zeta_n|) a_n of sample_coeff_batch's rows, no phases."""
+    """Moduli fl(sqrt(-log u1)) a_n of sample_coeff_batch's rows; no phases."""
     rad = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1, True)
     return rad * coefficients(model, N_t)[None, :]
 

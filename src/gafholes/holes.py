@@ -212,8 +212,9 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
-    # what the kernel did (direct paths and ladder levels, or per stream of
-    # the sup ladder): run diagnostics for the sidecar, never in the record
+    # what the kernel did (rows the direct ladder settled and left open at
+    # the cap, or per stream of the sup ladder); run
+    # diagnostics for the CLI sidecar, never part of the record
     kernel: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:

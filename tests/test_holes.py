@@ -206,6 +206,14 @@ def test_wilson_interval_equals_the_scipy_quantile_formula():
                 assert holes.wilson_interval(k, n, conf) == _wilson_with_scipy_z(k, n, conf)
 
 
+def test_wilson_interval_is_the_whole_range_when_the_quantile_is_infinite():
+    # 0.5 + c/2 rounds to 1 at c = 1 - 2^-53, so z = inf
+    assert holes._ndtri_upper(0.5 + (1.0 - 2.0 ** -53) / 2.0) == math.inf
+    for n in (1, 7, 400000):
+        for k in (0, n // 2, n):
+            assert holes.wilson_interval(k, n, 1.0 - 2.0 ** -53) == (0.0, 1.0)
+
+
 def test_direct_estimate_frozen_and_contains_oracle():
     est = holes.estimate_hole_direct(hyperbolic(1.0), 0.5, 4096, 2)
     assert est.hits == 2806

@@ -90,3 +90,55 @@ def test_complex_gaussians_streams_uncorrelated():
     z1 = rng.complex_gaussians(_key(0, 1), idx)
     assert not np.array_equal(z0, z1)
     assert abs(np.mean(z0 * np.conj(z1))) < 4.0 / np.sqrt(len(z0))
+
+
+# keys and index ranges for the moduli / phases split: one stream, a column
+# of streams against a row of indices (as gaussian_rows draws), and indices
+# past 2^32
+_SPLIT_CASES = (
+    (_key(0, 0), np.arange(64, dtype=np.uint64)),
+    (_key(5, 9, rng.PURPOSE_TILT_MIDDLE), np.arange(100, 357, dtype=np.uint64)),
+    (rng.stream_key(3, np.asarray([0, 7, 1 << 40], dtype=np.uint64), 1)[:, None],
+     np.arange(10, 30, dtype=np.uint64)[None, :]),
+    (_key(1 << 62, 3), np.arange(1 << 33, (1 << 33) + 50, dtype=np.uint64)),
+)
+
+
+def test_gaussian_moduli_are_the_hand_built_box_muller_radii():
+    for key, idx in _SPLIT_CASES:
+        ref = np.sqrt(-np.log(rng.uniforms(key, np.uint64(2) * idx)))
+        got = rng.gaussian_moduli(key, idx)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        angle = 2.0 * np.pi * rng.uniforms(key, np.uint64(2) * idx + np.uint64(1))
+        ref = np.cos(angle) + 1j * np.sin(angle)
+        assert np.array_equal(rng.unit_phases(key, idx).view(np.uint64),
+                              ref.view(np.uint64))
+
+
+def test_complex_gaussians_are_moduli_times_phases_bit_for_bit():
+    for key, idx in _SPLIT_CASES:
+        z = rng.complex_gaussians(key, idx)
+        prod = rng.gaussian_moduli(key, idx) * rng.unit_phases(key, idx)
+        assert z.shape == prod.shape
+        assert np.array_equal(z.view(np.uint64), prod.view(np.uint64))
+
+
+def test_sample_batches_match_a_hand_built_box_muller_reference():
+    from gafholes import gaf
+    from gafholes.coeffs import coefficients, hyperbolic
+
+    m, N, seed = hyperbolic(1.5), 40, 7
+    streams = np.asarray([0, 3, 2048, 99999], dtype=np.uint64)
+    keys = rng.stream_key(seed, streams, rng.PURPOSE_SAMPLE)[:, None]
+    n = np.arange(N + 1, dtype=np.uint64)[None, :]
+    u1 = rng.uniforms(keys, np.uint64(2) * n)
+    u2 = rng.uniforms(keys, np.uint64(2) * n + np.uint64(1))
+    radius, angle = np.sqrt(-np.log(u1)), 2.0 * np.pi * u2
+    a = coefficients(m, N)[None, :]
+    ref = radius * (np.cos(angle) + 1j * np.sin(angle)) * a
+    C = gaf.sample_coeff_batch(m, seed, streams, N)
+    assert np.array_equal(C.view(np.uint64), ref.view(np.uint64))
+    A = gaf.sample_moduli_batch(m, seed, streams, N)
+    assert np.array_equal(A.view(np.uint64), (radius * a).view(np.uint64))
+    # |c_n| and the screen's modulus differ by a few roundings at most
+    assert np.all(np.abs(np.abs(C) - A) <= 8 * 2.0 ** -53 * A)

@@ -9,9 +9,14 @@ polynomials whose roots all lie outside the disk (however close), for exact
 root clusters, or for an Explicit model with a zero tail bound.  The
 constant-term certificate, which settles rows before the ladder, must not
 settle a row with a root on or just inside the circle or a NaN row, and
-every row it settles must be a hole of the ladder.
+every row it settles must be a hole of the ladder.  The estimator screens
+rows on their coefficient moduli and pools the other rows across batches
+for the ladder: it must give the record and kernel counts of a reference
+that draws each batch in full and settles it in place, and the screen must
+decide on moduli as the certificate does on the complex rows.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -207,22 +212,31 @@ def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
 
 def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
     m, r = hyperbolic(1.0), 0.3
-    sample, certify = holes.sample_coeff_batch, holes._certify_rows
+    sample, moduli = holes.sample_coeff_batch, holes.sample_moduli_batch
+    certify = holes._certify_rows
     seen = []
 
-    def nan_rows(*args):
-        C = sample(*args)
-        C[0, 0] = np.nan   # constant term
-        C[1, 3] = np.nan   # a later coefficient
-        return C
+    def with_nans(draw):
+        # trials 0 and 1 carry the NaN in the screen's moduli and in the
+        # ladder's rows alike, wherever they sit in a batch or chunk
+        def rows(model, seed, ids, N_t):
+            C = draw(model, seed, ids, N_t)
+            C[ids == 0, 0] = np.nan   # constant term
+            C[ids == 1, 3] = np.nan   # a later coefficient
+            return C
+        return rows
 
     def spy(C, *args, **kwargs):
         seen.append(C.copy())
         return certify(C, *args, **kwargs)
 
-    C = nan_rows(m, 5, np.arange(2, dtype=np.uint64), 15)
+    ids = np.arange(2, dtype=np.uint64)
+    C = with_nans(sample)(m, 5, ids, 15)
     assert not np.any(holes._constant_term_holes(C, r, 0.0))
-    monkeypatch.setattr(holes, "sample_coeff_batch", nan_rows)
+    assert not np.any(holes._constant_term_holes(with_nans(moduli)(m, 5, ids, 15),
+                                                 r, 0.0))
+    monkeypatch.setattr(holes, "sample_moduli_batch", with_nans(moduli))
+    monkeypatch.setattr(holes, "sample_coeff_batch", with_nans(sample))
     monkeypatch.setattr(holes, "_certify_rows", spy)
     est = holes.estimate_hole_direct(m, r, 256, 5, K_cap=256)
     (ladder,) = seen
@@ -255,3 +269,88 @@ def test_constant_term_rows_are_holes_of_the_ladder(L, r):
     assert pre.any() or (L, r) == (2.0, 0.7)
     res = holes._certify_rows(C[pre], r, tail=tail)
     assert np.all(_hole(res, tail))
+
+
+# ---------------------------------------------------------------------------
+# two stages: a screen on the moduli, then ladder chunks pooled across batches
+# ---------------------------------------------------------------------------
+
+def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
+    """(record, kernel) of a direct estimate drawn in full per BATCH_TRIALS
+    span: constant-term rows settled on the complex rows, the others
+    through the ladder in the same batch."""
+    N_t, tail, meta = holes._truncate(m, r, trials, gaf.DEFAULT_TAU_REL,
+                                      gaf.DEFAULT_FAIL_EXP,
+                                      holes.DEFAULT_COMPUTE_BUDGET)
+    pre_n = hole_n = zero_n = inc_n = tube_n = open_n = 0
+    settle_K = {}
+    for lo in range(0, trials, holes.BATCH_TRIALS):
+        ids = np.arange(lo, min(lo + holes.BATCH_TRIALS, trials), dtype=np.uint64)
+        C = gaf.sample_coeff_batch(m, seed, ids, N_t)
+        pre = holes._constant_term_holes(C, r, tail)
+        res = holes._certify_rows(C[~pre], r, tail=tail)
+        hole, zero = _hole(res, tail), _zero(res, tail)
+        pre_n += int(pre.sum())
+        hole_n += int(hole.sum())
+        zero_n += int(zero.sum())
+        inc_n += int((~(hole | zero)).sum())
+        tube_n += int(((hole | zero) & res["tube"]).sum())
+        open_n += int((res["settle_K"] == 0).sum())
+        for K in res["settle_K"][res["settle_K"] > 0].tolist():
+            settle_K[K] = settle_K.get(K, 0) + 1
+    hits = pre_n + hole_n
+    record = {"mode": "direct", "model": m.describe(), "r": r, "M": None,
+              "trials": trials, "hits": hits, "inconclusive": inc_n,
+              "p_low": holes.wilson_interval(hits, trials, confidence)[0],
+              "p_high": holes.wilson_interval(hits + inc_n, trials, confidence)[1],
+              "confidence": confidence, "seed": seed, **meta,
+              "zeros_certified": zero_n}
+    kernel = {"constant_term": pre_n, "uniform_ladder": hole_n + zero_n,
+              "open_at_cap": open_n, "inconclusive": inc_n, "tube": tube_n,
+              "settle_K": settle_K}
+    return record, kernel
+
+
+@pytest.mark.parametrize("L, r, trials", [(0.5, 0.5, 12000), (1.0, 0.3, 20000),
+                                          (1.0, 0.7, 4400), (2.0, 0.9, 2500)])
+def test_two_stage_estimate_equals_the_one_stage_reference(L, r, trials):
+    m = hyperbolic(L)
+    record, kernel = _one_stage_estimate(m, r, trials, 29)
+    # the ladder stage has more than one chunk
+    assert trials - kernel["constant_term"] > holes.BATCH_TRIALS
+    for workers in (1, 2):
+        est = holes.estimate_hole_direct(m, r, trials, 29, workers=workers)
+        # JSON, as the CLI writes them: equal values and plain ints
+        assert json.dumps(est.to_record(), sort_keys=True) \
+            == json.dumps(record, sort_keys=True)
+        assert json.dumps(est.kernel, sort_keys=True) \
+            == json.dumps(kernel, sort_keys=True)
+
+
+def test_a_screen_that_settles_every_row_leaves_no_ladder_chunk(monkeypatch):
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("no row should reach the ladder")
+
+    record, kernel = _one_stage_estimate(hyperbolic(1.0), 0.05, 16, 3)
+    assert kernel["constant_term"] == 16
+    monkeypatch.setattr(holes, "sample_coeff_batch", no_ladder)
+    est = holes.estimate_hole_direct(hyperbolic(1.0), 0.05, 16, 3)
+    assert est.to_record() == record and est.kernel == kernel
+
+
+@pytest.mark.parametrize("L, r, rows", [(1.0, 0.3, 1 << 20), (0.5, 0.5, 1 << 18),
+                                        (1.0, 0.5, 1 << 18), (2.0, 0.5, 1 << 16)])
+def test_the_screen_decides_on_moduli_as_on_the_complex_rows(L, r, rows):
+    m = hyperbolic(L)
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    tail, _ = gaf.tail_sup_bound(m, N_t, r)
+    settled = 0
+    for lo in range(0, rows, 1 << 15):
+        ids = np.arange(lo, lo + (1 << 15), dtype=np.uint64)
+        on_moduli = holes._constant_term_holes(
+            gaf.sample_moduli_batch(m, 41, ids, N_t), r, tail)
+        on_rows = holes._constant_term_holes(
+            gaf.sample_coeff_batch(m, 41, ids, N_t), r, tail)
+        assert np.array_equal(on_moduli, on_rows), lo
+        settled += int(on_moduli.sum())
+    assert 0 < settled < rows
