@@ -453,14 +453,17 @@ _COMMANDS: Dict[str, Callable[[dict], int]] = {
 }
 
 
-def _add_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=None, metavar="FILE",
-                     help="flat JSON config file")
+def _flags_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, for argparse's parents=[...]."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", default=None, metavar="FILE",
+                       help="flat JSON config file")
     for key in _FLAG_KEYS:
         kind, default, help_text = _KEYS[key]
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, dest=key, default=None,
-                         help=f"{help_text} (default {default!r})")
+        flags.add_argument(flag, dest=key, default=None,
+                           help=f"{help_text} (default {default!r})")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "on the unit disk")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    flags = _flags_parser()
     for name in _COMMANDS:
-        sub = subs.add_parser(name)
-        _add_flags(sub)
+        subs.add_parser(name, parents=[flags])
     return parser
 
 

@@ -336,25 +336,30 @@ def _fft_level(n_coeffs: int, P: int) -> bool:
 
 
 def _fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y_j = sum_k x_k w_1^{jk} over each row of x, by a radix-2 Stockham FFT.
+    """y_j = sum_k x_k w_1^{jk} over each column of x, by a radix-2 Stockham
+    FFT.
 
-    x has P = 2^t columns and is overwritten; w is the unit P-point grid.
-    Stage s joins pairs of length-m transforms (m = 2^s) by the
-    Cooley-Tukey butterfly (a + w b, a - w b) with w = e^{2 pi i k / 2m} =
-    w_{k P / 2m}; the autosort layout only permutes data between the
-    stages and leaves the output in natural order.
+    x has P = 2^t rows, one column per transform, and is overwritten; w is
+    the unit P-point grid.  Stage s joins pairs of length-m transforms
+    (m = 2^s) by the Cooley-Tukey butterfly (a + w b, a - w b) with
+    w = e^{2 pi i k / 2m} = w_{k P / 2m}; the autosort layout only permutes
+    data between the stages and leaves the output in natural order.  The
+    points-major layout makes the batch the inner loop of every butterfly
+    (m is 1, 2, 4, ... in the early stages); each output is the same
+    sequence of operations as on a row-major transform, so bit for bit
+    the same.
     """
-    R, P = x.shape
+    P, R = x.shape
     src, dst = x, np.empty_like(x)
-    t = np.empty((R, P // 2), dtype=complex)
+    t = np.empty((P // 2, R), dtype=complex)
     m = 1
     while m < P:
         l = P // (2 * m)
-        X, T = src.reshape(R, 2, l, m), t.reshape(R, l, m)
-        Y = dst.reshape(R, l, 2, m)
-        np.multiply(X[:, 1], w[0:P // 2:l], out=T)
-        np.add(X[:, 0], T, out=Y[:, :, 0])
-        np.subtract(X[:, 0], T, out=Y[:, :, 1])
+        X, T = src.reshape(2, l, m, R), t.reshape(l, m, R)
+        Y = dst.reshape(l, 2, m, R)
+        np.multiply(X[1], w[0:P // 2:l, None], out=T)
+        np.add(X[0], T, out=Y[:, 0])
+        np.subtract(X[0], T, out=Y[:, 1])
         src, dst = dst, src
         m *= 2
     return src
@@ -366,22 +371,27 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
 
     The FFT error is t eta' / (1 - t eta') sqrt(P) ||x||_2 (1 + 2
     gamma_{P+2}) for the folded input x of P points (module docstring).
+    x is folded points-major, shape (P, rows), for _fft; the values come
+    back as its (rows, P) transpose view.  ||x||_2 is summed over a
+    row-major copy of the squares, so each row's sum runs in the same
+    order whatever the number of rows: it matches the row alone.
     """
     (B, n1), K = C.shape, u.shape[0]
     P = K // 2 if odd else K
-    pw = np.cumprod(np.concatenate([[1.0], np.full(n1 - 1, rho)]))
-    tw = u[np.arange(n1) % K] if odd else None
-    x = np.zeros((B, P), dtype=complex)
+    pw = np.cumprod(np.concatenate([[1.0], np.full(n1 - 1, rho)]))[:, None]
+    tw = u[np.arange(n1) % K, None] if odd else None
+    x = np.zeros((P, B), dtype=complex)
     for lo in range(0, n1, P):  # b = c_n rho^n (twisted), slice by slice
-        b = C[:, lo:lo + P] * pw[lo:lo + P]
+        b = np.multiply(C.T[lo:lo + P], pw[lo:lo + P], order="C")
         if odd:
             b *= tw[lo:lo + P]
-        x[:, :b.shape[1]] += b
-    nrm = np.sqrt(np.sum(x.real * x.real + x.imag * x.imag, axis=1))
+        x[:b.shape[0]] += b
+    sq = x.real * x.real + x.imag * x.imag
+    nrm = np.sqrt(np.ascontiguousarray(sq.T).sum(axis=1))
     t = P.bit_length() - 1
     eta = 0.5 * _GRID_ETA + _gamma(4) * (math.sqrt(2.0) + 0.5 * _GRID_ETA)
     c = t * eta / (1.0 - t * eta) * math.sqrt(P) * (1.0 + 2.0 * _gamma(P + 2))
-    return _fft(x, u[::2] if odd else u), c * nrm
+    return _fft(x, u[::2] if odd else u).T, c * nrm
 
 
 def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
@@ -891,12 +901,13 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     settled = [0] * len(Ks)
     hits = misses = tube_hits = 0
     active = np.arange(B)
-    gmax, Ea = _grid_max(C, rho, Ks[0], False, (scale, g, Eg, Eh), {})
+    grids = {}   # grid points by size, shared by the levels
+    gmax, Ea = _grid_max(C, rho, Ks[0], False, (scale, g, Eg, Eh), grids)
     points = B * Ks[0]
     for j, K in enumerate(Ks):
         if j:
             bounds = (scale, g, Eg[active], Eh[active])
-            gnew, El = _grid_max(C[active], rho, K, True, bounds, {})
+            gnew, El = _grid_max(C[active], rho, K, True, bounds, grids)
             gmax, Ea = np.maximum(gmax, gnew), np.maximum(Ea, El)
             points += active.size * (K // 2)
         smax = scale * gmax

@@ -48,6 +48,10 @@ PURPOSE_TILT_MIDDLE = 5     # tilted estimator, middle block
 PURPOSE_TILT_TAIL = 6       # tilted estimator, tail block
 PURPOSE_JOINT_MOMENT = 7    # joint negative-moment Monte Carlo check
 
+# gaussian_rows draws this many draws (or one row) at a time, so that the
+# temporaries of a block stay in cache
+_BLOCK_DRAWS = 1 << 15
+
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (vectorized, wrapping)."""
@@ -97,12 +101,17 @@ def unit_phases(key: np.ndarray, index) -> np.ndarray:
     """Box-Muller phases exp(2 pi i u2) of draws n (u2 at counter 2n + 1)."""
     n = np.asarray(index, dtype=np.uint64)
     angle = 2.0 * np.pi * uniforms(key, np.uint64(2) * n + np.uint64(1))
-    return np.cos(angle) + 1j * np.sin(angle)
+    z = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    return z
 
 
 def complex_gaussians(key: np.ndarray, index) -> np.ndarray:
     """Standard complex Gaussians of draws n (index): moduli times phases."""
-    return gaussian_moduli(key, index) * unit_phases(key, index)
+    z = unit_phases(key, index)
+    z *= gaussian_moduli(key, index)
+    return z
 
 
 def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
@@ -111,7 +120,15 @@ def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
     or with moduli=True their moduli alone.
 
     Shape (len(streams), hi - lo); every batch of draws comes from here.
+    Rows are drawn in blocks of about _BLOCK_DRAWS draws.
     """
     keys = stream_key(seed, streams, purpose)[:, None]
+    idx = np.arange(lo, hi, dtype=np.uint64)[None, :]
     draw = gaussian_moduli if moduli else complex_gaussians
-    return draw(keys, np.arange(lo, hi, dtype=np.uint64)[None, :])
+    step = max(1, _BLOCK_DRAWS // max(idx.size, 1))
+    if keys.shape[0] <= step:
+        return draw(keys, idx)
+    out = np.empty((keys.shape[0], idx.size), dtype=float if moduli else complex)
+    for i in range(0, keys.shape[0], step):
+        out[i:i + step] = draw(keys[i:i + step], idx)
+    return out
