@@ -344,10 +344,10 @@ def _fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     (m = 2^s) by the Cooley-Tukey butterfly (a + w b, a - w b) with
     w = e^{2 pi i k / 2m} = w_{k P / 2m}; the autosort layout only permutes
     data between the stages and leaves the output in natural order.  The
-    points-major layout makes the batch the inner loop of every butterfly
-    (m is 1, 2, 4, ... in the early stages); each output is the same
-    sequence of operations as on a row-major transform, so bit for bit
-    the same.
+    points-major layout makes the batch, not m (1, 2, 4, ... in the early
+    stages), the inner loop of every butterfly.  Each output goes through
+    the same butterflies as in a row-major transform, so it is bit for bit
+    the same, and so is the error bound.
     """
     P, R = x.shape
     src, dst = x, np.empty_like(x)
@@ -373,8 +373,9 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
     gamma_{P+2}) for the folded input x of P points (module docstring).
     x is folded points-major, shape (P, rows), for _fft; the values come
     back as its (rows, P) transpose view.  ||x||_2 is summed over a
-    row-major copy of the squares, so each row's sum runs in the same
-    order whatever the number of rows: it matches the row alone.
+    row-major copy of the squares: a sum down the columns of x would run
+    pairwise for one row and in sequence for several, so E would depend
+    on the chunking.
     """
     (B, n1), K = C.shape, u.shape[0]
     P = K // 2 if odd else K

@@ -24,6 +24,9 @@ addressable without generating trials 0..t-1, and results are bit-identical
 for any batch size or thread count because every operation is elementwise.
 The moduli sqrt(-log(u1)) and phases exp(2 pi i u2) are separately addressable
 under the same contract, and a Gaussian is their product bit for bit.
+gaussian_rows fills wide batches in row blocks of about _BLOCK_DRAWS draws,
+so that each block's temporaries stay in cache; since every operation is
+elementwise, the blocks change no draw.
 
 All arithmetic runs on numpy uint64 arrays (wrapping multiply/add), never on
 numpy scalars, to avoid scalar-overflow warnings and keep a single code path.
@@ -48,8 +51,8 @@ PURPOSE_TILT_MIDDLE = 5     # tilted estimator, middle block
 PURPOSE_TILT_TAIL = 6       # tilted estimator, tail block
 PURPOSE_JOINT_MOMENT = 7    # joint negative-moment Monte Carlo check
 
-# gaussian_rows draws this many draws (or one row) at a time, so that the
-# temporaries of a block stay in cache
+# gaussian_rows draws about this many draws (at least one row) at a time,
+# so that the temporaries of a block stay in cache
 _BLOCK_DRAWS = 1 << 15
 
 
@@ -120,7 +123,8 @@ def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
     or with moduli=True their moduli alone.
 
     Shape (len(streams), hi - lo); every batch of draws comes from here.
-    Rows are drawn in blocks of about _BLOCK_DRAWS draws.
+    Rows are drawn in blocks of _BLOCK_DRAWS // (hi - lo) rows (at least
+    one), each bit for bit the rows of the whole batch.
     """
     keys = stream_key(seed, streams, purpose)[:, None]
     idx = np.arange(lo, hi, dtype=np.uint64)[None, :]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -362,6 +363,26 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_every_subcommand_takes_every_flag(capsys):
+    parser = cli.build_parser()
+    flags = {k: "--" + k.replace("_", "-") for k in cli._FLAG_KEYS}
+    for name in cli._COMMANDS:
+        argv = [name, "--config", "c.json"]
+        for key, flag in flags.items():
+            argv += [flag, f"v-{name}-{key}"]
+        args = parser.parse_args(argv)
+        assert args.command == name and args.config == "c.json"
+        assert all(getattr(args, k) == f"v-{name}-{k}" for k in flags)
+        # an unset flag leaves its dest None, so the config file can fill it
+        assert all(getattr(parser.parse_args([name]), k) is None for k in flags)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["estimate", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for flag in [*flags.values(), "--config"]:
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", usage), flag
 
 
 def test_version_flag():

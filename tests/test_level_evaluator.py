@@ -76,6 +76,27 @@ def test_fft_rows_are_bit_identical_alone_in_a_batch_and_at_any_chunk(
         assert Vc.tobytes() == V.tobytes() and Ec.tobytes() == E.tobytes(), chunk
 
 
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("t", range(3, 15))
+def test_fft_level_row_is_the_row_alone_in_a_batch(t, odd):
+    # _fft_values on a whole batch, past the chunking of _grid_values: the
+    # points-major FFT and the norm behind E must not depend on the number
+    # of rows.  The batch is BATCH_TRIALS rows up to P = 2^9, and 2^20 / P
+    # rows above, to bound memory.
+    P = 1 << t
+    K = 2 * P if odd else P
+    B = min(holes.BATCH_TRIALS, (1 << 20) // P)
+    C, bounds = _rows(2.0, 0.9, 192, B)
+    assert holes._fft_level(C.shape[1], P)
+    u = holes._grid_points(1.0, K)
+    V, E = holes._fft_values(C, 0.9, u, odd)
+    assert V.shape == (B, P) and E.shape == (B,)
+    for i in (0, 1, B // 2, B - 1):
+        Vi, Ei = holes._fft_values(C[i:i + 1], 0.9, u, odd)
+        assert Vi.tobytes() == V[i:i + 1].tobytes(), i
+        assert Ei.tobytes() == E[i:i + 1].tobytes(), i
+
+
 def _horner_calls(monkeypatch):
     calls = []
 

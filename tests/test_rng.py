@@ -7,6 +7,7 @@ access alongside the usual distributional sanity.
 """
 
 import numpy as np
+import pytest
 
 from gafholes import rng
 
@@ -82,6 +83,37 @@ def test_gaussian_rows_match_hand_built_keys_and_indices():
     # int64 stream ids address the same streams as uint64 ones
     assert np.array_equal(rng.gaussian_rows(21, [0, 7], 1, 0, 4),
                           rng.gaussian_rows(21, streams[:2], 1, 0, 4))
+
+
+def _box_muller_rows(seed, streams, purpose, lo, hi):
+    """(moduli, Gaussians) of gaussian_rows, built by hand in one piece."""
+    keys = rng.stream_key(seed, streams, purpose)[:, None]
+    n = np.arange(lo, hi, dtype=np.uint64)[None, :]
+    radius = np.sqrt(-np.log(rng.uniforms(keys, np.uint64(2) * n)))
+    angle = 2.0 * np.pi * rng.uniforms(keys, np.uint64(2) * n + np.uint64(1))
+    return radius, radius * (np.cos(angle) + 1j * np.sin(angle))
+
+
+@pytest.mark.parametrize("cols", [0, 1, 16, 93, 193])
+def test_row_blocks_change_no_draw(cols):
+    # row counts on both sides of one block, and over two blocks and a part
+    step = max(1, rng._BLOCK_DRAWS // max(cols, 1))
+    lo = 3
+    for S in (step - 1, step, step + 1, 2 * step + 3):
+        streams = np.arange(S, dtype=np.uint64) * np.uint64(7) + np.uint64(5)
+        radius, z = _box_muller_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
+                                     lo, lo + cols)
+        for moduli, ref in ((False, z), (True, radius)):
+            got = rng.gaussian_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
+                                    lo, lo + cols, moduli)
+            assert got.shape == (S, cols) and got.dtype == ref.dtype
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            for i in {0, step - 1, step, S - 1} & set(range(S)):
+                one = rng.gaussian_rows(9, streams[i:i + 1],
+                                        rng.PURPOSE_TILT_MIDDLE, lo, lo + cols,
+                                        moduli)
+                assert np.array_equal(one.view(np.uint64),
+                                      got[i:i + 1].view(np.uint64)), (S, i)
 
 
 def test_complex_gaussians_streams_uncorrelated():
