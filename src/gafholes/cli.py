@@ -101,6 +101,11 @@ def _parse_value(key: str, raw) -> object:
     try:
         if raw is None:
             return None
+        # int() and float() would read JSON true/false as 1/0 and truncate 2.7
+        items = raw if isinstance(raw, (list, tuple)) else [raw]
+        if (kind is not str and any(isinstance(x, bool) for x in items)
+                or kind is int and isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
         if kind == "floatlist":
             if isinstance(raw, (list, tuple)):
                 return [float(x) for x in raw]
@@ -354,6 +359,10 @@ def cmd_oracle_verify(cfg: dict) -> int:
     return 0
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def cmd_report(cfg: dict) -> int:
     if cfg["results"] is None:
         raise ConfigError("config key 'results' is required for report")
@@ -370,15 +379,21 @@ def cmd_report(cfg: dict) -> int:
     import warnings
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                if "mode" not in rec or "r" not in rec:
-                    continue
-                model = rec.get("model", {})
-                L = model.get("L") if model.get("kind") == "Hyperbolic" else None
+                try:  # json.JSONDecodeError is a ValueError
+                    rec = json.loads(line)
+                    if not (isinstance(rec, dict) and {"mode", "r"} <= rec.keys()):
+                        continue
+                    model = rec.get("model", {})
+                    L = model.get("L") if model.get("kind") == "Hyperbolic" else None
+                    if not _is_number(rec["r"]) or not (L is None or _is_number(L)):
+                        raise ValueError(f"r and L must be numbers, got "
+                                         f"{rec['r']!r} and {L!r}")
+                except ValueError as exc:
+                    raise ConfigError(f"results file {path!r} line {lineno}: {exc}")
                 lo = hi = regime = None
                 if L is not None:
                     with warnings.catch_warnings():

@@ -125,7 +125,8 @@ Estimators (all Monte Carlo over independent per-trial streams):
   * tilted lower bound: the same threshold idea after damping coefficients
     1..N by factors q_n in (0, 1], which costs an explicit Gaussian
     change-of-measure factor Q^2 = prod q_n^2 but makes the supremum event
-    overwhelmingly likely near the critical radius.
+    overwhelmingly likely near the critical radius.  Both lower bounds run
+    one stream runner (_sup_stream); threshold is its q = 1 case.
 
 Everything is elementwise per trial row, so batch composition and thread
 scheduling never change results; merged counters are plain integer sums.
@@ -141,7 +142,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import rng
-from .coeffs import CoefficientModel, coefficient, log_sq_range
+from .coeffs import CoefficientModel, coefficients, log_sq_range
 from .errors import (
     ComputeBudgetExceeded,
     DomainError,
@@ -900,41 +901,50 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho, shift)
     Ks = _ladder_levels(K_init, K_cap)
     settled = [0] * len(Ks)
-    hits = misses = tube_hits = 0
-    active = np.arange(B)
+    hits = misses = tube_hits = points = 0
+    gmax = E = np.full(B, -np.inf)
     grids = {}   # grid points by size, shared by the levels
-    gmax, Ea = _grid_max(C, rho, Ks[0], False, (scale, g, Eg, Eh), grids)
-    points = B * Ks[0]
     for j, K in enumerate(Ks):
-        if j:
-            bounds = (scale, g, Eg[active], Eh[active])
-            gnew, El = _grid_max(C[active], rho, K, True, bounds, grids)
-            gmax, Ea = np.maximum(gmax, gnew), np.maximum(Ea, El)
-            points += active.size * (K // 2)
+        gnew, El = _grid_max(C, rho, K, j > 0, (scale, g, Eg, Eh), grids)
+        gmax, E = np.maximum(gmax, gnew), np.maximum(E, El)
+        points += C.shape[0] * (K // 2 if j else K)
         smax = scale * gmax
-        first = D[active] * (np.pi * rho / K)
-        tube = D2[active] * (0.5 * (np.pi / K) ** 2)
-        h = (1.0 + g) * (smax + np.minimum(first, tube) + Ea) + tail < M
+        first = D * (np.pi * rho / K)
+        tube = D2 * (0.5 * (np.pi / K) ** 2)
+        h = (1.0 + g) * (smax + np.minimum(first, tube) + E) + tail < M
         m = smax > M
         hits += int(h.sum())
         misses += int((m & ~h).sum())
-        tube_hits += int((h & ~((1.0 + g) * (smax + first + Ea) + tail < M)).sum())
+        tube_hits += int((h & ~((1.0 + g) * (smax + first + E) + tail < M)).sum())
         keep = ~(h | m)
-        settled[j] = int(active.size - keep.sum())
-        active = active[keep]
-        gmax, Ea = gmax[keep], Ea[keep]
-        if not active.size:
+        settled[j] = int(keep.size - keep.sum())
+        if not keep.any():
             break
+        C, D, D2, Eg, Eh, gmax, E = (x[keep] for x in (C, D, D2, Eg, Eh, gmax, E))
     return (hits, misses, B - hits - misses, tube_hits, points, *settled)
 
 
-def _sup_kernel(counts, K_init: int, K_cap: int) -> dict:
-    """Sidecar counters of one sup-ladder stream from summed _sup_counts."""
-    hits, misses, inc, tube_hits, points, *settled = counts
-    return {"hit": hits, "miss": misses, "inconclusive": inc,
-            "tube_hits": tube_hits, "grid_points": points,
-            "settle_K": {K: n for K, n in zip(_ladder_levels(K_init, K_cap),
-                                              settled) if n}}
+def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
+                rho: float, M: float, tail: float, confidence: float,
+                K_init: int, K_cap: int, trials: int, workers: int):
+    """(Wilson lower bound on the hit rate, sidecar counters) of _sup_counts
+    on one row T = z^shift * F per trial t, the one layout of a lower-bound
+    stream: T's coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo}
+    from lo on, zeta_n the Gaussian at index n of stream t under purpose."""
+    def worker(a: int, b: int):
+        C = np.zeros((b - a, lo - shift + w.size), dtype=complex)
+        zetas = rng.gaussian_rows(seed, np.arange(a, b, dtype=np.uint64),
+                                  purpose, lo, lo + w.size)
+        np.multiply(zetas, w, out=C[:, lo - shift:])
+        return _sup_counts(C, rho, M, tail, K_init, K_cap, shift)
+
+    hits, misses, inc, tube_hits, points, *settled = _batched_counts(
+        trials, workers, worker)
+    return wilson_interval(hits, trials, confidence)[0], {
+        "hit": hits, "miss": misses, "inconclusive": inc,
+        "tube_hits": tube_hits, "grid_points": points,
+        "settle_K": {K: n for K, n in zip(_ladder_levels(K_init, K_cap), settled)
+                     if n}}
 
 
 def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
@@ -960,32 +970,22 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     if M is None:
-        if model.kind in ("Hyperbolic", "PowerLaw"):
-            M = default_threshold(model.L, r, eps=eps, B=B,
-                                  alpha_exp=alpha_exp)
-        else:
-            M = default_threshold(1.0, r, eps=eps, B=B, alpha_exp=alpha_exp)
+        L = model.L if model.kind in ("Hyperbolic", "PowerLaw") else 1.0
+        M = default_threshold(L, r, eps=eps, B=B, alpha_exp=alpha_exp)
     if not (0.0 < M < math.inf):
         raise DomainError(f"threshold M must be positive and finite, got {M}")
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
-
-    def worker(lo: int, hi: int):
-        C = sample_coeff_batch(model, seed, np.arange(lo, hi, dtype=np.uint64), N_t)
-        C[:, 0] = 0.0  # G = F - F(0)
-        return _sup_counts(C, r, M, tail, K_init, K_cap)
-
-    counts = _batched_counts(trials, workers, worker)
-    hits, _, inc = counts[:3]
-    q_low = wilson_interval(hits, trials, confidence)[0]
-    a0 = coefficient(model, 0)
-    p_low = (math.exp(-M * M / (a0 * a0)) if a0 > 0.0 else 0.0) * q_low
+    a = coefficients(model, N_t)
+    q_low, sup = _sup_stream(seed, rng.PURPOSE_SAMPLE, 0, 1, a[1:], r, M, tail,
+                             confidence, K_init, K_cap, trials, workers)
+    p_low = (math.exp(-M * M / (a[0] * a[0])) if a[0] > 0.0 else 0.0) * q_low
     return HoleEstimate(
         model=model, r=float(r), mode=MODE_THRESHOLD, trials=int(trials),
-        hits=int(hits), inconclusive=int(inc),
+        hits=sup["hit"], inconclusive=sup["inconclusive"],
         p_low=p_low, p_high=1.0, confidence=float(confidence), M=float(M),
         seed=int(seed),
         metadata={**meta, "q_low": q_low},
-        kernel={"sup": _sup_kernel(counts, K_init, K_cap)})
+        kernel={"sup": sup})
 
 
 def tilt_profile(model: CoefficientModel, r: float, alpha_exp: float = 0.75,
@@ -1082,49 +1082,33 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
             f"middle block is empty at r={r} (N={N}); r is too far from 1")
     N_t, tail_beyond, meta = _truncate(model, r, trials, tau_rel, fail_exp,
                                        budget, N_min=N + 1)
-    la = log_sq_range(model, N_t)
-    a = np.exp(0.5 * la)
+    a = coefficients(model, N_t)
     conf_each = 1.0 - (1.0 - confidence) / 2.0
     half = M / 2.0
-
-    def worker_mid(lo: int, hi: int):
-        zetas = rng.gaussian_rows(seed, np.arange(lo, hi),
-                                  rng.PURPOSE_TILT_MIDDLE, 1, N + 1)
-        C = np.zeros((hi - lo, N + 1), dtype=complex)
-        C[:, 1:] = zetas * (q * a[1:N + 1])[None, :]
-        return _sup_counts(C, r, half, 0.0, K_init, K_cap)
-
-    def worker_tail(lo: int, hi: int):
-        zetas = rng.gaussian_rows(seed, np.arange(lo, hi),
-                                  rng.PURPOSE_TILT_TAIL, N + 1, N_t + 1)
-        inner = zetas * a[N + 1:N_t + 1][None, :]
-        # T(z) = z^{N+1} * inner(z), evaluated as inner on the circle
-        return _sup_counts(inner, r, half, tail_beyond, K_init, K_cap,
-                           shift=N + 1)
-
-    mid_counts = _batched_counts(trials, workers, worker_mid)
-    tail_counts = _batched_counts(trials, workers, worker_tail)
-    mid_hits, _, mid_inc = mid_counts[:3]
-    tail_hits, _, tail_inc = tail_counts[:3]
-    q_mid = wilson_interval(mid_hits, trials, conf_each)[0]
-    q_tail = wilson_interval(tail_hits, trials, conf_each)[0]
+    q_mid, mid = _sup_stream(seed, rng.PURPOSE_TILT_MIDDLE, 0, 1,
+                             q * a[1:N + 1], r, half, 0.0, conf_each,
+                             K_init, K_cap, trials, workers)
+    # T(z) = z^{N+1} * inner(z), evaluated as inner on the circle
+    q_tail, tail = _sup_stream(seed, rng.PURPOSE_TILT_TAIL, N + 1, N + 1,
+                               a[N + 1:], r, half, tail_beyond, conf_each,
+                               K_init, K_cap, trials, workers)
     log_p = -M * M + log_Q2 \
         + (math.log(q_mid) if q_mid > 0 else -math.inf) \
         + (math.log(q_tail) if q_tail > 0 else -math.inf)
     p_low = math.exp(log_p) if log_p > -745.0 else 0.0
     return HoleEstimate(
         model=model, r=float(r), mode=MODE_TILTED, trials=int(trials),
-        hits=int(min(mid_hits, tail_hits)), inconclusive=int(mid_inc + tail_inc),
+        hits=min(mid["hit"], tail["hit"]),
+        inconclusive=mid["inconclusive"] + tail["inconclusive"],
         p_low=p_low, p_high=1.0, confidence=float(confidence), M=float(M),
         seed=int(seed),
         metadata={
             **meta, "N": N, "N1": N1, "r2": r2, "alpha1": alpha1,
             "log_Q2": log_Q2, "q_mid_low": q_mid, "q_tail_low": q_tail,
-            "mid_hits": int(mid_hits), "tail_hits": int(tail_hits),
+            "mid_hits": mid["hit"], "tail_hits": tail["hit"],
             "log10_p_low": log_p / math.log(10.0) if math.isfinite(log_p) else None,
         },
-        kernel={"middle": _sup_kernel(mid_counts, K_init, K_cap),
-                "tail": _sup_kernel(tail_counts, K_init, K_cap)})
+        kernel={"middle": mid, "tail": tail})
 
 
 def log_determinantal_hole_probability(r: float) -> float:

@@ -37,6 +37,56 @@ def test_estimate_record_frozen(tmp_path):
     assert out.read_text() == FROZEN_ESTIMATE_LINE + "\n"
 
 
+# The same for the two lower-bound modes, with the sidecar's kernel counters
+# (as sorted-key compact JSON).
+FROZEN_LOWER_BOUNDS = {
+    "threshold_lower": (
+        ["estimate", "--model", "Hyperbolic", "--L", "1", "--r", "0.7",
+         "--mode", "threshold_lower", "--M", "1.5", "--trials", "512",
+         "--seed", "4"],
+        '{"M":1.5,"N_t":51,"certificate_failure_budget":7.579413283005731e-11,'
+        '"confidence":0.99,"config_hash":"8c54247f4adca952","fail_exp":30.0,'
+        '"hits":268,"inconclusive":0,"mode":"threshold_lower",'
+        '"model":{"L":1.0,"kind":"Hyperbolic"},"p_high":1.0,'
+        '"p_low":0.04918412228396406,"q_low":0.46664595957340577,"r":0.7,'
+        '"seed":4,"streams":[0,512],"tail_bound":1.6945811458366785e-07,'
+        '"tau_rel":1e-08,"trials":512,"version":"0.1.0"}',
+        '[{"sup":{"grid_points":16368,"hit":268,"inconclusive":0,"miss":244,'
+        '"settle_K":{"128":25,"16":38,"256":4,"32":169,"64":70,"8":206},'
+        '"tube_hits":259}}]'),
+    "tilted_lower": (
+        ["estimate", "--model", "Hyperbolic", "--L", "2", "--r", "0.9",
+         "--mode", "tilted_lower", "--trials", "512", "--seed", "13"],
+        '{"M":5.911010986140177,"N":92,"N1":11,"N_t":192,'
+        '"alpha1":0.3670965699997514,'
+        '"certificate_failure_budget":7.579413283005731e-11,'
+        '"confidence":0.99,"config_hash":"bf5baa43bb5d2be4","fail_exp":30.0,'
+        '"hits":264,"inconclusive":0,"log10_p_low":-121.50130464290325,'
+        '"log_Q2":-244.02180837982087,"mid_hits":264,"mode":"tilted_lower",'
+        '"model":{"L":2.0,"kind":"Hyperbolic"},"p_high":1.0,'
+        '"p_low":3.1527922702822317e-122,"q_mid_low":0.45386236793806245,'
+        '"q_tail_low":0.9848437195396773,"r":0.9,"r2":0.91,"seed":13,'
+        '"streams":[0,512],"tail_bound":1.324158177444694e-06,'
+        '"tail_hits":512,"tau_rel":1e-08,"trials":512,"version":"0.1.0"}',
+        '[{"middle":{"grid_points":104056,"hit":264,"inconclusive":0,'
+        '"miss":248,"settle_K":{"1024":13,"128":62,"16":52,"2048":2,'
+        '"256":167,"32":64,"512":57,"64":56,"8":39},"tube_hits":264},'
+        '"tail":{"grid_points":4096,"hit":512,"inconclusive":0,"miss":0,'
+        '"settle_K":{"8":512},"tube_hits":0}}]'),
+}
+
+
+@pytest.mark.parametrize("mode", list(FROZEN_LOWER_BOUNDS))
+def test_lower_bound_record_and_kernel_frozen(mode, tmp_path):
+    args, line, kernel = FROZEN_LOWER_BOUNDS[mode]
+    out = tmp_path / "est.jsonl"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == line + "\n"
+    meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
+    assert json.dumps(meta["kernel"], sort_keys=True,
+                      separators=(",", ":")) == kernel
+
+
 def test_estimate_sidecar_holds_runtime_facts(tmp_path):
     out = tmp_path / "est.jsonl"
     cli.main(ESTIMATE_ARGS + ["--out", str(out)])
@@ -134,6 +184,41 @@ def test_config_command_mismatch_rejected(tmp_path, capsys):
 def test_unparseable_flag_value(capsys):
     assert cli.main(["estimate", "--trials", "many"]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("trials", 2.7), ("trials", "2.7"), ("seed", True), ("K_cap", False),
+    ("trials", float("inf")), ("confidence", True), ("r", [0.5, True]),
+    ("r", "true"),
+])
+def test_config_numbers_that_are_not_numbers_exit_2(key, value, tmp_path,
+                                                    capsys):
+    # in a config file: JSON booleans and non-integral floats for int keys
+    # are rejected, not truncated by int() or read as 0 and 1
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert cli.main(["estimate", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    # and on the command line, where every value is a string
+    if not isinstance(value, list):
+        flag = "--" + key.replace("_", "-")
+        assert cli.main(["estimate", flag, json.dumps(value)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
+
+def test_config_integral_floats_parse_with_an_unchanged_hash(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"K_cap": 1e6, "trials": 64.0}))
+    from_file = cli.resolve_config("estimate", {},
+                                   cli.load_config_file(str(cfgfile)))
+    flags = {"K_cap": cli._parse_value("K_cap", "1000000"),
+             "trials": cli._parse_value("trials", "64")}
+    from_flags = cli.resolve_config("estimate", flags, {})
+    assert from_file["K_cap"] == 1000000 and type(from_file["K_cap"]) is int
+    assert from_file == from_flags
+    assert cli.config_hash(from_file) == cli.config_hash(from_flags)
 
 
 def test_estimator_domain_error_reported_cleanly(capsys):
@@ -277,6 +362,25 @@ def test_report_reads_a_single_results_file(tmp_path, capsys):
     # the same table as a directory holding only that file
     assert cli.main(["report", "--results", str(resdir)]) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("bad, says", [
+    ('{"mode": "direct", "r": 0.5', "Expecting"),   # the JSON parser's words
+    ('{"mode": "direct", "r": "0.5"}', "must be numbers"),
+    ('{"mode": "direct", "r": 0.5, "model": {"kind": "Hyperbolic", "L": "2"}}',
+     "must be numbers"),
+], ids=["truncated_line", "r_string", "L_string"])
+def test_report_rejects_a_malformed_record_by_file_and_line(bad, says,
+                                                             tmp_path, capsys):
+    res = tmp_path / "run.jsonl"
+    cli.main(ESTIMATE_ARGS + ["--out", str(res)])
+    with open(res, "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(res)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{str(res)!r} line 2" in err and says in err
 
 
 @pytest.mark.parametrize("args", [

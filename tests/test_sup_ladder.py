@@ -106,7 +106,9 @@ def _reference_counts(C, rho, M, tail, K_init, K_cap, shift=0):
 
 
 def _settled_by_K(counts, K_init, K_cap):
-    return holes._sup_kernel(counts, K_init, K_cap)["settle_K"]
+    """{K: rows settled at K} of _sup_counts' counts, zeros left out."""
+    return {K: n for K, n in zip(holes._ladder_levels(K_init, K_cap),
+                                 counts[5:]) if n}
 
 
 def _threshold_rows(rows, seed=3):
@@ -122,7 +124,8 @@ def _threshold_rows(rows, seed=3):
 def _tilted_rows(rows, seed=5, r=0.9):
     """Middle and tail rows of the tilted estimator at L = 2.
 
-    Built as estimate_hole_lower_tilted builds them; returns
+    Built by hand from the Box-Muller draws, the reference layout of the
+    two tilted streams; returns
     (middle rows, inner tail rows, tail shift, tail bound, threshold M/2):
     the tail stream is T = z^shift * inner.
     """
@@ -149,6 +152,50 @@ def _streams(rows):
     return [("threshold", C, 0.7, 1.5, t_thr, 0),
             ("middle", mid, 0.9, half, 0.0, 0),
             ("tail", inner, 0.9, half, tail, shift)]
+
+
+# ---------------------------------------------------------------------------
+# the rows of each stream
+# ---------------------------------------------------------------------------
+
+def _rows_handed_to_the_ladder(monkeypatch, estimate):
+    """[(rows, rho, M, tail, shift)] of each _sup_counts call of estimate(),
+    the batches of a stream joined in trial order."""
+    calls = []
+    sup_counts = holes._sup_counts
+
+    def spy(C, rho, M, tail, K_init, K_cap, shift=0):
+        calls.append((C.copy(), rho, M, tail, shift))
+        return sup_counts(C, rho, M, tail, K_init, K_cap, shift)
+
+    monkeypatch.setattr(holes, "_sup_counts", spy)
+    estimate()
+    streams = {}
+    for C, *args in calls:
+        streams.setdefault(tuple(args), []).append(C)
+    return [(np.concatenate(Cs), *args) for args, Cs in streams.items()]
+
+
+def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
+    # bit for bit the rows the estimators built by hand: threshold is
+    # sample_coeff_batch with column 0 zeroed, tilted its middle and tail
+    # rows (_threshold_rows and _tilted_rows)
+    rows = holes.BATCH_TRIALS + 64
+    got = _rows_handed_to_the_ladder(
+        monkeypatch, lambda: holes.estimate_hole_lower_threshold(
+            hyperbolic(1.0), 0.7, rows, 3, M=1.5, K_cap=64))
+    C, tail = _threshold_rows(rows, seed=3)
+    want = [(C, 0.7, 1.5, tail, 0)]
+    got += _rows_handed_to_the_ladder(
+        monkeypatch, lambda: holes.estimate_hole_lower_tilted(
+            hyperbolic(2.0), 0.9, rows, 5, K_cap=64))
+    mid, inner, shift, tail, half = _tilted_rows(rows, seed=5)
+    want += [(mid, 0.9, half, 0.0, 0), (inner, 0.9, half, tail, shift)]
+    assert len(got) == len(want) == 3
+    for (C, *args), (ref, *ref_args) in zip(got, want):
+        assert args == ref_args
+        assert C.shape == ref.shape
+        assert np.array_equal(C.view(np.uint64), ref.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
