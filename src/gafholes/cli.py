@@ -359,10 +359,6 @@ def cmd_oracle_verify(cfg: dict) -> int:
     return 0
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def cmd_report(cfg: dict) -> int:
     if cfg["results"] is None:
         raise ConfigError("config key 'results' is required for report")
@@ -389,7 +385,9 @@ def cmd_report(cfg: dict) -> int:
                         continue
                     model = rec.get("model", {})
                     L = model.get("L") if model.get("kind") == "Hyperbolic" else None
-                    if not _is_number(rec["r"]) or not (L is None or _is_number(L)):
+                    # json gives int or float for a number (bool is neither)
+                    if type(rec["r"]) not in (int, float) or type(L) not in (
+                            int, float, type(None)):
                         raise ValueError(f"r and L must be numbers, got "
                                          f"{rec['r']!r} and {L!r}")
                 except ValueError as exc:

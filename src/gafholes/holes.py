@@ -916,9 +916,9 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
         hits += int(h.sum())
         misses += int((m & ~h).sum())
         tube_hits += int((h & ~((1.0 + g) * (smax + first + E) + tail < M)).sum())
-        keep = ~(h | m)
-        settled[j] = int(keep.size - keep.sum())
-        if not keep.any():
+        keep = np.flatnonzero(~(h | m))
+        settled[j] = h.size - keep.size
+        if not keep.size:
             break
         C, D, D2, Eg, Eh, gmax, E = (x[keep] for x in (C, D, D2, Eg, Eh, gmax, E))
     return (hits, misses, B - hits - misses, tube_hits, points, *settled)
@@ -932,10 +932,11 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
     stream: T's coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo}
     from lo on, zeta_n the Gaussian at index n of stream t under purpose."""
     def worker(a: int, b: int):
-        C = np.zeros((b - a, lo - shift + w.size), dtype=complex)
-        zetas = rng.gaussian_rows(seed, np.arange(a, b, dtype=np.uint64),
-                                  purpose, lo, lo + w.size)
-        np.multiply(zetas, w, out=C[:, lo - shift:])
+        C = rng.gaussian_rows(seed, np.arange(a, b, dtype=np.uint64), purpose,
+                              lo, lo + w.size)
+        C *= w
+        if lo > shift:
+            C = np.pad(C, ((0, 0), (lo - shift, 0)))
         return _sup_counts(C, rho, M, tail, K_init, K_cap, shift)
 
     hits, misses, inc, tube_hits, points, *settled = _batched_counts(
