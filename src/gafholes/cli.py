@@ -384,6 +384,12 @@ def cmd_report(cfg: dict) -> int:
                     if not (isinstance(rec, dict) and {"mode", "r"} <= rec.keys()):
                         continue
                     model = rec.get("model", {})
+                    if not isinstance(model, dict):
+                        raise ValueError(f"model must be an object, got {model!r}")
+                    # the rows sort by mode, so every mode must be a string
+                    if not isinstance(rec["mode"], str):
+                        raise ValueError(f"mode must be a string, got "
+                                         f"{rec['mode']!r}")
                     L = model.get("L") if model.get("kind") == "Hyperbolic" else None
                     # json gives int or float for a number (bool is neither)
                     if type(rec["r"]) not in (int, float) or type(L) not in (

@@ -89,23 +89,28 @@ def sample(model: CoefficientModel, seed: int, stream_id: int, N_t: int) -> GafS
 
 
 def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
-                       N_t: int) -> np.ndarray:
-    """Coefficient rows c_n = zeta_n a_n for many streams at once.
+                       N_t: int, out=None) -> np.ndarray:
+    """Coefficient rows c_n = zeta_n a_n for many streams at once, in out
+    (len(stream_ids), N_t + 1) when given.
 
     Identical to stacking single-stream sample() calls bit for bit: every
     draw depends only on (seed, stream_id, n), and all transformations are
     elementwise.
     """
-    zetas = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1)
-    a = coefficients(model, N_t)
-    return zetas * a[None, :]
+    C = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1,
+                          out=out)
+    C *= coefficients(model, N_t)[None, :]
+    return C
 
 
 def sample_moduli_batch(model: CoefficientModel, seed: int, stream_ids,
-                        N_t: int) -> np.ndarray:
-    """Moduli fl(sqrt(-log u1)) a_n of sample_coeff_batch's rows; no phases."""
-    rad = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1, True)
-    return rad * coefficients(model, N_t)[None, :]
+                        N_t: int, out=None) -> np.ndarray:
+    """Moduli fl(sqrt(-log u1)) a_n of sample_coeff_batch's rows, no phases;
+    in out when given."""
+    A = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1,
+                          True, out)
+    A *= coefficients(model, N_t)[None, :]
+    return A
 
 
 def evaluate(s: GafSample, z: complex) -> complex:

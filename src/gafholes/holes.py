@@ -117,7 +117,11 @@ Estimators (all Monte Carlo over independent per-trial streams):
     a_n and its own undrawn phases, and g covers the rounding of that
     product in place of that of abs.  The other rows, pooled in trial order
     into chunks of at most BATCH_TRIALS, are drawn in full and climb the
-    ladder;
+    ladder.  Each worker thread draws its screen batches into one moduli
+    buffer, which the screen also uses for its weighted terms, and its
+    ladder chunks into one coefficient buffer; both are made once per
+    estimate, so neither the draws nor the screen allocate a batch-sized
+    array per batch;
   * threshold lower bound: P[Hole] >= e^{-M^2/a_0^2} * P[sup |F - F(0)| <= M]
     (the constant term a_0 zeta_0 exceeds M with probability exactly
     e^{-M^2/a_0^2}, 0 when a_0 = 0, and the rest then cannot reach back
@@ -135,6 +139,7 @@ scheduling never change results; merged counters are plain integer sums.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -637,15 +642,19 @@ def _rounding_gamma(n_coeffs: int) -> float:
     return _gamma(8 * (n_coeffs + 1))
 
 
-def _constant_term_holes(C: np.ndarray, rho: float, tail: float) -> np.ndarray:
+def _constant_term_holes(C: np.ndarray, rho: float, tail: float,
+                         work: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows of C that are certified holes of the rho-disk by their constant
     term alone: lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1} |c_n| (rho (1 +
     eta))^n > max(tail, 0), the weights and g those of _circle_bounds
-    (proof in the module docstring).  A NaN row is never one."""
-    A = np.abs(C)
+    (proof in the module docstring).  A NaN row is never one.  The moduli
+    and weighted terms go to work (float, C's shape; C itself when C is
+    a float array the caller no longer needs) when given."""
+    A = np.abs(C, out=work)
     n1 = C.shape[1]
     g = _rounding_gamma(n1)
-    R = np.sum(A[:, 1:] * (rho * (1.0 + _GRID_ETA)) ** np.arange(1, n1), axis=1)
+    A[:, 1:] *= (rho * (1.0 + _GRID_ETA)) ** np.arange(1, n1)
+    R = np.sum(A[:, 1:], axis=1)
     return (1.0 - g) * A[:, 0] - (1.0 + g) * R > max(tail, 0.0)
 
 
@@ -798,14 +807,26 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
+    buffers = threading.local()
+
+    def rows_of(name: str, dtype, n: int, total: int) -> np.ndarray:
+        """The first n rows of this thread's buffer `name`, of shape
+        (min(total, BATCH_TRIALS), N_t + 1), made on its first batch."""
+        buf = getattr(buffers, name, None)
+        if buf is None:
+            buf = np.empty((min(total, BATCH_TRIALS), N_t + 1), dtype=dtype)
+            setattr(buffers, name, buf)
+        return buf[:n]
 
     def screen(lo: int, hi: int):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        A = sample_moduli_batch(model, seed, ids, N_t)
-        return ids[~_constant_term_holes(A, r, tail)]
+        A = sample_moduli_batch(model, seed, ids, N_t,
+                                out=rows_of("moduli", float, ids.size, trials))
+        return ids[~_constant_term_holes(A, r, tail, work=A)]
 
     def ladder(lo: int, hi: int):
-        C = sample_coeff_batch(model, seed, rest[lo:hi], N_t)
+        C = sample_coeff_batch(model, seed, rest[lo:hi], N_t,
+                               out=rows_of("coeffs", complex, hi - lo, rest.size))
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)

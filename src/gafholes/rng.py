@@ -26,13 +26,21 @@ The moduli sqrt(-log(u1)) and phases exp(2 pi i u2) are separately addressable
 under the same contract, and a Gaussian is their product bit for bit.
 gaussian_rows fills wide batches in row blocks of about _BLOCK_DRAWS draws,
 so that each block's temporaries stay in cache; since every operation is
-elementwise, the blocks change no draw.
+elementwise, the blocks change no draw.  complex_gaussians, gaussian_moduli
+and gaussian_rows write into a caller-owned out= array when given one, and
+keep their Box-Muller temporaries (words, shifts, uniforms, angles) in one
+scratch per thread of _BLOCK_DRAWS draws, reused by every call that fits in
+it.  The scratch changes when memory is allocated, never a draw: every call
+overwrites the entries it reads, with the same operations in the same order.
 
 All arithmetic runs on numpy uint64 arrays (wrapping multiply/add), never on
 numpy scalars, to avoid scalar-overflow warnings and keep a single code path.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -55,16 +63,27 @@ PURPOSE_JOINT_MOMENT = 7    # joint negative-moment Monte Carlo check
 # so that the temporaries of a block stay in cache
 _BLOCK_DRAWS = 1 << 15
 
+# each thread's (words, shifts, reals) scratch of _BLOCK_DRAWS entries
+_scratch = threading.local()
+
+
+def _mix_into(z: np.ndarray, t: np.ndarray) -> None:
+    """z = mix64(z) in place, with t (z's shape) for the shifts."""
+    with np.errstate(over="ignore"):
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= _M1
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _M2
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (vectorized, wrapping)."""
-    z = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
-        z *= _M1
-        z ^= z >> np.uint64(27)
-        z *= _M2
-        z ^= z >> np.uint64(31)
+    z = np.array(x, dtype=np.uint64)
+    _mix_into(z, np.empty_like(z))
     return z
 
 
@@ -94,45 +113,107 @@ def uniforms(key: np.ndarray, counters) -> np.ndarray:
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def gaussian_moduli(key: np.ndarray, index) -> np.ndarray:
-    """Box-Muller moduli sqrt(-log u1) of draws n (u1 at counter 2n)."""
+def _temporaries(shape) -> tuple:
+    """(words, shifts, reals) arrays of the given shape: views of this
+    thread's scratch when they fit in _BLOCK_DRAWS entries, else new."""
+    size = math.prod(shape)
+    if size > _BLOCK_DRAWS:
+        bufs = (np.empty(size, np.uint64), np.empty(size, np.uint64),
+                np.empty(size))
+    else:
+        bufs = getattr(_scratch, "bufs", None)
+        if bufs is None:
+            bufs = _scratch.bufs = (np.empty(_BLOCK_DRAWS, np.uint64),
+                                    np.empty(_BLOCK_DRAWS, np.uint64),
+                                    np.empty(_BLOCK_DRAWS))
+    return tuple(b[:size].reshape(shape) for b in bufs)
+
+
+def _uniforms_into(u: np.ndarray, key: np.ndarray, n: np.ndarray, odd: int,
+                   w: np.ndarray, t: np.ndarray) -> None:
+    """u = uniforms(key, 2n + odd), with w and t (u's shape) for the words
+    and their shifts."""
+    with np.errstate(over="ignore"):
+        np.add(key, GOLDEN * (np.uint64(2) * n + np.uint64(odd + 1)), out=w)
+    _mix_into(w, t)
+    np.right_shift(w, np.uint64(11), out=w)
+    np.copyto(u, w, casting="unsafe")
+    u += 0.5
+    u *= 2.0 ** -53
+
+
+def _moduli_into(out, key, n, w, t, u) -> np.ndarray:
+    _uniforms_into(u, key, n, 0, w, t)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    return np.sqrt(u, out=out)
+
+
+def _phases_into(z, key, n, w, t, u) -> np.ndarray:
+    _uniforms_into(u, key, n, 1, w, t)
+    u *= 2.0 * np.pi
+    np.cos(u, out=z.real)
+    np.sin(u, out=z.imag)
+    return z
+
+
+def _draw_out(key: np.ndarray, n: np.ndarray, out, dtype) -> np.ndarray:
+    """out, checked against the broadcast shape of key and n, or a new array."""
+    shape = np.broadcast_shapes(np.shape(key), n.shape)
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the draws {shape}")
+    return out
+
+
+def gaussian_moduli(key: np.ndarray, index, out=None) -> np.ndarray:
+    """Box-Muller moduli sqrt(-log u1) of draws n (u1 at counter 2n), in out
+    when given."""
     n = np.asarray(index, dtype=np.uint64)
-    return np.sqrt(-np.log(uniforms(key, np.uint64(2) * n)))
+    out = _draw_out(key, n, out, float)
+    return _moduli_into(out, key, n, *_temporaries(out.shape))
 
 
 def unit_phases(key: np.ndarray, index) -> np.ndarray:
     """Box-Muller phases exp(2 pi i u2) of draws n (u2 at counter 2n + 1)."""
     n = np.asarray(index, dtype=np.uint64)
-    angle = 2.0 * np.pi * uniforms(key, np.uint64(2) * n + np.uint64(1))
-    z = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=z.real)
-    np.sin(angle, out=z.imag)
-    return z
+    z = _draw_out(key, n, None, complex)
+    return _phases_into(z, key, n, *_temporaries(z.shape))
 
 
-def complex_gaussians(key: np.ndarray, index) -> np.ndarray:
-    """Standard complex Gaussians of draws n (index): moduli times phases."""
-    z = unit_phases(key, index)
-    z *= gaussian_moduli(key, index)
+def complex_gaussians(key: np.ndarray, index, out=None) -> np.ndarray:
+    """Standard complex Gaussians of draws n (index): moduli times phases,
+    in out when given."""
+    n = np.asarray(index, dtype=np.uint64)
+    z = _draw_out(key, n, out, complex)
+    w, t, u = _temporaries(z.shape)
+    _phases_into(z, key, n, w, t, u)
+    z *= _moduli_into(u, key, n, w, t, u)
     return z
 
 
 def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
-                  moduli: bool = False) -> np.ndarray:
+                  moduli: bool = False, out=None) -> np.ndarray:
     """The row sampler: Gaussians at indices lo..hi-1 of each stream's key,
-    or with moduli=True their moduli alone.
+    or with moduli=True their moduli alone, in out when given.
 
     Shape (len(streams), hi - lo); every batch of draws comes from here.
     Rows are drawn in blocks of _BLOCK_DRAWS // (hi - lo) rows (at least
-    one), each bit for bit the rows of the whole batch.
+    one), each bit for bit the rows of the whole batch, and each block
+    through complex_gaussians or gaussian_moduli with its slice of out as
+    their out.  A caller that passes the same out again gets its entries
+    overwritten, never read.
     """
     keys = stream_key(seed, streams, purpose)[:, None]
     idx = np.arange(lo, hi, dtype=np.uint64)[None, :]
     draw = gaussian_moduli if moduli else complex_gaussians
+    shape = (keys.shape[0], idx.size)
+    if out is None:
+        out = np.empty(shape, dtype=float if moduli else complex)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the rows {shape}")
     step = max(1, _BLOCK_DRAWS // max(idx.size, 1))
-    if keys.shape[0] <= step:
-        return draw(keys, idx)
-    out = np.empty((keys.shape[0], idx.size), dtype=float if moduli else complex)
     for i in range(0, keys.shape[0], step):
-        out[i:i + step] = draw(keys[i:i + step], idx)
+        draw(keys[i:i + step], idx, out=out[i:i + step])
     return out

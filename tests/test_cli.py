@@ -369,7 +369,11 @@ def test_report_reads_a_single_results_file(tmp_path, capsys):
     ('{"mode": "direct", "r": "0.5"}', "must be numbers"),
     ('{"mode": "direct", "r": 0.5, "model": {"kind": "Hyperbolic", "L": "2"}}',
      "must be numbers"),
-], ids=["truncated_line", "r_string", "L_string"])
+    ('{"mode": "direct", "r": 0.5, "model": "Hyperbolic"}', "must be an object"),
+    # sorts against the first record's "direct" at the same L and r
+    ('{"mode": 1, "r": 0.5, "model": {"kind": "Hyperbolic", "L": 1}}',
+     "must be a string"),
+], ids=["truncated_line", "r_string", "L_string", "model_string", "mode_number"])
 def test_report_rejects_a_malformed_record_by_file_and_line(bad, says,
                                                              tmp_path, capsys):
     res = tmp_path / "run.jsonl"

@@ -104,16 +104,44 @@ def test_row_blocks_change_no_draw(cols):
         radius, z = _box_muller_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
                                      lo, lo + cols)
         for moduli, ref in ((False, z), (True, radius)):
+            # a draw of another width first leaves other values in this
+            # thread's scratch; no draw may read them
+            wide = rng.gaussian_rows(9, streams[:2], rng.PURPOSE_TILT_MIDDLE,
+                                     lo, lo + cols + 57, moduli)
             got = rng.gaussian_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
                                     lo, lo + cols, moduli)
             assert got.shape == (S, cols) and got.dtype == ref.dtype
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            # into a caller's buffer: that buffer, every entry overwritten
+            buf = np.full_like(ref, np.nan)
+            assert rng.gaussian_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
+                                     lo, lo + cols, moduli, out=buf) is buf
+            assert np.array_equal(buf.view(np.uint64), ref.view(np.uint64))
+            again = rng.gaussian_rows(9, streams[:2], rng.PURPOSE_TILT_MIDDLE,
+                                      lo, lo + cols + 57, moduli)
+            assert np.array_equal(again.view(np.uint64), wide.view(np.uint64))
             for i in {0, step - 1, step, S - 1} & set(range(S)):
                 one = rng.gaussian_rows(9, streams[i:i + 1],
                                         rng.PURPOSE_TILT_MIDDLE, lo, lo + cols,
                                         moduli)
                 assert np.array_equal(one.view(np.uint64),
                                       got[i:i + 1].view(np.uint64)), (S, i)
+
+
+def test_draws_into_an_out_of_another_shape_are_refused():
+    keys = rng.stream_key(9, np.arange(3, dtype=np.uint64), 1)[:, None]
+    idx = np.arange(5, dtype=np.uint64)[None, :]
+    # one key's (1, 5) draws would fill every row of a (3, 5) out unrefused
+    for key, shape in ((keys, (3, 4)), (keys, (15,)), (keys[:1], (3, 5))):
+        for draw, dtype in ((rng.complex_gaussians, complex),
+                            (rng.gaussian_moduli, float)):
+            with pytest.raises(ValueError, match="shape"):
+                draw(key, idx, out=np.empty(shape, dtype=dtype))
+    # one row too many would be left as it was
+    for moduli, dtype in ((False, complex), (True, float)):
+        with pytest.raises(ValueError, match="shape"):
+            rng.gaussian_rows(9, [0, 1, 2], 1, 0, 5, moduli,
+                              out=np.empty((4, 5), dtype=dtype))
 
 
 def test_complex_gaussians_streams_uncorrelated():

@@ -221,9 +221,12 @@ def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
 
     def with_nans(draw):
         # trials 0 and 1 carry the NaN in the screen's moduli and in the
-        # ladder's rows alike, wherever they sit in a batch or chunk
-        def rows(model, seed, ids, N_t):
-            C = draw(model, seed, ids, N_t)
+        # ladder's rows alike, wherever they sit in a batch or chunk; the
+        # estimator's out= buffer goes through to the real sampler, and the
+        # NaNs land in a copy, which the estimator sees only if it reads
+        # what the sampler returns
+        def rows(model, seed, ids, N_t, **kw):
+            C = draw(model, seed, ids, N_t, **kw).copy()
             C[ids == 0, 0] = np.nan   # constant term
             C[ids == 1, 3] = np.nan   # a later coefficient
             return C
@@ -315,13 +318,17 @@ def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
 
 
 @pytest.mark.parametrize("L, r, trials", [(0.5, 0.5, 12000), (1.0, 0.3, 20000),
-                                          (1.0, 0.7, 4400), (2.0, 0.9, 2500)])
+                                          (1.0, 0.7, 4400), (2.0, 0.9, 2500),
+                                          (1.0, 0.5, 6181)])
 def test_two_stage_estimate_equals_the_one_stage_reference(L, r, trials):
+    # 6181 trials leave a short last screen batch and a short last ladder chunk
     m = hyperbolic(L)
     record, kernel = _one_stage_estimate(m, r, trials, 29)
     # the ladder stage has more than one chunk
     assert trials - kernel["constant_term"] > holes.BATCH_TRIALS
-    for workers in (1, 2):
+    # twice at 1 and 3 workers in one process: stale rows left in a reused
+    # buffer, or two threads sharing one, would change a later estimate
+    for workers in (1, 2, 3, 1, 3):
         est = holes.estimate_hole_direct(m, r, trials, 29, workers=workers)
         # JSON, as the CLI writes them: equal values and plain ints
         assert json.dumps(est.to_record(), sort_keys=True) \
