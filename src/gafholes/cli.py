@@ -107,9 +107,11 @@ def _parse_value(key: str, raw) -> object:
                 or kind is int and isinstance(raw, float) and not raw.is_integer()):
             raise ValueError
         if kind == "floatlist":
-            if isinstance(raw, (list, tuple)):
-                return [float(x) for x in raw]
-            return [float(x) for x in str(raw).split(",") if x != ""]
+            if not isinstance(raw, (list, tuple)):
+                items = [x for x in str(raw).split(",") if x != ""]
+            if not items:  # an empty list would run no estimate at all
+                raise ValueError
+            return [float(x) for x in items]
         return kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}")

@@ -117,11 +117,7 @@ Estimators (all Monte Carlo over independent per-trial streams):
     a_n and its own undrawn phases, and g covers the rounding of that
     product in place of that of abs.  The other rows, pooled in trial order
     into chunks of at most BATCH_TRIALS, are drawn in full and climb the
-    ladder.  Each worker thread draws its screen batches into one moduli
-    buffer, which the screen also uses for its weighted terms, and its
-    ladder chunks into one coefficient buffer; both are made once per
-    estimate, so neither the draws nor the screen allocate a batch-sized
-    array per batch;
+    ladder.  The screen writes its weighted terms over its moduli rows;
   * threshold lower bound: P[Hole] >= e^{-M^2/a_0^2} * P[sup |F - F(0)| <= M]
     (the constant term a_0 zeta_0 exceeds M with probability exactly
     e^{-M^2/a_0^2}, 0 when a_0 = 0, and the rest then cannot reach back
@@ -132,8 +128,11 @@ Estimators (all Monte Carlo over independent per-trial streams):
     overwhelmingly likely near the critical radius.  Both lower bounds run
     one stream runner (_sup_stream); threshold is its q = 1 case.
 
-Everything is elementwise per trial row, so batch composition and thread
-scheduling never change results; merged counters are plain integer sums.
+Every stream (direct screen and ladder, each lower-bound stream) runs its
+batches through _pool_map, which draws them into one row buffer per worker
+thread, overwritten wherever a batch reads it.  Everything is elementwise
+per trial row, so buffers, batch composition and thread scheduling never
+change results; merged counters are plain integer sums.
 """
 
 from __future__ import annotations
@@ -767,18 +766,28 @@ def _truncate(model: CoefficientModel, r: float, trials: int, tau_rel: float,
         "certificate_failure_budget": trials * math.exp(log_fail)}
 
 
-def _pool_map(worker_fn, n: int, workers: int) -> list:
-    """[worker_fn(lo, hi)] over the fixed-width spans of range(n), in order."""
+def _pool_map(worker_fn, n: int, workers: int, width: int, dtype) -> list:
+    """[worker_fn(lo, hi, out)] over the fixed-width spans of range(n), in
+    order; out is the first hi - lo rows of the calling thread's (min(n,
+    BATCH_TRIALS), width) buffer of dtype, made once per thread and call."""
     spans = [(lo, min(lo + BATCH_TRIALS, n)) for lo in range(0, n, BATCH_TRIALS)]
+    local = threading.local()
+
+    def run(span):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((min(n, BATCH_TRIALS), width), dtype)
+        return worker_fn(*span, local.buf[:span[1] - span[0]])
+
     if workers <= 1 or len(spans) <= 1:
-        return [worker_fn(lo, hi) for lo, hi in spans]
+        return [run(span) for span in spans]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda s: worker_fn(*s), spans))
+        return list(ex.map(run, spans))
 
 
-def _batched_counts(trials: int, workers: int, worker_fn):
-    """Run worker_fn(lo, hi) over fixed-width trial batches; sum int tuples."""
-    return [sum(map(int, col)) for col in zip(*_pool_map(worker_fn, trials, workers))]
+def _batched_counts(trials: int, workers: int, worker_fn, width: int, dtype):
+    """Sum the int tuples of worker_fn(lo, hi, out) over _pool_map's batches."""
+    return [sum(map(int, col)) for col in
+            zip(*_pool_map(worker_fn, trials, workers, width, dtype))]
 
 
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
@@ -807,26 +816,14 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
-    buffers = threading.local()
 
-    def rows_of(name: str, dtype, n: int, total: int) -> np.ndarray:
-        """The first n rows of this thread's buffer `name`, of shape
-        (min(total, BATCH_TRIALS), N_t + 1), made on its first batch."""
-        buf = getattr(buffers, name, None)
-        if buf is None:
-            buf = np.empty((min(total, BATCH_TRIALS), N_t + 1), dtype=dtype)
-            setattr(buffers, name, buf)
-        return buf[:n]
-
-    def screen(lo: int, hi: int):
+    def screen(lo: int, hi: int, out: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        A = sample_moduli_batch(model, seed, ids, N_t,
-                                out=rows_of("moduli", float, ids.size, trials))
+        A = sample_moduli_batch(model, seed, ids, N_t, out=out)
         return ids[~_constant_term_holes(A, r, tail, work=A)]
 
-    def ladder(lo: int, hi: int):
-        C = sample_coeff_batch(model, seed, rest[lo:hi], N_t,
-                               out=rows_of("coeffs", complex, hi - lo, rest.size))
+    def ladder(lo: int, hi: int, out: np.ndarray):
+        C = sample_coeff_batch(model, seed, rest[lo:hi], N_t, out=out)
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
@@ -839,10 +836,11 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     levels = _ladder_levels(K_init, K_cap)
     edges = np.array([0] + levels, dtype=np.int64)
-    rest = np.concatenate(_pool_map(screen, trials, workers))
+    rest = np.concatenate(_pool_map(screen, trials, workers, N_t + 1, float))
     pre_n = trials - rest.size
     (holes_n, zeros_n, inc_n, tube_n, open_n, *settled) = (
-        _batched_counts(rest.size, workers, ladder) or [0] * (4 + edges.size))
+        _batched_counts(rest.size, workers, ladder, N_t + 1, complex)
+        or [0] * (4 + edges.size))
     holes_n += pre_n
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
@@ -951,17 +949,17 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
     """(Wilson lower bound on the hit rate, sidecar counters) of _sup_counts
     on one row T = z^shift * F per trial t, the one layout of a lower-bound
     stream: T's coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo}
-    from lo on, zeta_n the Gaussian at index n of stream t under purpose."""
-    def worker(a: int, b: int):
+    from lo on, zeta_n the Gaussian at index n of stream t under purpose,
+    laid out in place in the worker thread's _pool_map buffer each batch."""
+    def worker(a: int, b: int, out: np.ndarray):
+        out[:, :lo - shift] = 0.0
         C = rng.gaussian_rows(seed, np.arange(a, b, dtype=np.uint64), purpose,
-                              lo, lo + w.size)
+                              lo, lo + w.size, out=out[:, lo - shift:])
         C *= w
-        if lo > shift:
-            C = np.pad(C, ((0, 0), (lo - shift, 0)))
-        return _sup_counts(C, rho, M, tail, K_init, K_cap, shift)
+        return _sup_counts(out, rho, M, tail, K_init, K_cap, shift)
 
     hits, misses, inc, tube_hits, points, *settled = _batched_counts(
-        trials, workers, worker)
+        trials, workers, worker, lo - shift + w.size, complex)
     return wilson_interval(hits, trials, confidence)[0], {
         "hit": hits, "miss": misses, "inconclusive": inc,
         "tube_hits": tube_hits, "grid_points": points,

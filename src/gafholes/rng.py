@@ -13,8 +13,10 @@ with mix64 the SplitMix64 finalizer
     z ^= z >> 31
 
 Uniforms map a word w to ((w >> 11) + 0.5) * 2^-53, which lies strictly
-inside (0, 1) so logs never overflow.  Complex standard Gaussians (density
-(1/pi) e^{-|z|^2}, i.e. Re and Im independent N(0, 1/2)) use Box-Muller:
+inside (0, 1) so logs never overflow; uniforms and both Box-Muller halves
+below compute them with one kernel, _uniforms_into.  Complex standard
+Gaussians (density (1/pi) e^{-|z|^2}, i.e. Re and Im independent
+N(0, 1/2)) use Box-Muller:
 
     zeta = sqrt(-log(u1)) * exp(2*pi*i*u2)
 
@@ -100,19 +102,6 @@ def stream_key(seed: int, stream_id, purpose: int) -> np.ndarray:
     return k
 
 
-def words(key: np.ndarray, counters) -> np.ndarray:
-    """Raw 64-bit words for the given counters (broadcast against key)."""
-    c = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return mix64(key + GOLDEN * (c + np.uint64(1)))
-
-
-def uniforms(key: np.ndarray, counters) -> np.ndarray:
-    """Uniforms in the open interval (0, 1), one per counter."""
-    w = words(key, counters)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
 def _temporaries(shape) -> tuple:
     """(words, shifts, reals) arrays of the given shape: views of this
     thread's scratch when they fit in _BLOCK_DRAWS entries, else new."""
@@ -129,12 +118,12 @@ def _temporaries(shape) -> tuple:
     return tuple(b[:size].reshape(shape) for b in bufs)
 
 
-def _uniforms_into(u: np.ndarray, key: np.ndarray, n: np.ndarray, odd: int,
+def _uniforms_into(u: np.ndarray, key: np.ndarray, c: np.ndarray,
                    w: np.ndarray, t: np.ndarray) -> None:
-    """u = uniforms(key, 2n + odd), with w and t (u's shape) for the words
-    and their shifts."""
+    """u = the uniforms of key at counters c, with w and t (u's shape) for
+    the words and their shifts."""
     with np.errstate(over="ignore"):
-        np.add(key, GOLDEN * (np.uint64(2) * n + np.uint64(odd + 1)), out=w)
+        np.add(key, GOLDEN * (c + np.uint64(1)), out=w)
     _mix_into(w, t)
     np.right_shift(w, np.uint64(11), out=w)
     np.copyto(u, w, casting="unsafe")
@@ -143,14 +132,14 @@ def _uniforms_into(u: np.ndarray, key: np.ndarray, n: np.ndarray, odd: int,
 
 
 def _moduli_into(out, key, n, w, t, u) -> np.ndarray:
-    _uniforms_into(u, key, n, 0, w, t)
+    _uniforms_into(u, key, np.uint64(2) * n, w, t)
     np.log(u, out=u)
     np.negative(u, out=u)
     return np.sqrt(u, out=out)
 
 
 def _phases_into(z, key, n, w, t, u) -> np.ndarray:
-    _uniforms_into(u, key, n, 1, w, t)
+    _uniforms_into(u, key, np.uint64(2) * n + np.uint64(1), w, t)
     u *= 2.0 * np.pi
     np.cos(u, out=z.real)
     np.sin(u, out=z.imag)
@@ -165,6 +154,15 @@ def _draw_out(key: np.ndarray, n: np.ndarray, out, dtype) -> np.ndarray:
     if out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, the draws {shape}")
     return out
+
+
+def uniforms(key: np.ndarray, counters) -> np.ndarray:
+    """Uniforms in the open interval (0, 1), one per counter (broadcast
+    against key)."""
+    c = np.asarray(counters, dtype=np.uint64)
+    u = _draw_out(key, c, None, float)
+    _uniforms_into(u, key, c, *_temporaries(u.shape)[:2])
+    return u
 
 
 def gaussian_moduli(key: np.ndarray, index, out=None) -> np.ndarray:
@@ -208,11 +206,7 @@ def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
     keys = stream_key(seed, streams, purpose)[:, None]
     idx = np.arange(lo, hi, dtype=np.uint64)[None, :]
     draw = gaussian_moduli if moduli else complex_gaussians
-    shape = (keys.shape[0], idx.size)
-    if out is None:
-        out = np.empty(shape, dtype=float if moduli else complex)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, the rows {shape}")
+    out = _draw_out(keys, idx, out, float if moduli else complex)
     step = max(1, _BLOCK_DRAWS // max(idx.size, 1))
     for i in range(0, keys.shape[0], step):
         draw(keys[i:i + step], idx, out=out[i:i + step])

@@ -189,7 +189,7 @@ def test_unparseable_flag_value(capsys):
 @pytest.mark.parametrize("key, value", [
     ("trials", 2.7), ("trials", "2.7"), ("seed", True), ("K_cap", False),
     ("trials", float("inf")), ("confidence", True), ("r", [0.5, True]),
-    ("r", "true"),
+    ("r", "true"), ("r", []), ("r", ""), ("r", ","),
 ])
 def test_config_numbers_that_are_not_numbers_exit_2(key, value, tmp_path,
                                                     capsys):
@@ -206,6 +206,14 @@ def test_config_numbers_that_are_not_numbers_exit_2(key, value, tmp_path,
         assert cli.main(["estimate", flag, json.dumps(value)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("value", ["", ","])
+def test_empty_radius_flag_exits_2(value, capsys):
+    # an empty radius list would otherwise run no estimate and exit 0
+    assert cli.main(["estimate", "--r", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'r'" in err
 
 
 def test_config_integral_floats_parse_with_an_unchanged_hash(tmp_path):

@@ -179,8 +179,9 @@ def _rows_handed_to_the_ladder(monkeypatch, estimate):
 def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
     # bit for bit the rows the estimators built by hand: threshold is
     # sample_coeff_batch with column 0 zeroed, tilted its middle and tail
-    # rows (_threshold_rows and _tilted_rows)
-    rows = holes.BATCH_TRIALS + 64
+    # rows (_threshold_rows and _tilted_rows); two full batches and a short
+    # one, so each stream's buffer is reused and only partly rewritten
+    rows = 2 * holes.BATCH_TRIALS + 64
     got = _rows_handed_to_the_ladder(
         monkeypatch, lambda: holes.estimate_hole_lower_threshold(
             hyperbolic(1.0), 0.7, rows, 3, M=1.5, K_cap=64))
@@ -196,6 +197,23 @@ def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
         assert args == ref_args
         assert C.shape == ref.shape
         assert np.array_equal(C.view(np.uint64), ref.view(np.uint64))
+
+
+def test_reused_stream_buffers_change_no_estimate():
+    # each _pool_map call makes one row buffer per worker thread and reuses
+    # it for that thread's batches: the threshold stream's zero column must
+    # be set on every batch, and no two threads may share a buffer, at any
+    # worker count and after other estimates in the same process
+    trials = 2 * holes.BATCH_TRIALS + 64
+    runs = []
+    for workers in (1, 3, 1, 2):
+        thr = holes.estimate_hole_lower_threshold(
+            hyperbolic(1.0), 0.7, trials, 3, M=1.5, K_cap=64, workers=workers)
+        tilt = holes.estimate_hole_lower_tilted(
+            hyperbolic(2.0), 0.9, trials, 5, K_cap=64, workers=workers)
+        runs.append(json.dumps([est.to_record() for est in (thr, tilt)])
+                    + json.dumps([est.kernel for est in (thr, tilt)]))
+    assert runs[1:] == runs[:1] * 3
 
 
 # ---------------------------------------------------------------------------
