@@ -126,7 +126,12 @@ Estimators (all Monte Carlo over independent per-trial streams):
     1..N by factors q_n in (0, 1], which costs an explicit Gaussian
     change-of-measure factor Q^2 = prod q_n^2 but makes the supremum event
     overwhelmingly likely near the critical radius.  Both lower bounds run
-    one stream runner (_sup_stream); threshold is its q = 1 case.
+    one stream runner (_sup_stream); threshold is its q = 1 case.  Its
+    screen settles as a hit every row of T = z^s F with (1 + g) rho^s sum
+    |c_n| (rho (1 + eta))^n + tail < M (_sup_screen), as |T| <= rho^s sum
+    |c_n| rho^n on the circle.  It reads moduli only, so it holds for any
+    phases; g and the strict < cover the roundings as for the constant term
+    and in _sup_counts.  Both screens run through _screened_counts.
 
 Every stream (direct screen and ladder, each lower-bound stream) runs its
 batches through _pool_map, which draws them into one row buffer per worker
@@ -784,10 +789,18 @@ def _pool_map(worker_fn, n: int, workers: int, width: int, dtype) -> list:
         return list(ex.map(run, spans))
 
 
-def _batched_counts(trials: int, workers: int, worker_fn, width: int, dtype):
-    """Sum the int tuples of worker_fn(lo, hi, out) over _pool_map's batches."""
-    return [sum(map(int, col)) for col in
-            zip(*_pool_map(worker_fn, trials, workers, width, dtype))]
+def _screened_counts(trials: int, workers: int, width: int, screen, ladder):
+    """(trials screen(ids, out) settles, the int tuples of ladder(ids, out)
+    on the rest, pooled in trial order, summed; [] if none is left): the two
+    stages of a stream (module docstring), on float and complex buffers."""
+    def first(lo: int, hi: int, out: np.ndarray):
+        ids = np.arange(lo, hi, dtype=np.uint64)
+        return ids[~screen(ids, out)]
+
+    rest = np.concatenate(_pool_map(first, trials, workers, width, float))
+    counts = _pool_map(lambda lo, hi, out: ladder(rest[lo:hi], out),
+                       rest.size, workers, width, complex)
+    return trials - rest.size, [sum(map(int, col)) for col in zip(*counts)]
 
 
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
@@ -817,13 +830,12 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
 
-    def screen(lo: int, hi: int, out: np.ndarray):
-        ids = np.arange(lo, hi, dtype=np.uint64)
+    def screen(ids: np.ndarray, out: np.ndarray):
         A = sample_moduli_batch(model, seed, ids, N_t, out=out)
-        return ids[~_constant_term_holes(A, r, tail, work=A)]
+        return _constant_term_holes(A, r, tail, work=A)
 
-    def ladder(lo: int, hi: int, out: np.ndarray):
-        C = sample_coeff_batch(model, seed, rest[lo:hi], N_t, out=out)
+    def ladder(ids: np.ndarray, out: np.ndarray):
+        C = sample_coeff_batch(model, seed, ids, N_t, out=out)
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
@@ -836,11 +848,9 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     levels = _ladder_levels(K_init, K_cap)
     edges = np.array([0] + levels, dtype=np.int64)
-    rest = np.concatenate(_pool_map(screen, trials, workers, N_t + 1, float))
-    pre_n = trials - rest.size
-    (holes_n, zeros_n, inc_n, tube_n, open_n, *settled) = (
-        _batched_counts(rest.size, workers, ladder, N_t + 1, complex)
-        or [0] * (4 + edges.size))
+    pre_n, counts = _screened_counts(trials, workers, N_t + 1, screen, ladder)
+    holes_n, zeros_n, inc_n, tube_n, open_n, *settled = (
+        counts or [0] * (4 + edges.size))
     holes_n += pre_n
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
@@ -943,28 +953,43 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     return (hits, misses, B - hits - misses, tube_hits, points, *settled)
 
 
+def _sup_screen(A: np.ndarray, rho: float, M: float, tail: float, shift=0):
+    """Rows of moduli A (overwritten) of T = z^shift * F that are hits by
+    (1 + g) rho^shift sum A_n (rho (1 + eta))^n + tail < M (see module)."""
+    A *= (rho * (1.0 + _GRID_ETA)) ** np.arange(A.shape[1])
+    return (1.0 + _rounding_gamma(A.shape[1])) * (
+        rho ** shift * np.sum(A, axis=1)) + tail < M
+
+
 def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
                 rho: float, M: float, tail: float, confidence: float,
                 K_init: int, K_cap: int, trials: int, workers: int):
-    """(Wilson lower bound on the hit rate, sidecar counters) of _sup_counts
-    on one row T = z^shift * F per trial t, the one layout of a lower-bound
-    stream: T's coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo}
-    from lo on, zeta_n the Gaussian at index n of stream t under purpose,
-    laid out in place in the worker thread's _pool_map buffer each batch."""
-    def worker(a: int, b: int, out: np.ndarray):
+    """(Wilson lower bound on the hit rate, sidecar counters) of one row T =
+    z^shift * F per trial t, the one layout of a lower-bound stream: T's
+    coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo} from lo on,
+    zeta_n the Gaussian at index n of stream t under purpose, laid out in
+    place in the worker thread's _pool_map buffers.  Rows _sup_screen misses
+    run _sup_counts; only they enter tube_hits, grid_points and settle_K."""
+    def rows(ids: np.ndarray, out: np.ndarray, moduli: bool):
         out[:, :lo - shift] = 0.0
-        C = rng.gaussian_rows(seed, np.arange(a, b, dtype=np.uint64), purpose,
-                              lo, lo + w.size, out=out[:, lo - shift:])
-        C *= w
-        return _sup_counts(out, rho, M, tail, K_init, K_cap, shift)
+        rng.gaussian_rows(seed, ids, purpose, lo, lo + w.size, moduli,
+                          out[:, lo - shift:])
+        out[:, lo - shift:] *= w
+        return out
 
-    hits, misses, inc, tube_hits, points, *settled = _batched_counts(
-        trials, workers, worker, lo - shift + w.size, complex)
+    levels = _ladder_levels(K_init, K_cap)
+    screened, counts = _screened_counts(
+        trials, workers, lo - shift + w.size,
+        lambda ids, out: _sup_screen(rows(ids, out, True), rho, M, tail, shift),
+        lambda ids, out: _sup_counts(rows(ids, out, False), rho, M, tail,
+                                     K_init, K_cap, shift))
+    hits, misses, inc, tube_hits, points, *settled = (
+        counts or [0] * (5 + len(levels)))
+    hits += screened
     return wilson_interval(hits, trials, confidence)[0], {
-        "hit": hits, "miss": misses, "inconclusive": inc,
+        "hit": hits, "miss": misses, "inconclusive": inc, "screened": screened,
         "tube_hits": tube_hits, "grid_points": points,
-        "settle_K": {K: n for K, n in zip(_ladder_levels(K_init, K_cap), settled)
-                     if n}}
+        "settle_K": {K: n for K, n in zip(levels, settled) if n}}
 
 
 def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
@@ -983,8 +1008,8 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
 
     P[Hole(r)] >= P[|F(0)| > M] * P[sup_circle |F - F(0)| <= M]
                =  e^{-M^2/a_0^2} * q,
-    with q estimated by Monte Carlo on certified sup bounds (grid max +
-    variation bound + tail bound); the first factor is 0 when a_0 = 0.
+    with q estimated by Monte Carlo on certified sup bounds (triangle bound
+    or grid max + variation bound, + tail); the first factor is 0 if a_0 = 0.
     p_high is 1: this mode only certifies a lower bound.  eps, B and
     alpha_exp feed the default threshold and are ignored when M is given.
     """
@@ -1090,10 +1115,10 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
       P[Hole(r)] >= e^{-M^2} * Q^2 * P[sup |tilted middle| <= M/2]
                                    * P[sup |tail past N| <= M/2],
 
-    each probability estimated on its own purpose-separated streams and
-    lower-bounded by a Wilson bound at confidence 1 - (1-confidence)/2, so
-    the two failures together stay within 1 - confidence.  p_low underflows
-    to 0 deep in the asymptotic regime; metadata keeps log10_p_low.
+    each estimated on its own purpose-separated sup stream (the tail's rows
+    settle mostly on the triangle bound) and lower-bounded by a Wilson bound
+    at confidence 1 - (1-confidence)/2, so both failures stay within 1 -
+    confidence; p_low may underflow to 0, and metadata keeps log10_p_low.
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     q, N, N1, M, r2, alpha1, log_Q2 = tilt_profile(model, r, alpha_exp, alpha1)

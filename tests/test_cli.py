@@ -51,9 +51,10 @@ FROZEN_LOWER_BOUNDS = {
         '"p_low":0.04918412228396406,"q_low":0.46664595957340577,"r":0.7,'
         '"seed":4,"streams":[0,512],"tail_bound":1.6945811458366785e-07,'
         '"tau_rel":1e-08,"trials":512,"version":"0.1.0"}',
-        '[{"sup":{"grid_points":16368,"hit":268,"inconclusive":0,"miss":244,'
-        '"settle_K":{"128":25,"16":38,"256":4,"32":169,"64":70,"8":206},'
-        '"tube_hits":259}}]'),
+        '[{"sup":{"grid_points":15200,"hit":268,"inconclusive":0,"miss":244,'
+        '"screened":44,'
+        '"settle_K":{"128":25,"16":23,"256":4,"32":140,"64":70,"8":206},'
+        '"tube_hits":222}}]'),
     "tilted_lower": (
         ["estimate", "--model", "Hyperbolic", "--L", "2", "--r", "0.9",
          "--mode", "tilted_lower", "--trials", "512", "--seed", "13"],
@@ -69,10 +70,10 @@ FROZEN_LOWER_BOUNDS = {
         '"streams":[0,512],"tail_bound":1.324158177444694e-06,'
         '"tail_hits":512,"tau_rel":1e-08,"trials":512,"version":"0.1.0"}',
         '[{"middle":{"grid_points":104056,"hit":264,"inconclusive":0,'
-        '"miss":248,"settle_K":{"1024":13,"128":62,"16":52,"2048":2,'
-        '"256":167,"32":64,"512":57,"64":56,"8":39},"tube_hits":264},'
-        '"tail":{"grid_points":4096,"hit":512,"inconclusive":0,"miss":0,'
-        '"settle_K":{"8":512},"tube_hits":0}}]'),
+        '"miss":248,"screened":0,"settle_K":{"1024":13,"128":62,"16":52,'
+        '"2048":2,"256":167,"32":64,"512":57,"64":56,"8":39},"tube_hits":264},'
+        '"tail":{"grid_points":0,"hit":512,"inconclusive":0,"miss":0,'
+        '"screened":512,"settle_K":{},"tube_hits":0}}]'),
 }
 
 

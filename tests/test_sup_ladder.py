@@ -13,6 +13,7 @@ chunk size, and the sidecar counters.
 """
 
 import json
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -111,18 +112,21 @@ def _settled_by_K(counts, K_init, K_cap):
                                  counts[5:]) if n}
 
 
-def _threshold_rows(rows, seed=3):
-    """Rows of G = F - F(0) at L = 1, r = 0.7, and the tail bound."""
+def _threshold_rows(rows, seed=3, r=0.7, moduli=False):
+    """Rows of G = F - F(0) at L = 1 (their moduli alone with moduli=True),
+    and the tail bound."""
     m = hyperbolic(1.0)
-    N_t = gaf.truncation_degree(m, 0.7, gaf.DEFAULT_TAU_REL)
-    tail, _ = gaf.tail_sup_bound(m, N_t, 0.7)
-    C = gaf.sample_coeff_batch(m, seed, np.arange(rows, dtype=np.uint64), N_t)
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    tail, _ = gaf.tail_sup_bound(m, N_t, r)
+    draw = gaf.sample_moduli_batch if moduli else gaf.sample_coeff_batch
+    C = draw(m, seed, np.arange(rows, dtype=np.uint64), N_t)
     C[:, 0] = 0.0
     return C, tail
 
 
-def _tilted_rows(rows, seed=5, r=0.9):
-    """Middle and tail rows of the tilted estimator at L = 2.
+def _tilted_rows(rows, seed=5, r=0.9, moduli=False):
+    """Middle and tail rows of the tilted estimator at L = 2 (their moduli
+    alone with moduli=True).
 
     Built by hand from the Box-Muller draws, the reference layout of the
     two tilted streams; returns
@@ -134,13 +138,14 @@ def _tilted_rows(rows, seed=5, r=0.9):
     N_t = max(gaf.truncation_degree(model, r, gaf.DEFAULT_TAU_REL), N + 1)
     tail, _ = gaf.tail_sup_bound(model, N_t, r)
     a = np.exp(0.5 * log_sq_range(model, N_t))
+    draw = rng.gaussian_moduli if moduli else rng.complex_gaussians
     streams = np.arange(rows, dtype=np.uint64)
     keys = rng.stream_key(seed, streams, rng.PURPOSE_TILT_MIDDLE)[:, None]
-    mid = np.zeros((rows, N + 1), dtype=complex)
-    mid[:, 1:] = rng.complex_gaussians(
+    mid = np.zeros((rows, N + 1), dtype=float if moduli else complex)
+    mid[:, 1:] = draw(
         keys, np.arange(1, N + 1, dtype=np.uint64)[None, :]) * (q * a[1:N + 1])
     keys = rng.stream_key(seed, streams, rng.PURPOSE_TILT_TAIL)[:, None]
-    inner = rng.complex_gaussians(
+    inner = draw(
         keys, np.arange(N + 1, N_t + 1, dtype=np.uint64)[None, :]) * a[N + 1:]
     return mid, inner, N + 1, tail, M / 2.0
 
@@ -158,45 +163,64 @@ def _streams(rows):
 # the rows of each stream
 # ---------------------------------------------------------------------------
 
-def _rows_handed_to_the_ladder(monkeypatch, estimate):
-    """[(rows, rho, M, tail, shift)] of each _sup_counts call of estimate(),
-    the batches of a stream joined in trial order."""
-    calls = []
-    sup_counts = holes._sup_counts
+def _rows_of_both_stages(monkeypatch, estimate):
+    """{(rho, M, tail, shift): (moduli rows handed to the screen, its mask,
+    rows handed to the ladder)} of each stream of estimate(), the batches of
+    each stage joined in call order (trial order at one worker)."""
+    calls = {}
+    screen, sup_counts = holes._sup_screen, holes._sup_counts
 
-    def spy(C, rho, M, tail, K_init, K_cap, shift=0):
-        calls.append((C.copy(), rho, M, tail, shift))
+    def record(stage, C, args):
+        calls.setdefault(args, ([], [], []))[stage].append(C)
+
+    def screen_spy(A, rho, M, tail, shift=0):
+        record(0, A.copy(), (rho, M, tail, shift))
+        mask = screen(A, rho, M, tail, shift)
+        record(1, mask, (rho, M, tail, shift))
+        return mask
+
+    def ladder_spy(C, rho, M, tail, K_init, K_cap, shift=0):
+        record(2, C.copy(), (rho, M, tail, shift))
         return sup_counts(C, rho, M, tail, K_init, K_cap, shift)
 
-    monkeypatch.setattr(holes, "_sup_counts", spy)
+    monkeypatch.setattr(holes, "_sup_screen", screen_spy)
+    monkeypatch.setattr(holes, "_sup_counts", ladder_spy)
     estimate()
-    streams = {}
-    for C, *args in calls:
-        streams.setdefault(tuple(args), []).append(C)
-    return [(np.concatenate(Cs), *args) for args, Cs in streams.items()]
+    return {args: tuple(np.concatenate(x) if x else None for x in stages)
+            for args, stages in calls.items()}
 
 
 def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
     # bit for bit the rows the estimators built by hand: threshold is
     # sample_coeff_batch with column 0 zeroed, tilted its middle and tail
-    # rows (_threshold_rows and _tilted_rows); two full batches and a short
-    # one, so each stream's buffer is reused and only partly rewritten
+    # rows (_threshold_rows and _tilted_rows).  The screen sees the moduli of
+    # every trial, and the ladder the full rows of the trials it left, in
+    # trial order; two full batches and a short one, so each stream's
+    # buffers are reused and only partly rewritten, and the ladder's chunks
+    # are not the screen's batches
     rows = 2 * holes.BATCH_TRIALS + 64
-    got = _rows_handed_to_the_ladder(
+    got = _rows_of_both_stages(
         monkeypatch, lambda: holes.estimate_hole_lower_threshold(
             hyperbolic(1.0), 0.7, rows, 3, M=1.5, K_cap=64))
     C, tail = _threshold_rows(rows, seed=3)
-    want = [(C, 0.7, 1.5, tail, 0)]
-    got += _rows_handed_to_the_ladder(
+    A, _ = _threshold_rows(rows, seed=3, moduli=True)
+    want = {(0.7, 1.5, tail, 0): (A, C)}
+    got.update(_rows_of_both_stages(
         monkeypatch, lambda: holes.estimate_hole_lower_tilted(
-            hyperbolic(2.0), 0.9, rows, 5, K_cap=64))
+            hyperbolic(2.0), 0.9, rows, 5, K_cap=64)))
     mid, inner, shift, tail, half = _tilted_rows(rows, seed=5)
-    want += [(mid, 0.9, half, 0.0, 0), (inner, 0.9, half, tail, shift)]
-    assert len(got) == len(want) == 3
-    for (C, *args), (ref, *ref_args) in zip(got, want):
-        assert args == ref_args
-        assert C.shape == ref.shape
-        assert np.array_equal(C.view(np.uint64), ref.view(np.uint64))
+    mid_A, inner_A, *_ = _tilted_rows(rows, seed=5, moduli=True)
+    want[0.9, half, 0.0, 0] = (mid_A, mid)
+    want[0.9, half, tail, shift] = (inner_A, inner)
+    assert list(got) == list(want)
+    for args, (moduli, full) in want.items():
+        A, mask, C = got[args]
+        assert np.array_equal(A.view(np.uint64), moduli.view(np.uint64))
+        if args[3] == shift:    # the tilted tail stream: all screened
+            assert mask.all() and C is None
+            continue
+        assert 0 < (~mask).sum() and C.shape == full[~mask].shape
+        assert np.array_equal(C.view(np.uint64), full[~mask].view(np.uint64))
 
 
 def test_reused_stream_buffers_change_no_estimate():
@@ -368,6 +392,88 @@ def test_rounding_terms_decide_constant_rows():
 
 
 # ---------------------------------------------------------------------------
+# the triangle-bound screen
+# ---------------------------------------------------------------------------
+
+def _screen_cases(seed, rows=256):
+    """(name, moduli rows, full rows, rho, M, tail, shift) of the threshold
+    stream at L = 1, r in {0.7, 0.9}, with the default M and with M = 1.5,
+    and of the tilted tail stream."""
+    for r in (0.7, 0.9):
+        A, tail = _threshold_rows(rows, seed, r, moduli=True)
+        C, _ = _threshold_rows(rows, seed, r)
+        for M in (holes.default_threshold(1.0, r), 1.5):
+            yield f"threshold r={r} M={M}", A, C, r, M, tail, 0
+    _, A, shift, tail, half = _tilted_rows(rows, seed, moduli=True)
+    _, C, *_ = _tilted_rows(rows, seed)
+    yield "tilted tail", A, C, 0.9, half, tail, shift
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_screened_row_is_a_ladder_hit(seed):
+    # the screen reads the moduli alone; the sup ladder, run to the default
+    # cap on the full rows of the trials it screened, makes each a hit
+    screened = {}
+    for name, A, C, rho, M, tail, shift in _screen_cases(seed):
+        mask = holes._sup_screen(A.copy(), rho, M, tail, shift)
+        hit, miss, inc, *_ = holes._sup_counts(
+            C[mask], rho, M, tail, holes.K_INIT_DEFAULT, holes.K_CAP_DEFAULT,
+            shift)
+        assert (hit, miss, inc) == (int(mask.sum()), 0, 0), name
+        screened[name] = int(mask.sum())
+    # not vacuous: the default M screens most threshold rows, M = 1.5 some
+    # of them at r = 0.7, and the tail stream all of its rows
+    assert screened["threshold r=0.7 M=1.5"] > 0
+    assert screened["tilted tail"] == 256
+    for r in (0.7, 0.9):
+        assert screened[f"threshold r={r} M={holes.default_threshold(1.0, r)}"] \
+            >= 0.9 * 256
+
+
+@pytest.mark.parametrize("shift", [0, 3])
+def test_a_row_whose_triangle_sum_is_M_minus_tail_is_not_screened(shift):
+    # T = z^shift F, F = 1 + A_1 z + A_2 z^2 + A_3 z^3 with A_n > 0, on the
+    # 1/2-circle: its exact triangle sum, which is also sup |T| (at z = 1/2),
+    # is exactly M - tail, so T is no hit.  The terms A_n 2^-n are 3/8, 3/8
+    # and 1/4 of ulp(1): each partial sum rounds down, and the computed sum
+    # is 1, one ulp below the exact 1 + ulp(1)
+    rho, ulp = 0.5, 2.0 ** -52
+    A = np.array([[1.0, 0.375 * ulp / rho, 0.375 * ulp / rho ** 2,
+                   0.25 * ulp / rho ** 3]])
+    scale = rho ** shift
+    M, tail = 2.0 * scale, (1.0 - ulp) * scale
+    exact = Fraction(scale) * sum(Fraction(a) * Fraction(rho) ** n
+                                  for n, a in enumerate(A[0]))
+    assert exact == Fraction(M) - Fraction(tail)
+    assert not holes._sup_screen(A.copy(), rho, M, tail, shift)[0]
+    # the same bound without its factor 1 + g would screen it
+    W = A * (rho * (1.0 + holes._GRID_ETA)) ** np.arange(A.shape[1])
+    assert rho ** shift * np.sum(W, axis=1)[0] + tail < M
+
+
+def test_all_screened_and_none_screened_streams_ignore_worker_count():
+    # threshold at L = 1, r = 0.7 and the default M screens every row, so
+    # its ladder sees none; the tilted middle stream screens none
+    trials = 2 * holes.BATCH_TRIALS + 64
+    runs = []
+    for workers in (1, 2):
+        thr = holes.estimate_hole_lower_threshold(
+            hyperbolic(1.0), 0.7, trials, 7, workers=workers)
+        tilt = holes.estimate_hole_lower_tilted(
+            hyperbolic(2.0), 0.9, trials, 7, workers=workers)
+        runs.append(json.dumps([est.to_record() for est in (thr, tilt)])
+                    + json.dumps([est.kernel for est in (thr, tilt)]))
+    assert runs[1] == runs[0]
+    assert thr.hits == trials
+    assert thr.kernel["sup"] == {
+        "hit": trials, "miss": 0, "inconclusive": 0, "screened": trials,
+        "tube_hits": 0, "grid_points": 0, "settle_K": {}}
+    mid = tilt.kernel["middle"]
+    assert mid["screened"] == 0
+    assert sum(mid["settle_K"].values()) == mid["hit"] + mid["miss"] > 0
+
+
+# ---------------------------------------------------------------------------
 # batch and chunk independence
 # ---------------------------------------------------------------------------
 
@@ -434,17 +540,22 @@ def test_tilted_sidecar_counts_add_up_and_ignore_worker_count(tmp_path):
     for stream, hits in (("middle", rec["mid_hits"]),
                          ("tail", rec["tail_hits"])):
         s = k[stream]
-        assert set(s) == {"hit", "miss", "inconclusive", "tube_hits",
-                          "grid_points", "settle_K"}
+        assert set(s) == {"hit", "miss", "inconclusive", "screened",
+                          "tube_hits", "grid_points", "settle_K"}
         assert s["hit"] == hits
-        assert 0 <= s["tube_hits"] <= s["hit"]
-        assert sum(s["settle_K"].values()) == s["hit"] + s["miss"]
-        assert s["grid_points"] >= 2500 * holes.K_INIT_DEFAULT
+        assert 0 <= s["screened"] and 0 <= s["tube_hits"]
+        assert s["screened"] + s["tube_hits"] <= s["hit"]
+        # settle_K and grid_points count the rows the ladder ran
+        assert s["screened"] + sum(s["settle_K"].values()) \
+            == s["hit"] + s["miss"]
+        ladder_rows = s["hit"] + s["miss"] + s["inconclusive"] - s["screened"]
+        assert s["grid_points"] >= ladder_rows * holes.K_INIT_DEFAULT
         total += s["hit"] + s["miss"] + s["inconclusive"]
     assert total == 2 * 2500
     assert (k["middle"]["inconclusive"] + k["tail"]["inconclusive"]
             == rec["inconclusive"])
     assert k["middle"]["tube_hits"] > 0
+    assert k["tail"]["screened"] > 0
 
 
 def test_threshold_kernel_counts_every_trial():
@@ -453,6 +564,8 @@ def test_threshold_kernel_counts_every_trial():
     s = est.kernel["sup"]
     assert s["hit"] == est.hits and s["inconclusive"] == est.inconclusive
     assert s["hit"] + s["miss"] + s["inconclusive"] == 600
-    assert sum(s["settle_K"].values()) == s["hit"] + s["miss"]
+    assert 0 < s["screened"] <= s["hit"]
+    assert s["screened"] + sum(s["settle_K"].values()) == s["hit"] + s["miss"]
+    assert s["grid_points"] >= (600 - s["screened"]) * 8
     assert set(s["settle_K"]) <= set(holes._ladder_levels(8, 256))
     assert "kernel" not in est.to_record()
