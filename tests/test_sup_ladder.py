@@ -9,7 +9,10 @@ the grids, agreement with a ladder that assembles every full grid afresh
 from the level evaluator, that no row flips against the first-order
 ladder (on Horner values), the soundness of the hit test on rows just
 above M and of the grid points, batch independence, independence of the
-chunk size, and the sidecar counters.
+chunk size, and the sidecar counters.  Before the ladder, holes._sup_screen
+settles the rows whose triangle bound on their moduli is below M; the
+tests pin that the ladder makes each of them a hit, that the factor 1 + g
+keeps a row at the bound out, and the rows each stage is handed.
 """
 
 import json
