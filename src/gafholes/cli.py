@@ -31,8 +31,11 @@ only the second-order bound decided ("tube"), the rows still open at the
 grid cap ("open_at_cap", a subset of inconclusive) and the ladder rows
 that left the ladder at each grid size ("settle_K"); for the lower-bound
 modes, per sup-ladder stream ("sup" for threshold_lower, "middle" and
-"tail" for tilted_lower), the hit, miss and inconclusive rows, the grid
-points evaluated and the rows settled at each grid size ("settle_K").
+"tail" for tilted_lower), the "hit", "miss" and "inconclusive" rows, the
+hits the moduli screen settled ("screened", a subset of hit) and, over
+the rows that ran the ladder only, the hits only the second-order bound
+made ("tube_hits"), the grid points evaluated ("grid_points") and the
+rows settled at each grid size ("settle_K").
 """
 
 from __future__ import annotations

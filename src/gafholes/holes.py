@@ -15,14 +15,15 @@ points of the circle, with computed values V_j:
     principle), so a winding of 0 certifies a hole and a winding of k >= 1
     certifies k zeros.
 
-Both ladders (this one and the sup ladder of the lower bounds) visit the
-grid sizes K_init, 2 K_init, ... up to the cap on nested grids: the even
-points of the 2K-point grid are the K-point grid bit for bit (fl(2 pi /
-(2K)) = fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly), so each doubling
-evaluates only the K new odd points.  The sup ladder folds their maximum
-|F| into the previous level's (max is exact); the min ladder keeps the
-values of its open rows and interleaves the new ones, so it holds the
-whole grid.  A NaN propagates the same way.  Either ladder stops at its
+Both certificates, this one and the sup bound of the lower bounds, run one
+ladder (_climb) over the grid sizes K_init, 2 K_init, ... on nested grids:
+the even points of the 2K-point grid are the K-point grid bit for bit
+(fl(2 pi / (2K)) = fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly), so
+each doubling evaluates only the K new odd points.  The sup certificate
+folds their maximum |F| into the previous level's (max is exact); the
+min/winding one interleaves them with the kept values of its open rows,
+so it holds the whole grid.  A NaN propagates the same way.  At each level
+the certificate's decision says which rows leave.  The ladder stops at its
 first level at or above the cap (K_init 2^k >= K_cap), in every operation
 and estimator: a row still open there is Inconclusive.
 
@@ -45,10 +46,10 @@ of 1/gap.  Hence on each arc
 since the modulus of a convex combination is at most the larger endpoint
 modulus and at least the distance from 0 to the segment.  Each computed
 value lies within E of the exact value at its exact grid point, E from the
-evaluator of its level (below), and a ladder uses the largest E of the
-levels whose values it holds.  A segment between computed values then lies
-within E of the exact one, so the sup ladder adds E and the min ladder
-subtracts it, each under a factor 1 + g for the rounding of the bounds.
+evaluator of its level (below), and the ladder uses the largest E of the
+levels whose values a row holds.  A segment between computed values then
+lies within E of the exact one, so the sup certificate adds E and the min
+one subtracts it, each under a factor 1 + g for the rounding of the bounds.
 
 g = gamma_{8(N+2)} for degree N (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed.: gamma_k in 3.1, complex products within
@@ -222,9 +223,7 @@ class HoleEstimate:
     M: Optional[float]
     seed: int
     metadata: dict = field(default_factory=dict)
-    # what the kernel did (rows the direct ladder settled and left open at
-    # the cap, or per stream of the sup ladder); run
-    # diagnostics for the CLI sidecar, never part of the record
+    # what the kernel did (cli module docstring): sidecar diagnostics only
     kernel: dict = field(default_factory=dict, compare=False)
 
     def to_record(self) -> dict:
@@ -320,7 +319,7 @@ def _grid_points(rho: float, K: int) -> np.ndarray:
 
 
 def _ladder_levels(K_init: int, K_cap: int) -> list:
-    """Grid sizes both ladders visit: K_init, doubling, up to >= K_cap."""
+    """Grid sizes the ladder visits: K_init, doubling, up to >= K_cap."""
     Ks = [int(K_init)]
     while Ks[-1] < K_cap:
         Ks.append(2 * Ks[-1])
@@ -531,11 +530,59 @@ def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
     return g, scale, D, D2, Eg, Eg + D * (_GRID_ETA * rho)
 
 
+def _climb(C: np.ndarray, rho: float, K_init: int, K_cap: int, shift: int,
+           whole: bool, decide):
+    """(settle_K, grid points evaluated) of the ladder of T = z^shift * F
+    over the rows of C (module docstring), keeping whole grids
+    (_grid_values) or the running max of |F| (_grid_max).  Above
+    _CHUNK_ELEMS points whole-grid rows climb one at a time, so the kept
+    values never exceed one row.  decide(K, rows, values or max, E, D, D_2,
+    g, last) gets the open rows (indices into C), the largest E of their
+    levels, D, D_2 and g of _circle_bounds and whether K is the cap level;
+    it returns the mask of rows that leave.  settle_K is 0 if open at the cap.
+    """
+    B = C.shape[0]
+    g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho, shift)
+    Ks = _ladder_levels(K_init, K_cap)
+    E, settle_K = np.full(B, -np.inf), np.zeros(B, dtype=np.int64)
+    grids, points = {}, 0   # grid points by size, shared by every row
+    level = _grid_values if whole else _grid_max
+    kept = np.empty((B, 0), dtype=complex) if whole else np.full(B, -np.inf)
+    groups = [(np.arange(B), C, kept, 0)]  # (open rows, C rows, kept, level)
+    while groups:
+        rows, Cr, X, j0 = groups.pop()
+        for j, K in enumerate(Ks[j0:], j0):
+            if whole and K > _CHUNK_ELEMS and rows.size > 1:
+                groups += [(rows[i:i + 1], Cr[i:i + 1], X[i:i + 1], j)
+                           for i in range(rows.size)]
+                break
+            new, El = level(Cr, rho, K, j > 0, (scale, g, Eg[rows], Eh[rows]),
+                            grids)
+            points += rows.size * (K // 2 if j else K)
+            if whole and j:   # interleave with the kept even points
+                new = np.stack([X, new], axis=2).reshape(rows.size, K)
+            X = new if whole else np.maximum(X, new)
+            E[rows] = Er = np.maximum(E[rows], El)
+            out = decide(K, rows, X, Er, D[rows], D2[rows], g, K >= K_cap)
+            settle_K[rows[out]] = K
+            keep = np.flatnonzero(~out)
+            if K >= K_cap or not keep.size:
+                break
+            rows, Cr, X = rows[keep], Cr[keep], X[keep]
+    return settle_K, points
+
+
+def _settle_counts(settle_K: np.ndarray, Ks: list) -> np.ndarray:
+    """[rows open at the cap, rows that left at Ks[0], Ks[1], ...]."""
+    edges = np.array([0] + Ks, dtype=np.int64)
+    return np.bincount(np.searchsorted(edges, settle_K), minlength=edges.size)
+
+
 def _certify_rows(C: np.ndarray, rho: float,
                   K_init: int = K_INIT_DEFAULT,
                   K_cap: int = K_CAP_DEFAULT,
                   tail: float = -np.inf):
-    """Joint min-modulus / winding ladder over coefficient rows.
+    """Joint min-modulus / winding ladder over coefficient rows (_climb).
 
     Returns a dict of arrays over rows:
       mm_lb      best certified lower bound for min |F| on the circle
@@ -569,76 +616,42 @@ def _certify_rows(C: np.ndarray, rho: float,
     One stop rule: a row exits once decided against the tail bound (lb
     above it with a certified winding) or hopeless (gmin at or below it,
     which refining can only confirm, since grid minima decrease toward the
-    true minimum).  While a row is open, its best lb keeps rising.  The
-    scalar operations use tail = -inf, so a row refines until its winding
-    certificate fires.
-
-    The grids are nested (module docstring): each doubling evaluates only
-    the K new odd points of the open rows and interleaves them with the
-    kept values of the previous level, so a row holds its whole grid.  Above
-    _CHUNK_ELEMS points open rows climb one at a time, so the kept values
-    never exceed one row at the cap; per-row results do not change.
+    true minimum); the scalar operations use tail = -inf, so a row refines
+    until its winding certificate fires.  Cap rule: at the cap level only
+    decided rows leave; a row whose gmin falls to the tail there is not
+    flagged hopeless and stays open (settle_K 0, the direct open_at_cap).
     """
     B = C.shape[0]
-    g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho)
-    E = np.full(B, -np.inf)   # running max of the E of the levels held
-    mm_lb = np.full(B, -np.inf)
-    mm_gm = np.zeros(B)
-    mm_K, wind, wind_K, settle_K = np.zeros((4, B), dtype=np.int64)
+    mm_lb, mm_gm = np.full(B, -np.inf), np.zeros(B)
+    mm_K, wind, wind_K = np.zeros((3, B), dtype=np.int64)
     wind_ok, hopeless, tube = np.zeros((3, B), dtype=bool)
-    Ks = _ladder_levels(K_init, K_cap)
-    grids = {}   # grid points by size, shared by rows that climb alone
-    # (open rows, their kept grid values, index of their next level)
-    groups = [(np.arange(B), np.empty((B, 0), dtype=complex), 0)]
-    while groups:
-        active, V, j0 = groups.pop()
-        for j, K in enumerate(Ks[j0:], j0):
-            if K > _CHUNK_ELEMS and active.size > 1:
-                groups += [(active[i:i + 1], V[i:i + 1], j)
-                           for i in range(active.size)]
-                break
-            if not active.size:
-                break
-            bounds = (scale, g, Eg[active], Eh[active])
-            if V.shape[1]:
-                new, El = _grid_values(C[active], rho, K, True, bounds, grids)
-                V = np.stack([V, new], axis=2).reshape(active.size, K)
-            else:
-                V, El = _grid_values(C[active], rho, K, False, bounds, grids)
-            E[active] = np.maximum(E[active], El)
-            gmin, segmin = _arc_bounds(V)
-            Ea = E[active]
-            t1 = (1.0 + g) * (D[active] * (np.pi * rho / K) + Ea)
-            lb1 = gmin - t1
-            t2 = (1.0 + g) * (D2[active] * (0.5 * (np.pi / K) ** 2) + Ea)
-            lb2 = (1.0 - g) * segmin - t2
-            lb = np.maximum(lb1, lb2)
-            better = lb > mm_lb[active]
-            rows = active[better]
-            mm_lb[rows] = lb[better]
-            mm_gm[rows] = gmin[better]
-            mm_K[rows] = K
-            step = 2.0 * t1 < gmin
-            can = ~wind_ok[active] & (step | (lb2 > 0.0))
-            rows = active[can]
-            wind[rows] = _winding(V[can])
-            wind_ok[rows] = True
-            wind_K[rows] = K
-            done = wind_ok[active] & (mm_lb[active] > tail)
-            tube[active[done & ~((lb1 > tail) & step)]] = True
-            if K >= K_cap:
-                settle_K[active[done]] = K
-                break
-            hp = gmin <= tail
-            hopeless[active[hp]] = True
-            out = hp | done
-            settle_K[active[out]] = K
-            active, V = active[~out], V[~out]
-    return {
-        "mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K,
-        "wind": wind, "wind_ok": wind_ok, "wind_K": wind_K,
-        "hopeless": hopeless, "tube": tube, "settle_K": settle_K,
-    }
+
+    def decide(K, rows, V, E, D, D2, g, last):
+        gmin, segmin = _arc_bounds(V)
+        t1 = (1.0 + g) * (D * (np.pi * rho / K) + E)
+        lb1 = gmin - t1
+        t2 = (1.0 + g) * (D2 * (0.5 * (np.pi / K) ** 2) + E)
+        lb2 = (1.0 - g) * segmin - t2
+        lb = np.maximum(lb1, lb2)
+        better = lb > mm_lb[rows]
+        up = rows[better]
+        mm_lb[up], mm_gm[up], mm_K[up] = lb[better], gmin[better], K
+        step = 2.0 * t1 < gmin
+        can = ~wind_ok[rows] & (step | (lb2 > 0.0))
+        up = rows[can]
+        wind[up], wind_ok[up], wind_K[up] = _winding(V[can]), True, K
+        done = wind_ok[rows] & (mm_lb[rows] > tail)
+        tube[rows[done & ~((lb1 > tail) & step)]] = True
+        if last:
+            return done
+        hp = gmin <= tail
+        hopeless[rows[hp]] = True
+        return hp | done
+
+    settle_K, _ = _climb(C, rho, K_init, K_cap, 0, True, decide)
+    return {"mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K, "wind": wind,
+            "wind_ok": wind_ok, "wind_K": wind_K, "hopeless": hopeless,
+            "tube": tube, "settle_K": settle_K}
 
 
 def _rounding_gamma(n_coeffs: int) -> float:
@@ -705,9 +718,12 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
     when the certified circle minimum of the truncated polynomial exceeds
     it, the truncation and the full series have equal zero counts in the
     disk, and the winding number decides between hole and zeros.  The
-    ladder runs to K_cap; a sample still open there is Inconclusive.
+    ladder runs to K_cap; a sample still open there is Inconclusive.  A
+    NaN or negative tail_bound raises DomainError.
     """
     _check_ladder_args(r, K_init, K_cap)
+    if not tail_bound >= 0.0:
+        raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
     res = _certify_rows(sample.coeffs[None, :], r, K_init, K_cap,
                         tail=float(tail_bound))
     margin = float(res["mm_lb"][0]) - tail_bound
@@ -821,11 +837,8 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     still open at the cap are Inconclusive.  zeros_certified holds the
     certified non-holes.  Inconclusive trials widen the Wilson interval
     pessimistically: they count as hits for p_high and as misses for p_low.
-    kernel counts the rows settled before the ladder (constant_term), those
-    the ladder decided (uniform_ladder = trials - constant_term -
-    inconclusive), those only the second-order bound decided (tube), those
-    open at the cap (open_at_cap) and the ladder rows that left it at each
-    grid size (settle_K, which holds every ladder row not open at the cap).
+    kernel holds the sidecar counters (cli module docstring); settle_K
+    holds every ladder row not open at the cap.
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
@@ -840,17 +853,14 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
         zero = ok & (res["wind"] >= 1)
-        # [open at the cap, settled at levels[0], levels[1], ...] in one pass
-        at = np.bincount(np.searchsorted(edges, res["settle_K"]),
-                         minlength=edges.size)
         return (hole.sum(), zero.sum(), (~(hole | zero)).sum(),
-                ((hole | zero) & res["tube"]).sum(), *at)
+                ((hole | zero) & res["tube"]).sum(),
+                *_settle_counts(res["settle_K"], levels))
 
     levels = _ladder_levels(K_init, K_cap)
-    edges = np.array([0] + levels, dtype=np.int64)
     pre_n, counts = _screened_counts(trials, workers, N_t + 1, screen, ladder)
     holes_n, zeros_n, inc_n, tube_n, open_n, *settled = (
-        counts or [0] * (4 + edges.size))
+        counts or [0] * (5 + len(levels)))
     holes_n += pre_n
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
@@ -901,56 +911,43 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
 
         (1 + g) [scale gmax + min(D pi rho / K, (h^2/8) D_2) + E] + tail < M,
 
-    h = 2 pi / K, scale = rho^shift = |z^shift| on the circle,
-    D = sum n |c_n| rho^{n-1} >= sup |T'| and D_2 = sum n^2 |c_n| rho^n >=
-    sup |d^2 T / d theta^2|, both over the indices n of T.  The min is the
-    first-order and the second-order (Peano kernel) bound on how far |T|
-    rises between grid points (module docstring).  E, the largest E of the
-    levels visited (_grid_chunks), bounds the distance of every computed
-    grid value of T from its exact value at its exact grid point.
-    g = _rounding_gamma(columns of C) also covers, through the factor
-    1 + g, the rounding of D, D_2, E, scale and the bound itself, and the
-    strict < keeps the last rounding, the sum with tail, from turning a
-    bound above M into a hit.
+    h = 2 pi / K, scale = rho^shift = |z^shift| on the circle and D, D_2, g
+    as in _circle_bounds.  The min is the first-order and the second-order
+    (Peano kernel) bound on how far |T| rises between grid points, and E,
+    the largest E of the levels visited (_grid_chunks), bounds the distance
+    of every computed grid value of T from its exact value at its exact
+    grid point (module docstring).  The factor 1 + g also covers the
+    rounding of D, D_2, E, scale and the bound itself, and the strict <
+    keeps the last rounding, the sum with tail, from turning a bound above
+    M into a hit.
 
-    The ladder refines while neither the hit test nor 'scale gmax > M'
-    (definite miss: the grid max is a lower bound for the sup) holds; rows
-    still open at K_cap count as inconclusive.  Only hits enter a lower
-    bound, so the miss test carries no rounding term.
-
-    The grids are nested (module docstring); a NaN row runs to the cap
-    and ends inconclusive.
+    The ladder (_climb, on the running grid max) lets a row leave at any
+    level once the hit test or 'scale gmax > M' (definite miss: the grid
+    max is a lower bound for the sup) holds; rows still open at K_cap,
+    NaN rows among them, are inconclusive.  Only hits enter a lower bound,
+    so the miss test carries no rounding term.
 
     Returns (hit, miss, inconclusive, tube hits, grid points evaluated,
     *settled): tube hits are the hits whose bound with the first-order term
     in place of the min is not below M, and settled[j] the rows decided at
     grid size _ladder_levels(...)[j].
     """
-    B = C.shape[0]
-    g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho, shift)
-    Ks = _ladder_levels(K_init, K_cap)
-    settled = [0] * len(Ks)
-    hits = misses = tube_hits = points = 0
-    gmax = E = np.full(B, -np.inf)
-    grids = {}   # grid points by size, shared by the levels
-    for j, K in enumerate(Ks):
-        gnew, El = _grid_max(C, rho, K, j > 0, (scale, g, Eg, Eh), grids)
-        gmax, E = np.maximum(gmax, gnew), np.maximum(E, El)
-        points += C.shape[0] * (K // 2 if j else K)
+    scale, n = rho ** shift, [0, 0, 0]   # hits, misses, tube hits
+
+    def decide(K, rows, gmax, E, D, D2, g, last):
         smax = scale * gmax
         first = D * (np.pi * rho / K)
         tube = D2 * (0.5 * (np.pi / K) ** 2)
         h = (1.0 + g) * (smax + np.minimum(first, tube) + E) + tail < M
         m = smax > M
-        hits += int(h.sum())
-        misses += int((m & ~h).sum())
-        tube_hits += int((h & ~((1.0 + g) * (smax + first + E) + tail < M)).sum())
-        keep = np.flatnonzero(~(h | m))
-        settled[j] = h.size - keep.size
-        if not keep.size:
-            break
-        C, D, D2, Eg, Eh, gmax, E = (x[keep] for x in (C, D, D2, Eg, Eh, gmax, E))
-    return (hits, misses, B - hits - misses, tube_hits, points, *settled)
+        n[0] += int(h.sum())
+        n[1] += int((m & ~h).sum())
+        n[2] += int((h & ~((1.0 + g) * (smax + first + E) + tail < M)).sum())
+        return h | m
+
+    settle_K, points = _climb(C, rho, K_init, K_cap, shift, False, decide)
+    inc, *settled = _settle_counts(settle_K, _ladder_levels(K_init, K_cap))
+    return (n[0], n[1], int(inc), n[2], points, *map(int, settled))
 
 
 def _sup_screen(A: np.ndarray, rho: float, M: float, tail: float, shift=0):

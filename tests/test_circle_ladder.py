@@ -201,7 +201,8 @@ def _assert_bytes_equal(res, ref):
         assert res[k].tobytes() == ref[k].tobytes(), k
 
 
-LEVELS = [(8, 1 << 14), (12, 1000), (1, 256), (8, 64)]
+# (16, 16): the first level is also the cap level
+LEVELS = [(8, 1 << 14), (12, 1000), (1, 256), (8, 64), (16, 16)]
 # both cases run the FFT on every power-of-two level (K_init = 12 stays on
 # Horner)
 CASES = [(1.0, 0.7, 256), (2.0, 0.9, 48)]

@@ -434,6 +434,14 @@ def test_non_positive_K_init_rejected(K):
             holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, **kw)
 
 
+@pytest.mark.parametrize("tail", [math.nan, -1e-12, -math.inf])
+def test_nan_or_negative_tail_bound_rejected(tail):
+    # a NaN tail would send the row to the grid cap and end Inconclusive
+    # with the winding reason
+    with pytest.raises(DomainError, match="tail_bound"):
+        holes.hole_decision(_poly_sample([1.0]), 0.5, tail)
+
+
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
 def test_small_K_init_accepted_by_every_scalar_operation(r):
     # the three scalar operations share one K_init check and one ladder;
