@@ -18,7 +18,7 @@ overflow-free and preserves monotonicity of the ratios bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

@@ -132,13 +132,16 @@ Estimators (all Monte Carlo over independent per-trial streams):
     |c_n| (rho (1 + eta))^n + tail < M (_sup_screen), as |T| <= rho^s sum
     |c_n| rho^n on the circle.  It reads moduli only, so it holds for any
     phases; g and the strict < cover the roundings as for the constant term
-    and in _sup_counts.  Both screens run through _screened_counts.
+    and in _sup_counts.
 
-Every stream (direct screen and ladder, each lower-bound stream) runs its
-batches through _pool_map, which draws them into one row buffer per worker
-thread, overwritten wherever a batch reads it.  Everything is elementwise
-per trial row, so buffers, batch composition and thread scheduling never
-change results; merged counters are plain integer sums.
+One runner, _screened_counts, draws the rows of every stream (the direct
+one and each lower-bound stream) for both stages: the moduli rows of each
+batch for the screen, then the full rows of the trials it leaves for the
+ladder.  Both stages run their batches through _pool_map, which draws them
+into one row buffer per worker thread, overwritten wherever a batch reads
+it.  Everything is elementwise per trial row, so buffers, batch
+composition and thread scheduling never change results; merged counters
+are plain integer sums.
 """
 
 from __future__ import annotations
@@ -168,7 +171,6 @@ from .gaf import (
     derivative_sup_bound_rows,  # noqa: F401 (unused; bench tracer wraps it)
     evaluate_on_grid,
     sample_coeff_batch,
-    sample_moduli_batch,
     tail_sup_bound,
     truncation_degree,
 )
@@ -659,16 +661,13 @@ def _rounding_gamma(n_coeffs: int) -> float:
     return _gamma(8 * (n_coeffs + 1))
 
 
-def _constant_term_holes(C: np.ndarray, rho: float, tail: float,
-                         work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows of C that are certified holes of the rho-disk by their constant
-    term alone: lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1} |c_n| (rho (1 +
-    eta))^n > max(tail, 0), the weights and g those of _circle_bounds
-    (proof in the module docstring).  A NaN row is never one.  The moduli
-    and weighted terms go to work (float, C's shape; C itself when C is
-    a float array the caller no longer needs) when given."""
-    A = np.abs(C, out=work)
-    n1 = C.shape[1]
+def _constant_term_holes(A: np.ndarray, rho: float, tail: float) -> np.ndarray:
+    """Rows of moduli A (overwritten) that are certified holes of the
+    rho-disk by their constant term alone: lb_0 = (1 - g) |c_0| - (1 + g)
+    sum_{n>=1} |c_n| (rho (1 + eta))^n > max(tail, 0), the weights and g
+    those of _circle_bounds (proof in the module docstring).  A NaN row is
+    never one."""
+    n1 = A.shape[1]
     g = _rounding_gamma(n1)
     A[:, 1:] *= (rho * (1.0 + _GRID_ETA)) ** np.arange(1, n1)
     R = np.sum(A[:, 1:], axis=1)
@@ -753,10 +752,9 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
 def _check_ladder_args(r: float, K_init: int, K_cap: int):
     if not (0.0 < r < 1.0):
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
-    if K_init < 1:
-        raise DomainError(f"K_init must be >= 1, got {K_init}")
-    if K_cap < 1:
-        raise DomainError(f"K_cap must be >= 1, got {K_cap}")
+    for name, K in (("K_init", K_init), ("K_cap", K_cap)):
+        if not (1 <= K < math.inf):
+            raise DomainError(f"{name} must be >= 1 and finite, got {K}")
 
 
 def _check_estimator_args(r: float, trials: int, confidence: float,
@@ -805,18 +803,29 @@ def _pool_map(worker_fn, n: int, workers: int, width: int, dtype) -> list:
         return list(ex.map(run, spans))
 
 
-def _screened_counts(trials: int, workers: int, width: int, screen, ladder):
-    """(trials screen(ids, out) settles, the int tuples of ladder(ids, out)
-    on the rest, pooled in trial order, summed; [] if none is left): the two
-    stages of a stream (module docstring), on float and complex buffers."""
+def _screened_counts(trials: int, workers: int, width: int, levels: list,
+                     draw, screen, ladder):
+    """The runner of a stream's two stages (module docstring): (rows the
+    screen settles, the first five counts of ladder, screened rows added to
+    the first, {K: rows settled at K} of its others, zeros left out).
+
+    draw(ids, out, moduli) fills out (float, moduli only) or (complex) with
+    the rows of the trials ids; screen(A) gets the moduli rows of each
+    batch and returns the mask of those it settles; ladder(C) gets the full
+    rows of the rest, pooled in trial order, and returns five int counts
+    and one per level of levels.
+    """
     def first(lo: int, hi: int, out: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        return ids[~screen(ids, out)]
+        return ids[~screen(draw(ids, out, True))]
 
     rest = np.concatenate(_pool_map(first, trials, workers, width, float))
-    counts = _pool_map(lambda lo, hi, out: ladder(rest[lo:hi], out),
+    counts = _pool_map(lambda lo, hi, out: ladder(draw(rest[lo:hi], out, False)),
                        rest.size, workers, width, complex)
-    return trials - rest.size, [sum(map(int, col)) for col in zip(*counts)]
+    screened = trials - rest.size
+    total = [sum(map(int, col)) for col in zip(*counts)] or [0] * (5 + len(levels))
+    total[0] += screened
+    return screened, total[:5], {K: n for K, n in zip(levels, total[5:]) if n}
 
 
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
@@ -843,12 +852,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
 
-    def screen(ids: np.ndarray, out: np.ndarray):
-        A = sample_moduli_batch(model, seed, ids, N_t, out=out)
-        return _constant_term_holes(A, r, tail, work=A)
-
-    def ladder(ids: np.ndarray, out: np.ndarray):
-        C = sample_coeff_batch(model, seed, ids, N_t, out=out)
+    def ladder(C: np.ndarray):
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
         ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
         hole = ok & (res["wind"] == 0)
@@ -858,10 +862,11 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
                 *_settle_counts(res["settle_K"], levels))
 
     levels = _ladder_levels(K_init, K_cap)
-    pre_n, counts = _screened_counts(trials, workers, N_t + 1, screen, ladder)
-    holes_n, zeros_n, inc_n, tube_n, open_n, *settled = (
-        counts or [0] * (5 + len(levels)))
-    holes_n += pre_n
+    pre_n, (holes_n, zeros_n, inc_n, tube_n, open_n), settle_K = _screened_counts(
+        trials, workers, N_t + 1, levels,
+        lambda ids, out, moduli: sample_coeff_batch(model, seed, ids, N_t,
+                                                    moduli=moduli, out=out),
+        lambda A: _constant_term_holes(A, r, tail), ladder)
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(
@@ -873,8 +878,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         kernel={"constant_term": pre_n,
                 "uniform_ladder": int(holes_n - pre_n + zeros_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
-                "tube": tube_n,
-                "settle_K": {K: n for K, n in zip(levels, settled) if n}})
+                "tube": tube_n, "settle_K": settle_K})
 
 
 def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
@@ -885,8 +889,8 @@ def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
     flat (L = 1):      B * sqrt(1 / (1 - r))
     growing (L > 1):   delta^{-1/2} * (log 1/delta)^{alpha_exp},  delta = 1 - r
     """
-    if L <= 0.0:
-        raise InvalidIntensity(f"intensity L must be positive, got {L}")
+    if not (0.0 < L < math.inf):
+        raise InvalidIntensity(f"intensity L must be positive and finite, got {L}")
     if not (0.0 < r < 1.0):
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
     delta = 1.0 - r
@@ -974,19 +978,13 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
         out[:, lo - shift:] *= w
         return out
 
-    levels = _ladder_levels(K_init, K_cap)
-    screened, counts = _screened_counts(
-        trials, workers, lo - shift + w.size,
-        lambda ids, out: _sup_screen(rows(ids, out, True), rho, M, tail, shift),
-        lambda ids, out: _sup_counts(rows(ids, out, False), rho, M, tail,
-                                     K_init, K_cap, shift))
-    hits, misses, inc, tube_hits, points, *settled = (
-        counts or [0] * (5 + len(levels)))
-    hits += screened
+    screened, (hits, misses, inc, tube_hits, points), settle_K = _screened_counts(
+        trials, workers, lo - shift + w.size, _ladder_levels(K_init, K_cap),
+        rows, lambda A: _sup_screen(A, rho, M, tail, shift),
+        lambda C: _sup_counts(C, rho, M, tail, K_init, K_cap, shift))
     return wilson_interval(hits, trials, confidence)[0], {
         "hit": hits, "miss": misses, "inconclusive": inc, "screened": screened,
-        "tube_hits": tube_hits, "grid_points": points,
-        "settle_K": {K: n for K, n in zip(levels, settled) if n}}
+        "tube_hits": tube_hits, "grid_points": points, "settle_K": settle_K}
 
 
 def estimate_hole_lower_threshold(model: CoefficientModel, r: float,

@@ -92,6 +92,8 @@ def exp_integral_e1(x: float) -> float:
     """
     if not (x > 0.0):
         raise DomainError(f"E1 requires x > 0, got {x}")
+    if x == math.inf:
+        return 0.0
     if x <= 1.0:
         acc = -EULER_GAMMA - math.log(x)
         term = 1.0

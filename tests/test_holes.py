@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from gafholes import coeffs, gaf, holes
+from gafholes import coeffs, gaf, holes, oracles
 from gafholes.coeffs import constant_unit, explicit, hyperbolic
 from gafholes.errors import (ComputeBudgetExceeded, DomainError,
-                             IntensityOutOfRange, InvalidRadius)
+                             IntensityOutOfRange, InvalidIntensity,
+                             InvalidPoint, InvalidRadius)
 
 
 def _poly_sample(c):
@@ -432,6 +433,41 @@ def test_non_positive_K_init_rejected(K):
                 est(hyperbolic(1.0), 0.5, 8, 0, **kw)
         with pytest.raises(DomainError):
             holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, **kw)
+
+
+@pytest.mark.parametrize("K", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["K_init", "K_cap"])
+def test_non_finite_grid_sizes_rejected_before_any_ladder(monkeypatch, name, K):
+    # an infinite cap would double the ladder's levels forever, and a NaN
+    # one would run a single level that is never the cap level
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("no ladder should run")
+
+    monkeypatch.setattr(holes, "_ladder_levels", no_ladder)
+    monkeypatch.setattr(holes, "_climb", no_ladder)
+    with pytest.raises(DomainError, match=name):
+        holes.hole_decision(_poly_sample([1.0]), 0.5, 0.1, **{name: K})
+    with pytest.raises(DomainError, match=name):
+        holes.estimate_hole_direct(hyperbolic(1.0), 0.5, 64, 1, **{name: K})
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: holes.default_threshold(math.nan, 0.5), InvalidIntensity),
+    (lambda: holes.default_threshold(math.inf, 0.5), InvalidIntensity),
+    (lambda: gaf.evaluate(_poly_sample([1.0, 1.0]), complex(math.nan, 0.0)),
+     InvalidPoint),
+    (lambda: gaf.evaluate(_poly_sample([1.0, 1.0]), complex(0.0, math.nan)),
+     InvalidPoint),
+    (lambda: oracles.exp_integral_e1(math.inf), 0.0),
+], ids=["threshold-L-nan", "threshold-L-inf", "evaluate-re-nan",
+        "evaluate-im-nan", "E1-inf"])
+def test_non_finite_inputs_raise_or_give_the_limit(call, want):
+    # each once returned a number: the growing-regime threshold, NaN, NaN
+    if isinstance(want, float):
+        assert call() == want
+    else:
+        with pytest.raises(want):
+            call()
 
 
 @pytest.mark.parametrize("tail", [math.nan, -1e-12, -math.inf])

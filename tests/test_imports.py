@@ -1,0 +1,53 @@
+"""No module of the package imports a name it never uses.
+
+The toolchain has no linter, so this reads each module's syntax tree: a
+name an import binds must be read somewhere in the module or listed in its
+__all__.  `from __future__ import annotations` binds no name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gafholes"
+
+# imported but never read: bench/tracing.py wraps each of them under the
+# name it replaces in that module
+KEPT_FOR_THE_TRACER = {
+    ("holes.py", "derivative_sup_bound_rows"),
+    ("gaf.py", "log_sq_at"),
+    ("gaf.py", "log_sq_block"),
+}
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(bound - read - exported)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    unused = [name for name in _unused_imports(path.read_text())
+              if (path.name, name) not in KEPT_FOR_THE_TRACER]
+    assert unused == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom .gaf import sample, evaluate as ev\n"
+              "__all__ = ['sample']\n")
+    assert _unused_imports(source) == ["ev", "os"]
+    assert _unused_imports(source + "x = os.sep + ev\n") == []

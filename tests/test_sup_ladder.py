@@ -121,8 +121,8 @@ def _threshold_rows(rows, seed=3, r=0.7, moduli=False):
     m = hyperbolic(1.0)
     N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
-    draw = gaf.sample_moduli_batch if moduli else gaf.sample_coeff_batch
-    C = draw(m, seed, np.arange(rows, dtype=np.uint64), N_t)
+    C = gaf.sample_coeff_batch(m, seed, np.arange(rows, dtype=np.uint64), N_t,
+                               moduli=moduli)
     C[:, 0] = 0.0
     return C, tail
 

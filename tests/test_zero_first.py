@@ -195,9 +195,9 @@ def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
             for s in (1.0, 2.0 ** 18):
                 rows.append([s * a * u, -s])
                 rows.append([s * a, -s * np.conj(u)])
-    C = np.array(rows, dtype=complex)
+    A = np.abs(np.array(rows, dtype=complex))
     for tail in (0.0, -np.inf):
-        assert not np.any(holes._constant_term_holes(C, rho, tail))
+        assert not np.any(holes._constant_term_holes(A.copy(), rho, tail))
     # degree 5, every phase aligned: c_0 = -sum c_n rho^n rounded down, then
     # k ulps lower, so F_N(rho) <= 0 < F_N(0) and a root lies in (0, rho]
     rows = []
@@ -209,13 +209,13 @@ def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
         for k in range(5):
             rows.append([c0, *-a])
             c0 = np.nextafter(c0, 0.0)
-    assert not np.any(holes._constant_term_holes(np.array(rows, dtype=complex),
-                                                 rho, 0.0))
+    assert not np.any(holes._constant_term_holes(
+        np.abs(np.array(rows, dtype=complex)), rho, 0.0))
 
 
 def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
     m, r = hyperbolic(1.0), 0.3
-    sample, moduli = holes.sample_coeff_batch, holes.sample_moduli_batch
+    sample = holes.sample_coeff_batch
     certify = holes._certify_rows
     seen = []
 
@@ -238,10 +238,9 @@ def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
 
     ids = np.arange(2, dtype=np.uint64)
     C = with_nans(sample)(m, 5, ids, 15)
-    assert not np.any(holes._constant_term_holes(C, r, 0.0))
-    assert not np.any(holes._constant_term_holes(with_nans(moduli)(m, 5, ids, 15),
-                                                 r, 0.0))
-    monkeypatch.setattr(holes, "sample_moduli_batch", with_nans(moduli))
+    assert not np.any(holes._constant_term_holes(np.abs(C), r, 0.0))
+    assert not np.any(holes._constant_term_holes(
+        with_nans(sample)(m, 5, ids, 15, moduli=True), r, 0.0))
     monkeypatch.setattr(holes, "sample_coeff_batch", with_nans(sample))
     monkeypatch.setattr(holes, "_certify_rows", spy)
     est = holes.estimate_hole_direct(m, r, 256, 5, K_cap=256)
@@ -258,7 +257,7 @@ def test_constant_term_certificate_with_an_explicit_zero_tail(r):
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
     assert tail == 0.0
     C = gaf.sample_coeff_batch(m, 3, np.arange(4096, dtype=np.uint64), N_t)
-    pre = holes._constant_term_holes(C, r, tail)
+    pre = holes._constant_term_holes(np.abs(C), r, tail)
     assert pre.any()
     # F = F_N here: no settled row has a root in the closed disk
     nearest = np.array([np.min(np.abs(np.roots(c[::-1]))) for c in C[pre]])
@@ -270,7 +269,7 @@ def test_constant_term_certificate_with_an_explicit_zero_tail(r):
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
 def test_constant_term_rows_are_holes_of_the_ladder(L, r):
     C, tail = _batch(L, r, 71, holes.BATCH_TRIALS)
-    pre = holes._constant_term_holes(C, r, tail)
+    pre = holes._constant_term_holes(np.abs(C), r, tail)
     # at L = 2, r = 0.7 no row qualifies (its tail bound is the largest)
     assert pre.any() or (L, r) == (2.0, 0.7)
     res = holes._certify_rows(C[pre], r, tail=tail)
@@ -293,7 +292,7 @@ def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
     for lo in range(0, trials, holes.BATCH_TRIALS):
         ids = np.arange(lo, min(lo + holes.BATCH_TRIALS, trials), dtype=np.uint64)
         C = gaf.sample_coeff_batch(m, seed, ids, N_t)
-        pre = holes._constant_term_holes(C, r, tail)
+        pre = holes._constant_term_holes(np.abs(C), r, tail)
         res = holes._certify_rows(C[~pre], r, tail=tail)
         hole, zero = _hole(res, tail), _zero(res, tail)
         pre_n += int(pre.sum())
@@ -337,13 +336,59 @@ def test_two_stage_estimate_equals_the_one_stage_reference(L, r, trials):
             == json.dumps(kernel, sort_keys=True)
 
 
+def _in_trial_order(batches, rows):
+    """The batches joined in the order of their first rows among rows, and
+    their sizes; at one worker that is the order they came in."""
+    first = {row.tobytes(): i for i, row in enumerate(rows)}
+    batches = sorted(batches, key=lambda b: first.get(b[0].tobytes(), -1))
+    return np.concatenate(batches), [b.shape[0] for b in batches]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
+    # the screen gets the moduli rows of every trial, the ladder the full
+    # rows of exactly the trials the screen leaves, bit for bit and in trial
+    # order: three full screen batches and a short one, ladder chunks of
+    # BATCH_TRIALS rows and a short last one
+    m, r, trials, seed = hyperbolic(1.0), 0.5, 6181, 29
+    screen, certify = holes._constant_term_holes, holes._certify_rows
+    screened, laddered = [], []
+
+    def screen_spy(A, rho, tail):
+        screened.append(A.copy())
+        return screen(A, rho, tail)
+
+    def ladder_spy(C, *args, **kwargs):
+        laddered.append(C.copy())
+        return certify(C, *args, **kwargs)
+
+    monkeypatch.setattr(holes, "_constant_term_holes", screen_spy)
+    monkeypatch.setattr(holes, "_certify_rows", ladder_spy)
+    holes.estimate_hole_direct(m, r, trials, seed, K_cap=64, workers=workers)
+    N_t, tail, _ = holes._truncate(m, r, trials, gaf.DEFAULT_TAU_REL,
+                                   gaf.DEFAULT_FAIL_EXP,
+                                   holes.DEFAULT_COMPUTE_BUDGET)
+    ids = np.arange(trials, dtype=np.uint64)
+    A = gaf.sample_coeff_batch(m, seed, ids, N_t, moduli=True)
+    C = gaf.sample_coeff_batch(m, seed, ids, N_t)
+    rest = C[~screen(A.copy(), r, tail)]
+    B = holes.BATCH_TRIALS
+    got, sizes = _in_trial_order(screened, A)
+    assert sizes == [B, B, B, trials - 3 * B]
+    assert np.array_equal(got.view(np.uint64), A.view(np.uint64))
+    got, sizes = _in_trial_order(laddered, rest)
+    n = len(rest) // B
+    assert n >= 1 and sizes == [B] * n + [len(rest) - n * B] and sizes[-1] < B
+    assert np.array_equal(got.view(np.uint64), rest.view(np.uint64))
+
+
 def test_a_screen_that_settles_every_row_leaves_no_ladder_chunk(monkeypatch):
     def no_ladder(*args, **kwargs):
         raise AssertionError("no row should reach the ladder")
 
     record, kernel = _one_stage_estimate(hyperbolic(1.0), 0.05, 16, 3)
     assert kernel["constant_term"] == 16
-    monkeypatch.setattr(holes, "sample_coeff_batch", no_ladder)
+    monkeypatch.setattr(holes, "_certify_rows", no_ladder)
     est = holes.estimate_hole_direct(hyperbolic(1.0), 0.05, 16, 3)
     assert est.to_record() == record and est.kernel == kernel
 
@@ -358,9 +403,9 @@ def test_the_screen_decides_on_moduli_as_on_the_complex_rows(L, r, rows):
     for lo in range(0, rows, 1 << 15):
         ids = np.arange(lo, lo + (1 << 15), dtype=np.uint64)
         on_moduli = holes._constant_term_holes(
-            gaf.sample_moduli_batch(m, 41, ids, N_t), r, tail)
+            gaf.sample_coeff_batch(m, 41, ids, N_t, moduli=True), r, tail)
         on_rows = holes._constant_term_holes(
-            gaf.sample_coeff_batch(m, 41, ids, N_t), r, tail)
+            np.abs(gaf.sample_coeff_batch(m, 41, ids, N_t)), r, tail)
         assert np.array_equal(on_moduli, on_rows), lo
         settled += int(on_moduli.sum())
     assert 0 < settled < rows
