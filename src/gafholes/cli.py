@@ -25,11 +25,15 @@ worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
 per-record wall times, and per record what the kernel did ("kernel"):
 for direct estimates the rows the constant-term certificate settled
-before the ladder ("constant_term"), the rows the ladder decided
-("uniform_ladder") and left open ("inconclusive"), the ladder rows that
-only the second-order bound decided ("tube"), the rows still open at the
-grid cap ("open_at_cap", a subset of inconclusive) and the ladder rows
-that left the ladder at each grid size ("settle_K"); for the lower-bound
+before the ladder ("constant_term"), the rows a certified zero inside
+the inner circle settled ("inner"), at each grid size ("inner_settle_K"),
+and that circle's radius ("inner_r", null when E N(r) < 2 and there is
+no inner pass), the rows the ladder at r decided ("uniform_ladder") and
+left open ("inconclusive"; the four counts add up to the trials), the
+ladder rows that only the second-order bound decided ("tube"), the rows
+still open at the grid cap ("open_at_cap", a subset of inconclusive) and
+the ladder rows that left the ladder at r at each grid size
+("settle_K"); for the lower-bound
 modes, per sup-ladder stream ("sup" for threshold_lower, "middle" and
 "tail" for tilted_lower), the "hit", "miss" and "inconclusive" rows, the
 hits the moduli screen settled ("screened", a subset of hit) and, over

@@ -98,7 +98,9 @@ radius D rho h + 2E around each V_j excludes 0 and holds the exact values
 on its arc and V_{j+1}.  Either way each segment [V_j, V_{j+1}] misses 0,
 so the principal arguments of V_{j+1} / V_j sum to 2 pi times the winding
 of F.  The direct estimator and the scalar operations share this ladder,
-so every ZeroCertified row carries its exact zero count.
+so every ZeroCertified row decided on the r-circle carries its exact zero
+count; a direct row settled on the inner circle (below) carries a lower
+bound.
 
 Estimators (all Monte Carlo over independent per-trial streams):
 
@@ -116,9 +118,24 @@ Estimators (all Monte Carlo over independent per-trial streams):
     subtraction rounds monotonically.  Moduli are all it reads, so it holds
     for any phases: a screened row's sample has moduli fl(sqrt(-log u1))
     a_n and its own undrawn phases, and g covers the rounding of that
-    product in place of that of abs.  The other rows, pooled in trial order
-    into chunks of at most BATCH_TRIALS, are drawn in full and climb the
-    ladder.  The screen writes its weighted terms over its moduli rows;
+    product in place of that of abs.  The screen writes its weighted terms
+    over its moduli rows.  The other rows, pooled in trial order into
+    chunks of at most BATCH_TRIALS, are drawn in full.  Near r = 1 the
+    r-disk of a typical sample holds many zeros, and the ladder climbs
+    highest on the r-circle, where |F| comes closest to 0, so each chunk
+    first runs an inner-circle zero pass: the ladder at a radius r_in < r
+    with the tail bound at r, where a row whose certified minimum clears
+    that tail with winding w >= 1 is ZeroCertified.  By the maximum
+    principle the tail bound at r bounds |F - F_N| on the whole r-disk, so
+    also on the r_in-circle; Rouche then gives w zeros of F in the
+    r_in-disk, so F is no hole at r.  It fails only on the tail event the
+    estimator already budgets, and w is only a lower bound on the zeros of
+    the r-disk.  The rule (_inner_radius): with E N(rho) = sum n a_n^2
+    rho^{2n} / sum a_n^2 rho^{2n}, the expected zero count of the rho-disk
+    (Edelman and Kostlan, Bull. AMS 1995), over the truncated coefficients,
+    m = min(2, E N(r) / 2); no pass when m < 1 (E N(r) < 2), else E
+    N(r_in) = m (Hyperbolic(L): r_in = sqrt(m / (L + m))).  The other rows
+    climb the ladder at r;
   * threshold lower bound: P[Hole] >= e^{-M^2/a_0^2} * P[sup |F - F(0)| <= M]
     (the constant term a_0 zeta_0 exceeds M with probability exactly
     e^{-M^2/a_0^2}, 0 when a_0 = 0, and the rest then cannot reach back
@@ -188,6 +205,13 @@ _GRID_ETA = 32 * 2.0 ** -53    # grid points lie within (eta/2) rho of exact
 # is at least 2 t + _FFT_MIN_DEGREE (measured: Horner costs about N P, the
 # FFT about P t plus overheads)
 _FFT_MIN_DEGREE = 12
+# the direct inner-circle pass holds E N(r_in) = min(_INNER_ZEROS, E N(r)/2)
+# zeros on average.  Measured, the ladder stage per 128-row seed: L=2, r=0.9
+# 31 -> 11 ms (r_in 0.707); L=3, r=0.8 37 -> 15 ms; L=1, r=0.9 113 -> 50 ms;
+# L=0.5, r=0.9 62 -> 47 ms; L=1, r=0.95 101 -> 24 ms; L=2, r=0.97 54 -> 10
+# ms.  A circle nearer r does not pay: at r_in = 0.85 (L=2, r=0.9) one row
+# in 5120 climbed to the cap on the inner circle.
+_INNER_ZEROS = 2.0
 
 OUTCOME_HOLE = "HoleCertified"
 OUTCOME_ZERO = "ZeroCertified"
@@ -760,12 +784,11 @@ def _check_ladder_args(r: float, K_init: int, K_cap: int):
 def _check_estimator_args(r: float, trials: int, confidence: float,
                           K_init: int, K_cap: int, workers: int):
     _check_ladder_args(r, K_init, K_cap)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    for name, n in (("trials", trials), ("workers", workers)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
 
 
 def _truncate(model: CoefficientModel, r: float, trials: int, tau_rel: float,
@@ -803,17 +826,17 @@ def _pool_map(worker_fn, n: int, workers: int, width: int, dtype) -> list:
         return list(ex.map(run, spans))
 
 
-def _screened_counts(trials: int, workers: int, width: int, levels: list,
+def _screened_counts(trials: int, workers: int, width: int, hists: list,
                      draw, screen, ladder):
     """The runner of a stream's two stages (module docstring): (rows the
     screen settles, the first five counts of ladder, screened rows added to
-    the first, {K: rows settled at K} of its others, zeros left out).
+    the first, one {K: rows} dict per histogram, zeros left out).
 
     draw(ids, out, moduli) fills out (float, moduli only) or (complex) with
     the rows of the trials ids; screen(A) gets the moduli rows of each
     batch and returns the mask of those it settles; ladder(C) gets the full
-    rows of the rest, pooled in trial order, and returns five int counts
-    and one per level of levels.
+    rows of the rest, pooled in trial order, and returns five int counts,
+    then one count per level K of each list of levels in hists.
     """
     def first(lo: int, hi: int, out: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.uint64)
@@ -823,9 +846,40 @@ def _screened_counts(trials: int, workers: int, width: int, levels: list,
     counts = _pool_map(lambda lo, hi, out: ladder(draw(rest[lo:hi], out, False)),
                        rest.size, workers, width, complex)
     screened = trials - rest.size
-    total = [sum(map(int, col)) for col in zip(*counts)] or [0] * (5 + len(levels))
+    total = [sum(map(int, col)) for col in zip(*counts)] \
+        or [0] * (5 + sum(map(len, hists)))
     total[0] += screened
-    return screened, total[:5], {K: n for K, n in zip(levels, total[5:]) if n}
+    settled, i = [], 5
+    for Ks in hists:
+        settled.append({K: n for K, n in zip(Ks, total[i:]) if n})
+        i += len(Ks)
+    return screened, total[:5], settled
+
+
+def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
+    """The radius r_in < r of the direct estimator's inner-circle pass for
+    coefficients a (module docstring), or None when there is none.
+
+    E N(rho) = sum n a_n^2 rho^{2n} / sum a_n^2 rho^{2n}, the expected zero
+    count of the rho-disk, increases with rho; r_in solves E N(r_in) = m =
+    min(_INNER_ZEROS, E N(r) / 2) by a fixed bisection on (0, r), and there
+    is no pass when m < 1 (E N(r) < 2).  Hyperbolic(L): r_in = sqrt(m / (L +
+    m)) up to the truncation.
+    """
+    n, a2 = np.arange(a.size), a * a
+
+    def mean_zeros(rho: float) -> float:
+        w = a2 * rho ** (2.0 * n)
+        return float(np.dot(n, w) / np.sum(w))
+
+    m = min(_INNER_ZEROS, mean_zeros(r) / 2.0)
+    if not m >= 1.0:
+        return None
+    lo, hi = 0.0, float(r)
+    for _ in range(40):   # to within r 2^-40
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mean_zeros(mid) < m else (lo, mid)
+    return lo if lo > 0.0 else None
 
 
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
@@ -842,31 +896,47 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     trial index) and runs the certified decision.  A screen on the moduli
     settles the rows whose constant term dominates the rest of the series
     on the disk as holes (_constant_term_holes); the others, pooled across
-    batches, draw their phases and climb the ladder to K_cap, and rows
-    still open at the cap are Inconclusive.  zeros_certified holds the
-    certified non-holes.  Inconclusive trials widen the Wilson interval
+    batches, draw their phases.  When E N(r) >= 2 (module docstring), the
+    rows with a certified zero inside the inner circle of radius r_in are
+    non-holes; the rest climb the ladder at r to K_cap, and rows still open
+    at the cap are Inconclusive.  zeros_certified holds the certified
+    non-holes.  Inconclusive trials widen the Wilson interval
     pessimistically: they count as hits for p_high and as misses for p_low.
-    kernel holds the sidecar counters (cli module docstring); settle_K
-    holds every ladder row not open at the cap.
+    kernel holds the sidecar counters (cli module docstring): inner,
+    inner_settle_K and inner_r (None without a pass) count the inner
+    circle's rows; uniform_ladder, tube, open_at_cap and settle_K count
+    the rows of the ladder at r only.
     """
     _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
+    r_in = _inner_radius(coefficients(model, N_t), r)
+
+    def certified(res):   # decided against the tail bound at r
+        return (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
 
     def ladder(C: np.ndarray):
+        inner_K = np.zeros(0, dtype=np.int64)
+        if r_in is not None:
+            res = _certify_rows(C, r_in, K_init, K_cap, tail=tail)
+            inner = certified(res) & (res["wind"] >= 1)
+            inner_K, C = res["settle_K"][inner], C[~inner]
         res = _certify_rows(C, r, K_init, K_cap, tail=tail)
-        ok = (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
+        ok = certified(res)
         hole = ok & (res["wind"] == 0)
         zero = ok & (res["wind"] >= 1)
-        return (hole.sum(), zero.sum(), (~(hole | zero)).sum(),
+        return (hole.sum(), zero.sum() + inner_K.size, (~(hole | zero)).sum(),
                 ((hole | zero) & res["tube"]).sum(),
-                *_settle_counts(res["settle_K"], levels))
+                *_settle_counts(res["settle_K"], levels),
+                *_settle_counts(inner_K, levels)[1:])
 
     levels = _ladder_levels(K_init, K_cap)
-    pre_n, (holes_n, zeros_n, inc_n, tube_n, open_n), settle_K = _screened_counts(
-        trials, workers, N_t + 1, levels,
-        lambda ids, out, moduli: sample_coeff_batch(model, seed, ids, N_t,
-                                                    moduli=moduli, out=out),
-        lambda A: _constant_term_holes(A, r, tail), ladder)
+    pre_n, (holes_n, zeros_n, inc_n, tube_n, open_n), (settle_K, inner_K) = \
+        _screened_counts(
+            trials, workers, N_t + 1, [levels, levels],
+            lambda ids, out, moduli: sample_coeff_batch(model, seed, ids, N_t,
+                                                        moduli=moduli, out=out),
+            lambda A: _constant_term_holes(A, r, tail), ladder)
+    inner_n = sum(inner_K.values())
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(
@@ -875,10 +945,11 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         p_low=lo, p_high=hi, confidence=float(confidence), M=None,
         seed=int(seed),
         metadata={**meta, "zeros_certified": int(zeros_n)},
-        kernel={"constant_term": pre_n,
-                "uniform_ladder": int(holes_n - pre_n + zeros_n),
+        kernel={"constant_term": pre_n, "inner": inner_n,
+                "uniform_ladder": int(holes_n - pre_n + zeros_n - inner_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
-                "tube": tube_n, "settle_K": settle_K})
+                "tube": tube_n, "settle_K": settle_K,
+                "inner_settle_K": inner_K, "inner_r": r_in})
 
 
 def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
@@ -978,8 +1049,8 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
         out[:, lo - shift:] *= w
         return out
 
-    screened, (hits, misses, inc, tube_hits, points), settle_K = _screened_counts(
-        trials, workers, lo - shift + w.size, _ladder_levels(K_init, K_cap),
+    screened, (hits, misses, inc, tube_hits, points), (settle_K,) = _screened_counts(
+        trials, workers, lo - shift + w.size, [_ladder_levels(K_init, K_cap)],
         rows, lambda A: _sup_screen(A, rho, M, tail, shift),
         lambda C: _sup_counts(C, rho, M, tail, K_init, K_cap, shift))
     return wilson_interval(hits, trials, confidence)[0], {

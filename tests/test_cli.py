@@ -101,9 +101,10 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
     cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.7", "--out", str(out)])
     meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
     assert len(meta["kernel"]) == 2
-    paths = ("constant_term", "uniform_ladder", "inconclusive")
+    paths = ("constant_term", "inner", "uniform_ladder", "inconclusive")
     for k in meta["kernel"]:
-        assert set(k) == set(paths) | {"open_at_cap", "tube", "settle_K"}
+        assert set(k) == set(paths) | {"open_at_cap", "tube", "settle_K",
+                                       "inner_settle_K", "inner_r"}
         assert sum(k[p] for p in paths) == 256
         # rows decided only by the second-order bound, and the ladder levels
         # (JSON keys) at which every ladder row not open at the cap settled

@@ -451,6 +451,24 @@ def test_non_finite_grid_sizes_rejected_before_any_ladder(monkeypatch, name, K):
         holes.estimate_hole_direct(hyperbolic(1.0), 0.5, 64, 1, **{name: K})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0, 1.5, True])
+@pytest.mark.parametrize("name", ["trials", "workers"])
+def test_trials_and_workers_must_be_integers_before_any_pool(monkeypatch,
+                                                             name, bad):
+    # workers=nan once hung: ThreadPoolExecutor(max_workers=nan) starts no
+    # thread, and its map waits forever
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool should be built")
+
+    monkeypatch.setattr(holes, "ThreadPoolExecutor", no_pool)
+    kw = {"trials": 4096, "workers": 2, name: bad}
+    for est, m, r in ((holes.estimate_hole_direct, hyperbolic(1.0), 0.3),
+                      (holes.estimate_hole_lower_threshold, hyperbolic(1.0), 0.5),
+                      (holes.estimate_hole_lower_tilted, hyperbolic(2.0), 0.9)):
+        with pytest.raises(DomainError, match=name):
+            est(m, r, seed=1, **kw)
+
+
 @pytest.mark.parametrize("call, want", [
     (lambda: holes.default_threshold(math.nan, 0.5), InvalidIntensity),
     (lambda: holes.default_threshold(math.inf, 0.5), InvalidIntensity),

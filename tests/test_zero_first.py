@@ -1,7 +1,8 @@
 """The decision kernel of the direct estimator on adversarial inputs.
 
 estimate_hole_direct runs the same min-modulus / winding ladder as the
-scalar operations, so every ZeroCertified row carries its exact zero count.
+scalar operations, so every ZeroCertified row decided on the r-circle
+carries its exact zero count.
 These tests pin the properties the estimator relies on: per-row
 determinism, kernel counters that add up and ignore the worker count,
 estimate counts equal to the ladder's, and no wrong certificate for
@@ -13,17 +14,21 @@ every row it settles must be a hole of the ladder.  The estimator screens
 rows on their coefficient moduli and pools the other rows across batches
 for the ladder: it must give the record and kernel counts of a reference
 that draws each batch in full and settles it in place, and the screen must
-decide on moduli as the certificate does on the complex rows.
+decide on moduli as the certificate does on the complex rows.  The
+inner-circle pass must certify only true zeros inside r_in, keep the holes
+of the ladder at r, leave a root between the circles to that ladder, and
+settle the two recorded rows that stay open at the cap of the ladder at r.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gafholes import gaf, holes
-from gafholes.coeffs import explicit, hyperbolic
+from gafholes.coeffs import coefficients, explicit, hyperbolic
 
 
 def _batch(L, r, seed, rows):
@@ -65,12 +70,13 @@ def test_kernel_counters_add_up_and_ignore_worker_count():
     a = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=1)
     b = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=2)
     assert a.kernel == b.kernel
-    assert set(a.kernel) == {"constant_term", "uniform_ladder", "inconclusive",
-                             "open_at_cap", "tube", "settle_K"}
-    assert a.kernel["constant_term"] + a.kernel["uniform_ladder"] \
-        + a.kernel["inconclusive"] == a.trials
-    assert a.kernel["constant_term"] + a.kernel["uniform_ladder"] \
-        == a.hits + a.metadata["zeros_certified"]
+    assert set(a.kernel) == {"constant_term", "inner", "uniform_ladder",
+                             "inconclusive", "open_at_cap", "tube", "settle_K",
+                             "inner_settle_K", "inner_r"}
+    assert a.kernel["constant_term"] + a.kernel["inner"] \
+        + a.kernel["uniform_ladder"] + a.kernel["inconclusive"] == a.trials
+    assert a.kernel["constant_term"] + a.kernel["inner"] \
+        + a.kernel["uniform_ladder"] == a.hits + a.metadata["zeros_certified"]
     # constant-term rows are holes settled before the ladder; the tube rows
     # are ladder rows; every ladder row but those open at the cap left the
     # ladder at some level, and an open row is inconclusive
@@ -283,17 +289,26 @@ def test_constant_term_rows_are_holes_of_the_ladder(L, r):
 def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
     """(record, kernel) of a direct estimate drawn in full per BATCH_TRIALS
     span: constant-term rows settled on the complex rows, the others
-    through the ladder in the same batch."""
+    through the inner-circle pass and the ladder in the same batch."""
     N_t, tail, meta = holes._truncate(m, r, trials, gaf.DEFAULT_TAU_REL,
                                       gaf.DEFAULT_FAIL_EXP,
                                       holes.DEFAULT_COMPUTE_BUDGET)
-    pre_n = hole_n = zero_n = inc_n = tube_n = open_n = 0
-    settle_K = {}
+    r_in = holes._inner_radius(coefficients(m, N_t), r)
+    pre_n = inner_n = hole_n = zero_n = inc_n = tube_n = open_n = 0
+    settle_K, inner_K = {}, {}
     for lo in range(0, trials, holes.BATCH_TRIALS):
         ids = np.arange(lo, min(lo + holes.BATCH_TRIALS, trials), dtype=np.uint64)
         C = gaf.sample_coeff_batch(m, seed, ids, N_t)
         pre = holes._constant_term_holes(np.abs(C), r, tail)
-        res = holes._certify_rows(C[~pre], r, tail=tail)
+        C = C[~pre]
+        if r_in is not None:   # zeros inside the inner circle, then r
+            res = holes._certify_rows(C, r_in, tail=tail)
+            inner = _zero(res, tail)
+            inner_n += int(inner.sum())
+            for K in res["settle_K"][inner].tolist():
+                inner_K[K] = inner_K.get(K, 0) + 1
+            C = C[~inner]
+        res = holes._certify_rows(C, r, tail=tail)
         hole, zero = _hole(res, tail), _zero(res, tail)
         pre_n += int(pre.sum())
         hole_n += int(hole.sum())
@@ -309,10 +324,11 @@ def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
               "p_low": holes.wilson_interval(hits, trials, confidence)[0],
               "p_high": holes.wilson_interval(hits + inc_n, trials, confidence)[1],
               "confidence": confidence, "seed": seed, **meta,
-              "zeros_certified": zero_n}
-    kernel = {"constant_term": pre_n, "uniform_ladder": hole_n + zero_n,
-              "open_at_cap": open_n, "inconclusive": inc_n, "tube": tube_n,
-              "settle_K": settle_K}
+              "zeros_certified": inner_n + zero_n}
+    kernel = {"constant_term": pre_n, "inner": inner_n,
+              "uniform_ladder": hole_n + zero_n, "open_at_cap": open_n,
+              "inconclusive": inc_n, "tube": tube_n, "settle_K": settle_K,
+              "inner_settle_K": inner_K, "inner_r": r_in}
     return record, kernel
 
 
@@ -409,3 +425,124 @@ def test_the_screen_decides_on_moduli_as_on_the_complex_rows(L, r, rows):
         assert np.array_equal(on_moduli, on_rows), lo
         settled += int(on_moduli.sum())
     assert 0 < settled < rows
+
+
+# ---------------------------------------------------------------------------
+# the inner-circle pass: zeros inside r_in < r settle non-holes first
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("r", [0.3, 0.8, 0.9, 0.97])
+def test_inner_radius_is_the_hyperbolic_closed_form(L, r):
+    # E N(rho) = L rho^2 / (1 - rho^2) for the full series; below 2 at r
+    # there is no pass
+    m = hyperbolic(L)
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    r_in = holes._inner_radius(coefficients(m, N_t), r)
+    mean = L * r * r / (1.0 - r * r)
+    if mean < 2.0:
+        assert r_in is None
+    else:
+        k = min(holes._INNER_ZEROS, mean / 2.0)
+        assert r_in == pytest.approx(math.sqrt(k / (L + k)), rel=1e-9)
+
+
+def test_no_inner_pass_below_two_expected_zeros(monkeypatch):
+    # E N(0.7) = 0.96 at L = 1: the ladder runs at r only
+    radii = []
+    certify = holes._certify_rows
+
+    def spy(C, rho, *args, **kwargs):
+        radii.append(rho)
+        return certify(C, rho, *args, **kwargs)
+
+    monkeypatch.setattr(holes, "_certify_rows", spy)
+    est = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 512, 3)
+    assert set(radii) == {0.7}
+    assert est.kernel["inner"] == 0 and est.kernel["inner_settle_K"] == {}
+    assert est.kernel["inner_r"] is None
+
+
+def test_inner_rows_of_an_explicit_model_hold_their_roots():
+    # tail 0: F = F_N, so each inner row has exactly `wind` roots inside r_in
+    m, r = explicit([0.2, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.9
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    tail, _ = gaf.tail_sup_bound(m, N_t, r)
+    assert N_t == 5 and tail == 0.0
+    r_in = holes._inner_radius(coefficients(m, N_t), r)
+    assert r_in is not None and r_in < r
+    C = gaf.sample_coeff_batch(m, 5, np.arange(4096, dtype=np.uint64), N_t)
+    inner = _zero(holes._certify_rows(C, r_in, tail=tail), tail)
+    assert inner.sum() > 1000
+    res = holes._certify_rows(C[inner], r_in, tail=tail)
+    roots = [np.sum(np.abs(np.roots(c[::-1])) < r_in) for c in C[inner]]
+    assert np.array_equal(res["wind"], roots)
+    est = holes.estimate_hole_direct(m, r, 4096, 5)
+    exact = holes._certify_rows(C, r, tail=tail)
+    assert est.kernel["inner"] == int(inner.sum())
+    assert est.hits == int(_hole(exact, tail).sum())
+    assert est.metadata["zeros_certified"] >= int(_zero(exact, tail).sum())
+
+
+@pytest.mark.parametrize("L, r", [(2.0, 0.9), (1.0, 0.9), (0.5, 0.95)])
+def test_inner_pass_keeps_the_holes_of_the_r_ladder(L, r):
+    # certified holes equal those of the ladder at r alone, and rows only
+    # move from inconclusive to zeros
+    for seed in (3, 4, 5):
+        est = holes.estimate_hole_direct(hyperbolic(L), r, 256, seed)
+        assert est.kernel["inner_r"] is not None and est.kernel["inner"] > 0
+        C, tail = _batch(L, r, seed, 256)
+        exact = holes._certify_rows(C, r, tail=tail)
+        hole, zero = _hole(exact, tail), _zero(exact, tail)
+        assert est.hits == int(hole.sum())
+        assert est.metadata["zeros_certified"] >= int(zero.sum())
+        assert est.inconclusive <= int((~(hole | zero)).sum())
+
+
+def _planted(monkeypatch, roots):
+    """Draw trial t as z - roots[t] (padded to degree N_t) in both stages."""
+    def rows(model, seed, ids, N_t, moduli=False, out=None):
+        C = np.zeros((ids.size, N_t + 1), dtype=complex)
+        C[:, 0], C[:, 1] = -np.asarray(roots)[ids.astype(np.int64)], 1.0
+        return np.abs(C) if moduli else C
+
+    monkeypatch.setattr(holes, "sample_coeff_batch", rows)
+
+
+def test_a_root_between_the_circles_is_left_to_the_r_ladder(monkeypatch):
+    # r_in = 0.707 at L = 2, r = 0.9: a root of modulus 0.8 is no zero of
+    # the inner disk, and the ladder at r certifies it
+    m, r = hyperbolic(2.0), 0.9
+    between, inside = 0.8 * np.exp(1j), 0.5 * np.exp(2j)
+    _planted(monkeypatch, [between])
+    est = holes.estimate_hole_direct(m, r, 1, 7)
+    assert est.kernel["inner"] == 0 and est.kernel["uniform_ladder"] == 1
+    assert est.metadata["zeros_certified"] == 1 and est.inconclusive == 0
+    _planted(monkeypatch, [between, inside])
+    est = holes.estimate_hole_direct(m, r, 2, 7)
+    assert est.kernel["inner"] == 1 and est.kernel["uniform_ladder"] == 1
+    assert est.metadata["zeros_certified"] == 2
+
+
+@pytest.mark.parametrize("L, seed, trial, wind, K", [
+    (1.0, 1, 45185, 2, 128),     # 2 roots inside, one 6.9e-8 outside r
+    (2.0, 66036, 109, 1, 64),
+])
+def test_rows_open_at_the_cap_settle_on_the_inner_circle(monkeypatch, L, seed,
+                                                         trial, wind, K):
+    # a root within the tail bound of the 0.9-circle keeps the r ladder open
+    # at the cap; the zeros inside r_in settle the row
+    m, r = hyperbolic(L), 0.9
+    N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
+    tail, _ = gaf.tail_sup_bound(m, N_t, r)
+    C = gaf.sample_coeff_batch(m, seed, np.array([trial], dtype=np.uint64), N_t)
+    assert holes._certify_rows(C, r, tail=tail)["settle_K"][0] == 0
+    sample = holes.sample_coeff_batch
+    monkeypatch.setattr(holes, "sample_coeff_batch",
+                        lambda model, s, ids, N_t, **kw:
+                        sample(model, s, ids + np.uint64(trial), N_t, **kw))
+    est = holes.estimate_hole_direct(m, r, 1, seed)
+    assert est.kernel["inner"] == 1 and est.kernel["inner_settle_K"] == {K: 1}
+    assert est.metadata["zeros_certified"] == 1 and est.inconclusive == 0
+    res = holes._certify_rows(C, est.kernel["inner_r"], tail=tail)
+    assert res["wind"][0] == wind and res["settle_K"][0] == K
