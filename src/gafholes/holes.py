@@ -911,7 +911,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
     r_in = _inner_radius(coefficients(model, N_t), r)
 
-    def certified(res):   # decided against the tail bound at r
+    def certified(res):   # decided against the tail bound
         return (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
 
     def ladder(C: np.ndarray):
@@ -930,13 +930,13 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
                 *_settle_counts(inner_K, levels)[1:])
 
     levels = _ladder_levels(K_init, K_cap)
-    pre_n, (holes_n, zeros_n, inc_n, tube_n, open_n), (settle_K, inner_K) = \
-        _screened_counts(
-            trials, workers, N_t + 1, [levels, levels],
-            lambda ids, out, moduli: sample_coeff_batch(model, seed, ids, N_t,
-                                                        moduli=moduli, out=out),
-            lambda A: _constant_term_holes(A, r, tail), ladder)
-    inner_n = sum(inner_K.values())
+    pre_n, counts, (settle_K, inner_settle_K) = _screened_counts(
+        trials, workers, N_t + 1, [levels, levels],
+        lambda ids, out, moduli: sample_coeff_batch(model, seed, ids, N_t,
+                                                    moduli=moduli, out=out),
+        lambda A: _constant_term_holes(A, r, tail), ladder)
+    holes_n, zeros_n, inc_n, tube_n, open_n = counts
+    inner_n = sum(inner_settle_K.values())
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(
@@ -949,7 +949,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
                 "uniform_ladder": int(holes_n - pre_n + zeros_n - inner_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
                 "tube": tube_n, "settle_K": settle_K,
-                "inner_settle_K": inner_K, "inner_r": r_in})
+                "inner_settle_K": inner_settle_K, "inner_r": r_in})
 
 
 def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
