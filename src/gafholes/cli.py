@@ -25,11 +25,13 @@ worker count.  Wall-clock information never enters the data files; each
 data file gets a sidecar <out>.meta.json holding the timestamp and
 per-record wall times, and per record what the kernel did ("kernel"):
 for direct estimates the rows the constant-term certificate settled
-before the ladder ("constant_term"), the rows a certified zero inside
-the inner circle settled ("inner"), at each grid size ("inner_settle_K"),
-and that circle's radius ("inner_r", null when E N(r) < 2 and there is
-no inner pass), the rows the ladder at r decided ("uniform_ladder") and
-left open ("inconclusive"; the four counts add up to the trials), the
+before the ladder ("constant_term"), the rows the quadratic step settled
+after it, holes and non-holes ("quadratic"), the rows a certified zero
+inside the inner circle settled ("inner"), at each grid size
+("inner_settle_K"), and that circle's radius ("inner_r", null when E N(r)
+< 2 and there is no inner pass), the rows the ladder at r decided
+("uniform_ladder") and left open ("inconclusive"; the five counts add up
+to the trials), the
 ladder rows that only the second-order bound decided ("tube"), the rows
 still open at the grid cap ("open_at_cap", a subset of inconclusive) and
 the ladder rows that left the ladder at r at each grid size

@@ -96,7 +96,9 @@ def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
 
     Identical to stacking single-stream sample() calls bit for bit: every
     draw depends only on (seed, stream_id, n), and all transformations are
-    elementwise.
+    elementwise.  For the same reason, and since a_n does not depend on
+    N_t, the rows at degree k are the first k + 1 columns of the rows at
+    any degree N_t >= k, bit for bit.
     """
     C = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1,
                           moduli, out)

@@ -119,8 +119,30 @@ Estimators (all Monte Carlo over independent per-trial streams):
     for any phases: a screened row's sample has moduli fl(sqrt(-log u1))
     a_n and its own undrawn phases, and g covers the rounding of that
     product in place of that of abs.  The screen writes its weighted terms
-    over its moduli rows.  The other rows, pooled in trial order into
-    chunks of at most BATCH_TRIALS, are drawn in full.  Near r = 1 the
+    over its moduli rows.  A second step (_quadratic_zeros) settles rows
+    the constant term leaves by Rouche against their quadratic part.  It
+    draws c_0, c_1 and c_2 in full (sample_coeff_batch at degree 2 gives the
+    first three columns of the row bit for bit) and takes the computed
+    roots z_1, z_2 of c_0 + c_1 z + c_2 z^2 as exact numbers.  With Q(z) =
+    c_2 (z - z_1)(z - z_2), F_N - Q = e_0 + e_1 z + sum_{n>=3} c_n z^n with
+    e_1 = c_1 + c_2 (z_1 + z_2) and e_0 = c_0 - c_2 z_1 z_2, so on the
+    circle |F_N - Q| <= |e_1| rho + |e_0| + sum_{n>=3} |c_n| rho^n and |Q|
+    >= |c_2| ||z_1| - rho| ||z_2| - rho|.  When the second bound exceeds the
+    first plus the tail bound, F has no zero on the circle and, by Rouche,
+    as many zeros in the disk as Q: #{i : |z_i| < rho}.  0 is a hole, 1 or
+    2 is ZeroCertified with that count.  Poor roots only inflate e_0 and
+    e_1, so the bound holds however inaccurate they are.  As computed:
+    each ||z_i| - rho| is lowered by g |z_i|, which covers the rounding of
+    |z_i| (a hypot, within an ulp), and must stay positive, so the side of
+    rho on which z_i lies is certain; each |e_k| is raised by g times the
+    sum of the moduli of its terms (|c_1| + |c_2| (|z_1| + |z_2|) and |c_0|
+    + |c_2| |z_1| |z_2|), which covers a few complex roundings; the sum
+    over n >= 3 is that of the screen's weighted moduli; the product side
+    is scaled by 1 - g, the sum side by 1 + g, and the last subtraction
+    rounds monotonically, as for the constant term.  A NaN or c_2 = 0
+    leaves a row open, and so does N_t < 2.  The other rows, pooled in
+    trial order into chunks of at most BATCH_TRIALS, are drawn in full.
+    Near r = 1 the
     r-disk of a typical sample holds many zeros, and the ladder climbs
     highest on the r-circle, where |F| comes closest to 0, so each chunk
     first runs an inner-circle zero pass: the ladder at a radius r_in < r
@@ -210,7 +232,8 @@ _FFT_MIN_DEGREE = 12
 # 31 -> 11 ms (r_in 0.707); L=3, r=0.8 37 -> 15 ms; L=1, r=0.9 113 -> 50 ms;
 # L=0.5, r=0.9 62 -> 47 ms; L=1, r=0.95 101 -> 24 ms; L=2, r=0.97 54 -> 10
 # ms.  A circle nearer r does not pay: at r_in = 0.85 (L=2, r=0.9) one row
-# in 5120 climbed to the cap on the inner circle.
+# in 5120 climbed to the cap on the inner circle.  At most 2, so that
+# _inner_radius' Newton steps converge.
 _INNER_ZEROS = 2.0
 
 OUTCOME_HOLE = "HoleCertified"
@@ -698,6 +721,31 @@ def _constant_term_holes(A: np.ndarray, rho: float, tail: float) -> np.ndarray:
     return (1.0 - g) * A[:, 0] - (1.0 + g) * R > max(tail, 0.0)
 
 
+def _quadratic_zeros(C: np.ndarray, A: np.ndarray, rho: float,
+                     tail: float) -> np.ndarray:
+    """Zero counts in the closed rho-disk of rows settled by Rouche against
+    their quadratic part, -1 for the rows left open (proof in the module
+    docstring).  C holds c_0, c_1, c_2 of each row, A its weighted moduli
+    rows as _constant_term_holes leaves them; g is that of A's width."""
+    g = _rounding_gamma(A.shape[1])
+    c0, c1, c2 = C.T
+    S = np.sum(A[:, 3:], axis=1)
+    with np.errstate(all="ignore"):
+        d = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        d[(c1.conj() * d).real < 0.0] *= -1.0   # no cancellation in c_1 + d
+        q = -0.5 * (c1 + d)
+        z1, z2 = q / c2, c0 / q
+        m1, m2, a2 = np.abs(z1), np.abs(z2), np.abs(c2)
+        d1 = np.abs(m1 - rho) - g * m1
+        d2 = np.abs(m2 - rho) - g * m2
+        e1 = np.abs(c1 + c2 * (z1 + z2)) + g * (np.abs(c1) + a2 * (m1 + m2))
+        e0 = np.abs(c0 - c2 * (z1 * z2)) + g * (np.abs(c0) + a2 * (m1 * m2))
+        ok = (c2 != 0.0) & (d1 > 0.0) & (d2 > 0.0) & (
+            (1.0 - g) * (a2 * d1 * d2) - (1.0 + g) * (e1 * rho + e0 + S)
+            > max(tail, 0.0))
+    return np.where(ok, (m1 < rho).astype(np.int64) + (m2 < rho), -1)
+
+
 def min_modulus_certified(sample: GafSample, rho: float,
                           K_init: int = K_INIT_DEFAULT,
                           K_cap: int = K_CAP_DEFAULT) -> Tuple[float, float, int]:
@@ -828,32 +876,34 @@ def _pool_map(worker_fn, n: int, workers: int, width: int, dtype) -> list:
 
 def _screened_counts(trials: int, workers: int, width: int, hists: list,
                      draw, screen, ladder):
-    """The runner of a stream's two stages (module docstring): (rows the
-    screen settles, the first five counts of ladder, screened rows added to
-    the first, one {K: rows} dict per histogram, zeros left out).
+    """The runner of a stream's two stages (module docstring): (the
+    screen's counts, the first five counts of ladder, one {K: rows} dict
+    per histogram, zeros left out), each summed over the batches.
 
     draw(ids, out, moduli) fills out (float, moduli only) or (complex) with
-    the rows of the trials ids; screen(A) gets the moduli rows of each
-    batch and returns the mask of those it settles; ladder(C) gets the full
-    rows of the rest, pooled in trial order, and returns five int counts,
-    then one count per level K of each list of levels in hists.
+    the rows of the trials ids; screen(ids, A) gets the trials and moduli
+    rows of each batch and returns the mask of the rows it settles and a
+    tuple of int counts of them; ladder(C) gets the full rows of the rest,
+    pooled in trial order, and returns five int counts, then one count per
+    level K of each list of levels in hists.
     """
     def first(lo: int, hi: int, out: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        return ids[~screen(draw(ids, out, True))]
+        settled, tally = screen(ids, draw(ids, out, True))
+        return ids[~settled], tally
 
-    rest = np.concatenate(_pool_map(first, trials, workers, width, float))
+    firsts = _pool_map(first, trials, workers, width, float)
+    rest = np.concatenate([ids for ids, _ in firsts])
+    tallies = [sum(col) for col in zip(*(tally for _, tally in firsts))]
     counts = _pool_map(lambda lo, hi, out: ladder(draw(rest[lo:hi], out, False)),
                        rest.size, workers, width, complex)
-    screened = trials - rest.size
     total = [sum(map(int, col)) for col in zip(*counts)] \
         or [0] * (5 + sum(map(len, hists)))
-    total[0] += screened
     settled, i = [], 5
     for Ks in hists:
         settled.append({K: n for K, n in zip(Ks, total[i:]) if n})
         i += len(Ks)
-    return screened, total[:5], settled
+    return tallies, total[:5], settled
 
 
 def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
@@ -862,24 +912,29 @@ def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
 
     E N(rho) = sum n a_n^2 rho^{2n} / sum a_n^2 rho^{2n}, the expected zero
     count of the rho-disk, increases with rho; r_in solves E N(r_in) = m =
-    min(_INNER_ZEROS, E N(r) / 2) by a fixed bisection on (0, r), and there
-    is no pass when m < 1 (E N(r) < 2).  Hyperbolic(L): r_in = sqrt(m / (L +
-    m)) up to the truncation.
+    min(_INNER_ZEROS, E N(r) / 2), and there is no pass when m < 1 (E N(r)
+    < 2).  Hyperbolic(L): r_in = sqrt(m / (L + m)) up to the truncation.
+    With x = rho^2, r_in^2 is the positive root of P(x) = sum (n - m) a_n^2
+    x^n.  P(0) < 0 < P(r^2), and P is convex on x >= 0, since its
+    coefficients are negative only at n < m <= 2, where n(n - 1) = 0.  So
+    Newton's steps from x = r^2 fall monotonically to the root,
+    quadratically near it, and stop once a step is below 2^-40 of x.  Any
+    radius in (0, r) is sound; the rule only spends the ladder's time.
     """
-    n, a2 = np.arange(a.size), a * a
-
-    def mean_zeros(rho: float) -> float:
-        w = a2 * rho ** (2.0 * n)
-        return float(np.dot(n, w) / np.sum(w))
-
-    m = min(_INNER_ZEROS, mean_zeros(r) / 2.0)
+    n, a2, x = np.arange(a.size), a * a, float(r) * float(r)
+    w = a2 * x ** n
+    m = min(_INNER_ZEROS, float(np.dot(n, w) / np.sum(w)) / 2.0)
     if not m >= 1.0:
         return None
-    lo, hi = 0.0, float(r)
-    for _ in range(40):   # to within r 2^-40
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mean_zeros(mid) < m else (lo, mid)
-    return lo if lo > 0.0 else None
+    c = (n - m) * a2
+    nc = n * c
+    for _ in range(64):
+        w = x ** n
+        step = float(np.dot(c, w) / np.dot(nc, w))   # P / (x P')
+        x -= x * step
+        if not step > 2.0 ** -40:
+            break
+    return math.sqrt(x) if 0.0 < x < r * r else None
 
 
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
@@ -895,14 +950,17 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     Each trial samples a truncated series on its own stream (stream id =
     trial index) and runs the certified decision.  A screen on the moduli
     settles the rows whose constant term dominates the rest of the series
-    on the disk as holes (_constant_term_holes); the others, pooled across
+    on the disk as holes (_constant_term_holes), then, drawing c_0..c_2 of
+    the others, the rows whose quadratic part dominates the rest
+    (_quadratic_zeros) as holes or non-holes; the others, pooled across
     batches, draw their phases.  When E N(r) >= 2 (module docstring), the
     rows with a certified zero inside the inner circle of radius r_in are
     non-holes; the rest climb the ladder at r to K_cap, and rows still open
     at the cap are Inconclusive.  zeros_certified holds the certified
     non-holes.  Inconclusive trials widen the Wilson interval
     pessimistically: they count as hits for p_high and as misses for p_low.
-    kernel holds the sidecar counters (cli module docstring): inner,
+    kernel holds the sidecar counters (cli module docstring): constant_term
+    and quadratic count the rows of the two screen steps; inner,
     inner_settle_K and inner_r (None without a pass) count the inner
     circle's rows; uniform_ladder, tube, open_at_cap and settle_K count
     the rows of the ladder at r only.
@@ -929,14 +987,27 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
                 *_settle_counts(res["settle_K"], levels),
                 *_settle_counts(inner_K, levels)[1:])
 
+    def screen(ids: np.ndarray, A: np.ndarray):
+        pre = _constant_term_holes(A, r, tail)
+        k = np.full(ids.size, -1)
+        if N_t >= 2:
+            rest = np.flatnonzero(~pre)
+            k[rest] = _quadratic_zeros(
+                sample_coeff_batch(model, seed, ids[rest], 2), A[rest], r, tail)
+        return pre | (k >= 0), (int(pre.sum()), int((k == 0).sum()),
+                                int((k > 0).sum()))
+
     levels = _ladder_levels(K_init, K_cap)
-    pre_n, counts, (settle_K, inner_settle_K) = _screened_counts(
-        trials, workers, N_t + 1, [levels, levels],
-        lambda ids, out, moduli: sample_coeff_batch(model, seed, ids, N_t,
-                                                    moduli=moduli, out=out),
-        lambda A: _constant_term_holes(A, r, tail), ladder)
-    holes_n, zeros_n, inc_n, tube_n, open_n = counts
+    (pre_n, quad_holes, quad_zeros), counts, (settle_K, inner_settle_K) = \
+        _screened_counts(
+            trials, workers, N_t + 1, [levels, levels],
+            lambda ids, out, moduli: sample_coeff_batch(
+                model, seed, ids, N_t, moduli=moduli, out=out),
+            screen, ladder)
+    ladder_holes, ladder_zeros, inc_n, tube_n, open_n = counts
     inner_n = sum(inner_settle_K.values())
+    holes_n = pre_n + quad_holes + ladder_holes
+    zeros_n = quad_zeros + ladder_zeros
     lo = wilson_interval(holes_n, trials, confidence)[0]
     hi = wilson_interval(holes_n + inc_n, trials, confidence)[1]
     return HoleEstimate(
@@ -945,8 +1016,9 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         p_low=lo, p_high=hi, confidence=float(confidence), M=None,
         seed=int(seed),
         metadata={**meta, "zeros_certified": int(zeros_n)},
-        kernel={"constant_term": pre_n, "inner": inner_n,
-                "uniform_ladder": int(holes_n - pre_n + zeros_n - inner_n),
+        kernel={"constant_term": pre_n, "quadratic": quad_holes + quad_zeros,
+                "inner": inner_n,
+                "uniform_ladder": int(ladder_holes + ladder_zeros - inner_n),
                 "open_at_cap": open_n, "inconclusive": int(inc_n),
                 "tube": tube_n, "settle_K": settle_K,
                 "inner_settle_K": inner_settle_K, "inner_r": r_in})
@@ -1049,10 +1121,16 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
         out[:, lo - shift:] *= w
         return out
 
-    screened, (hits, misses, inc, tube_hits, points), (settle_K,) = _screened_counts(
-        trials, workers, lo - shift + w.size, [_ladder_levels(K_init, K_cap)],
-        rows, lambda A: _sup_screen(A, rho, M, tail, shift),
-        lambda C: _sup_counts(C, rho, M, tail, K_init, K_cap, shift))
+    def screen(ids: np.ndarray, A: np.ndarray):
+        hit = _sup_screen(A, rho, M, tail, shift)
+        return hit, (int(hit.sum()),)
+
+    (screened,), (hits, misses, inc, tube_hits, points), (settle_K,) = \
+        _screened_counts(trials, workers, lo - shift + w.size,
+                         [_ladder_levels(K_init, K_cap)], rows, screen,
+                         lambda C: _sup_counts(C, rho, M, tail, K_init, K_cap,
+                                               shift))
+    hits += screened
     return wilson_interval(hits, trials, confidence)[0], {
         "hit": hits, "miss": misses, "inconclusive": inc, "screened": screened,
         "tube_hits": tube_hits, "grid_points": points, "settle_K": settle_K}

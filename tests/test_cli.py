@@ -101,7 +101,8 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
     cli.main(ESTIMATE_ARGS + ["--r", "0.5,0.7", "--out", str(out)])
     meta = json.loads((tmp_path / "est.jsonl.meta.json").read_text())
     assert len(meta["kernel"]) == 2
-    paths = ("constant_term", "inner", "uniform_ladder", "inconclusive")
+    paths = ("constant_term", "quadratic", "inner", "uniform_ladder",
+             "inconclusive")
     for k in meta["kernel"]:
         assert set(k) == set(paths) | {"open_at_cap", "tube", "settle_K",
                                        "inner_settle_K", "inner_r"}
@@ -111,9 +112,10 @@ def test_estimate_sidecar_counts_kernel_paths(tmp_path):
         assert 0 <= k["tube"] <= k["uniform_ladder"]
         assert all(int(K) >= 8 for K in k["settle_K"])
         assert sum(k["settle_K"].values()) \
-            == 256 - k["constant_term"] - k["open_at_cap"]
+            == 256 - k["constant_term"] - k["quadratic"] - k["open_at_cap"]
         assert k["open_at_cap"] <= k["inconclusive"]
     assert meta["kernel"][0]["constant_term"] > 0   # about half the rows at r = 0.5
+    assert meta["kernel"][0]["quadratic"] > 0
     # the lower-bound modes do not run the direct kernel: they count the
     # rows of their sup ladder instead
     thr = tmp_path / "thr.jsonl"

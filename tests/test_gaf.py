@@ -78,6 +78,20 @@ def test_sample_is_reproducible_and_batch_consistent():
     assert not np.array_equal(rows[2], rows[3])
 
 
+@pytest.mark.parametrize("model", [
+    hyperbolic(0.5), hyperbolic(2.0), coeffs.power_law(1.5), constant_unit(),
+    coeffs.explicit([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])])
+def test_low_degree_rows_are_the_first_columns_of_wider_rows(model):
+    # the direct screen draws c_0..c_2 alone and relies on them being the
+    # first three columns of the rows the ladder draws, bit for bit
+    ids = np.arange(3000, dtype=np.uint64) * 7 + 3
+    for k in (0, 1, 2, 3):
+        low = gaf.sample_coeff_batch(model, 11, ids, k).view(np.uint64)
+        for N_t in (k + 1, 5, 26, 193):
+            wide = gaf.sample_coeff_batch(model, 11, ids, N_t)
+            assert np.array_equal(low, wide[:, :k + 1].view(np.uint64)), N_t
+
+
 def test_sample_coefficient_variance():
     # Re c_5 has variance a_5^2 / 2; with L = 1 that is 1/2
     rows = gaf.sample_coeff_batch(hyperbolic(1.0), 3, np.arange(10000, dtype=np.uint64), 8)

@@ -10,7 +10,11 @@ polynomials whose roots all lie outside the disk (however close), for exact
 root clusters, or for an Explicit model with a zero tail bound.  The
 constant-term certificate, which settles rows before the ladder, must not
 settle a row with a root on or just inside the circle or a NaN row, and
-every row it settles must be a hole of the ladder.  The estimator screens
+every row it settles must be a hole of the ladder.  The quadratic step
+after it must count the zeros of every row it settles as the ladder does,
+count those of exact quadratics with roots within 1e-12 of the circle
+correctly or leave them open, never settle a row past its exact bound, and
+leave rows with c_2 = 0 or a NaN open.  The estimator screens
 rows on their coefficient moduli and pools the other rows across batches
 for the ladder: it must give the record and kernel counts of a reference
 that draws each batch in full and settles it in place, and the screen must
@@ -24,6 +28,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,22 +73,27 @@ def test_row_results_identical_alone_and_in_a_full_batch(L, r):
 
 def test_kernel_counters_add_up_and_ignore_worker_count():
     a = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=1)
-    b = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17, workers=2)
-    assert a.kernel == b.kernel
-    assert set(a.kernel) == {"constant_term", "inner", "uniform_ladder",
-                             "inconclusive", "open_at_cap", "tube", "settle_K",
-                             "inner_settle_K", "inner_r"}
-    assert a.kernel["constant_term"] + a.kernel["inner"] \
-        + a.kernel["uniform_ladder"] + a.kernel["inconclusive"] == a.trials
-    assert a.kernel["constant_term"] + a.kernel["inner"] \
-        + a.kernel["uniform_ladder"] == a.hits + a.metadata["zeros_certified"]
-    # constant-term rows are holes settled before the ladder; the tube rows
-    # are ladder rows; every ladder row but those open at the cap left the
-    # ladder at some level, and an open row is inconclusive
+    for workers in (2, 3):
+        b = holes.estimate_hole_direct(hyperbolic(1.0), 0.7, 3000, 17,
+                                       workers=workers)
+        assert a.kernel == b.kernel
+    assert set(a.kernel) == {"constant_term", "quadratic", "inner",
+                             "uniform_ladder", "inconclusive", "open_at_cap",
+                             "tube", "settle_K", "inner_settle_K", "inner_r"}
+    paths = ("constant_term", "quadratic", "inner", "uniform_ladder")
+    assert sum(a.kernel[p] for p in paths) + a.kernel["inconclusive"] == a.trials
+    assert sum(a.kernel[p] for p in paths) \
+        == a.hits + a.metadata["zeros_certified"]
+    # constant-term rows are holes settled before the ladder, quadratic rows
+    # are holes or non-holes settled there too; the tube rows are ladder
+    # rows; every ladder row but those open at the cap left the ladder at
+    # some level, and an open row is inconclusive
     assert 0 < a.kernel["constant_term"] <= a.hits
+    assert 0 < a.kernel["quadratic"]
     assert 0 < a.kernel["tube"] <= a.kernel["uniform_ladder"]
     assert sum(a.kernel["settle_K"].values()) \
-        == a.trials - a.kernel["constant_term"] - a.kernel["open_at_cap"]
+        == a.trials - a.kernel["constant_term"] - a.kernel["quadratic"] \
+        - a.kernel["open_at_cap"]
     assert a.kernel["open_at_cap"] <= a.kernel["inconclusive"]
     assert a.kernel["inconclusive"] == a.inconclusive
     # diagnostics only: the record does not carry them
@@ -234,7 +244,7 @@ def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
         def rows(model, seed, ids, N_t, **kw):
             C = draw(model, seed, ids, N_t, **kw).copy()
             C[ids == 0, 0] = np.nan   # constant term
-            C[ids == 1, 3] = np.nan   # a later coefficient
+            C[ids == 1, 3:4] = np.nan   # a later one (not in c_0..c_2)
             return C
         return rows
 
@@ -283,24 +293,152 @@ def test_constant_term_rows_are_holes_of_the_ladder(L, r):
 
 
 # ---------------------------------------------------------------------------
+# the quadratic step (Rouche against c_2 (z - z_1)(z - z_2), before the ladder)
+# ---------------------------------------------------------------------------
+
+def _quadratic(C, rho, tail):
+    """Zero counts of the quadratic step on complex rows C (-1 where open)
+    and the mask of the rows it sees, those the constant term leaves."""
+    A = np.abs(C)
+    left = ~holes._constant_term_holes(A, rho, tail)
+    return holes._quadratic_zeros(C[left, :3], A[left], rho, tail), left
+
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("r", [0.3, 0.5])
+def test_quadratic_rows_are_decided_alike_by_the_ladder(L, r):
+    for seed in (81, 82, 83):
+        C, tail = _batch(L, r, seed, holes.BATCH_TRIALS)
+        k, left = _quadratic(C, r, tail)
+        settled = k >= 0
+        assert settled.any() and not settled.all()
+        res = holes._certify_rows(C[left][settled], r, tail=tail)
+        assert np.all((res["mm_lb"] > tail) & res["wind_ok"])
+        assert np.array_equal(res["wind"], k[settled])
+
+
+def _true_zeros(c, rho):
+    """Zeros of c_0 + c_1 z + c_2 z^2 in the closed rho-disk, from the
+    quadratic formula in 80 digits (the inputs are exact, and a cluster of
+    roots loses at most half of them), or None when one lies within 1e-40
+    of the circle."""
+    with mpmath.workdps(80):
+        c0, c1, c2 = (mpmath.mpc(complex(x)) for x in c)
+        d = mpmath.sqrt(c1 * c1 - 4 * c2 * c0)
+        gaps = [abs((-c1 + e * d) / (2 * c2)) - mpmath.mpf(rho) for e in (1, -1)]
+        if any(abs(g) < mpmath.mpf(10) ** -40 for g in gaps):
+            return None
+        return sum(g < 0 for g in gaps)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+def test_quadratic_step_on_exact_quadratics_near_the_circle(rho):
+    # tail 0 and no term past z^2: F is the quadratic.  Roots at rho (1 +-
+    # delta), in clusters that straddle the circle or sit on one side, or
+    # one of them near and the other away; a settled row must count the
+    # zeros of the rounded coefficients exactly, an open one is fine
+    rows = []
+    for delta in (1e-3, 1e-6, 1e-9, 1e-12):
+        near = (1.0 + delta, 1.0 - delta)
+        for f1, f2 in [(a, b) for a in near for b in near + (0.5, 2.0)]:
+            for u, v in [(u, v) for u in (1.0, -1.0, 1j, np.exp(0.7j))
+                         for v in (1.0, np.exp(1e-3j))]:
+                for c2 in (1.0, 2.0 ** 18, 0.37 - 0.21j):
+                    z1, z2 = rho * f1 * u, rho * f2 * u * v
+                    rows.append([c2 * z1 * z2, -c2 * (z1 + z2), c2])
+    C = np.array(rows, dtype=complex)
+    k = holes._quadratic_zeros(C, np.abs(C), rho, 0.0)
+    for c, n in zip(C[k >= 0], k[k >= 0]):
+        assert n == _true_zeros(c, rho), c
+    assert 0 < np.sum(k >= 0) < len(rows)
+
+
+def test_quadratic_step_never_settles_past_its_bound():
+    # c_2 = 1 and two real roots in (0, 1e-6], so |p| on the circle is
+    # least at z = rho, where p(rho) = c_0 + c_1 rho + rho^2 is computed
+    # exactly in fractions.  A term of modulus S at n >= 3 may cancel p
+    # there once S >= p(rho), and the row then holds a third zero in the
+    # disk: the step may settle only rows with p(rho) > S, whatever the
+    # roundings.  The rounded root distances often multiply to just above
+    # the first float S >= p(rho)
+    rho, settled = 0.3, 0
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        x1 = rng.uniform(1e-9, 1e-6)
+        x2 = x1 * rng.uniform(1.5, 3.0)
+        c = np.array([[x1 * x2, -(x1 + x2), 1.0]], dtype=complex)
+        p = Fraction(c[0, 0].real) + Fraction(c[0, 1].real) * Fraction(rho) \
+            + Fraction(rho) ** 2
+        S = [float(p) if Fraction(float(p)) >= p
+             else np.nextafter(float(p), np.inf)]   # the first float >= p
+        for _ in range(3):
+            S.append(np.nextafter(S[-1], 0.0))
+        for S in S + [S[0] * (1.0 - 1e-9)]:
+            A = np.array([[abs(c[0, 0]), abs(c[0, 1]) * rho, rho * rho, S]])
+            k = holes._quadratic_zeros(c, A, rho, 0.0)[0]
+            if k >= 0:
+                assert p > Fraction(S) and k == 2, (x1, x2, S)
+                settled += 1
+    assert settled > 0
+
+
+def test_quadratic_step_leaves_rows_with_c2_zero_or_a_nan_open():
+    C, tail = _batch(1.0, 0.5, 84, holes.BATCH_TRIALS)
+    k, left = _quadratic(C, 0.5, tail)
+    C = C[left][k >= 0][:64]
+    assert len(C) == 64
+    A = np.abs(C)
+    holes._constant_term_holes(A, 0.5, tail)   # weights the moduli in place
+    assert np.all(holes._quadratic_zeros(C[:, :3], A, 0.5, tail) >= 0)
+    flat = C.copy()
+    flat[:, 2] = 0.0
+    assert np.all(holes._quadratic_zeros(flat[:, :3], A, 0.5, tail) < 0)
+    for col in range(C.shape[1]):
+        for bad in (np.nan, complex(np.nan, 0.0), complex(0.0, np.nan)):
+            D, W = C.copy(), A.copy()
+            D[:, col] = bad
+            W[:, col] = np.abs(D[:, col])
+            assert np.all(holes._quadratic_zeros(D[:, :3], W, 0.5, tail) < 0)
+
+
+def test_no_quadratic_step_below_degree_two():
+    # N_t = 1: the row has no c_2, and the ladder decides every row the
+    # constant term leaves
+    m, r = explicit([0.3, 1.0]), 0.5
+    est = holes.estimate_hole_direct(m, r, 512, 3)
+    assert est.metadata["N_t"] == 1 and est.kernel["quadratic"] == 0
+    C = gaf.sample_coeff_batch(m, 3, np.arange(512, dtype=np.uint64), 1)
+    exact = holes._certify_rows(C, r, tail=0.0)
+    assert est.hits == int(_hole(exact, 0.0).sum())
+    assert est.metadata["zeros_certified"] == int(_zero(exact, 0.0).sum())
+
+
+# ---------------------------------------------------------------------------
 # two stages: a screen on the moduli, then ladder chunks pooled across batches
 # ---------------------------------------------------------------------------
 
 def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
     """(record, kernel) of a direct estimate drawn in full per BATCH_TRIALS
-    span: constant-term rows settled on the complex rows, the others
-    through the inner-circle pass and the ladder in the same batch."""
+    span: constant-term rows settled on the complex rows, quadratic rows on
+    their first three columns, the others through the inner-circle pass and
+    the ladder in the same batch."""
     N_t, tail, meta = holes._truncate(m, r, trials, gaf.DEFAULT_TAU_REL,
                                       gaf.DEFAULT_FAIL_EXP,
                                       holes.DEFAULT_COMPUTE_BUDGET)
     r_in = holes._inner_radius(coefficients(m, N_t), r)
-    pre_n = inner_n = hole_n = zero_n = inc_n = tube_n = open_n = 0
+    pre_n = quad_n = inner_n = hole_n = zero_n = inc_n = tube_n = open_n = 0
     settle_K, inner_K = {}, {}
     for lo in range(0, trials, holes.BATCH_TRIALS):
         ids = np.arange(lo, min(lo + holes.BATCH_TRIALS, trials), dtype=np.uint64)
         C = gaf.sample_coeff_batch(m, seed, ids, N_t)
-        pre = holes._constant_term_holes(np.abs(C), r, tail)
-        C = C[~pre]
+        A = np.abs(C)
+        pre = holes._constant_term_holes(A, r, tail)
+        C, A = C[~pre], A[~pre]
+        k = holes._quadratic_zeros(C[:, :3], A, r, tail)
+        quad_n += int((k >= 0).sum())
+        hole_n += int((k == 0).sum())
+        zero_n += int((k > 0).sum())
+        C = C[k < 0]
         if r_in is not None:   # zeros inside the inner circle, then r
             res = holes._certify_rows(C, r_in, tail=tail)
             inner = _zero(res, tail)
@@ -325,8 +463,8 @@ def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
               "p_high": holes.wilson_interval(hits + inc_n, trials, confidence)[1],
               "confidence": confidence, "seed": seed, **meta,
               "zeros_certified": inner_n + zero_n}
-    kernel = {"constant_term": pre_n, "inner": inner_n,
-              "uniform_ladder": hole_n + zero_n, "open_at_cap": open_n,
+    kernel = {"constant_term": pre_n, "quadratic": quad_n, "inner": inner_n,
+              "uniform_ladder": hole_n + zero_n - quad_n, "open_at_cap": open_n,
               "inconclusive": inc_n, "tube": tube_n, "settle_K": settle_K,
               "inner_settle_K": inner_K, "inner_r": r_in}
     return record, kernel
@@ -362,23 +500,30 @@ def _in_trial_order(batches, rows):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
-    # the screen gets the moduli rows of every trial, the ladder the full
-    # rows of exactly the trials the screen leaves, bit for bit and in trial
-    # order: three full screen batches and a short one, ladder chunks of
-    # BATCH_TRIALS rows and a short last one
+    # the screen gets the moduli rows of every trial, its quadratic step the
+    # first three columns of the trials the constant term leaves, and the
+    # ladder the full rows of exactly the trials neither step settles, bit
+    # for bit and in trial order: three full screen batches and a short one,
+    # ladder chunks of BATCH_TRIALS rows and a short last one
     m, r, trials, seed = hyperbolic(1.0), 0.5, 6181, 29
     screen, certify = holes._constant_term_holes, holes._certify_rows
-    screened, laddered = [], []
+    quadratic = holes._quadratic_zeros
+    screened, quad, laddered = [], [], []
 
     def screen_spy(A, rho, tail):
         screened.append(A.copy())
         return screen(A, rho, tail)
+
+    def quad_spy(C, *args):
+        quad.append(C.copy())
+        return quadratic(C, *args)
 
     def ladder_spy(C, *args, **kwargs):
         laddered.append(C.copy())
         return certify(C, *args, **kwargs)
 
     monkeypatch.setattr(holes, "_constant_term_holes", screen_spy)
+    monkeypatch.setattr(holes, "_quadratic_zeros", quad_spy)
     monkeypatch.setattr(holes, "_certify_rows", ladder_spy)
     holes.estimate_hole_direct(m, r, trials, seed, K_cap=64, workers=workers)
     N_t, tail, _ = holes._truncate(m, r, trials, gaf.DEFAULT_TAU_REL,
@@ -387,11 +532,16 @@ def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
     ids = np.arange(trials, dtype=np.uint64)
     A = gaf.sample_coeff_batch(m, seed, ids, N_t, moduli=True)
     C = gaf.sample_coeff_batch(m, seed, ids, N_t)
-    rest = C[~screen(A.copy(), r, tail)]
+    W = A.copy()
+    pre = screen(W, r, tail)
+    left = C[~pre]
+    rest = left[quadratic(left[:, :3], W[~pre], r, tail) < 0]
     B = holes.BATCH_TRIALS
     got, sizes = _in_trial_order(screened, A)
     assert sizes == [B, B, B, trials - 3 * B]
     assert np.array_equal(got.view(np.uint64), A.view(np.uint64))
+    got, _ = _in_trial_order(quad, left[:, :3])
+    assert np.array_equal(got.view(np.uint64), left[:, :3].view(np.uint64))
     got, sizes = _in_trial_order(laddered, rest)
     n = len(rest) // B
     assert n >= 1 and sizes == [B] * n + [len(rest) - n * B] and sizes[-1] < B
@@ -479,7 +629,11 @@ def test_inner_rows_of_an_explicit_model_hold_their_roots():
     assert np.array_equal(res["wind"], roots)
     est = holes.estimate_hole_direct(m, r, 4096, 5)
     exact = holes._certify_rows(C, r, tail=tail)
-    assert est.kernel["inner"] == int(inner.sum())
+    # the inner pass gets the rows that neither screen step settles
+    A = np.abs(C)
+    left = ~holes._constant_term_holes(A, r, tail)
+    left[left] = holes._quadratic_zeros(C[left, :3], A[left], r, tail) < 0
+    assert est.kernel["inner"] == int((inner & left).sum())
     assert est.hits == int(_hole(exact, tail).sum())
     assert est.metadata["zeros_certified"] >= int(_zero(exact, tail).sum())
 
