@@ -892,9 +892,9 @@ def _screened_counts(trials: int, workers: int, width: int, hists: list,
         settled, tally = screen(ids, draw(ids, out, True))
         return ids[~settled], tally
 
-    firsts = _pool_map(first, trials, workers, width, float)
-    rest = np.concatenate([ids for ids, _ in firsts])
-    tallies = [sum(col) for col in zip(*(tally for _, tally in firsts))]
+    rest, tallies = zip(*_pool_map(first, trials, workers, width, float))
+    rest = np.concatenate(rest)   # frees the per-batch ids before the ladder
+    tallies = [sum(col) for col in zip(*tallies)]
     counts = _pool_map(lambda lo, hi, out: ladder(draw(rest[lo:hi], out, False)),
                        rest.size, workers, width, complex)
     total = [sum(map(int, col)) for col in zip(*counts)] \
