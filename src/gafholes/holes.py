@@ -915,7 +915,7 @@ def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
     min(_INNER_ZEROS, E N(r) / 2), and there is no pass when m < 1 (E N(r)
     < 2).  Hyperbolic(L): r_in = sqrt(m / (L + m)) up to the truncation.
     With x = rho^2, r_in^2 is the positive root of P(x) = sum (n - m) a_n^2
-    x^n.  P(0) < 0 < P(r^2), and P is convex on x >= 0, since its
+    x^n.  P(0) <= 0 < P(r^2), and P is convex on x >= 0, since its
     coefficients are negative only at n < m <= 2, where n(n - 1) = 0.  So
     Newton's steps from x = r^2 fall monotonically to the root,
     quadratically near it, and stop once a step is below 2^-40 of x.  Any
