@@ -91,7 +91,6 @@ _KEYS: Dict[str, tuple] = {
     "fail_exp": (float, gaf.DEFAULT_FAIL_EXP, "tail failure budget exponent"),
     "tau_rel": (float, gaf.DEFAULT_TAU_REL, "relative truncation tolerance"),
     "budget": (float, holes.DEFAULT_COMPUTE_BUDGET, "trials*N_t compute cap"),
-    "K_init": (int, holes.K_INIT_DEFAULT, "initial certification grid size"),
     "K_cap": (int, holes.K_CAP_DEFAULT, "grid cap: the ladder stops at its first "
               "level >= K_cap; rows open there are Inconclusive"),
     "c_cfg": (float, None, "lower band/defect constant override"),
@@ -171,7 +170,7 @@ def resolve_config(command: str, cli_values: dict,
 _OPERATIONAL_KEYS = ("out", "results", "workers")
 # Keys removed from the registry keep their last default in the hash, so
 # retiring a key does not change the hash of any configuration.
-_RETIRED_KEYS = {"quick": False}
+_RETIRED_KEYS = {"quick": False, "K_init": 8}
 
 
 def config_hash(resolved: dict) -> str:
@@ -295,8 +294,8 @@ def _run_one_estimate(cfg: dict, model: CoefficientModel,
                       r: float) -> holes.HoleEstimate:
     common = dict(trials=cfg["trials"], seed=cfg["seed"],
                   confidence=cfg["confidence"], tau_rel=cfg["tau_rel"],
-                  fail_exp=cfg["fail_exp"], K_init=cfg["K_init"],
-                  K_cap=cfg["K_cap"], budget=cfg["budget"],
+                  fail_exp=cfg["fail_exp"], K_cap=cfg["K_cap"],
+                  budget=cfg["budget"],
                   workers=cfg["workers"])
     if cfg["mode"] == "direct":
         return holes.estimate_hole_direct(model, r, **common)

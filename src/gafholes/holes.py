@@ -16,7 +16,7 @@ points of the circle, with computed values V_j:
     certifies k zeros.
 
 Both certificates, this one and the sup bound of the lower bounds, run one
-ladder (_climb) over the grid sizes K_init, 2 K_init, ... on nested grids:
+ladder (_climb) over the grid sizes K_INIT = 8, 16, 32, ... on nested grids:
 the even points of the 2K-point grid are the K-point grid bit for bit
 (fl(2 pi / (2K)) = fl(2 pi / K) / 2 and (2j) (y / 2) = j y exactly), so
 each doubling evaluates only the K new odd points.  The sup certificate
@@ -24,8 +24,8 @@ folds their maximum |F| into the previous level's (max is exact); the
 min/winding one interleaves them with the kept values of its open rows,
 so it holds the whole grid.  A NaN propagates the same way.  At each level
 the certificate's decision says which rows leave.  The ladder stops at its
-first level at or above the cap (K_init 2^k >= K_cap), in every operation
-and estimator: a row still open there is Inconclusive.
+first level at or above the cap (8 2^k >= K_cap), in every operation and
+estimator: a row still open there is Inconclusive.
 
 Let f(theta) = F(rho e^{i theta}), h = 2 pi / K, D = sum n |c_n| rho^{n-1}
 >= sup |F'| and D_2 = sum n^2 |c_n| rho^n >= sup |f''|.  Between adjacent
@@ -214,7 +214,7 @@ from .gaf import (
     truncation_degree,
 )
 
-K_INIT_DEFAULT = 8
+K_INIT = 8   # the first level of every ladder, so every level is 8 2^k
 K_CAP_DEFAULT = 1 << 20
 # fixed batch width (part of the determinism contract): the trials of a batch,
 # and the most rows of a direct ladder chunk
@@ -367,9 +367,9 @@ def _grid_points(rho: float, K: int) -> np.ndarray:
     return rho * (np.cos(theta) + 1j * np.sin(theta))
 
 
-def _ladder_levels(K_init: int, K_cap: int) -> list:
-    """Grid sizes the ladder visits: K_init, doubling, up to >= K_cap."""
-    Ks = [int(K_init)]
+def _ladder_levels(K_cap: int) -> list:
+    """Grid sizes the ladder visits: K_INIT, doubling, up to >= K_cap."""
+    Ks = [K_INIT]
     while Ks[-1] < K_cap:
         Ks.append(2 * Ks[-1])
     return Ks
@@ -388,9 +388,9 @@ def _gamma(k: int) -> float:
 
 
 def _fft_level(n_coeffs: int, P: int) -> bool:
-    """Whether a level of P points of degree n_coeffs - 1 runs the FFT."""
-    t = P.bit_length() - 1
-    return P == 1 << t and n_coeffs - 1 >= 2 * t + _FFT_MIN_DEGREE
+    """Whether a level of P = 2^t points (every ladder level, or its odd
+    half) of degree n_coeffs - 1 runs the FFT."""
+    return n_coeffs - 1 >= 2 * (P.bit_length() - 1) + _FFT_MIN_DEGREE
 
 
 def _fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -579,8 +579,8 @@ def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
     return g, scale, D, D2, Eg, Eg + D * (_GRID_ETA * rho)
 
 
-def _climb(C: np.ndarray, rho: float, K_init: int, K_cap: int, shift: int,
-           whole: bool, decide):
+def _climb(C: np.ndarray, rho: float, shift: int, whole: bool, decide, *,
+           K_cap: int):
     """(settle_K, grid points evaluated) of the ladder of T = z^shift * F
     over the rows of C (module docstring), keeping whole grids
     (_grid_values) or the running max of |F| (_grid_max).  Above
@@ -592,7 +592,7 @@ def _climb(C: np.ndarray, rho: float, K_init: int, K_cap: int, shift: int,
     """
     B = C.shape[0]
     g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho, shift)
-    Ks = _ladder_levels(K_init, K_cap)
+    Ks = _ladder_levels(K_cap)
     E, settle_K = np.full(B, -np.inf), np.zeros(B, dtype=np.int64)
     grids, points = {}, 0   # grid points by size, shared by every row
     level = _grid_values if whole else _grid_max
@@ -627,9 +627,7 @@ def _settle_counts(settle_K: np.ndarray, Ks: list) -> np.ndarray:
     return np.bincount(np.searchsorted(edges, settle_K), minlength=edges.size)
 
 
-def _certify_rows(C: np.ndarray, rho: float,
-                  K_init: int = K_INIT_DEFAULT,
-                  K_cap: int = K_CAP_DEFAULT,
+def _certify_rows(C: np.ndarray, rho: float, *, K_cap: int = K_CAP_DEFAULT,
                   tail: float = -np.inf):
     """Joint min-modulus / winding ladder over coefficient rows (_climb).
 
@@ -697,7 +695,7 @@ def _certify_rows(C: np.ndarray, rho: float,
         hopeless[rows[hp]] = True
         return hp | done
 
-    settle_K, _ = _climb(C, rho, K_init, K_cap, 0, True, decide)
+    settle_K, _ = _climb(C, rho, 0, True, decide, K_cap=K_cap)
     return {"mm_lb": mm_lb, "mm_gm": mm_gm, "mm_K": mm_K, "wind": wind,
             "wind_ok": wind_ok, "wind_K": wind_K, "hopeless": hopeless,
             "tube": tube, "settle_K": settle_K}
@@ -746,26 +744,24 @@ def _quadratic_zeros(C: np.ndarray, A: np.ndarray, rho: float,
     return np.where(ok, (m1 < rho).astype(np.int64) + (m2 < rho), -1)
 
 
-def min_modulus_certified(sample: GafSample, rho: float,
-                          K_init: int = K_INIT_DEFAULT,
+def min_modulus_certified(sample: GafSample, rho: float, *,
                           K_cap: int = K_CAP_DEFAULT) -> Tuple[float, float, int]:
     """Certified lower bound for min |F| on the rho-circle.
 
     Returns (lower_bound, grid_min, K_used): the best bound of the levels
     visited, the grid minimum and the grid size at that level.  The grid
-    doubles from K_init until the winding certificate fires or the cap is
-    reached.  When the step condition fires the bound exceeds half the grid
-    minimum; when the tube condition fires first the bound is positive,
-    with no such ratio.  It may be <= 0 for samples nearly vanishing on
-    the circle.
+    doubles from K_INIT = 8 points until the winding certificate fires or
+    the cap level is reached.  When the step condition fires the bound
+    exceeds half the grid minimum; when the tube condition fires first the
+    bound is positive, with no such ratio.  It may be <= 0 for samples
+    nearly vanishing on the circle.
     """
-    _check_ladder_args(rho, K_init, K_cap)
-    res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
+    _check_ladder_args(rho, K_cap)
+    res = _certify_rows(sample.coeffs[None, :], rho, K_cap=K_cap)
     return float(res["mm_lb"][0]), float(res["mm_gm"][0]), int(res["mm_K"][0])
 
 
-def winding_number_certified(sample: GafSample, rho: float,
-                             K_init: int = K_INIT_DEFAULT,
+def winding_number_certified(sample: GafSample, rho: float, *,
                              K_cap: int = K_CAP_DEFAULT) -> Optional[int]:
     """Certified winding number of the rho-circle image (zero count inside).
 
@@ -773,15 +769,14 @@ def winding_number_certified(sample: GafSample, rho: float,
     still inconclusive at the grid cap (the sample nearly vanishes on the
     circle).
     """
-    _check_ladder_args(rho, K_init, K_cap)
-    res = _certify_rows(sample.coeffs[None, :], rho, K_init, K_cap)
+    _check_ladder_args(rho, K_cap)
+    res = _certify_rows(sample.coeffs[None, :], rho, K_cap=K_cap)
     if not bool(res["wind_ok"][0]):
         return None
     return int(res["wind"][0])
 
 
-def hole_decision(sample: GafSample, r: float, tail_bound: float,
-                  K_init: int = K_INIT_DEFAULT,
+def hole_decision(sample: GafSample, r: float, tail_bound: float, *,
                   K_cap: int = K_CAP_DEFAULT) -> HoleDecision:
     """Certified decision: no zeros in the closed r-disk, k zeros, or unknown.
 
@@ -789,13 +784,14 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
     when the certified circle minimum of the truncated polynomial exceeds
     it, the truncation and the full series have equal zero counts in the
     disk, and the winding number decides between hole and zeros.  The
-    ladder runs to K_cap; a sample still open there is Inconclusive.  A
-    NaN or negative tail_bound raises DomainError.
+    ladder runs from K_INIT = 8 points to the cap level; a sample still
+    open there is Inconclusive.  A NaN or negative tail_bound raises
+    DomainError.
     """
-    _check_ladder_args(r, K_init, K_cap)
+    _check_ladder_args(r, K_cap)
     if not tail_bound >= 0.0:
         raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
-    res = _certify_rows(sample.coeffs[None, :], r, K_init, K_cap,
+    res = _certify_rows(sample.coeffs[None, :], r, K_cap=K_cap,
                         tail=float(tail_bound))
     margin = float(res["mm_lb"][0]) - tail_bound
     K_used = int(max(res["mm_K"][0], res["wind_K"][0]))
@@ -821,17 +817,16 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float,
 # estimators
 # ---------------------------------------------------------------------------
 
-def _check_ladder_args(r: float, K_init: int, K_cap: int):
+def _check_ladder_args(r: float, K_cap: int):
     if not (0.0 < r < 1.0):
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
-    for name, K in (("K_init", K_init), ("K_cap", K_cap)):
-        if not (1 <= K < math.inf):
-            raise DomainError(f"{name} must be >= 1 and finite, got {K}")
+    if not (1 <= K_cap < math.inf):
+        raise DomainError(f"K_cap must be >= 1 and finite, got {K_cap}")
 
 
-def _check_estimator_args(r: float, trials: int, confidence: float,
-                          K_init: int, K_cap: int, workers: int):
-    _check_ladder_args(r, K_init, K_cap)
+def _check_estimator_args(r: float, trials: int, confidence: float, *,
+                          K_cap: int, workers: int):
+    _check_ladder_args(r, K_cap)
     for name, n in (("trials", trials), ("workers", workers)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
@@ -940,8 +935,7 @@ def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
 def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
                          seed: int, confidence: float = 0.99,
                          tau_rel: float = DEFAULT_TAU_REL,
-                         fail_exp: float = DEFAULT_FAIL_EXP,
-                         K_init: int = K_INIT_DEFAULT,
+                         fail_exp: float = DEFAULT_FAIL_EXP, *,
                          K_cap: int = K_CAP_DEFAULT,
                          budget: float = DEFAULT_COMPUTE_BUDGET,
                          workers: int = 1) -> HoleEstimate:
@@ -955,17 +949,18 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     (_quadratic_zeros) as holes or non-holes; the others, pooled across
     batches, draw their phases.  When E N(r) >= 2 (module docstring), the
     rows with a certified zero inside the inner circle of radius r_in are
-    non-holes; the rest climb the ladder at r to K_cap, and rows still open
-    at the cap are Inconclusive.  zeros_certified holds the certified
-    non-holes.  Inconclusive trials widen the Wilson interval
-    pessimistically: they count as hits for p_high and as misses for p_low.
+    non-holes; the rest climb the ladder at r from K_INIT = 8 points to the
+    cap level, and rows still open there are Inconclusive.  zeros_certified
+    holds the certified non-holes.  Inconclusive trials widen the Wilson
+    interval pessimistically: they count as hits for p_high and as misses
+    for p_low.
     kernel holds the sidecar counters (cli module docstring): constant_term
     and quadratic count the rows of the two screen steps; inner,
     inner_settle_K and inner_r (None without a pass) count the inner
     circle's rows; uniform_ladder, tube, open_at_cap and settle_K count
     the rows of the ladder at r only.
     """
-    _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
+    _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
     r_in = _inner_radius(coefficients(model, N_t), r)
 
@@ -975,10 +970,10 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     def ladder(C: np.ndarray):
         inner_K = np.zeros(0, dtype=np.int64)
         if r_in is not None:
-            res = _certify_rows(C, r_in, K_init, K_cap, tail=tail)
+            res = _certify_rows(C, r_in, K_cap=K_cap, tail=tail)
             inner = certified(res) & (res["wind"] >= 1)
             inner_K, C = res["settle_K"][inner], C[~inner]
-        res = _certify_rows(C, r, K_init, K_cap, tail=tail)
+        res = _certify_rows(C, r, K_cap=K_cap, tail=tail)
         ok = certified(res)
         hole = ok & (res["wind"] == 0)
         zero = ok & (res["wind"] >= 1)
@@ -997,7 +992,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
         return pre | (k >= 0), (int(pre.sum()), int((k == 0).sum()),
                                 int((k > 0).sum()))
 
-    levels = _ladder_levels(K_init, K_cap)
+    levels = _ladder_levels(K_cap)
     (pre_n, quad_holes, quad_zeros), counts, (settle_K, inner_settle_K) = \
         _screened_counts(
             trials, workers, N_t + 1, [levels, levels],
@@ -1048,8 +1043,8 @@ def default_threshold(L: float, r: float, eps: float = 0.05, B: float = 3.0,
     return delta ** -0.5 * math.log(1.0 / delta) ** alpha_exp
 
 
-def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
-                K_init: int, K_cap: int, shift: int = 0):
+def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float, *,
+                K_cap: int, shift: int = 0):
     """Count rows of T = z^shift * F, F the polynomial of a row of C, whose
     certified sup over the rho-circle plus tail is below M.
 
@@ -1077,7 +1072,7 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
     Returns (hit, miss, inconclusive, tube hits, grid points evaluated,
     *settled): tube hits are the hits whose bound with the first-order term
     in place of the min is not below M, and settled[j] the rows decided at
-    grid size _ladder_levels(...)[j].
+    grid size _ladder_levels(K_cap)[j].
     """
     scale, n = rho ** shift, [0, 0, 0]   # hits, misses, tube hits
 
@@ -1092,8 +1087,8 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float,
         n[2] += int((h & ~((1.0 + g) * (smax + first + E) + tail < M)).sum())
         return h | m
 
-    settle_K, points = _climb(C, rho, K_init, K_cap, shift, False, decide)
-    inc, *settled = _settle_counts(settle_K, _ladder_levels(K_init, K_cap))
+    settle_K, points = _climb(C, rho, shift, False, decide, K_cap=K_cap)
+    inc, *settled = _settle_counts(settle_K, _ladder_levels(K_cap))
     return (n[0], n[1], int(inc), n[2], points, *map(int, settled))
 
 
@@ -1106,8 +1101,8 @@ def _sup_screen(A: np.ndarray, rho: float, M: float, tail: float, shift=0):
 
 
 def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
-                rho: float, M: float, tail: float, confidence: float,
-                K_init: int, K_cap: int, trials: int, workers: int):
+                rho: float, M: float, tail: float, confidence: float, *,
+                K_cap: int, trials: int, workers: int):
     """(Wilson lower bound on the hit rate, sidecar counters) of one row T =
     z^shift * F per trial t, the one layout of a lower-bound stream: T's
     coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo} from lo on,
@@ -1127,9 +1122,9 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
 
     (screened,), (hits, misses, inc, tube_hits, points), (settle_K,) = \
         _screened_counts(trials, workers, lo - shift + w.size,
-                         [_ladder_levels(K_init, K_cap)], rows, screen,
-                         lambda C: _sup_counts(C, rho, M, tail, K_init, K_cap,
-                                               shift))
+                         [_ladder_levels(K_cap)], rows, screen,
+                         lambda C: _sup_counts(C, rho, M, tail, K_cap=K_cap,
+                                               shift=shift))
     hits += screened
     return wilson_interval(hits, trials, confidence)[0], {
         "hit": hits, "miss": misses, "inconclusive": inc, "screened": screened,
@@ -1143,8 +1138,7 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
                                   eps: float = 0.05, B: float = 3.0,
                                   alpha_exp: float = 0.75,
                                   tau_rel: float = DEFAULT_TAU_REL,
-                                  fail_exp: float = DEFAULT_FAIL_EXP,
-                                  K_init: int = K_INIT_DEFAULT,
+                                  fail_exp: float = DEFAULT_FAIL_EXP, *,
                                   K_cap: int = K_CAP_DEFAULT,
                                   budget: float = DEFAULT_COMPUTE_BUDGET,
                                   workers: int = 1) -> HoleEstimate:
@@ -1157,7 +1151,7 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     p_high is 1: this mode only certifies a lower bound.  eps, B and
     alpha_exp feed the default threshold and are ignored when M is given.
     """
-    _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
+    _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
     if M is None:
         L = model.L if model.kind in ("Hyperbolic", "PowerLaw") else 1.0
         M = default_threshold(L, r, eps=eps, B=B, alpha_exp=alpha_exp)
@@ -1166,7 +1160,8 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
     a = coefficients(model, N_t)
     q_low, sup = _sup_stream(seed, rng.PURPOSE_SAMPLE, 0, 1, a[1:], r, M, tail,
-                             confidence, K_init, K_cap, trials, workers)
+                             confidence, K_cap=K_cap, trials=trials,
+                             workers=workers)
     p_low = (math.exp(-M * M / (a[0] * a[0])) if a[0] > 0.0 else 0.0) * q_low
     return HoleEstimate(
         model=model, r=float(r), mode=MODE_THRESHOLD, trials=int(trials),
@@ -1247,8 +1242,7 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
                                alpha_exp: float = 0.75,
                                alpha1: Optional[float] = None,
                                tau_rel: float = DEFAULT_TAU_REL,
-                               fail_exp: float = DEFAULT_FAIL_EXP,
-                               K_init: int = K_INIT_DEFAULT,
+                               fail_exp: float = DEFAULT_FAIL_EXP, *,
                                K_cap: int = K_CAP_DEFAULT,
                                budget: float = DEFAULT_COMPUTE_BUDGET,
                                workers: int = 1) -> HoleEstimate:
@@ -1264,7 +1258,7 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     at confidence 1 - (1-confidence)/2, so both failures stay within 1 -
     confidence; p_low may underflow to 0, and metadata keeps log10_p_low.
     """
-    _check_estimator_args(r, trials, confidence, K_init, K_cap, workers)
+    _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
     q, N, N1, M, r2, alpha1, log_Q2 = tilt_profile(model, r, alpha_exp, alpha1)
     if N < 1:
         raise TiltOutOfRange(
@@ -1274,13 +1268,13 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     a = coefficients(model, N_t)
     conf_each = 1.0 - (1.0 - confidence) / 2.0
     half = M / 2.0
+    ladder = {"K_cap": K_cap, "trials": trials, "workers": workers}
     q_mid, mid = _sup_stream(seed, rng.PURPOSE_TILT_MIDDLE, 0, 1,
-                             q * a[1:N + 1], r, half, 0.0, conf_each,
-                             K_init, K_cap, trials, workers)
+                             q * a[1:N + 1], r, half, 0.0, conf_each, **ladder)
     # T(z) = z^{N+1} * inner(z), evaluated as inner on the circle
     q_tail, tail = _sup_stream(seed, rng.PURPOSE_TILT_TAIL, N + 1, N + 1,
                                a[N + 1:], r, half, tail_beyond, conf_each,
-                               K_init, K_cap, trials, workers)
+                               **ladder)
     log_p = -M * M + log_Q2 \
         + (math.log(q_mid) if q_mid > 0 else -math.inf) \
         + (math.log(q_tail) if q_tail > 0 else -math.inf)
@@ -1344,7 +1338,7 @@ __all__ = [
     "tilt_profile",
     "estimate_hole_lower_tilted",
     "determinantal_hole_probability",
-    "K_INIT_DEFAULT",
+    "K_INIT",
     "K_CAP_DEFAULT",
     "BATCH_TRIALS",
     "DEFAULT_COMPUTE_BUDGET",

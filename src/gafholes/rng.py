@@ -24,8 +24,9 @@ from the uniforms at counters (2n, 2n+1) for coefficient index n.  The whole
 uniform-to-Gaussian path is part of the reproducibility contract: trial t is
 addressable without generating trials 0..t-1, and results are bit-identical
 for any batch size or thread count because every operation is elementwise.
-The moduli sqrt(-log(u1)) and phases exp(2 pi i u2) are separately addressable
-under the same contract, and a Gaussian is their product bit for bit.
+The moduli sqrt(-log(u1)) are separately addressable (gaussian_moduli) under
+the same contract, and a Gaussian is its modulus times its phase exp(2 pi i
+u2) bit for bit.
 gaussian_rows fills wide batches in row blocks of about _BLOCK_DRAWS draws,
 so that each block's temporaries stay in cache; since every operation is
 elementwise, the blocks change no draw.  complex_gaussians, gaussian_moduli
@@ -35,8 +36,10 @@ scratch per thread of _BLOCK_DRAWS draws, reused by every call that fits in
 it.  The scratch changes when memory is allocated, never a draw: every call
 overwrites the entries it reads, with the same operations in the same order.
 
-All arithmetic runs on numpy uint64 arrays (wrapping multiply/add), never on
-numpy scalars, to avoid scalar-overflow warnings and keep a single code path.
+All arithmetic is wrapping uint64 ufunc arithmetic.  numpy's scalar * warns
+on a product that wraps, so the two products that can see numpy scalars (a
+0-d counter array turns into one after c + 1, and the purpose tag) call
+np.multiply, which never warns.
 """
 
 from __future__ import annotations
@@ -71,15 +74,14 @@ _scratch = threading.local()
 
 def _mix_into(z: np.ndarray, t: np.ndarray) -> None:
     """z = mix64(z) in place, with t (z's shape) for the shifts."""
-    with np.errstate(over="ignore"):
-        np.right_shift(z, np.uint64(30), out=t)
-        z ^= t
-        z *= _M1
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= _M2
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _M1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
@@ -95,11 +97,9 @@ def stream_key(seed: int, stream_id, purpose: int) -> np.ndarray:
     Returns a uint64 array shaped like stream_id (0-d for scalars).
     """
     s = np.asarray(stream_id, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        k = mix64(np.asarray(np.uint64(seed % (1 << 64))) ^ _SEED_TAG)
-        k = mix64(k ^ (s * GOLDEN))
-        k = mix64(k ^ (np.uint64(purpose) * _PURPOSE_TAG))
-    return k
+    k = mix64(np.asarray(np.uint64(seed % (1 << 64))) ^ _SEED_TAG)
+    k = mix64(k ^ (s * GOLDEN))
+    return mix64(k ^ np.multiply(np.uint64(purpose), _PURPOSE_TAG))
 
 
 def _temporaries(shape) -> tuple:
@@ -122,8 +122,7 @@ def _uniforms_into(u: np.ndarray, key: np.ndarray, c: np.ndarray,
                    w: np.ndarray, t: np.ndarray) -> None:
     """u = the uniforms of key at counters c, with w and t (u's shape) for
     the words and their shifts."""
-    with np.errstate(over="ignore"):
-        np.add(key, GOLDEN * (c + np.uint64(1)), out=w)
+    np.add(key, np.multiply(GOLDEN, c + np.uint64(1)), out=w)
     _mix_into(w, t)
     np.right_shift(w, np.uint64(11), out=w)
     np.copyto(u, w, casting="unsafe")
@@ -171,13 +170,6 @@ def gaussian_moduli(key: np.ndarray, index, out=None) -> np.ndarray:
     n = np.asarray(index, dtype=np.uint64)
     out = _draw_out(key, n, out, float)
     return _moduli_into(out, key, n, *_temporaries(out.shape))
-
-
-def unit_phases(key: np.ndarray, index) -> np.ndarray:
-    """Box-Muller phases exp(2 pi i u2) of draws n (u2 at counter 2n + 1)."""
-    n = np.asarray(index, dtype=np.uint64)
-    z = _draw_out(key, n, None, complex)
-    return _phases_into(z, key, n, *_temporaries(z.shape))
 
 
 def complex_gaussians(key: np.ndarray, index, out=None) -> np.ndarray:

@@ -41,12 +41,12 @@ def _full_grid(C, rho, K):
     return gaf.evaluate_on_grid(C, holes._grid_points(rho, K))
 
 
-def _level_grid(C, rho, K_init, K, bounds):
+def _level_grid(C, rho, K, bounds):
     """(values, E) of each row on the full K-point grid, assembled afresh
-    from the level evaluator: the K_init-point level, then the odd points
+    from the level evaluator: the K_INIT-point level, then the odd points
     of every doubling up to K, interleaved; E is the largest level E."""
-    V, E = holes._grid_values(C, rho, K_init, False, bounds, {})
-    K2 = 2 * K_init
+    V, E = holes._grid_values(C, rho, holes.K_INIT, False, bounds, {})
+    K2 = 2 * holes.K_INIT
     while K2 <= K:
         new, E2 = holes._grid_values(C, rho, K2, True, bounds, {})
         V = np.stack([V, new], axis=2).reshape(C.shape[0], K2)
@@ -95,16 +95,16 @@ def _seg_dist(a, b):
     return np.where(inside, perp, np.minimum(np.abs(a), np.abs(b)))
 
 
-def _reference(C, rho, K_init, K_cap, tail=-np.inf):
+def _reference(C, rho, K_cap, tail=-np.inf):
     """The tube ladder with a full grid at every level and one stop rule."""
     B = C.shape[0]
     g, D, D2, _ = _bounds(C, rho)
     scale, _, Eg, Eh = _evaluator_bounds(C, rho)
     res = _empty(B)
     active = np.arange(B)
-    K = int(K_init)
+    K = holes.K_INIT
     while active.size:
-        V, E = _level_grid(C[active], rho, K_init, K,
+        V, E = _level_grid(C[active], rho, K,
                            (scale, g, Eg[active], Eh[active]))
         gmin = np.abs(V).min(axis=1)
         segmin = _seg_dist(V, np.roll(V, -1, axis=1)).min(axis=1)
@@ -137,7 +137,7 @@ def _reference(C, rho, K_init, K_cap, tail=-np.inf):
     return res
 
 
-def _first_order_reference(C, rho, K_init, K_cap, tail=None):
+def _first_order_reference(C, rho, K_cap, tail=None):
     """The ladder before the tube bound: lb = gmin - D pi rho / K with no
     rounding term, and the winding once D 2 pi rho / K < gmin.
 
@@ -152,7 +152,7 @@ def _first_order_reference(C, rho, K_init, K_cap, tail=None):
     res["wind_gm"] = np.zeros(B)
     mm_done = np.zeros(B, dtype=bool)
     active = np.arange(B)
-    K = int(K_init)
+    K = holes.K_INIT
     while active.size:
         V = _full_grid(C[active], rho, K)
         gmin = np.abs(V).min(axis=1)
@@ -201,10 +201,11 @@ def _assert_bytes_equal(res, ref):
         assert res[k].tobytes() == ref[k].tobytes(), k
 
 
-# (16, 16): the first level is also the cap level
-LEVELS = [(8, 1 << 14), (12, 1000), (1, 256), (8, 64), (16, 16)]
-# both cases run the FFT on every power-of-two level (K_init = 12 stays on
-# Horner)
+# grid caps; 1000 is no level (the ladder ends at 1024), and at 8 the first
+# level is also the cap level.  Ids read first level-cap.
+LEVELS = [1 << 14, 1000, 256, 64, 8]
+LEVEL_IDS = [f"{holes.K_INIT}-{K_cap}" for K_cap in LEVELS]
+# both cases run the FFT on every level
 CASES = [(1.0, 0.7, 256), (2.0, 0.9, 48)]
 # the model's tail bound, on the default evaluators and on Horner alone; a
 # tail of 0.05 that sends rows out hopeless; and the scalar operations' -inf
@@ -221,20 +222,20 @@ def _horner_only(monkeypatch):
     monkeypatch.setattr(holes, "_FFT_MIN_DEGREE", 1 << 30)
 
 
-@pytest.mark.parametrize("K_init, K_cap", LEVELS)
+@pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
 @pytest.mark.parametrize("L, r, n", CASES)
 @pytest.mark.parametrize("mode, horner", MODES)
-def test_ladder_matches_the_full_grid_ladder(K_init, K_cap, L, r, n, mode,
-                                             horner, monkeypatch):
+def test_ladder_matches_the_full_grid_ladder(K_cap, L, r, n, mode, horner,
+                                             monkeypatch):
     if horner:
         _horner_only(monkeypatch)
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
     if mode != "-inf":
-        res = holes._certify_rows(C, r, K_init, K_cap, tail=tail)
+        res = holes._certify_rows(C, r, K_cap=K_cap, tail=tail)
     else:
-        res = holes._certify_rows(C, r, K_init, K_cap)
-    ref = _reference(C, r, K_init, K_cap, tail=tail)
+        res = holes._certify_rows(C, r, K_cap=K_cap)
+    ref = _reference(C, r, K_cap, tail=tail)
     _assert_bytes_equal(res, ref)
     # the NaN row never certifies and runs to the cap
     assert not res["wind_ok"][3] and not res["hopeless"][3]
@@ -256,23 +257,22 @@ def _outcomes(res, tail):
     return out
 
 
-# Rows a first-order decision may lose, by (L, r, K_init, K_cap, mode): only
+# Rows a first-order decision may lose, by (L, r, K_cap, mode): only
 # rows whose first-order margin is below E may appear here.  None do.
 FLIP_EXCEPTIONS = {}
 
 
-@pytest.mark.parametrize("K_init, K_cap", LEVELS)
+@pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
 @pytest.mark.parametrize("L, r, n", CASES)
 @pytest.mark.parametrize("mode, horner", MODES)
-def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap, L, r, n,
-                                                     mode, horner,
-                                                     monkeypatch):
+def test_no_row_flips_against_the_first_order_ladder(K_cap, L, r, n, mode,
+                                                     horner, monkeypatch):
     if horner:
         _horner_only(monkeypatch)
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
-    new = holes._certify_rows(C, r, K_init, K_cap, tail=tail)
-    old = _first_order_reference(C, r, K_init, K_cap,
+    new = holes._certify_rows(C, r, K_cap=K_cap, tail=tail)
+    old = _first_order_reference(C, r, K_cap,
                                  tail=None if mode == "-inf" else tail)
     _, D, _, E = _bounds(C, r)
     # slack of the first-order certificate: clearing the tail, and the step
@@ -283,7 +283,7 @@ def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap, L, r, n,
     before, after = _outcomes(old, tail), _outcomes(new, tail)
     flips = [i for i, (a, b) in enumerate(zip(before, after))
              if a is not None and a != b]
-    assert flips == FLIP_EXCEPTIONS.get((L, r, K_init, K_cap, mode), [])
+    assert flips == FLIP_EXCEPTIONS.get((L, r, K_cap, mode), [])
     assert all(margin[i] < E[i] for i in flips)
     # newly decided rows were open before, never hopeless
     for a, b in zip(before, after):
@@ -298,17 +298,17 @@ def test_rows_settle_across_the_levels():
     # the cases above are only meaningful if rows settle late and some
     # rows take each exit
     C, tail = _rows(2.0, 0.9, 48)
-    res = holes._certify_rows(C, 0.9, 8, 1 << 14, tail=tail)
+    res = holes._certify_rows(C, 0.9, K_cap=1 << 14, tail=tail)
     assert res["wind_K"].max() >= 1024
     assert len(set(res["wind_K"][res["wind_ok"]])) >= 3
     assert res["tube"].any() and len(set(res["settle_K"])) >= 4
     for L, r, n in CASES:
         C, _ = _rows(L, r, n)
-        res = holes._certify_rows(C, r, 8, 1 << 14, tail=WIDE_TAIL)
+        res = holes._certify_rows(C, r, K_cap=1 << 14, tail=WIDE_TAIL)
         assert res["hopeless"].any()
         assert ((res["mm_lb"] > WIDE_TAIL) & res["wind_ok"]).any()
     C, tail = _rows(1.0, 0.7, 256)
-    res = holes._certify_rows(C, 0.7, 8, 1 << 14, tail=tail)
+    res = holes._certify_rows(C, 0.7, K_cap=1 << 14, tail=tail)
     assert (res["wind_ok"] & (res["wind"] == 0)).any()
     assert (res["wind_ok"] & (res["wind"] >= 1)).any()
 
@@ -316,17 +316,17 @@ def test_rows_settle_across_the_levels():
 @pytest.mark.parametrize("chunk", [64, 1000])
 def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     C, tail = _rows(2.0, 0.9, 48)
-    ref = [_reference(C, 0.9, 8, 4096, tail=tail),
-           _reference(C, 0.9, 12, 4096, tail=tail),
-           _reference(C, 0.9, 8, 2048)]
+    ref = [_reference(C, 0.9, 4096, tail=tail),
+           _reference(C, 0.9, 1000, tail=WIDE_TAIL),
+           _reference(C, 0.9, 2048)]
     bounds = _evaluator_bounds(C, 0.9)
     level = holes._grid_values(C, 0.9, 4096, True, bounds, {})
     # a chunk below the grid size also sends the open rows up the rest of
     # the ladder one at a time, and evaluates one row per FFT chunk
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
-    res = [holes._certify_rows(C, 0.9, 8, 4096, tail=tail),
-           holes._certify_rows(C, 0.9, 12, 4096, tail=tail),
-           holes._certify_rows(C, 0.9, 8, 2048)]
+    res = [holes._certify_rows(C, 0.9, K_cap=4096, tail=tail),
+           holes._certify_rows(C, 0.9, K_cap=1000, tail=WIDE_TAIL),
+           holes._certify_rows(C, 0.9, K_cap=2048)]
     for a, b in zip(res, ref):
         _assert_bytes_equal(a, b)
     for a, b in zip(holes._grid_values(C, 0.9, 4096, True, bounds, {}), level):
@@ -395,12 +395,12 @@ def _assert_sound(C, rho, tail, K_cap=1 << 14):
     in the scalar mode.  Returns the tail-mode result."""
     inside = np.array([np.sum(np.abs(np.roots(c[::-1])) < rho) for c in C])
     for t in (tail, -np.inf):
-        res = holes._certify_rows(C, rho, 8, K_cap, tail=t)
+        res = holes._certify_rows(C, rho, K_cap=K_cap, tail=t)
         ok = res["wind_ok"]
         assert np.array_equal(res["wind"][ok], inside[ok])
         hole = ok & (res["mm_lb"] > t) & (res["wind"] == 0)
         assert not np.any(hole & (inside > 0))
-    return holes._certify_rows(C, rho, 8, K_cap, tail=tail)
+    return holes._certify_rows(C, rho, K_cap=K_cap, tail=tail)
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-4, -1e-4, -1e-9, -1e-12])
@@ -433,7 +433,7 @@ def test_dyadic_root_clusters(e, side):
     C = _poly_rows(roots, 5)
     inside = np.array([k if side < 0 else 0 for k in (1, 2, 3) for _ in range(8)])
     for t in (0.0, -np.inf):
-        res = holes._certify_rows(C, rho, 8, 1 << 14, tail=t)
+        res = holes._certify_rows(C, rho, K_cap=1 << 14, tail=t)
         ok = res["wind_ok"]
         assert np.array_equal(res["wind"][ok], inside[ok])
         assert not np.any(ok & (res["mm_lb"] > t) & (inside > 0)
@@ -471,7 +471,7 @@ def test_step_condition_carries_the_rounding_term():
     def step_holds(eps):
         C = row(eps)
         g, D, _, _ = _bounds(C, rho)
-        V, E = _level_grid(C, rho, 8, 8, _evaluator_bounds(C, rho))
+        V, E = _level_grid(C, rho, 8, _evaluator_bounds(C, rho))
         gmin = np.abs(V).min()
         return 2.0 * ((1.0 + g) * (D[0] * (np.pi * rho / 8) + E[0])) < gmin
 
@@ -484,9 +484,9 @@ def test_step_condition_carries_the_rounding_term():
         lo, hi = (mid, hi) if step_holds(mid) else (lo, mid)
     # the E terms matter at the edge: without them the step would hold
     g, D, _, _ = _bounds(row(hi), rho)
-    V, E = _level_grid(row(hi), rho, 8, 8, _evaluator_bounds(row(hi), rho))
+    V, E = _level_grid(row(hi), rho, 8, _evaluator_bounds(row(hi), rho))
     assert 2.0 * ((1.0 + g) * D[0] * (np.pi * rho / 8)) < np.abs(V).min() - E[0]
     for eps, K in ((lo, 8), (hi, 16)):
-        res = holes._certify_rows(row(eps), rho, 8, 16)
+        res = holes._certify_rows(row(eps), rho, K_cap=16)
         assert res["wind_ok"][0] and res["wind"][0] == 0
         assert res["wind_K"][0] == K and not res["tube"][0]

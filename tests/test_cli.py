@@ -178,6 +178,19 @@ def test_unknown_config_key_rejected_by_name(tmp_path, capsys):
     assert "trails" in err
 
 
+def test_retired_K_init_key_and_flag_exit_2(tmp_path, capsys):
+    # every ladder starts at 8 points: K_init is neither a key nor a flag
+    cfgfile = tmp_path / "old.json"
+    cfgfile.write_text(json.dumps({"K_init": 8}))
+    assert cli.main(["estimate", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'K_init'" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", "--K-init", "8"])
+    assert exc.value.code == 2
+    assert "--K-init" in capsys.readouterr().err
+
+
 def test_config_command_mismatch_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "other.json"
     cfgfile.write_text(json.dumps({"command": "spectrum"}))
@@ -241,12 +254,12 @@ def test_estimator_domain_error_reported_cleanly(capsys):
 
 
 # (flags, text the error must name), each on L=2, r=0.9, where all three
-# modes apply.  K_cap shares the K_init check in every mode, and a NaN must
-# fail each range check rather than slip past it.
+# modes apply.  Every mode checks K_cap, and a NaN must fail each range
+# check rather than slip past it.  The test keeps its first name, from when
+# it checked the first grid size, so that its ids stay stable.
 _MODES = ("direct", "threshold_lower", "tilted_lower")
 _BAD_ESTIMATE_FLAGS = (
-    [(["--mode", m, flag, v], key) for m in _MODES
-     for flag, key in (("--K-init", "K_init"), ("--K-cap", "K_cap"))
+    [(["--mode", m, "--K-cap", v], "K_cap") for m in _MODES
      for v in ("0", "-8")]
     + [(["--mode", m, "--workers", v], "workers") for m in _MODES
        for v in ("0", "-3")]
@@ -339,7 +352,7 @@ def test_defaults_command_lists_registry(capsys):
     d = json.loads(capsys.readouterr().out)
     assert d["tau_rel"] == 1e-8
     assert d["confidence"] == 0.99
-    assert d["K_init"] == 8
+    assert "K_init" not in d and d["K_cap"] == 1 << 20
 
 
 def test_report_joins_envelopes(tmp_path, capsys):

@@ -8,6 +8,7 @@ a pure function of its arguments, so byte-stable results are part of
 the contract, not an accident.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -415,18 +416,17 @@ def test_estimator_argument_guards():
 
 
 @pytest.mark.parametrize("K", [0, -8])
-def test_non_positive_K_init_rejected(K):
-    # the first and the largest grid size share one check; the estimators
-    # check the worker count with it
+def test_non_positive_K_cap_rejected(K):
+    # every operation checks the grid cap; the estimators check the worker
+    # count with it
     s = _poly_sample([1.0])
-    for kw in ({"K_init": K}, {"K_cap": K}):
-        with pytest.raises(DomainError):
-            holes.hole_decision(s, 0.5, 0.1, **kw)
-        with pytest.raises(DomainError):
-            holes.winding_number_certified(s, 0.5, **kw)
-        with pytest.raises(DomainError):
-            holes.min_modulus_certified(s, 0.5, **kw)
-    for kw in ({"K_init": K}, {"K_cap": K}, {"workers": K}):
+    with pytest.raises(DomainError):
+        holes.hole_decision(s, 0.5, 0.1, K_cap=K)
+    with pytest.raises(DomainError):
+        holes.winding_number_certified(s, 0.5, K_cap=K)
+    with pytest.raises(DomainError):
+        holes.min_modulus_certified(s, 0.5, K_cap=K)
+    for kw in ({"K_cap": K}, {"workers": K}):
         for est in (holes.estimate_hole_direct,
                     holes.estimate_hole_lower_threshold):
             with pytest.raises(DomainError):
@@ -436,7 +436,7 @@ def test_non_positive_K_init_rejected(K):
 
 
 @pytest.mark.parametrize("K", [math.inf, math.nan])
-@pytest.mark.parametrize("name", ["K_init", "K_cap"])
+@pytest.mark.parametrize("name", ["K_cap"])
 def test_non_finite_grid_sizes_rejected_before_any_ladder(monkeypatch, name, K):
     # an infinite cap would double the ladder's levels forever, and a NaN
     # one would run a single level that is never the cap level
@@ -497,16 +497,16 @@ def test_nan_or_negative_tail_bound_rejected(tail):
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
-def test_small_K_init_accepted_by_every_scalar_operation(r):
-    # the three scalar operations share one K_init check and one ladder;
-    # with tail 0 hole_decision stops where the winding certificate fires,
-    # as the other two do, so all three report the same circle
+def test_every_scalar_operation_reports_the_same_circle(r):
+    # the three scalar operations share one ladder; with tail 0
+    # hole_decision stops where the winding certificate fires, as the other
+    # two do, so all three report the same circle
     for stream in range(8):
         s = gaf.sample(hyperbolic(1.0), 4, stream, 24)
-        lb, gmin, K = holes.min_modulus_certified(s, r, K_init=4)
-        w = holes.winding_number_certified(s, r, K_init=4)
-        d = holes.hole_decision(s, r, 0.0, K_init=4)
-        assert w is not None and w == holes.winding_number_certified(s, r)
+        lb, gmin, K = holes.min_modulus_certified(s, r)
+        w = holes.winding_number_certified(s, r)
+        d = holes.hole_decision(s, r, 0.0)
+        assert w is not None
         assert 0.0 < lb <= gmin
         assert d.margin == lb
         assert d.grid_size_used == K
@@ -514,3 +514,35 @@ def test_small_K_init_accepted_by_every_scalar_operation(r):
             assert d.outcome == holes.OUTCOME_HOLE
         else:
             assert (d.outcome, d.zero_count) == (holes.OUTCOME_ZERO, w)
+
+
+@pytest.mark.parametrize("K_cap, top", [(1, 8), (8, 8), (1000, 1024),
+                                        (1 << 20, 1 << 20)])
+def test_every_ladder_starts_at_8_points_and_ends_at_the_first_level_at_the_cap(
+        K_cap, top):
+    # so every level is 8 2^k, a power of two: the FFT needs no other check
+    Ks = holes._ladder_levels(K_cap)
+    assert Ks == [8 << k for k in range(len(Ks))]
+    assert Ks[-1] == top and Ks[-1] >= K_cap
+    assert len(Ks) == 1 or Ks[-2] < K_cap
+
+
+def test_ladder_parameters_past_the_sample_are_keyword_only():
+    # a call written for the first level as a parameter, (s, r, K_init,
+    # K_cap), must not run with its first level taken as the cap
+    s = _poly_sample([1.0, 0.5])
+    with pytest.raises(TypeError):
+        holes.min_modulus_certified(s, 0.5, 8, 1 << 20)
+    with pytest.raises(TypeError):
+        holes.winding_number_certified(s, 0.5, 8)
+    with pytest.raises(TypeError):
+        holes.hole_decision(s, 0.5, 0.0, 8)
+    with pytest.raises(TypeError):
+        holes._certify_rows(s.coeffs[None, :], 0.5, 8)
+    with pytest.raises(TypeError):
+        holes._sup_counts(s.coeffs[None, :], 0.5, 2.0, 0.0, 8)
+    for est in (holes.estimate_hole_direct, holes.estimate_hole_lower_threshold,
+                holes.estimate_hole_lower_tilted):
+        params = inspect.signature(est).parameters
+        for name in ("K_cap", "budget", "workers"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name

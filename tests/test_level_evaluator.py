@@ -2,7 +2,7 @@
 
 holes._grid_values evaluates one level, the K-point grid of each row or the
 K/2 odd points of a doubling, and bounds the error of every value by the
-row's E.  A level whose size is a power of two at or above the Horner
+row's E.  Every level is 8 2^k points; a level at or above the Horner
 crossover runs a radix-2 FFT of the folded (and, for odd points, twisted)
 coefficients b_n = c_n rho^n; every other level runs Horner at the
 computed grid points.  These tests check each FFT value against a 30-digit
@@ -108,13 +108,10 @@ def _horner_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("L, r, N, K, odd", [
-    (2.0, 0.9, 192, 12, False),     # not a power of two (K_init = 12)
-    (2.0, 0.9, 192, 24, True),
     (1.0, 0.3, 15, 64, False),      # below the crossover (direct_flat)
     (1.0, 0.3, 15, 8, True),
 ])
-def test_horner_runs_levels_off_powers_of_two_and_below_the_crossover(
-        L, r, N, K, odd, monkeypatch):
+def test_horner_runs_levels_below_the_crossover(L, r, N, K, odd, monkeypatch):
     calls = _horner_calls(monkeypatch)
     C, bounds = _rows(L, r, N, 16)
     V, E = holes._grid_values(C, r, K, odd, bounds, {})
@@ -130,11 +127,10 @@ def test_the_crossover_depends_on_degree_and_size_only(monkeypatch):
     # it on the ladder's grids
     assert all(holes._fft_level(193, 1 << t) for t in range(21))
     assert not any(holes._fft_level(16, 1 << t) for t in range(2, 21))
-    assert not holes._fft_level(193, 12) and not holes._fft_level(193, 3000)
     calls = _horner_calls(monkeypatch)
     C = _rows(2.0, 0.9, 192, 4)[0]
-    holes._certify_rows(C, 0.9, 8, 1 << 12, tail=0.0)
-    holes._sup_counts(C, 0.9, 1e6, 0.0, 8, 1 << 12)
+    holes._certify_rows(C, 0.9, K_cap=1 << 12, tail=0.0)
+    holes._sup_counts(C, 0.9, 1e6, 0.0, K_cap=1 << 12)
     assert calls == []
 
 
@@ -153,5 +149,5 @@ def test_the_sup_ladder_keeps_the_largest_E_across_the_crossover():
     assert np.all(np.abs(V) == 1.0) and Eh[0] < E_fft[0]
     M = 0.5 * ((1.0 + g) * (1.0 + Eh[0]) + (1.0 + g) * (1.0 + E_fft[0]))
     assert (1.0 + g) * (1.0 + Eh[0]) < M <= (1.0 + g) * (1.0 + E_fft[0])
-    hit, miss, inc, *_ = holes._sup_counts(C, 0.5, M, 0.0, 8, 1024)
+    hit, miss, inc, *_ = holes._sup_counts(C, 0.5, M, 0.0, K_cap=1024)
     assert (hit, miss, inc) == (0, 0, 1)

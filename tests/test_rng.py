@@ -6,10 +6,12 @@ counter), so the tests here check exact recomputability and random
 access alongside the usual distributional sanity.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from gafholes import rng
+from gafholes import oracles, rng
 
 
 def _key(seed=0, stream=0, purpose=rng.PURPOSE_SAMPLE):
@@ -169,16 +171,13 @@ def test_gaussian_moduli_are_the_hand_built_box_muller_radii():
         ref = np.sqrt(-np.log(rng.uniforms(key, np.uint64(2) * idx)))
         got = rng.gaussian_moduli(key, idx)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-        angle = 2.0 * np.pi * rng.uniforms(key, np.uint64(2) * idx + np.uint64(1))
-        ref = np.cos(angle) + 1j * np.sin(angle)
-        assert np.array_equal(rng.unit_phases(key, idx).view(np.uint64),
-                              ref.view(np.uint64))
 
 
 def test_complex_gaussians_are_moduli_times_phases_bit_for_bit():
     for key, idx in _SPLIT_CASES:
         z = rng.complex_gaussians(key, idx)
-        prod = rng.gaussian_moduli(key, idx) * rng.unit_phases(key, idx)
+        angle = 2.0 * np.pi * rng.uniforms(key, np.uint64(2) * idx + np.uint64(1))
+        prod = rng.gaussian_moduli(key, idx) * (np.cos(angle) + 1j * np.sin(angle))
         assert z.shape == prod.shape
         assert np.array_equal(z.view(np.uint64), prod.view(np.uint64))
 
@@ -202,3 +201,24 @@ def test_sample_batches_match_a_hand_built_box_muller_reference():
     assert np.array_equal(A.view(np.uint64), (radius * a).view(np.uint64))
     # |c_n| and the screen's modulus differ by a few roundings at most
     assert np.all(np.abs(np.abs(C) - A) <= 8 * 2.0 ** -53 * A)
+
+
+def test_no_draw_warns_for_scalar_0d_or_array_ids_and_counters():
+    # numpy's scalar * warns on a product that wraps, and c + 1 turns a 0-d
+    # counter into a numpy scalar: the streams' wrapping products must not
+    # warn, whatever the shape of the stream ids and counters
+    big = np.uint64((1 << 64) - 2)
+    ids = (7, np.uint64(1 << 63), np.asarray(5, dtype=np.uint64),
+           np.arange(3, dtype=np.uint64))
+    counters = (3, big, np.asarray(big), np.arange(4, dtype=np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sid in ids:
+            for purpose in (rng.PURPOSE_SAMPLE, rng.PURPOSE_JOINT_MOMENT):
+                key = rng.stream_key((1 << 63) + 5, sid, purpose)
+                for c in counters:
+                    k = key[..., None] if np.ndim(key) and np.ndim(c) else key
+                    rng.uniforms(k, c)
+                    rng.complex_gaussians(k, c)
+            rng.gaussian_rows(3, np.atleast_1d(sid), rng.PURPOSE_SAMPLE, 0, 9)
+            oracles.gaussian_coupling_sample(0.5, 3, sid)

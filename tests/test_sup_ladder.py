@@ -28,13 +28,13 @@ from gafholes.coeffs import hyperbolic, log_sq_range
 HIT, MISS, OPEN = 1, -1, 0
 
 
-def _level_max(C, rho, K_init, K, bounds):
+def _level_max(C, rho, K, bounds):
     """(max |F| over the full K-point grid, E) of each row, from the level
-    evaluator: the K_init-point level and the odd points of every doubling
+    evaluator: the K_INIT-point level and the odd points of every doubling
     up to K; E is the largest level E."""
-    V, E = holes._grid_values(C, rho, K_init, False, bounds, {})
+    V, E = holes._grid_values(C, rho, holes.K_INIT, False, bounds, {})
     gmax = np.abs(V).max(axis=1)
-    K2 = 2 * K_init
+    K2 = 2 * holes.K_INIT
     while K2 <= K:
         V, E2 = holes._grid_values(C, rho, K2, True, bounds, {})
         gmax = np.maximum(gmax, np.abs(V).max(axis=1))
@@ -43,8 +43,7 @@ def _level_max(C, rho, K_init, K, bounds):
     return gmax, E
 
 
-def _reference_ladder(C, rho, M, tail, K_init, K_cap, shift=0,
-                      first_order=False):
+def _reference_ladder(C, rho, M, tail, K_cap, shift=0, first_order=False):
     """The sup ladder evaluated on the full grid at every level.
 
     The rows are T = z^shift * F.  first_order=True is the ladder before
@@ -72,13 +71,13 @@ def _reference_ladder(C, rho, M, tail, K_init, K_cap, shift=0,
     tube = np.zeros(B, dtype=bool)
     settled = {}
     active = np.arange(B)
-    K = int(K_init)
+    K = holes.K_INIT
     while active.size:
         if first_order:
             z = holes._grid_points(rho, K)
             gmax = np.abs(gaf.evaluate_on_grid(C[active], z)).max(axis=1)
         else:
-            gmax, E = _level_max(C[active], rho, K_init, K,
+            gmax, E = _level_max(C[active], rho, K,
                                  (scale, g, Eg[active], Eh[active]))
         smax = scale * gmax
         first = D[active] * (np.pi * rho / K)
@@ -100,18 +99,17 @@ def _reference_ladder(C, rho, M, tail, K_init, K_cap, shift=0,
     return out, settled, tube
 
 
-def _reference_counts(C, rho, M, tail, K_init, K_cap, shift=0):
+def _reference_counts(C, rho, M, tail, K_cap, shift=0):
     """(hit, miss, inconclusive, tube hits, {K: rows settled at K}) of the
     full-grid ladder with the second-order certificate."""
-    out, settled, tube = _reference_ladder(C, rho, M, tail, K_init, K_cap,
-                                           shift)
+    out, settled, tube = _reference_ladder(C, rho, M, tail, K_cap, shift)
     return (int((out == HIT).sum()), int((out == MISS).sum()),
             int((out == OPEN).sum()), int(tube.sum()), settled)
 
 
-def _settled_by_K(counts, K_init, K_cap):
+def _settled_by_K(counts, K_cap):
     """{K: rows settled at K} of _sup_counts' counts, zeros left out."""
-    return {K: n for K, n in zip(holes._ladder_levels(K_init, K_cap),
+    return {K: n for K, n in zip(holes._ladder_levels(K_cap),
                                  counts[5:]) if n}
 
 
@@ -182,9 +180,9 @@ def _rows_of_both_stages(monkeypatch, estimate):
         record(1, mask, (rho, M, tail, shift))
         return mask
 
-    def ladder_spy(C, rho, M, tail, K_init, K_cap, shift=0):
+    def ladder_spy(C, rho, M, tail, *, K_cap, shift=0):
         record(2, C.copy(), (rho, M, tail, shift))
-        return sup_counts(C, rho, M, tail, K_init, K_cap, shift)
+        return sup_counts(C, rho, M, tail, K_cap=K_cap, shift=shift)
 
     monkeypatch.setattr(holes, "_sup_screen", screen_spy)
     monkeypatch.setattr(holes, "_sup_counts", ladder_spy)
@@ -247,10 +245,9 @@ def test_reused_stream_buffers_change_no_estimate():
 # nested grids
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("K_init", [1, 8, 12])
+@pytest.mark.parametrize("K", [1, 8, 12])
 @pytest.mark.parametrize("rho", [1e-3, 0.5, 0.9, 0.999])
-def test_even_points_of_the_doubled_grid_are_the_grid(K_init, rho):
-    K = K_init
+def test_even_points_of_the_doubled_grid_are_the_grid(K, rho):
     z = holes._grid_points(rho, K)
     while K <= 1 << 20:
         z2 = holes._grid_points(rho, 2 * K)
@@ -262,49 +259,51 @@ def test_even_points_of_the_doubled_grid_are_the_grid(K_init, rho):
 # agreement with the full-grid ladder
 # ---------------------------------------------------------------------------
 
-LEVELS = [(8, 4096), (12, 1000), (1, 256), (8, 64), (16, 16)]
+# grid caps; 1000 is no level (the ladder ends at 1024).  No threshold row
+# is a hit at 8 points, so the smallest cap is 16 (a cap at the first level
+# is in test_rows_just_above_M_are_never_hits).  Ids read first level-cap.
+LEVELS = [4096, 1000, 256, 64, 16]
+LEVEL_IDS = [f"{holes.K_INIT}-{K_cap}" for K_cap in LEVELS]
 
 
-@pytest.mark.parametrize("K_init, K_cap", LEVELS)
+@pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
 @pytest.mark.parametrize("M", [1.5, 2.0])
-def test_threshold_rows_match_the_full_grid_ladder(K_init, K_cap, M):
+def test_threshold_rows_match_the_full_grid_ladder(K_cap, M):
     C, tail = _threshold_rows(512)
-    counts = holes._sup_counts(C, 0.7, M, tail, K_init, K_cap)
-    hit, miss, inc, tube, settled = _reference_counts(C, 0.7, M, tail,
-                                                      K_init, K_cap)
+    counts = holes._sup_counts(C, 0.7, M, tail, K_cap=K_cap)
+    hit, miss, inc, tube, settled = _reference_counts(C, 0.7, M, tail, K_cap)
     assert counts[:4] == (hit, miss, inc, tube)
     assert hit > 0 and miss > 0
-    assert _settled_by_K(counts, K_init, K_cap) == settled
+    assert _settled_by_K(counts, K_cap) == settled
 
 
-@pytest.mark.parametrize("K_init, K_cap", LEVELS)
-def test_tilted_rows_match_the_full_grid_ladder(K_init, K_cap):
+@pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
+def test_tilted_rows_match_the_full_grid_ladder(K_cap):
     mid, inner, shift, tail, half = _tilted_rows(256)
-    counts = holes._sup_counts(mid, 0.9, half, 0.0, K_init, K_cap)
-    ref = _reference_counts(mid, 0.9, half, 0.0, K_init, K_cap)
+    counts = holes._sup_counts(mid, 0.9, half, 0.0, K_cap=K_cap)
+    ref = _reference_counts(mid, 0.9, half, 0.0, K_cap)
     assert counts[:4] == ref[:4]
-    assert _settled_by_K(counts, K_init, K_cap) == ref[4]
-    counts = holes._sup_counts(inner, 0.9, half, tail, K_init, K_cap,
+    assert _settled_by_K(counts, K_cap) == ref[4]
+    counts = holes._sup_counts(inner, 0.9, half, tail, K_cap=K_cap,
                                shift=shift)
-    ref = _reference_counts(inner, 0.9, half, tail, K_init, K_cap,
-                            shift=shift)
+    ref = _reference_counts(inner, 0.9, half, tail, K_cap, shift=shift)
     assert counts[:4] == ref[:4]
-    assert _settled_by_K(counts, K_init, K_cap) == ref[4]
+    assert _settled_by_K(counts, K_cap) == ref[4]
 
 
 def test_middle_rows_reach_the_upper_levels():
     # the tilted cases above are only meaningful if rows settle late
     mid, *_, half = _tilted_rows(256)
-    counts = holes._sup_counts(mid, 0.9, half, 0.0, 8, 256)
-    assert max(_settled_by_K(counts, 8, 256)) >= 256
+    counts = holes._sup_counts(mid, 0.9, half, 0.0, K_cap=256)
+    assert max(_settled_by_K(counts, 256)) >= 256
     assert counts[2] > 0
 
 
 def test_nan_rows_run_to_the_cap_and_end_inconclusive():
     C, tail = _threshold_rows(64)
     C[::7, 3] = np.nan
-    counts = holes._sup_counts(C, 0.7, 1.5, tail, 8, 512)
-    assert counts[:4] == _reference_counts(C, 0.7, 1.5, tail, 8, 512)[:4]
+    counts = holes._sup_counts(C, 0.7, 1.5, tail, K_cap=512)
+    assert counts[:4] == _reference_counts(C, 0.7, 1.5, tail, 512)[:4]
     assert counts[2] >= len(range(0, 64, 7))
 
 
@@ -312,14 +311,14 @@ def test_nan_rows_run_to_the_cap_and_end_inconclusive():
 # against the first-order ladder
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("K_init, K_cap", LEVELS)
-def test_no_row_flips_against_the_first_order_ladder(K_init, K_cap):
+@pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
+def test_no_row_flips_against_the_first_order_ladder(K_cap):
     # the second-order bound only settles rows the first-order ladder left
     # open; the rounding terms are far too small to undo a first-order hit
     gained = 0
     for name, C, rho, M, tail, shift in _streams(256):
-        new, _, _ = _reference_ladder(C, rho, M, tail, K_init, K_cap, shift)
-        old, _, _ = _reference_ladder(C, rho, M, tail, K_init, K_cap, shift,
+        new, _, _ = _reference_ladder(C, rho, M, tail, K_cap, shift)
+        old, _, _ = _reference_ladder(C, rho, M, tail, K_cap, shift,
                                       first_order=True)
         assert np.all(new[old == HIT] == HIT), name
         assert np.array_equal(new == MISS, old == MISS), name
@@ -368,13 +367,14 @@ def test_rows_just_above_M_are_never_hits(K_cap):
     for name, C, rho, M, tail, shift in _streams(24):
         above = _scaled_to(C, rho, M, shift, 1.0 + GAP)
         above[-1, 2] = np.nan
-        counts = holes._sup_counts(above, rho, M, tail, 8, K_cap, shift=shift)
+        counts = holes._sup_counts(above, rho, M, tail, K_cap=K_cap,
+                                   shift=shift)
         assert counts[0] == 0, name
         assert counts[2] >= 1, name          # the NaN row stays open
         # not vacuous: the same rows a little below M are hits
         if K_cap == 1 << 16:
             below = _scaled_to(C, rho, M - tail, shift, 1.0 - 1e-3)
-            counts = holes._sup_counts(below, rho, M, tail, 8, K_cap,
+            counts = holes._sup_counts(below, rho, M, tail, K_cap=K_cap,
                                        shift=shift)
             assert counts[0] == below.shape[0], name
 
@@ -389,7 +389,7 @@ def test_rounding_terms_decide_constant_rows():
     C = (M * (1.0 - ks * g))[:, None].astype(complex)
     for j, k in enumerate(ks):
         hit, miss, inc, tube, *_ = holes._sup_counts(C[j:j + 1], 0.9, M, 0.0,
-                                                     8, 64)
+                                                     K_cap=64)
         assert (hit, miss, tube) == (int(k > 2.0), 0, 0), k
         assert inc == 1 - hit
 
@@ -420,8 +420,7 @@ def test_every_screened_row_is_a_ladder_hit(seed):
     for name, A, C, rho, M, tail, shift in _screen_cases(seed):
         mask = holes._sup_screen(A.copy(), rho, M, tail, shift)
         hit, miss, inc, *_ = holes._sup_counts(
-            C[mask], rho, M, tail, holes.K_INIT_DEFAULT, holes.K_CAP_DEFAULT,
-            shift)
+            C[mask], rho, M, tail, K_cap=holes.K_CAP_DEFAULT, shift=shift)
         assert (hit, miss, inc) == (int(mask.sum()), 0, 0), name
         screened[name] = int(mask.sum())
     # not vacuous: the default M screens most threshold rows, M = 1.5 some
@@ -482,10 +481,10 @@ def test_all_screened_and_none_screened_streams_ignore_worker_count():
 
 def test_batch_counts_are_the_sum_of_single_row_counts():
     mid, *_, half = _tilted_rows(holes.BATCH_TRIALS)
-    batch = holes._sup_counts(mid, 0.9, half, 0.0, 8, 1024)
+    batch = holes._sup_counts(mid, 0.9, half, 0.0, K_cap=1024)
     total = np.zeros(len(batch), dtype=np.int64)
     for i in range(mid.shape[0]):
-        total += holes._sup_counts(mid[i:i + 1], 0.9, half, 0.0, 8, 1024)
+        total += holes._sup_counts(mid[i:i + 1], 0.9, half, 0.0, K_cap=1024)
     assert tuple(int(v) for v in total) == batch
 
 
@@ -493,18 +492,18 @@ def test_batch_counts_are_the_sum_of_single_row_counts():
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     mid, inner, shift, tail, half = _tilted_rows(256)
     C, t_thr = _threshold_rows(256)
-    before = [holes._sup_counts(mid, 0.9, half, 0.0, 8, 4096),
-              holes._sup_counts(inner, 0.9, half, tail, 12, 3000,
+    before = [holes._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
+              holes._sup_counts(inner, 0.9, half, tail, K_cap=3000,
                                 shift=shift),
-              holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
+              holes._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
     g, scale, _, _, Eg, Eh = holes._circle_bounds(mid, 0.9)
     bounds = (scale, g, Eg, Eh)
     level = holes._grid_max(mid, 0.9, 4096, True, bounds, {})
     monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
-    after = [holes._sup_counts(mid, 0.9, half, 0.0, 8, 4096),
-             holes._sup_counts(inner, 0.9, half, tail, 12, 3000,
+    after = [holes._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
+             holes._sup_counts(inner, 0.9, half, tail, K_cap=3000,
                                shift=shift),
-             holes._sup_counts(C, 0.7, 1.5, t_thr, 1, 2048)]
+             holes._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
     assert after == before
     for a, b in zip(holes._grid_max(mid, 0.9, 4096, True, bounds, {}), level):
         assert a.tobytes() == b.tobytes()
@@ -552,7 +551,7 @@ def test_tilted_sidecar_counts_add_up_and_ignore_worker_count(tmp_path):
         assert s["screened"] + sum(s["settle_K"].values()) \
             == s["hit"] + s["miss"]
         ladder_rows = s["hit"] + s["miss"] + s["inconclusive"] - s["screened"]
-        assert s["grid_points"] >= ladder_rows * holes.K_INIT_DEFAULT
+        assert s["grid_points"] >= ladder_rows * holes.K_INIT
         total += s["hit"] + s["miss"] + s["inconclusive"]
     assert total == 2 * 2500
     assert (k["middle"]["inconclusive"] + k["tail"]["inconclusive"]
@@ -570,5 +569,5 @@ def test_threshold_kernel_counts_every_trial():
     assert 0 < s["screened"] <= s["hit"]
     assert s["screened"] + sum(s["settle_K"].values()) == s["hit"] + s["miss"]
     assert s["grid_points"] >= (600 - s["screened"]) * 8
-    assert set(s["settle_K"]) <= set(holes._ladder_levels(8, 256))
+    assert set(s["settle_K"]) <= set(holes._ladder_levels(256))
     assert "kernel" not in est.to_record()
