@@ -36,10 +36,10 @@ scratch per thread of _BLOCK_DRAWS draws, reused by every call that fits in
 it.  The scratch changes when memory is allocated, never a draw: every call
 overwrites the entries it reads, with the same operations in the same order.
 
-All arithmetic is wrapping uint64 ufunc arithmetic.  numpy's scalar * warns
-on a product that wraps, so the two products that can see numpy scalars (a
-0-d counter array turns into one after c + 1, and the purpose tag) call
-np.multiply, which never warns.
+All arithmetic is wrapping uint64 ufunc arithmetic.  numpy's scalar + and *
+warn on a result that wraps, so the operations that can see numpy scalars
+(c + 1 and GOLDEN (c + 1), as the counter 2n + 1 of a 0-d draw index is
+one, and the purpose tag) call np.add and np.multiply, which never warn.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _uniforms_into(u: np.ndarray, key: np.ndarray, c: np.ndarray,
                    w: np.ndarray, t: np.ndarray) -> None:
     """u = the uniforms of key at counters c, with w and t (u's shape) for
     the words and their shifts."""
-    np.add(key, np.multiply(GOLDEN, c + np.uint64(1)), out=w)
+    np.add(key, np.multiply(GOLDEN, np.add(c, np.uint64(1))), out=w)
     _mix_into(w, t)
     np.right_shift(w, np.uint64(11), out=w)
     np.copyto(u, w, casting="unsafe")

@@ -151,3 +151,21 @@ def test_the_sup_ladder_keeps_the_largest_E_across_the_crossover():
     assert (1.0 + g) * (1.0 + Eh[0]) < M <= (1.0 + g) * (1.0 + E_fft[0])
     hit, miss, inc, *_ = holes._sup_counts(C, 0.5, M, 0.0, K_cap=1024)
     assert (hit, miss, inc) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("K, odd", [(8, False), (1024, False), (4096, True)])
+def test_horner_runs_every_level_when_the_crossover_is_raised(
+        K, odd, monkeypatch):
+    # the Horner-only mode of the ladder tests: degree 192 runs the FFT on
+    # every level by default, and Horner on every level with the crossover
+    # out of reach, with the values of gaf.horner and the Horner E
+    assert holes._fft_level(193, K // 2 if odd else K)
+    monkeypatch.setattr(holes, "_FFT_MIN_DEGREE", 1 << 30)
+    calls = _horner_calls(monkeypatch)
+    C, bounds = _rows(2.0, 0.9, 192, 16)
+    V, E = holes._grid_values(C, 0.9, K, odd, bounds, {})
+    z = holes._grid_points(0.9, K)
+    z = z[1::2] if odd else z
+    assert calls == [z.size]
+    assert V.tobytes() == gaf.horner(C, z).tobytes()
+    assert E.tobytes() == bounds[3].tobytes()

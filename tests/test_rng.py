@@ -210,7 +210,8 @@ def test_no_draw_warns_for_scalar_0d_or_array_ids_and_counters():
     big = np.uint64((1 << 64) - 2)
     ids = (7, np.uint64(1 << 63), np.asarray(5, dtype=np.uint64),
            np.arange(3, dtype=np.uint64))
-    counters = (3, big, np.asarray(big), np.arange(4, dtype=np.uint64))
+    counters = (3, big, np.asarray(big), np.asarray(big + np.uint64(1)),
+                np.arange(4, dtype=np.uint64))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sid in ids:
@@ -222,3 +223,28 @@ def test_no_draw_warns_for_scalar_0d_or_array_ids_and_counters():
                     rng.complex_gaussians(k, c)
             rng.gaussian_rows(3, np.atleast_1d(sid), rng.PURPOSE_SAMPLE, 0, 9)
             oracles.gaussian_coupling_sample(0.5, 3, sid)
+
+
+@pytest.mark.parametrize("form", [int, np.uint64, np.asarray],
+                         ids=["int", "uint64", "0-d"])
+def test_scalar_ids_and_counters_draw_their_array_entries(form):
+    # a stream id or counter given as a Python int, a numpy scalar or a 0-d
+    # array draws bit for bit what the same value does inside an array, up
+    # to the counters where the products GOLDEN (c + 1) wrap
+    ids = np.array([0, 5, (1 << 63) + 1], dtype=np.uint64)
+    counters = np.array([0, 3, (1 << 64) - 2, (1 << 64) - 1], dtype=np.uint64)
+    keys = rng.stream_key(9, ids, rng.PURPOSE_COUPLING)
+    for i, sid in enumerate(ids):
+        key = rng.stream_key(9, form(int(sid)), rng.PURPOSE_COUPLING)
+        assert key.tobytes() == keys[i].tobytes(), sid
+        u = rng.uniforms(key, counters)
+        z = rng.complex_gaussians(key, counters)
+        for j, c in enumerate(counters):
+            assert np.asarray(rng.uniforms(key, form(int(c)))).tobytes() \
+                == u[j].tobytes(), (sid, c)
+            assert np.asarray(rng.complex_gaussians(key, form(int(c)))
+                              ).tobytes() == z[j].tobytes(), (sid, c)
+        zeta, event = oracles.gaussian_coupling_sample(0.5, 9, form(int(sid)))
+        zetas, events = oracles.gaussian_coupling_sample(0.5, 9, ids)
+        assert np.asarray(zeta).tobytes() == zetas[i].tobytes(), sid
+        assert event == events[i], sid
