@@ -106,7 +106,7 @@ Estimators (all Monte Carlo over independent per-trial streams):
 
   * direct: certify each trial sample; Wilson interval on the hit rate,
     inconclusive trials widen it pessimistically.  A screen draws only the
-    coefficient moduli of each batch and settles as a hole with no grid
+    coefficient moduli of each span and settles as a hole with no grid
     every row whose constant term dominates the rest of the series
     (_constant_term_holes).  For |z| <= rho, |F_N(z)| >= |c_0| - sum_{n>=1}
     |c_n| rho^n >= lb_0, with lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1}
@@ -175,10 +175,12 @@ Estimators (all Monte Carlo over independent per-trial streams):
 
 One runner, _screened_counts, draws the rows of every stream (the direct
 one and each lower-bound stream) for both stages: the moduli rows of each
-batch for the screen, then the full rows of the trials it leaves for the
-ladder.  Both stages run their batches through _pool_map, which draws them
-into one row buffer per worker thread, overwritten wherever a batch reads
-it.  Everything is elementwise per trial row, so buffers, batch
+span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials for the screen, so
+that a narrow row pays its per-call costs once per about 2^17 moduli, then
+the full rows of the trials it leaves, in ladder chunks of BATCH_TRIALS
+rows.  Both stages run through _pool_map, which draws each span or chunk
+into one row buffer per worker thread, overwritten wherever it is read.
+Everything is elementwise per trial row, so buffers, span and chunk
 composition and thread scheduling never change results; merged counters
 are plain integer sums.
 """
@@ -216,9 +218,10 @@ from .gaf import (
 
 K_INIT = 8   # the first level of every ladder, so every level is 8 2^k
 K_CAP_DEFAULT = 1 << 20
-# fixed batch width (part of the determinism contract): the trials of a batch,
-# and the most rows of a direct ladder chunk
+# fixed batch widths (part of the determinism contract): the rows of a ladder
+# chunk, and the fewest trials of a screen span
 BATCH_TRIALS = 2048
+_SCREEN_DRAWS = 1 << 17        # a screen span draws about this many moduli
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
 _CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
 _ARC_ELEMS = 1 << 14           # max grid values per segment-distance chunk
@@ -497,8 +500,10 @@ def _grid_values(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: di
     return V, E
 
 
-def _segment_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dist(0, [a, b]) elementwise, to within a few u max(|a|, |b|).
+def _segment_dist(a: np.ndarray, b: np.ndarray, abs_a: np.ndarray,
+                  abs_b: np.ndarray) -> np.ndarray:
+    """dist(0, [a, b]) elementwise, to within a few u max(|a|, |b|), given
+    abs_a = |a| and abs_b = |b| (overwritten).
 
     When the foot of the perpendicular from 0 falls strictly inside the
     segment (Re(conj(a) d) < 0 < Re(conj(b) d), d = b - a), the distance
@@ -517,8 +522,7 @@ def _segment_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.abs(s, out=s)
     with np.errstate(divide="ignore", invalid="ignore"):
         s /= np.abs(d)
-    dist = np.abs(a)
-    np.minimum(dist, np.abs(b), out=dist)
+    dist = np.minimum(abs_a, abs_b, out=abs_b)
     np.copyto(dist, s, where=inside)
     return dist
 
@@ -528,7 +532,8 @@ def _arc_bounds(V: np.ndarray):
 
     The arcs are cyclic: the last one joins V_{K-1} to V_0.  Chunks of at
     most _ARC_ELEMS values (whole rows, or slices of one row's arcs) bound
-    the temporaries; min is exact, so chunking changes nothing.
+    the temporaries; min is exact, so chunking changes nothing.  Each value's
+    modulus is taken once per chunk: over whole rows |b| is |a| rolled by one.
     """
     B, K = V.shape
     gmin, segmin = np.full(B, np.inf), np.full(B, np.inf)
@@ -537,9 +542,11 @@ def _arc_bounds(V: np.ndarray):
         for p in range(0, K, pts):
             a = V[rows, p:p + pts]
             b = V[rows, np.arange(p + 1, p + a.shape[1] + 1) % K]
-            gmin[rows] = np.minimum(gmin[rows], np.abs(a).min(axis=1))
-            segmin[rows] = np.minimum(segmin[rows],
-                                      _segment_dist(a, b).min(axis=1))
+            abs_a = np.abs(a)
+            abs_b = np.roll(abs_a, -1, axis=1) if pts == K else np.abs(b)
+            gmin[rows] = np.minimum(gmin[rows], abs_a.min(axis=1))
+            segmin[rows] = np.minimum(
+                segmin[rows], _segment_dist(a, b, abs_a, abs_b).min(axis=1))
     return gmin, segmin
 
 
@@ -851,47 +858,51 @@ def _truncate(model: CoefficientModel, r: float, trials: int, tau_rel: float,
         "certificate_failure_budget": trials * math.exp(log_fail)}
 
 
-def _pool_map(worker_fn, n: int, workers: int, width: int, dtype) -> list:
-    """[worker_fn(lo, hi, out)] over the fixed-width spans of range(n), in
+def _pool_map(worker_fn, n: int, workers: int, width: int, dtype,
+              span: int) -> list:
+    """[worker_fn(lo, hi, out)] over the spans of span trials of range(n), in
     order; out is the first hi - lo rows of the calling thread's (min(n,
-    BATCH_TRIALS), width) buffer of dtype, made once per thread and call."""
-    spans = [(lo, min(lo + BATCH_TRIALS, n)) for lo in range(0, n, BATCH_TRIALS)]
+    span), width) buffer of dtype, made once per thread and call."""
+    los = range(0, n, span)
     local = threading.local()
 
-    def run(span):
+    def run(lo):
         if not hasattr(local, "buf"):
-            local.buf = np.empty((min(n, BATCH_TRIALS), width), dtype)
-        return worker_fn(*span, local.buf[:span[1] - span[0]])
+            local.buf = np.empty((min(n, span), width), dtype)
+        hi = min(lo + span, n)
+        return worker_fn(lo, hi, local.buf[:hi - lo])
 
-    if workers <= 1 or len(spans) <= 1:
-        return [run(span) for span in spans]
+    if workers <= 1 or len(los) <= 1:
+        return [run(lo) for lo in los]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, spans))
+        return list(ex.map(run, los))
 
 
 def _screened_counts(trials: int, workers: int, width: int, hists: list,
                      draw, screen, ladder):
     """The runner of a stream's two stages (module docstring): (the
     screen's counts, the first five counts of ladder, one {K: rows} dict
-    per histogram, zeros left out), each summed over the batches.
+    per histogram, zeros left out), each summed over the spans and chunks.
 
     draw(ids, out, moduli) fills out (float, moduli only) or (complex) with
     the rows of the trials ids; screen(ids, A) gets the trials and moduli
-    rows of each batch and returns the mask of the rows it settles and a
-    tuple of int counts of them; ladder(C) gets the full rows of the rest,
-    pooled in trial order, and returns five int counts, then one count per
-    level K of each list of levels in hists.
+    rows of each span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials
+    and returns the mask of the rows it settles and a tuple of int counts of
+    them; ladder(C) gets the full rows of the rest, pooled in trial order
+    into chunks of BATCH_TRIALS rows, and returns five int counts, then one
+    count per level K of each list of levels in hists.
     """
     def first(lo: int, hi: int, out: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.uint64)
         settled, tally = screen(ids, draw(ids, out, True))
         return ids[~settled], tally
 
-    rest, tallies = zip(*_pool_map(first, trials, workers, width, float))
-    rest = np.concatenate(rest)   # frees the per-batch ids before the ladder
+    rest, tallies = zip(*_pool_map(first, trials, workers, width, float,
+                                   max(BATCH_TRIALS, _SCREEN_DRAWS // width)))
+    rest = np.concatenate(rest)   # frees the per-span ids before the ladder
     tallies = [sum(col) for col in zip(*tallies)]
     counts = _pool_map(lambda lo, hi, out: ladder(draw(rest[lo:hi], out, False)),
-                       rest.size, workers, width, complex)
+                       rest.size, workers, width, complex, BATCH_TRIALS)
     total = [sum(map(int, col)) for col in zip(*counts)] \
         or [0] * (5 + sum(map(len, hists)))
     settled, i = [], 5
@@ -947,7 +958,7 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     on the disk as holes (_constant_term_holes), then, drawing c_0..c_2 of
     the others, the rows whose quadratic part dominates the rest
     (_quadratic_zeros) as holes or non-holes; the others, pooled across
-    batches, draw their phases.  When E N(r) >= 2 (module docstring), the
+    spans, draw their phases.  When E N(r) >= 2 (module docstring), the
     rows with a certified zero inside the inner circle of radius r_in are
     non-holes; the rest climb the ladder at r from K_INIT = 8 points to the
     cap level, and rows still open there are Inconclusive.  zeros_certified

@@ -364,7 +364,7 @@ def _segment_cases():
 
 def test_segment_distance_against_mpmath():
     a, b = _segment_cases()
-    got = holes._segment_dist(a, b)
+    got = holes._segment_dist(a, b, np.abs(a), np.abs(b))
     assert np.isnan(got[-2:]).all()
     u = 2.0 ** -53
     with mpmath.workprec(200):
@@ -379,6 +379,24 @@ def test_segment_distance_against_mpmath():
             assert abs(mpmath.mpf(float(d)) - exact) <= 8 * u * max(abs(x), abs(y))
     # degenerate segments are their endpoint
     assert np.array_equal(got[340:400], np.abs(a[340:400]))
+
+
+@pytest.mark.parametrize("K, B", [(8, 300), (64, 37), (1 << 14, 3), (1 << 15, 3)])
+def test_arc_bounds_are_the_minima_of_every_arc(K, B):
+    # bit for bit the row minima of |V_j| and of the distance of each cyclic
+    # arc [V_j, V_{j+1}] with both moduli taken afresh, over whole-row chunks
+    # and (K > _ARC_ELEMS) slices of one row; row 0 holds a zero and a
+    # repeated value, row 1 a NaN, and row 2 a circle about 1 whose nearest
+    # arcs to 0 end at its nearest value
+    rng = np.random.default_rng(K)
+    V = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
+    V[0, K // 2], V[0, 1], V[1, 3] = 0.0, V[0, 0], np.nan
+    V[2] = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(K) / K)
+    b = np.roll(V, -1, axis=1)
+    want = (np.abs(V).min(axis=1),
+            holes._segment_dist(V, b, np.abs(V), np.abs(b)).min(axis=1))
+    got = holes._arc_bounds(V)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
 
 def _poly_rows(roots_list, width):

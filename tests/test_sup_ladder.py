@@ -196,9 +196,10 @@ def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
     # sample_coeff_batch with column 0 zeroed, tilted its middle and tail
     # rows (_threshold_rows and _tilted_rows).  The screen sees the moduli of
     # every trial, and the ladder the full rows of the trials it left, in
-    # trial order; two full batches and a short one, so each stream's
-    # buffers are reused and only partly rewritten, and the ladder's chunks
-    # are not the screen's batches
+    # trial order; full screen spans and a short one (2520 + 1640 trials at
+    # threshold's width 52, 2 x 2048 + 64 at the tilted widths 93 and 100),
+    # so each stream's buffers are reused and only partly rewritten, and the
+    # ladder's chunks are not the screen's spans
     rows = 2 * holes.BATCH_TRIALS + 64
     got = _rows_of_both_stages(
         monkeypatch, lambda: holes.estimate_hole_lower_threshold(

@@ -503,8 +503,9 @@ def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
     # the screen gets the moduli rows of every trial, its quadratic step the
     # first three columns of the trials the constant term leaves, and the
     # ladder the full rows of exactly the trials neither step settles, bit
-    # for bit and in trial order: three full screen batches and a short one,
-    # ladder chunks of BATCH_TRIALS rows and a short last one
+    # for bit and in trial order: a full screen span of _SCREEN_DRAWS // 27
+    # trials and a short one, ladder chunks of BATCH_TRIALS rows and a short
+    # last one
     m, r, trials, seed = hyperbolic(1.0), 0.5, 6181, 29
     screen, certify = holes._constant_term_holes, holes._certify_rows
     quadratic = holes._quadratic_zeros
@@ -537,8 +538,9 @@ def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
     left = C[~pre]
     rest = left[quadratic(left[:, :3], W[~pre], r, tail) < 0]
     B = holes.BATCH_TRIALS
+    S = holes._SCREEN_DRAWS // (N_t + 1)
     got, sizes = _in_trial_order(screened, A)
-    assert sizes == [B, B, B, trials - 3 * B]
+    assert N_t + 1 == 27 and sizes == [S, trials - S] == [4854, 1327]
     assert np.array_equal(got.view(np.uint64), A.view(np.uint64))
     got, _ = _in_trial_order(quad, left[:, :3])
     assert np.array_equal(got.view(np.uint64), left[:, :3].view(np.uint64))
@@ -557,6 +559,92 @@ def test_a_screen_that_settles_every_row_leaves_no_ladder_chunk(monkeypatch):
     monkeypatch.setattr(holes, "_certify_rows", no_ladder)
     est = holes.estimate_hole_direct(hyperbolic(1.0), 0.05, 16, 3)
     assert est.to_record() == record and est.kernel == kernel
+
+
+def _spans_of_each_stage(monkeypatch, estimate):
+    """[(n, width, dtype, span, [(hi - lo, rows of out)])] of each _pool_map
+    call an estimate makes, in order."""
+    calls, pool_map = [], holes._pool_map
+
+    def spy(worker_fn, n, workers, width, dtype, span):
+        sizes = []
+
+        def fn(lo, hi, out):
+            sizes.append((hi - lo, out.shape[0]))
+            return worker_fn(lo, hi, out)
+
+        calls.append((n, width, dtype, span, sizes))
+        return pool_map(fn, n, workers, width, dtype, span)
+
+    monkeypatch.setattr(holes, "_pool_map", spy)
+    estimate()
+    return calls
+
+
+@pytest.mark.parametrize("estimate, widths", [
+    (lambda: holes.estimate_hole_direct(hyperbolic(1.0), 0.3, 20000, 3), [16]),
+    (lambda: holes.estimate_hole_direct(hyperbolic(1.0), 0.5, 6181, 3), [27]),
+    (lambda: holes.estimate_hole_direct(hyperbolic(2.0), 0.9, 2100, 3), [193]),
+    (lambda: holes.estimate_hole_lower_threshold(hyperbolic(1.0), 0.3, 20000, 3,
+                                                 M=0.5), [16]),
+    (lambda: holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 2100, 3),
+     [93, 100]),
+], ids=["direct-16", "direct-27", "direct-193", "threshold-16", "tilted-93-100"])
+def test_screen_spans_follow_the_draws_and_ladder_chunks_the_trials(
+        monkeypatch, estimate, widths):
+    # each stream screens in spans of max(BATCH_TRIALS, _SCREEN_DRAWS //
+    # width) trials, then climbs the ladder in chunks of BATCH_TRIALS rows;
+    # every buffer row is the row of one trial of the span
+    calls = _spans_of_each_stage(monkeypatch, estimate)
+    B = holes.BATCH_TRIALS
+    assert [c[1] for c in calls[::2]] == widths
+    for (n, width, dtype, span, sizes), (m, width2, dtype2, chunk, chunks) in \
+            zip(calls[::2], calls[1::2]):
+        assert (dtype, dtype2, width2) == (float, complex, width)
+        assert span == max(B, holes._SCREEN_DRAWS // width) and chunk == B
+        for got, step, total in ((sizes, span, n), (chunks, B, m)):
+            want = [min(step, total - lo) for lo in range(0, total, step)]
+            assert got == [(k, k) for k in want]
+    assert [c[3] for c in calls[::2]] == \
+        [8192 if w == 16 else 4854 if w == 27 else B for w in widths]
+
+
+@pytest.mark.parametrize("draws", [1, 1 << 30])
+def test_screen_spans_change_no_estimate(monkeypatch, draws):
+    # at _SCREEN_DRAWS = 1 every span is BATCH_TRIALS trials, at 2^30 one
+    # span holds every trial: the records and kernels stay those of the
+    # default spans at every worker count
+    m = hyperbolic(1.0)
+
+    def both(workers):
+        est = (holes.estimate_hole_direct(m, 0.3, 20000, 5, workers=workers),
+               holes.estimate_hole_lower_threshold(m, 0.3, 20000, 5, M=0.5,
+                                                   workers=workers))
+        return json.dumps([[e.to_record(), e.kernel] for e in est],
+                          sort_keys=True)
+
+    want = both(1)
+    monkeypatch.setattr(holes, "_SCREEN_DRAWS", draws)
+    for workers in (1, 2, 3):
+        assert both(workers) == want
+
+
+def test_a_direct_screen_span_draws_twice(monkeypatch):
+    # one moduli draw and one quadratic draw per screen span of 2^17 // 16 =
+    # 8192 trials, then one full draw per ladder chunk
+    calls, draw = [], holes.sample_coeff_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].size)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(holes, "sample_coeff_batch", spy)
+    trials = 20000
+    est = holes.estimate_hole_direct(hyperbolic(1.0), 0.3, trials, 5)
+    rest = trials - est.kernel["constant_term"] - est.kernel["quadratic"]
+    assert rest > 0
+    assert len(calls) == 2 * math.ceil(trials / 8192) \
+        + math.ceil(rest / holes.BATCH_TRIALS)
 
 
 @pytest.mark.parametrize("L, r, rows", [(1.0, 0.3, 1 << 20), (0.5, 0.5, 1 << 18),
