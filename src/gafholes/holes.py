@@ -66,11 +66,16 @@ the K/2 odd ones of a doubling, computed by one of two evaluators:
     (the measured Horner crossover).  With w = e^{2 pi i / K}, b_n = c_n
     rho^n and y_j = sum_k x_k e^{2 pi i jk / P}, F(rho w^j) is y_j for x =
     b folded mod P (x_k = sum of b_n over n = k mod P), and F(rho w^{2j+1})
-    is y_j for x = (b_n w^n) folded mod P.  rho^n by repeated products, the
-    twist by a unit grid point (within eta/2 of w^n) and a fold in fixed
-    order put the computed x within (2N + 21) u sum |c_n| rho^n of x in the
-    1-norm.  For the DFT of the computed x, Higham's Theorem 24.2 bounds a
-    Cooley-Tukey radix-2 FFT with twiddles within mu of exact: ||y^ - y||_2
+    is y_j for x = (b_n w^n) folded mod P, P = K/2.  There w^{k + jP} =
+    (-1)^j w^k, so x_k = w^k sum_j (-1)^j b_{k + jP}: b folded with
+    alternating signs, then twisted once per folded value.  The powers
+    rho^n by repeated products (within gamma_N), one product per b_n
+    (within u), the fold in fixed order (ceil((N + 1)/P) signed terms per
+    value, within gamma_{N+1}) and on odd levels the twist by a unit grid
+    point (within eta/2 of w^k, the complex product within sqrt(2)
+    gamma_2) put the computed x within (2N + 21) u sum |c_n| rho^n of x in
+    the 1-norm.  For the DFT of the computed x, Higham's Theorem 24.2 bounds
+    a Cooley-Tukey radix-2 FFT with twiddles within mu of exact: ||y^ - y||_2
     <= t eta' / (1 - t eta') ||y||_2, eta' = mu + gamma_4 (sqrt 2 + mu).
     Its proof bounds each butterfly stage (a + w b, a - w b) in the 2-norm,
     and the Stockham (autosort) order only permutes data between stages, so
@@ -105,16 +110,16 @@ bound.
 Estimators (all Monte Carlo over independent per-trial streams):
 
   * direct: certify each trial sample; Wilson interval on the hit rate,
-    inconclusive trials widen it pessimistically.  A screen draws only the
-    coefficient moduli of each span and settles as a hole with no grid
-    every row whose constant term dominates the rest of the series
-    (_constant_term_holes).  For |z| <= rho, |F_N(z)| >= |c_0| - sum_{n>=1}
-    |c_n| rho^n >= lb_0, with lb_0 = (1 - g) |c_0| - (1 + g) sum_{n>=1}
-    |c_n| (rho (1 + eta))^n as computed.  The tail bound bounds |F - F_N|
-    on the circle, so on the disk too (maximum principle), and lb_0 above
-    it leaves F no zero in the disk.  Each computed weight is at least
-    rho^n; g (as above) covers the one rounding of each |c_n|, the
-    products, the pairwise sum and the two scalings; and the last
+    inconclusive trials widen it pessimistically.  A screen draws only
+    coefficient moduli (a cap prefix of each row first, below) and settles
+    as a hole with no grid every row whose constant term dominates the rest
+    of the series (_constant_term_holes).  For |z| <= rho, |F_N(z)| >=
+    |c_0| - sum_{n>=1} |c_n| rho^n >= lb_0, with lb_0 = (1 - g) |c_0| -
+    (1 + g) sum_{n>=1} |c_n| (rho (1 + eta))^n as computed.  The tail bound
+    bounds |F - F_N| on the circle, so on the disk too (maximum principle),
+    and lb_0 above it leaves F no zero in the disk.  Each computed weight
+    is at least rho^n; g (as above) covers the one rounding of each |c_n|,
+    the products, the pairwise sum and the two scalings; and the last
     subtraction rounds monotonically.  Moduli are all it reads, so it holds
     for any phases: a screened row's sample has moduli fl(sqrt(-log u1))
     a_n and its own undrawn phases, and g covers the rounding of that
@@ -169,17 +174,48 @@ Estimators (all Monte Carlo over independent per-trial streams):
     one stream runner (_sup_stream); threshold is its q = 1 case.  Its
     screen settles as a hit every row of T = z^s F with (1 + g) rho^s sum
     |c_n| (rho (1 + eta))^n + tail < M (_sup_screen), as |T| <= rho^s sum
-    |c_n| rho^n on the circle.  It reads moduli only, so it holds for any
-    phases; g and the strict < cover the roundings as for the constant term
-    and in _sup_counts.
+    |c_n| rho^n on the circle.  It reads moduli only (a cap prefix of
+    each row first, below), so it holds for any phases; g and the strict <
+    cover the roundings as for the constant term and in _sup_counts.
+
+Cap prefixes.  Both screens test a sum S of weighted moduli x_n =
+fl(fl(m_n v_n) w_n), m_n = fl(sqrt(-log u_1)) the Box-Muller modulus, v_n
+the stream's weight of column n (a_n, or its w) and w_n = (rho (1 +
+eta))^n, and each test is monotone in S as computed (the constant term
+subtracts the sum over n >= 1).  Every m_n is at most rng.MODULUS_CAP =
+cap (rng module docstring), so a screen draws the first k columns of each
+row first.  With W_n = fl(v_n w_n), rem = cap sum_{n>=k} W_n and S_k the
+sum of the first k terms, all computed, each undrawn x_n is at most cap W_n
+(1 + gamma_3), and sums of n1 non-negative terms lie within gamma_{n1} of
+their exact values; so S <= (S_k + rem)(1 + gamma_{2 n1 + 8}) and S >= S_k
+(1 - gamma_{2 n1}).  g = gamma_{8(n1+1)} covers both factors and the
+roundings of the products by 1 +- g.  Hence a row that passes the test at
+(S_k + rem)(1 + g) passes it at S and is settled; a lower-bound row that
+fails it at S_k (1 - g) fails it at S and goes to the ladder; only the
+other rows draw their other columns and take the test on the whole row.
+So every screen settles the rows it would settle on whole rows, a NaN in
+a column it reads leaves the row to the ladder, and no screen draws more
+moduli.  k depends only on the weights W and the slack s: s = a_0 for the
+direct screen and (M - tail)/((1 + g) rho^shift) for a lower-bound stream.
+k = 0 when cap sum W < s, for a lower bound: every row passes on the cap
+bound alone and the stream draws nothing (the tilted tail stream at L = 2,
+r = 0.9: 0.034 against M/2 = 2.96).  Otherwise k is the fewest columns
+whose cap remainder is at most s/8 and, for a lower bound, at most the
+fewest whose expected sum (sqrt(pi)/2) sum_{n<k} W_n reaches 2s
+(E|zeta| = sqrt(pi)/2), past which most rows fail on the prefix alone.
+That is 4 of 16 columns for direct L=1, r=0.3, 81 of 193 for direct
+L=2, r=0.9, and 27 of the 92 drawn columns of the tilted middle stream
+at L=2, r=0.9.
 
 One runner, _screened_counts, draws the rows of every stream (the direct
-one and each lower-bound stream) for both stages: the moduli rows of each
-span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials for the screen, so
-that a narrow row pays its per-call costs once per about 2^17 moduli, then
-the full rows of the trials it leaves, in ladder chunks of BATCH_TRIALS
-rows.  Both stages run through _pool_map, which draws each span or chunk
-into one row buffer per worker thread, overwritten wherever it is read.
+one and each lower-bound stream) for both stages: the moduli of each span
+of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials for the screen, so
+that a narrow row pays its per-call costs once per about 2^17 moduli (the
+cap prefix of every row, then the other columns of the rows it leaves),
+then the full rows of the trials the screen leaves, in ladder chunks of
+BATCH_TRIALS rows.  Both stages run through _pool_map, which draws each
+span or chunk into one row buffer per worker thread, overwritten wherever
+it is read.
 Everything is elementwise per trial row, so buffers, span and chunk
 composition and thread scheduling never change results; merged counters
 are plain integer sums.
@@ -418,7 +454,8 @@ def _fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         l = P // (2 * m)
         X, T = src.reshape(2, l, m, R), t.reshape(l, m, R)
         Y = dst.reshape(l, 2, m, R)
-        np.multiply(X[1], w[0:P // 2:l, None], out=T)
+        # stage 0's twiddle is w_0 = 1 + 0j, whose product is exact
+        T = np.multiply(X[1], w[0:P // 2:l, None], out=T) if m > 1 else X[1]
         np.add(X[0], T, out=Y[:, 0])
         np.subtract(X[0], T, out=Y[:, 1])
         src, dst = dst, src
@@ -441,13 +478,16 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
     (B, n1), K = C.shape, u.shape[0]
     P = K // 2 if odd else K
     pw = np.cumprod(np.concatenate([[1.0], np.full(n1 - 1, rho)]))[:, None]
-    tw = u[np.arange(n1) % K, None] if odd else None
     x = np.zeros((P, B), dtype=complex)
-    for lo in range(0, n1, P):  # b = c_n rho^n (twisted), slice by slice
+    np.multiply(C.T[:P], pw[:P], out=x[:min(P, n1)])
+    for j, lo in enumerate(range(P, n1, P), 1):  # b = c_n rho^n by slices
         b = np.multiply(C.T[lo:lo + P], pw[lo:lo + P], order="C")
-        if odd:
-            b *= tw[lo:lo + P]
-        x[:b.shape[0]] += b
+        if odd and j % 2:   # w_K^{k + jP} = (-1)^j w_K^k
+            x[:b.shape[0]] -= b
+        else:
+            x[:b.shape[0]] += b
+    if odd:
+        x *= u[:P, None]
     sq = x.real * x.real + x.imag * x.imag
     nrm = np.sqrt(np.ascontiguousarray(sq.T).sum(axis=1))
     t = P.bit_length() - 1
@@ -713,17 +753,39 @@ def _rounding_gamma(n_coeffs: int) -> float:
     return _gamma(8 * (n_coeffs + 1))
 
 
+def _moduli_weights(rho: float, n1: int) -> np.ndarray:
+    """The weights (rho (1 + eta))^n, n < n1, of the moduli screens: each at
+    least rho^n (module docstring)."""
+    return (rho * (1.0 + _GRID_ETA)) ** np.arange(n1)
+
+
 def _constant_term_holes(A: np.ndarray, rho: float, tail: float) -> np.ndarray:
     """Rows of moduli A (overwritten) that are certified holes of the
     rho-disk by their constant term alone: lb_0 = (1 - g) |c_0| - (1 + g)
     sum_{n>=1} |c_n| (rho (1 + eta))^n > max(tail, 0), the weights and g
     those of _circle_bounds (proof in the module docstring).  A NaN row is
     never one."""
-    n1 = A.shape[1]
-    g = _rounding_gamma(n1)
-    A[:, 1:] *= (rho * (1.0 + _GRID_ETA)) ** np.arange(1, n1)
-    R = np.sum(A[:, 1:], axis=1)
-    return (1.0 - g) * A[:, 0] - (1.0 + g) * R > max(tail, 0.0)
+    A[:, 1:] *= _moduli_weights(rho, A.shape[1])[1:]
+    return _constant_term_test(A[:, 0], np.sum(A[:, 1:], axis=1),
+                               _rounding_gamma(A.shape[1]), tail)
+
+
+def _constant_term_test(a0: np.ndarray, R: np.ndarray, g: float,
+                        tail: float) -> np.ndarray:
+    """(1 - g) a0 - (1 + g) R > max(tail, 0), monotone in a0 and R as
+    computed."""
+    return (1.0 - g) * a0 - (1.0 + g) * R > max(tail, 0.0)
+
+
+def _constant_term_prefix(P: np.ndarray, rho: float, tail: float, g: float,
+                          rem: float):
+    """(settled, rejected) of the moduli rows P of c_0..c_{k-1}, k =
+    P.shape[1], of rows whose other columns add at most rem to the sum of
+    _constant_term_holes and whose g is g: the rows it settles, which
+    (R + rem) (1 + g) settles (module docstring); it leaves none to the
+    ladder."""
+    R = np.sum(P[:, 1:] * _moduli_weights(rho, P.shape[1])[1:], axis=1)
+    return _constant_term_test(P[:, 0], (R + rem) * (1.0 + g), g, tail), False
 
 
 def _quadratic_zeros(C: np.ndarray, A: np.ndarray, rho: float,
@@ -878,24 +940,80 @@ def _pool_map(worker_fn, n: int, workers: int, width: int, dtype,
         return list(ex.map(run, los))
 
 
+def _row_drawer(seed: int, purpose: int, z: int, first: int, w: np.ndarray):
+    """draw(ids, out, moduli, lo=0) of a stream for _screened_counts: the
+    row of trial t is z zero columns, then zeta_n w_{n - first} for n =
+    first, first + 1, ..., zeta_n the Gaussian at index n of stream t under
+    purpose; out gets the columns lo.. of the rows of the trials ids, laid
+    out in place, and with moduli=True |zeta_n| w_{n - first}."""
+    def draw(ids: np.ndarray, out: np.ndarray, moduli: bool, lo: int = 0):
+        c = max(lo, z) - lo   # out's first drawn column
+        out[:, :c] = 0.0
+        n = first + lo + c - z
+        if out.shape[1] > c:
+            rng.gaussian_rows(seed, ids, purpose, n, n + out.shape[1] - c,
+                              moduli, out[:, c:])
+            out[:, c:] *= w[n - first:n - first + out.shape[1] - c]
+        return out
+    return draw
+
+
+def _prefix(W: np.ndarray, slack: float, lower: bool):
+    """(k, cap sum_{c>=k} W_c): the k columns a moduli screen draws first,
+    from the weights W of its columns and its slack (module docstring), and
+    the most the others can add to its sum.  k is 0 for a lower bound whose
+    cap bound cap sum W is below the slack, else the fewest columns whose
+    cap remainder is at most slack / 8 and, for a lower bound, at most the
+    fewest whose expected sum (sqrt(pi) / 2) sum W reaches 2 slack."""
+    rem = rng.MODULUS_CAP * np.append(np.cumsum(W[::-1])[::-1], 0.0)
+    if lower and rem[0] < slack:
+        return 0, float(rem[0])
+    ok = rem <= slack / 8.0
+    k = int(np.argmax(ok)) if ok.any() else W.size
+    if lower:
+        reach = 0.5 * math.sqrt(math.pi) * np.append(0.0, np.cumsum(W)) \
+            >= 2.0 * slack
+        if reach.any():
+            k = min(k, int(np.argmax(reach)))
+    return k, float(rem[k])
+
+
 def _screened_counts(trials: int, workers: int, width: int, hists: list,
-                     draw, screen, ladder):
+                     draw, prefix, screen, ladder):
     """The runner of a stream's two stages (module docstring): (the
     screen's counts, the first five counts of ladder, one {K: rows} dict
     per histogram, zeros left out), each summed over the spans and chunks.
 
-    draw(ids, out, moduli) fills out (float, moduli only) or (complex) with
-    the rows of the trials ids; screen(ids, A) gets the trials and moduli
-    rows of each span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials
-    and returns the mask of the rows it settles and a tuple of int counts of
-    them; ladder(C) gets the full rows of the rest, pooled in trial order
-    into chunks of BATCH_TRIALS rows, and returns five int counts, then one
+    draw(ids, out, moduli, lo=0) fills out (float, moduli only) or
+    (complex) with the columns lo.. of the rows of the trials ids.  Each
+    span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials draws the
+    first k moduli columns, prefix = (k, test), and test(P) of those rows
+    returns the masks of the rows it settles and of the rows it leaves to
+    the ladder.  The other rows draw their other columns, and screen(ids,
+    A) gets their trials and whole moduli rows and returns the mask of the
+    rows it settles and a tuple of int counts of them; the rows test
+    settles add to the first.  With k = width every row goes to screen.
+    ladder(C) gets the full rows of the rest, pooled in trial order into
+    chunks of BATCH_TRIALS rows, and returns five int counts, then one
     count per level K of each list of levels in hists.
     """
+    k, test = prefix
+
     def first(lo: int, hi: int, out: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.uint64)
-        settled, tally = screen(ids, draw(ids, out, True))
-        return ids[~settled], tally
+        if k < width:
+            P = draw(ids, out[:, :k], True)
+            settled, rejected = test(P)
+            left = np.flatnonzero(~(settled | rejected))
+            out[:left.size, :k] = P[left]
+            if left.size:
+                draw(ids[left], out[:left.size, k:], True, k)
+        else:
+            settled, left = np.zeros(ids.size, dtype=bool), np.arange(ids.size)
+            draw(ids, out, True)
+        pre = int(settled.sum())
+        settled[left], tally = screen(ids[left], out[:left.size])
+        return ids[~settled], (tally[0] + pre, *tally[1:])
 
     rest, tallies = zip(*_pool_map(first, trials, workers, width, float,
                                    max(BATCH_TRIALS, _SCREEN_DRAWS // width)))
@@ -955,7 +1073,8 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     Each trial samples a truncated series on its own stream (stream id =
     trial index) and runs the certified decision.  A screen on the moduli
     settles the rows whose constant term dominates the rest of the series
-    on the disk as holes (_constant_term_holes), then, drawing c_0..c_2 of
+    on the disk as holes, on their cap prefix (_constant_term_prefix) or
+    whole (_constant_term_holes), then, drawing c_0..c_2 of
     the others, the rows whose quadratic part dominates the rest
     (_quadratic_zeros) as holes or non-holes; the others, pooled across
     spans, draw their phases.  When E N(r) >= 2 (module docstring), the
@@ -973,7 +1092,16 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """
     _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
-    r_in = _inner_radius(coefficients(model, N_t), r)
+    a = coefficients(model, N_t)
+    r_in = _inner_radius(a, r)
+    g = _rounding_gamma(N_t + 1)
+    k, rem = _prefix((a * _moduli_weights(r, N_t + 1))[1:], a[0], False)
+    moduli_rows = _row_drawer(seed, rng.PURPOSE_SAMPLE, 0, 0, a)
+
+    def draw(ids: np.ndarray, out: np.ndarray, moduli: bool, lo: int = 0):
+        if moduli:
+            return moduli_rows(ids, out, True, lo)
+        return sample_coeff_batch(model, seed, ids, N_t, out=out)
 
     def certified(res):   # decided against the tail bound
         return (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
@@ -1005,11 +1133,9 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     levels = _ladder_levels(K_cap)
     (pre_n, quad_holes, quad_zeros), counts, (settle_K, inner_settle_K) = \
-        _screened_counts(
-            trials, workers, N_t + 1, [levels, levels],
-            lambda ids, out, moduli: sample_coeff_batch(
-                model, seed, ids, N_t, moduli=moduli, out=out),
-            screen, ladder)
+        _screened_counts(trials, workers, N_t + 1, [levels, levels], draw,
+                         (1 + k, lambda P: _constant_term_prefix(
+                             P, r, tail, g, rem)), screen, ladder)
     ladder_holes, ladder_zeros, inc_n, tube_n, open_n = counts
     inner_n = sum(inner_settle_K.values())
     holes_n = pre_n + quad_holes + ladder_holes
@@ -1106,9 +1232,27 @@ def _sup_counts(C: np.ndarray, rho: float, M: float, tail: float, *,
 def _sup_screen(A: np.ndarray, rho: float, M: float, tail: float, shift=0):
     """Rows of moduli A (overwritten) of T = z^shift * F that are hits by
     (1 + g) rho^shift sum A_n (rho (1 + eta))^n + tail < M (see module)."""
-    A *= (rho * (1.0 + _GRID_ETA)) ** np.arange(A.shape[1])
-    return (1.0 + _rounding_gamma(A.shape[1])) * (
-        rho ** shift * np.sum(A, axis=1)) + tail < M
+    A *= _moduli_weights(rho, A.shape[1])
+    return _sup_hits(np.sum(A, axis=1), rho, M, tail, shift,
+                     _rounding_gamma(A.shape[1]))
+
+
+def _sup_hits(S: np.ndarray, rho: float, M: float, tail: float, shift: int,
+              g: float) -> np.ndarray:
+    """(1 + g) rho^shift S + tail < M, monotone in S as computed."""
+    return (1.0 + g) * (rho ** shift * S) + tail < M
+
+
+def _sup_prefix(P: np.ndarray, rho: float, M: float, tail: float, shift: int,
+                g: float, rem: float):
+    """(settled, rejected) of the first k = P.shape[1] columns P of moduli
+    rows of T = z^shift * F whose other columns add at most rem to the sum
+    of _sup_screen and whose g is g: the rows that S + rem, raised by 1 + g,
+    makes hits and the rows that S, lowered by 1 - g, leaves misses, S the
+    sum over P (module docstring)."""
+    S = np.sum(P * _moduli_weights(rho, P.shape[1]), axis=1)
+    return (_sup_hits((S + rem) * (1.0 + g), rho, M, tail, shift, g),
+            ~_sup_hits(S * (1.0 - g), rho, M, tail, shift, g))
 
 
 def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
@@ -1118,22 +1262,24 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
     z^shift * F per trial t, the one layout of a lower-bound stream: T's
     coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo} from lo on,
     zeta_n the Gaussian at index n of stream t under purpose, laid out in
-    place in the worker thread's _pool_map buffers.  Rows _sup_screen misses
-    run _sup_counts; only they enter tube_hits, grid_points and settle_K."""
-    def rows(ids: np.ndarray, out: np.ndarray, moduli: bool):
-        out[:, :lo - shift] = 0.0
-        rng.gaussian_rows(seed, ids, purpose, lo, lo + w.size, moduli,
-                          out[:, lo - shift:])
-        out[:, lo - shift:] *= w
-        return out
+    place in the worker thread's _pool_map buffers.  Rows the screen misses
+    (_sup_prefix on the cap prefix, then _sup_screen on the whole moduli
+    rows) run _sup_counts; only they enter tube_hits, grid_points and
+    settle_K."""
+    z, n1 = lo - shift, lo - shift + w.size
+    g = _rounding_gamma(n1)
+    k, rem = _prefix(w * _moduli_weights(rho, n1)[z:],
+                     (M - tail) / (1.0 + g) / rho ** shift, True)
 
     def screen(ids: np.ndarray, A: np.ndarray):
         hit = _sup_screen(A, rho, M, tail, shift)
         return hit, (int(hit.sum()),)
 
     (screened,), (hits, misses, inc, tube_hits, points), (settle_K,) = \
-        _screened_counts(trials, workers, lo - shift + w.size,
-                         [_ladder_levels(K_cap)], rows, screen,
+        _screened_counts(trials, workers, n1, [_ladder_levels(K_cap)],
+                         _row_drawer(seed, purpose, z, lo, w),
+                         (z + k, lambda P: _sup_prefix(P, rho, M, tail, shift,
+                                                       g, rem)), screen,
                          lambda C: _sup_counts(C, rho, M, tail, K_cap=K_cap,
                                                shift=shift))
     hits += screened

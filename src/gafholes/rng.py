@@ -12,9 +12,17 @@ with mix64 the SplitMix64 finalizer
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-Uniforms map a word w to ((w >> 11) + 0.5) * 2^-53, which lies strictly
-inside (0, 1) so logs never overflow; uniforms and both Box-Muller halves
-below compute them with one kernel, _uniforms_into.  Complex standard
+Uniforms map a word w to fl((w >> 11) + 0.5) * 2^-53; uniforms and both
+Box-Muller halves below compute them with one kernel, _uniforms_into.  With
+m = w >> 11 in [0, 2^53), m + 0.5 is exact for m < 2^52, so every u below
+1/2 is the midpoint of its 2^-53 cell and the smallest is 2^-54 (word 0).
+From 1/2 on, m + 0.5 needs 54 bits and rounds to even, so u is a cell
+edge there, and the top words (m = 2^53 - 1) give u = 1.0 exactly, whose
+modulus sqrt(-log u) is 0.  So u lies in [2^-54, 1] and log u never
+overflows.  Every modulus is therefore at most MODULUS_CAP: sqrt(-log
+2^-54) = sqrt(54 log 2) = 6.1180..., raised by the factor 1 + 2^-40, which
+covers the error of np.log and np.sqrt (a few ulps each) and of the
+constant itself.  Complex standard
 Gaussians (density (1/pi) e^{-|z|^2}, i.e. Re and Im independent
 N(0, 1/2)) use Box-Muller:
 
@@ -63,6 +71,9 @@ PURPOSE_COUPLING = 4        # mixture/rejection coupling draws
 PURPOSE_TILT_MIDDLE = 5     # tilted estimator, middle block
 PURPOSE_TILT_TAIL = 6       # tilted estimator, tail block
 PURPOSE_JOINT_MOMENT = 7    # joint negative-moment Monte Carlo check
+
+# the largest modulus any draw can return (module docstring)
+MODULUS_CAP = math.sqrt(54.0 * math.log(2.0)) * (1.0 + 2.0 ** -40)
 
 # gaussian_rows draws about this many draws (at least one row) at a time,
 # so that the temporaries of a block stay in cache
@@ -156,8 +167,8 @@ def _draw_out(key: np.ndarray, n: np.ndarray, out, dtype) -> np.ndarray:
 
 
 def uniforms(key: np.ndarray, counters) -> np.ndarray:
-    """Uniforms in the open interval (0, 1), one per counter (broadcast
-    against key)."""
+    """Uniforms in [2^-54, 1], one per counter (broadcast against key); 1.0
+    only for the top words (module docstring)."""
     c = np.asarray(counters, dtype=np.uint64)
     u = _draw_out(key, c, None, float)
     _uniforms_into(u, key, c, *_temporaries(u.shape)[:2])

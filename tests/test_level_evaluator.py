@@ -37,7 +37,9 @@ def _no_horner(monkeypatch):
 @pytest.mark.parametrize("N, K, r", [(15, 64, 0.5), (92, 256, 0.9),
                                      (192, 1024, 0.9), (1842, 8192, 0.99),
                                      # folded: fewer points than coefficients
-                                     (192, 64, 0.9), (1842, 1024, 0.99)])
+                                     (192, 64, 0.9), (1842, 1024, 0.99),
+                                     # 25 and 231 slices of 8 on odd levels
+                                     (192, 16, 0.9), (1842, 16, 0.99)])
 def test_fft_values_lie_within_E_of_mpmath(N, K, r, odd, monkeypatch):
     # the smallest size sits below the default crossover: lower it so that
     # every size here runs the FFT

@@ -8,6 +8,7 @@ access alongside the usual distributional sanity.
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,3 +249,49 @@ def test_scalar_ids_and_counters_draw_their_array_entries(form):
         zetas, events = oracles.gaussian_coupling_sample(0.5, 9, ids)
         assert np.asarray(zeta).tobytes() == zetas[i].tobytes(), sid
         assert event == events[i], sid
+
+
+def _unshift(z: int, s: int) -> int:
+    """The inverse of z ^= z >> s on one 64-bit word."""
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def _key_for_word(word: int, counter: int) -> np.uint64:
+    """The key whose word at counter is word: mix64 inverted step by step."""
+    full = 1 << 64
+    z = _unshift(word, 31) * pow(int(rng._M2), -1, full) % full
+    z = _unshift(z, 27) * pow(int(rng._M1), -1, full) % full
+    z = _unshift(z, 30)
+    assert int(rng.mix64(np.uint64(z))) == word
+    return np.uint64((z - int(rng.GOLDEN) * (counter + 1)) % full)
+
+
+@pytest.mark.parametrize("n", [0, 5, (1 << 40) + 3])
+def test_uniform_range_and_the_modulus_cap(n):
+    # the facts MODULUS_CAP rests on: u = fl((w >> 11) + 0.5) 2^-53 lies in
+    # [2^-54, 1]; word 0 gives 2^-54 and the largest modulus, sqrt(54 log 2),
+    # and the top words give u = 1.0 and modulus 0.  Below 1/2 a uniform is
+    # the midpoint of its 2^-53 cell; from 1/2 on the + 0.5 rounds to even.
+    # The modulus of draw n reads the uniform at counter 2n.
+    top = (1 << 64) - 1
+    cases = {0: 2.0 ** -54, (1 << 11) - 1: 2.0 ** -54,
+             (1 << 63) - (1 << 11): 0.5 - 2.0 ** -54,
+             (1 << 63) + (1 << 11): (2.0 ** 52 + 2.0) * 2.0 ** -53,
+             top - (1 << 11): 1.0 - 2.0 ** -52,
+             top - (1 << 11) + 1: 1.0, top: 1.0}
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(54 * mpmath.log(2))
+    for word, want in cases.items():
+        key = _key_for_word(word, 2 * n)
+        u = rng.uniforms(key, np.uint64(2 * n))
+        assert float(u) == want, hex(word)
+        modulus = float(rng.gaussian_moduli(key, np.uint64(n)))
+        assert modulus <= rng.MODULUS_CAP
+        if want == 1.0:
+            assert modulus == 0.0
+        if word < 1 << 11:
+            assert abs(modulus - exact) <= 2.0 ** -50 * exact
+    assert exact < rng.MODULUS_CAP <= exact * (1 + 2.0 ** -39)

@@ -194,11 +194,13 @@ def _rows_of_both_stages(monkeypatch, estimate):
 def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
     # bit for bit the rows the estimators built by hand: threshold is
     # sample_coeff_batch with column 0 zeroed, tilted its middle and tail
-    # rows (_threshold_rows and _tilted_rows).  The screen sees the moduli of
-    # every trial, and the ladder the full rows of the trials it left, in
-    # trial order; full screen spans and a short one (2520 + 1640 trials at
-    # threshold's width 52, 2 x 2048 + 64 at the tilted widths 93 and 100),
-    # so each stream's buffers are reused and only partly rewritten, and the
+    # rows (_threshold_rows and _tilted_rows).  The full-row screen sees the
+    # moduli rows of the trials its cap prefix leaves, in trial order, and
+    # the ladder the full rows of exactly the trials that the full-row
+    # screen leaves, in trial order: the prefix settles the same rows.
+    # Full screen spans and a short one (2520 + 1640 trials at threshold's
+    # width 52, 2 x 2048 + 64 at the tilted widths 93 and 100), so each
+    # stream's buffers are reused and only partly rewritten, and the
     # ladder's chunks are not the screen's spans
     rows = 2 * holes.BATCH_TRIALS + 64
     got = _rows_of_both_stages(
@@ -217,12 +219,16 @@ def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
     assert list(got) == list(want)
     for args, (moduli, full) in want.items():
         A, mask, C = got[args]
-        assert np.array_equal(A.view(np.uint64), moduli.view(np.uint64))
-        if args[3] == shift:    # the tilted tail stream: all screened
-            assert mask.all() and C is None
+        hit = holes._sup_screen(moduli.copy(), *args)
+        trial = {row.tobytes(): t for t, row in enumerate(moduli)}
+        seen = np.array([trial[row.tobytes()] for row in A], dtype=np.int64)
+        assert np.all(np.diff(seen) > 0) and np.array_equal(mask, hit[seen])
+        if args[3] == shift:    # the tilted tail stream: its cap bound
+            assert hit.all() and A.shape[0] == 0 and C is None   # settles all
             continue
-        assert 0 < (~mask).sum() and C.shape == full[~mask].shape
-        assert np.array_equal(C.view(np.uint64), full[~mask].view(np.uint64))
+        assert seen.size < rows and 0 < (~hit).sum()
+        assert C.shape == full[~hit].shape
+        assert np.array_equal(C.view(np.uint64), full[~hit].view(np.uint64))
 
 
 def test_reused_stream_buffers_change_no_estimate():
@@ -452,6 +458,51 @@ def test_a_row_whose_triangle_sum_is_M_minus_tail_is_not_screened(shift):
     # the same bound without its factor 1 + g would screen it
     W = A * (rho * (1.0 + holes._GRID_ETA)) ** np.arange(A.shape[1])
     assert rho ** shift * np.sum(W, axis=1)[0] + tail < M
+
+
+@pytest.mark.parametrize("shift, tail", [(0, 0.0), (7, 0.01)])
+def test_a_cap_prefix_decides_only_rows_the_whole_row_decides_alike(shift,
+                                                                    tail):
+    # the first k columns of moduli rows whose other columns are at most
+    # the cap: a row the prefix settles is a hit of the whole-row screen,
+    # and a row it leaves to the ladder is none, at every M
+    rho, k, n1 = 0.8, 5, 24
+    g = holes._rounding_gamma(n1)
+    A = np.random.default_rng(5).uniform(0.0, rng.MODULUS_CAP, (2000, n1))
+    rem = rng.MODULUS_CAP * float(np.sum(holes._moduli_weights(rho, n1)[k:]))
+    S = rho ** shift * np.sum(A * holes._moduli_weights(rho, n1), axis=1)
+    decided = [0, 0]
+    for M in np.quantile((1.0 + g) * S + tail, np.linspace(0.0, 1.0, 41)):
+        hit = holes._sup_screen(A.copy(), rho, M, tail, shift)
+        settled, rejected = holes._sup_prefix(A[:, :k], rho, M, tail, shift,
+                                              g, rem)
+        assert not np.any(settled & ~hit) and not np.any(rejected & hit), M
+        decided[0] += int(settled.sum())
+        decided[1] += int(rejected.sum())
+    assert min(decided) > 0
+
+
+def test_a_cap_prefix_keeps_a_row_whose_sum_rounds_below_its_prefix_sum():
+    # numpy sums 9 columns as ((x_0 + x_1) + ... + (x_6 + x_7)) + x_8 and 16
+    # as the same tree over x_j + x_{8+j}, so with x_9.. tiny a row's sum
+    # can round below the sum of its first 9 columns.  At M at the prefix
+    # sum's bound such a row is a hit of the whole-row screen; the factor
+    # 1 - g keeps the prefix from leaving it to the ladder
+    rho, k, n1 = 0.5, 9, 16
+    g = holes._rounding_gamma(n1)
+    A = np.random.default_rng(3).uniform(0.5, 2.0, (4096, n1))
+    A[:, k:] = 1e-30
+    full = np.sum(A * holes._moduli_weights(rho, n1), axis=1)
+    pre = np.sum(A[:, :k] * holes._moduli_weights(rho, k), axis=1)
+    M = (1.0 + g) * pre
+    below = np.flatnonzero((1.0 + g) * full < M)
+    assert below.size > 0
+    for i in below[:16]:
+        row = A[i:i + 1]
+        assert holes._sup_screen(row.copy(), rho, M[i], 0.0)[0]
+        settled, rejected = holes._sup_prefix(row[:, :k], rho, M[i], 0.0, 0,
+                                              g, 1e-28)
+        assert not settled[0] and not rejected[0], i
 
 
 def test_all_screened_and_none_screened_streams_ignore_worker_count():

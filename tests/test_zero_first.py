@@ -32,7 +32,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gafholes import gaf, holes
+from gafholes import gaf, holes, rng
 from gafholes.coeffs import coefficients, explicit, hyperbolic
 
 
@@ -231,39 +231,64 @@ def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
 
 def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
     m, r = hyperbolic(1.0), 0.3
-    sample = holes.sample_coeff_batch
+    rows = rng.gaussian_rows
     certify = holes._certify_rows
     seen = []
 
-    def with_nans(draw):
-        # trials 0 and 1 carry the NaN in the screen's moduli and in the
-        # ladder's rows alike, wherever they sit in a batch or chunk; the
-        # estimator's out= buffer goes through to the real sampler, and the
-        # NaNs land in a copy, which the estimator sees only if it reads
-        # what the sampler returns
-        def rows(model, seed, ids, N_t, **kw):
-            C = draw(model, seed, ids, N_t, **kw).copy()
-            C[ids == 0, 0] = np.nan   # constant term
-            C[ids == 1, 3:4] = np.nan   # a later one (not in c_0..c_2)
-            return C
-        return rows
+    def with_nans(seed, streams, purpose, lo, hi, moduli=False, out=None):
+        # trials 0 and 1 carry a NaN in every draw of their Gaussians, the
+        # screen's moduli (its cap prefix c_0..c_3 at L = 1, r = 0.3, and the
+        # other columns) and the ladder's rows alike, wherever they sit in a
+        # span or chunk; the NaNs land in the array the sampler returns,
+        # which is out when one is given
+        C = rows(seed, streams, purpose, lo, hi, moduli, out)
+        for t, n in ((0, 0), (1, 3)):   # the constant term, a later one
+            if lo <= n < hi:
+                C[np.asarray(streams) == t, n - lo] = np.nan
+        return C
 
     def spy(C, *args, **kwargs):
         seen.append(C.copy())
         return certify(C, *args, **kwargs)
 
+    monkeypatch.setattr(rng, "gaussian_rows", with_nans)
     ids = np.arange(2, dtype=np.uint64)
-    C = with_nans(sample)(m, 5, ids, 15)
+    C = holes.sample_coeff_batch(m, 5, ids, 15)
+    assert np.isnan(C[0, 0]) and np.isnan(C[1, 3])
     assert not np.any(holes._constant_term_holes(np.abs(C), r, 0.0))
     assert not np.any(holes._constant_term_holes(
-        with_nans(sample)(m, 5, ids, 15, moduli=True), r, 0.0))
-    monkeypatch.setattr(holes, "sample_coeff_batch", with_nans(sample))
+        holes.sample_coeff_batch(m, 5, ids, 15, moduli=True), r, 0.0))
+    assert not np.any(holes._constant_term_prefix(
+        holes.sample_coeff_batch(m, 5, ids, 3, moduli=True), r, 0.0,
+        holes._rounding_gamma(16), 0.0)[0])
+    a = coefficients(m, 15)
+    k, _ = holes._prefix((a * holes._moduli_weights(r, 16))[1:], a[0], False)
+    assert 1 + k == 4
     monkeypatch.setattr(holes, "_certify_rows", spy)
     est = holes.estimate_hole_direct(m, r, 256, 5, K_cap=256)
     (ladder,) = seen
     assert np.sum(np.any(np.isnan(ladder), axis=1)) == 2
     assert est.kernel["open_at_cap"] == 2 and est.inconclusive == 2
     assert est.kernel["constant_term"] > 0
+
+
+def test_a_cap_prefix_settles_only_constant_term_holes():
+    # the moduli of c_0..c_3 of rows whose other columns are at most the
+    # cap: a row the prefix settles is a hole of the whole-row constant
+    # term, at every tail bound, and the prefix leaves no row to the ladder
+    rho, k, n1 = 0.5, 4, 16
+    g = holes._rounding_gamma(n1)
+    A = np.random.default_rng(9).uniform(0.0, rng.MODULUS_CAP, (4000, n1))
+    A[:, 0] *= 4.0
+    rem = rng.MODULUS_CAP * float(np.sum(holes._moduli_weights(rho, n1)[k:]))
+    settled_n = 0
+    for tail in np.linspace(0.0, 20.0, 41):
+        holes_ = holes._constant_term_holes(A.copy(), rho, tail)
+        settled, rejected = holes._constant_term_prefix(A[:, :k], rho, tail,
+                                                        g, rem)
+        assert not np.any(settled & ~holes_) and rejected is False, tail
+        settled_n += int(settled.sum())
+    assert settled_n > 0
 
 
 @pytest.mark.parametrize("r", [0.5, 0.9])
@@ -500,12 +525,12 @@ def _in_trial_order(batches, rows):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
-    # the screen gets the moduli rows of every trial, its quadratic step the
-    # first three columns of the trials the constant term leaves, and the
-    # ladder the full rows of exactly the trials neither step settles, bit
-    # for bit and in trial order: a full screen span of _SCREEN_DRAWS // 27
-    # trials and a short one, ladder chunks of BATCH_TRIALS rows and a short
-    # last one
+    # the full-row screen gets the moduli rows of the trials its cap prefix
+    # leaves, its quadratic step the first three columns of the trials the
+    # constant term leaves, and the ladder the full rows of exactly the
+    # trials neither step settles, bit for bit and in trial order: a full
+    # screen span of _SCREEN_DRAWS // 27 trials and a short one, ladder
+    # chunks of BATCH_TRIALS rows and a short last one
     m, r, trials, seed = hyperbolic(1.0), 0.5, 6181, 29
     screen, certify = holes._constant_term_holes, holes._certify_rows
     quadratic = holes._quadratic_zeros
@@ -538,10 +563,13 @@ def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
     left = C[~pre]
     rest = left[quadratic(left[:, :3], W[~pre], r, tail) < 0]
     B = holes.BATCH_TRIALS
-    S = holes._SCREEN_DRAWS // (N_t + 1)
+    assert N_t + 1 == 27 and holes._SCREEN_DRAWS // 27 == 4854
     got, sizes = _in_trial_order(screened, A)
-    assert N_t + 1 == 27 and sizes == [S, trials - S] == [4854, 1327]
-    assert np.array_equal(got.view(np.uint64), A.view(np.uint64))
+    trial = {row.tobytes(): t for t, row in enumerate(A)}
+    seen = np.array([trial[row.tobytes()] for row in got])
+    # one call per span; the prefix settles rows, never one the screen keeps
+    assert len(sizes) == 2 and np.all(np.diff(seen) > 0)
+    assert seen.size < trials and np.isin(np.flatnonzero(~pre), seen).all()
     got, _ = _in_trial_order(quad, left[:, :3])
     assert np.array_equal(got.view(np.uint64), left[:, :3].view(np.uint64))
     got, sizes = _in_trial_order(laddered, rest)
@@ -629,22 +657,101 @@ def test_screen_spans_change_no_estimate(monkeypatch, draws):
         assert both(workers) == want
 
 
+# estimates whose moduli screens read a cap prefix of k of a stream's drawn
+# columns: direct at L = 1, 4 of 16 at r = 0.3 and 7 of 27 at r = 0.5;
+# threshold at L = 1, r = 0.7 and the default M, 9 of 51; tilted at L = 2,
+# r = 0.9, 27 of 92 in the middle stream and 0 of 100 in the tail stream
+CAP_CASES = {
+    "direct-0.3": lambda workers: holes.estimate_hole_direct(
+        hyperbolic(1.0), 0.3, 20000, 7, workers=workers),
+    "direct-0.5": lambda workers: holes.estimate_hole_direct(
+        hyperbolic(1.0), 0.5, 12000, 7, workers=workers),
+    "threshold-0.7": lambda workers: holes.estimate_hole_lower_threshold(
+        hyperbolic(1.0), 0.7, 6000, 7, workers=workers),
+    "tilted-0.9": lambda workers: holes.estimate_hole_lower_tilted(
+        hyperbolic(2.0), 0.9, 4200, 7, workers=workers),
+}
+
+
+def _record_and_kernel(est) -> str:
+    return json.dumps([est.to_record(), est.kernel], sort_keys=True)
+
+
+def _with_full_moduli_rows(monkeypatch):
+    """Make every stream draw its whole moduli rows before its screen (no
+    prefix), the reference of the cap prefixes."""
+    monkeypatch.setattr(holes, "_prefix",
+                        lambda W, slack, lower: (W.size, 0.0))
+
+
+@pytest.mark.parametrize("draws", [holes._SCREEN_DRAWS, 1],
+                         ids=["spans", "2048-spans"])
+@pytest.mark.parametrize("case", list(CAP_CASES))
+def test_cap_prefixes_give_the_estimates_of_full_moduli_rows(monkeypatch,
+                                                             case, draws):
+    # the screens settle the same rows whether they read a prefix or the
+    # whole moduli row, at the default spans and at BATCH_TRIALS-trial ones
+    monkeypatch.setattr(holes, "_SCREEN_DRAWS", draws)
+    prefixes, prefix = [], holes._prefix
+
+    def spy(W, slack, lower):
+        prefixes.append((prefix(W, slack, lower)[0], W.size))
+        return prefix(W, slack, lower)
+
+    monkeypatch.setattr(holes, "_prefix", spy)
+    got = _record_and_kernel(CAP_CASES[case](1))
+    assert prefixes and all(k < n for k, n in prefixes)
+    _with_full_moduli_rows(monkeypatch)
+    assert got == _record_and_kernel(CAP_CASES[case](1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_stream_its_cap_bound_settles_draws_nothing(monkeypatch, seed):
+    # the tilted tail stream at L = 2, r = 0.9: cap sum W rho^shift = 0.034
+    # against M/2 = 2.96, so every trial is a hit with no draw, and the
+    # estimate is that of the drawn screen at every worker count
+    calls, draw = [], rng.gaussian_rows
+
+    def spy(seed, streams, purpose, lo, hi, moduli=False, out=None):
+        calls.append((purpose, len(streams) * (hi - lo)))
+        return draw(seed, streams, purpose, lo, hi, moduli, out)
+
+    monkeypatch.setattr(rng, "gaussian_rows", spy)
+    m, trials = hyperbolic(2.0), 2 * holes.BATCH_TRIALS + 64
+    got = [_record_and_kernel(holes.estimate_hole_lower_tilted(
+        m, 0.9, trials, seed, workers=workers)) for workers in (1, 2, 3)]
+    assert not [c for c in calls if c[0] == rng.PURPOSE_TILT_TAIL]
+    assert json.loads(got[0])[1]["tail"]["screened"] == trials
+    _with_full_moduli_rows(monkeypatch)
+    calls.clear()
+    want = _record_and_kernel(holes.estimate_hole_lower_tilted(m, 0.9, trials,
+                                                               seed))
+    drawn = sum(n for p, n in calls if p == rng.PURPOSE_TILT_TAIL)
+    assert drawn == trials * 100
+    assert got == [want] * 3
+
+
 def test_a_direct_screen_span_draws_twice(monkeypatch):
-    # one moduli draw and one quadratic draw per screen span of 2^17 // 16 =
-    # 8192 trials, then one full draw per ladder chunk
-    calls, draw = [], holes.sample_coeff_batch
+    # per screen span of 2^17 // 16 = 8192 trials, two moduli draws (the cap
+    # prefix c_0..c_3 of every trial, then c_4..c_15 of the trials it
+    # leaves) and one quadratic draw; then one full draw per ladder chunk
+    calls, draw = [], rng.gaussian_rows
 
-    def spy(*args, **kwargs):
-        calls.append(args[2].size)
-        return draw(*args, **kwargs)
+    def spy(seed, streams, purpose, lo, hi, moduli=False, out=None):
+        calls.append((moduli, len(streams), lo, hi))
+        return draw(seed, streams, purpose, lo, hi, moduli, out)
 
-    monkeypatch.setattr(holes, "sample_coeff_batch", spy)
+    monkeypatch.setattr(rng, "gaussian_rows", spy)
     trials = 20000
     est = holes.estimate_hole_direct(hyperbolic(1.0), 0.3, trials, 5)
     rest = trials - est.kernel["constant_term"] - est.kernel["quadratic"]
     assert rest > 0
-    assert len(calls) == 2 * math.ceil(trials / 8192) \
-        + math.ceil(rest / holes.BATCH_TRIALS)
+    spans = math.ceil(trials / 8192)
+    moduli = [c for c in calls if c[0]]
+    assert [c[2:] for c in moduli] == [(0, 4), (4, 16)] * spans
+    assert sum(c[1] for c in moduli[::2]) == trials
+    assert sum(c[1] for c in moduli[1::2]) < trials
+    assert len(calls) == 3 * spans + math.ceil(rest / holes.BATCH_TRIALS)
 
 
 @pytest.mark.parametrize("L, r, rows", [(1.0, 0.3, 1 << 20), (0.5, 0.5, 1 << 18),
