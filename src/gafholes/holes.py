@@ -469,8 +469,9 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
 
     The FFT error is t eta' / (1 - t eta') sqrt(P) ||x||_2 (1 + 2
     gamma_{P+2}) for the folded input x of P points (module docstring).
-    x is folded points-major, shape (P, rows), for _fft; the values come
-    back as its (rows, P) transpose view.  ||x||_2 is summed over a
+    x is folded points-major, shape (P, rows), for _fft, on odd levels with
+    alternating signs and then twisted once by u_k; the values come back as
+    its (rows, P) transpose view.  ||x||_2 is summed over a
     row-major copy of the squares: a sum down the columns of x would run
     pairwise for one row and in sequence for several, so E would depend
     on the chunking.

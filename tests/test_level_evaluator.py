@@ -3,11 +3,12 @@
 holes._grid_values evaluates one level, the K-point grid of each row or the
 K/2 odd points of a doubling, and bounds the error of every value by the
 row's E.  Every level is 8 2^k points; a level at or above the Horner
-crossover runs a radix-2 FFT of the folded (and, for odd points, twisted)
-coefficients b_n = c_n rho^n; every other level runs Horner at the
-computed grid points.  These tests check each FFT value against a 30-digit
-mpmath value, bit-identity of a row's values and E alone, in a batch and at
-any chunk size, and which levels go through Horner.
+crossover runs a radix-2 FFT of the folded coefficients b_n = c_n rho^n
+(for odd points folded with alternating signs, then twisted); every other
+level runs Horner at the computed grid points.  These tests check each FFT
+value against a 30-digit mpmath value (on odd levels of up to 231
+slices), bit-identity of a row's values and E alone, in a batch and at any
+chunk size, and which levels go through Horner.
 """
 
 import mpmath

@@ -12,7 +12,10 @@ above M and of the grid points, batch independence, independence of the
 chunk size, and the sidecar counters.  Before the ladder, holes._sup_screen
 settles the rows whose triangle bound on their moduli is below M; the
 tests pin that the ladder makes each of them a hit, that the factor 1 + g
-keeps a row at the bound out, and the rows each stage is handed.
+keeps a row at the bound out, and the rows each stage is handed.  A cap
+prefix of each row (holes._sup_prefix) decides first: it must decide only
+rows that the whole row decides alike, also a row whose sum rounds below
+the sum of its prefix.
 """
 
 import json

@@ -18,7 +18,9 @@ leave rows with c_2 = 0 or a NaN open.  The estimator screens
 rows on their coefficient moduli and pools the other rows across batches
 for the ladder: it must give the record and kernel counts of a reference
 that draws each batch in full and settles it in place, and the screen must
-decide on moduli as the certificate does on the complex rows.  The
+decide on moduli as the certificate does on the complex rows.  Every
+screen's cap prefix must give the estimates of whole moduli rows, and a
+stream its cap bound settles must draw nothing.  The
 inner-circle pass must certify only true zeros inside r_in, keep the holes
 of the ladder at r, leave a root between the circles to that ladder, and
 settle the two recorded rows that stay open at the cap of the ladder at r.
