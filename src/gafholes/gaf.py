@@ -89,10 +89,9 @@ def sample(model: CoefficientModel, seed: int, stream_id: int, N_t: int) -> GafS
 
 
 def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
-                       N_t: int, moduli: bool = False, out=None) -> np.ndarray:
-    """Coefficient rows c_n = zeta_n a_n for many streams at once, or with
-    moduli=True their moduli fl(sqrt(-log u1)) a_n alone (no phases), in
-    out (len(stream_ids), N_t + 1) when given.
+                       N_t: int, out=None) -> np.ndarray:
+    """Coefficient rows c_n = zeta_n a_n for many streams at once, in out
+    (len(stream_ids), N_t + 1) when given.
 
     Identical to stacking single-stream sample() calls bit for bit: every
     draw depends only on (seed, stream_id, n), and all transformations are
@@ -101,7 +100,7 @@ def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
     any degree N_t >= k, bit for bit.
     """
     C = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1,
-                          moduli, out)
+                          out=out)
     C *= coefficients(model, N_t)[None, :]
     return C
 

@@ -91,21 +91,25 @@ the K/2 odd ones of a doubling, computed by one of two evaluators:
 
 The slack of g over gamma_{4N} (Horner) or (2N + 21) u (FFT input, N >= 12
 there), at least 16 u sum |c_n| (rho (1 + eta))^n, covers the rounding of
-|V_j| and of the segment distances (a few u max |V_j|).  For T = z^s F
-(the tilted tail stream) both evaluate F, and E is scaled by rho^s.
+|V_j| and of segmin (below; a few u max |V_j|).  For T = z^s F (the
+tilted tail stream) both evaluate F, and E is scaled by rho^s.
 
 The winding certificate fires on either of two conditions.  Tube: if
 dist(0, [V_j, V_{j+1}]) > (h^2/8) D_2 + E on every arc, then |F - P| <
 |P| on the circle for the polygon P through the V_j (parametrized linearly
 on each arc), so F and P have the same winding, and P has no zero on the
-circle.  Step: if D 2 pi rho / K + 2E < min_j |V_j|, then the disk of
-radius D rho h + 2E around each V_j excludes 0 and holds the exact values
-on its arc and V_{j+1}.  Either way each segment [V_j, V_{j+1}] misses 0,
-so the principal arguments of V_{j+1} / V_j sum to 2 pi times the winding
-of F.  The direct estimator and the scalar operations share this ladder,
-so every ZeroCertified row decided on the r-circle carries its exact zero
-count; a direct row settled on the inner circle (below) carries a lower
-bound.
+circle.  The tube bound reads segmin, the least of these distances: on
+[a, b], d = b - a, the perpendicular |Im(conj(a) d)| / |d| when its foot
+falls strictly inside (Re(conj(a) d) < 0 < Re(conj(b) d)), else min(|a|,
+|b|) >= gmin = min_j |V_j|.  Every V_j ends two arcs, so segmin = min(gmin,
+the perpendiculars of the inside arcs).  Step: if D 2 pi rho / K + 2E <
+gmin, then the disk of radius D rho h + 2E around each V_j excludes 0 and
+holds the exact values on its arc and V_{j+1}.  Either way each segment
+[V_j, V_{j+1}] misses 0, so the principal arguments of V_{j+1} / V_j sum
+to 2 pi times the winding of F.  The direct estimator and the scalar
+operations share this ladder, so every ZeroCertified row decided on the
+r-circle carries its exact zero count; a direct row settled on the inner
+circle (below) carries a lower bound.
 
 Estimators (all Monte Carlo over independent per-trial streams):
 
@@ -260,7 +264,9 @@ BATCH_TRIALS = 2048
 _SCREEN_DRAWS = 1 << 17        # a screen span draws about this many moduli
 DEFAULT_COMPUTE_BUDGET = 1e11  # cap on trials * N_t
 _CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
-_ARC_ELEMS = 1 << 14           # max grid values per segment-distance chunk
+# max grid values per _arc_bounds chunk; every value ends two arcs, so
+# segmin = min(gmin, perpendiculars of the arcs whose foot falls inside)
+_ARC_ELEMS = 1 << 14
 _GRID_ETA = 32 * 2.0 ** -53    # grid points lie within (eta/2) rho of exact
 # Horner crossover: a level of P = 2^t points runs on the FFT when the degree
 # is at least 2 t + _FFT_MIN_DEGREE (measured: Horner costs about N P, the
@@ -541,54 +547,36 @@ def _grid_values(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: di
     return V, E
 
 
-def _segment_dist(a: np.ndarray, b: np.ndarray, abs_a: np.ndarray,
-                  abs_b: np.ndarray) -> np.ndarray:
-    """dist(0, [a, b]) elementwise, to within a few u max(|a|, |b|), given
-    abs_a = |a| and abs_b = |b| (overwritten).
-
-    When the foot of the perpendicular from 0 falls strictly inside the
-    segment (Re(conj(a) d) < 0 < Re(conj(b) d), d = b - a), the distance
-    is |Im(conj(a) d)| / |d|; otherwise it is min(|a|, |b|), which also
-    covers a = b.  A NaN endpoint gives NaN.
-    """
-    d = b - a
-    s = a.real * d.real
-    s += a.imag * d.imag
-    inside = s < 0.0
-    np.multiply(b.real, d.real, out=s)
-    s += b.imag * d.imag
-    inside &= s > 0.0
-    np.multiply(a.real, d.imag, out=s)
-    s -= a.imag * d.real
-    np.abs(s, out=s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s /= np.abs(d)
-    dist = np.minimum(abs_a, abs_b, out=abs_b)
-    np.copyto(dist, s, where=inside)
-    return dist
-
-
 def _arc_bounds(V: np.ndarray):
-    """(grid min of |V|, min over arcs of dist(0, [V_j, V_{j+1}])) per row.
-
-    The arcs are cyclic: the last one joins V_{K-1} to V_0.  Chunks of at
-    most _ARC_ELEMS values (whole rows, or slices of one row's arcs) bound
-    the temporaries; min is exact, so chunking changes nothing.  Each value's
-    modulus is taken once per chunk: over whole rows |b| is |a| rolled by one.
+    """(gmin, segmin) per row (module docstring): min_j |V_j| and min(gmin,
+    the perpendiculars of the arcs [V_j, V_{j+1}] whose foot falls strictly
+    inside), the arcs cyclic.  A NaN value gives NaN through gmin.  Chunks
+    of at most _ARC_ELEMS values (whole rows, or slices of one row's arcs)
+    bound the temporaries; min is exact, so chunking changes nothing.
     """
     B, K = V.shape
-    gmin, segmin = np.full(B, np.inf), np.full(B, np.inf)
+    gmin, perp = np.full(B, np.inf), np.full(B, np.inf)
     pts = min(K, _ARC_ELEMS)
     for rows in _row_slices(B, K, _ARC_ELEMS):
         for p in range(0, K, pts):
             a = V[rows, p:p + pts]
             b = V[rows, np.arange(p + 1, p + a.shape[1] + 1) % K]
-            abs_a = np.abs(a)
-            abs_b = np.roll(abs_a, -1, axis=1) if pts == K else np.abs(b)
-            gmin[rows] = np.minimum(gmin[rows], abs_a.min(axis=1))
-            segmin[rows] = np.minimum(
-                segmin[rows], _segment_dist(a, b, abs_a, abs_b).min(axis=1))
-    return gmin, segmin
+            gmin[rows] = np.minimum(gmin[rows], np.abs(a).min(axis=1))
+            d = b - a
+            s = a.real * d.real
+            s += a.imag * d.imag
+            inside = s < 0.0
+            np.multiply(b.real, d.real, out=s)
+            s += b.imag * d.imag
+            inside &= s > 0.0
+            np.multiply(a.real, d.imag, out=s)
+            s -= a.imag * d.real
+            np.abs(s, out=s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s /= np.abs(d)
+            perp[rows] = np.minimum(perp[rows],
+                                    np.where(inside, s, np.inf).min(axis=1))
+    return gmin, np.minimum(gmin, perp)
 
 
 def _winding(V: np.ndarray) -> np.ndarray:
@@ -622,8 +610,7 @@ def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
     g = _rounding_gamma(n1)
     D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
     D2 = np.sum(A * (n * n * rho ** n), axis=1)
-    horner_abs = np.sum(A * (rho * (1.0 + _GRID_ETA)) ** np.arange(n1), axis=1)
-    Eg = (scale * g) * horner_abs
+    Eg = (scale * g) * np.sum(A * _moduli_weights(rho, n1), axis=1)
     return g, scale, D, D2, Eg, Eg + D * (_GRID_ETA * rho)
 
 
@@ -692,7 +679,9 @@ def _certify_rows(C: np.ndarray, rho: float, *, K_cap: int = K_CAP_DEFAULT,
       settle_K   grid size at which the row left the ladder (0 if open)
 
     At grid size K, with gmin the grid minimum of |V| (V the computed
-    values), segmin the minimum over arcs of dist(0, [V_j, V_{j+1}]),
+    values), segmin the minimum over arcs of dist(0, [V_j, V_{j+1}]), or
+    min(gmin, the perpendiculars of the arcs whose foot falls strictly
+    inside) since every value ends two arcs (module docstring),
     t = D pi rho / K, h = 2 pi / K, D_2 as in _circle_bounds and E the
     largest E of the levels whose values the row holds (_grid_chunks),
 
@@ -755,8 +744,8 @@ def _rounding_gamma(n_coeffs: int) -> float:
 
 
 def _moduli_weights(rho: float, n1: int) -> np.ndarray:
-    """The weights (rho (1 + eta))^n, n < n1, of the moduli screens: each at
-    least rho^n (module docstring)."""
+    """The weights (rho (1 + eta))^n, n < n1, each at least rho^n (module
+    docstring), shared by the moduli screens and the E of _circle_bounds."""
     return (rho * (1.0 + _GRID_ETA)) ** np.arange(n1)
 
 
@@ -1038,7 +1027,8 @@ def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
     E N(rho) = sum n a_n^2 rho^{2n} / sum a_n^2 rho^{2n}, the expected zero
     count of the rho-disk, increases with rho; r_in solves E N(r_in) = m =
     min(_INNER_ZEROS, E N(r) / 2), and there is no pass when m < 1 (E N(r)
-    < 2).  Hyperbolic(L): r_in = sqrt(m / (L + m)) up to the truncation.
+    < 2) or sum a_n^2 r^{2n} = 0 (E N(r) = 0/0).  Hyperbolic(L): r_in =
+    sqrt(m / (L + m)) up to the truncation.
     With x = rho^2, r_in^2 is the positive root of P(x) = sum (n - m) a_n^2
     x^n.  P(0) <= 0 < P(r^2), and P is convex on x >= 0, since its
     coefficients are negative only at n < m <= 2, where n(n - 1) = 0.  So
@@ -1048,6 +1038,8 @@ def _inner_radius(a: np.ndarray, r: float) -> Optional[float]:
     """
     n, a2, x = np.arange(a.size), a * a, float(r) * float(r)
     w = a2 * x ** n
+    if not w.any():
+        return None
     m = min(_INNER_ZEROS, float(np.dot(n, w) / np.sum(w)) / 2.0)
     if not m >= 1.0:
         return None

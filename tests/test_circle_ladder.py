@@ -5,13 +5,14 @@ points at each doubling and interleaves them with the kept values of the
 previous level.  Its lower bound is the larger of the first-order bound
 gmin - D pi rho / K and the second-order ("tube") bound segmin - (h^2/8) D_2,
 less rounding terms, where segmin is the smallest distance from 0 to a
-segment between adjacent grid values.  These tests pin all nine result
+segment between adjacent grid values: min(gmin, the perpendiculars of the
+segments whose foot falls inside).  These tests pin all nine result
 arrays, bit for bit, against a ladder written here that assembles every
 full grid afresh from the level evaluator (FFT or Horner); check that no
 row decided by the first-order ladder (the ladder before the tube bound,
-on Horner values) changes its outcome; pin the segment distance against
-mpmath; and plant roots on, near and around the circle, where no
-certificate may be wrong.
+on Horner values) changes its outcome; pin segmin against mpmath, a
+per-arc reference and planted polygons; and plant roots on, near and
+around the circle, where no certificate may be wrong.
 """
 
 import mpmath
@@ -363,8 +364,9 @@ def _segment_cases():
 
 
 def test_segment_distance_against_mpmath():
+    # on the two-point rows [a, b], both cyclic arcs are [a, b]
     a, b = _segment_cases()
-    got = holes._segment_dist(a, b, np.abs(a), np.abs(b))
+    got = holes._arc_bounds(np.stack([a, b], axis=1))[1]
     assert np.isnan(got[-2:]).all()
     u = 2.0 ** -53
     with mpmath.workprec(200):
@@ -383,21 +385,42 @@ def test_segment_distance_against_mpmath():
 
 @pytest.mark.parametrize("K, B", [(8, 300), (64, 37), (1 << 14, 3), (1 << 15, 3)])
 def test_arc_bounds_are_the_minima_of_every_arc(K, B):
-    # bit for bit the row minima of |V_j| and of the distance of each cyclic
-    # arc [V_j, V_{j+1}] with both moduli taken afresh, over whole-row chunks
-    # and (K > _ARC_ELEMS) slices of one row; row 0 holds a zero and a
-    # repeated value, row 1 a NaN, and row 2 a circle about 1 whose nearest
-    # arcs to 0 end at its nearest value
+    # bit for bit the row minima of |V_j| and of the per-arc distance
+    # _seg_dist of each cyclic arc [V_j, V_{j+1}], over whole-row chunks and
+    # (K > _ARC_ELEMS) slices of one row; row 0 holds a zero and a repeated
+    # value, row 1 a NaN, and row 2 a circle about 1 whose nearest arcs to 0
+    # end at its nearest value
     rng = np.random.default_rng(K)
     V = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
     V[0, K // 2], V[0, 1], V[1, 3] = 0.0, V[0, 0], np.nan
     V[2] = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(K) / K)
-    b = np.roll(V, -1, axis=1)
     want = (np.abs(V).min(axis=1),
-            holes._segment_dist(V, b, np.abs(V), np.abs(b)).min(axis=1))
+            _seg_dist(V, np.roll(V, -1, axis=1)).min(axis=1))
     got = holes._arc_bounds(V)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
+
+
+def test_arc_bounds_of_planted_polygons():
+    # exact polygons, in every cyclic rotation: nearest at the vertex 1, both
+    # adjacent feet outside (segmin == gmin); nearest at the vertex 1 + 1j of
+    # the tangent line through 2, 1 + 1j and 2j, both feet exactly on that
+    # vertex, where the computed perpendicular 2 / |1 + 1j| rounds below
+    # |1 + 1j| (segmin == gmin); nearest at 1, the foot inside the arc
+    # [1 - 1j, 1 + 1j] (segmin == 1 < gmin)
+    polys = np.array([
+        [1, 3 - 2j, 10 - 10j, -10 - 10j, -10 + 10j, 10j, 10 + 10j, 3 + 2j],
+        [2, 1 + 1j, 2j, 4j, 10j, 10 + 10j, 10, 4],
+        [1 - 1j, 1 + 1j, 2 + 2j, 10 + 10j, -10 + 10j, -10 - 10j, 10 - 10j,
+         2 - 2j]])
+    assert 2.0 / abs(1 + 1j) < abs(1 + 1j)
+    V = np.concatenate([np.roll(polys, k, axis=1) for k in range(8)])
+    gmin, segmin = holes._arc_bounds(V)
+    want = np.tile([1.0, abs(1 + 1j), 1.0], 8)
+    assert np.array_equal(segmin, want)
+    assert np.array_equal(gmin, np.tile([1.0, abs(1 + 1j), abs(1 - 1j)], 8))
+    assert segmin.tobytes() == _seg_dist(V, np.roll(V, -1, axis=1)).min(
+        axis=1).tobytes()
 
 def _poly_rows(roots_list, width):
     rows = []

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from gafholes import cli, gaf, holes, rng
-from gafholes.coeffs import hyperbolic, log_sq_range
+from gafholes.coeffs import coefficients, hyperbolic, log_sq_range
 
 HIT, MISS, OPEN = 1, -1, 0
 
@@ -122,8 +122,9 @@ def _threshold_rows(rows, seed=3, r=0.7, moduli=False):
     m = hyperbolic(1.0)
     N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
-    C = gaf.sample_coeff_batch(m, seed, np.arange(rows, dtype=np.uint64), N_t,
-                               moduli=moduli)
+    C = rng.gaussian_rows(seed, np.arange(rows, dtype=np.uint64),
+                          rng.PURPOSE_SAMPLE, 0, N_t + 1, moduli=moduli) \
+        * coefficients(m, N_t)
     C[:, 0] = 0.0
     return C, tail
 

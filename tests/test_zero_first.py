@@ -23,11 +23,15 @@ screen's cap prefix must give the estimates of whole moduli rows, and a
 stream its cap bound settles must draw nothing.  The
 inner-circle pass must certify only true zeros inside r_in, keep the holes
 of the ladder at r, leave a root between the circles to that ladder, and
-settle the two recorded rows that stay open at the cap of the ladder at r.
+settle the two recorded rows that stay open at the cap of the ladder at r;
+a model with no random coefficient gets no pass.  The planted rows reach
+every stage through the sampler's draws, so a root outside r settles on
+the screen.
 """
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -44,6 +48,12 @@ def _batch(L, r, seed, rows):
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
     C = gaf.sample_coeff_batch(m, seed, np.arange(rows, dtype=np.uint64), N_t)
     return C, tail
+
+
+def _moduli(m, seed, ids, N_t):
+    """The moduli fl(sqrt(-log u1)) a_n of the rows of sample_coeff_batch."""
+    return rng.gaussian_rows(seed, ids, rng.PURPOSE_SAMPLE, 0, N_t + 1,
+                             moduli=True) * coefficients(m, N_t)
 
 
 def _hole(res, tail):
@@ -258,10 +268,10 @@ def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
     C = holes.sample_coeff_batch(m, 5, ids, 15)
     assert np.isnan(C[0, 0]) and np.isnan(C[1, 3])
     assert not np.any(holes._constant_term_holes(np.abs(C), r, 0.0))
-    assert not np.any(holes._constant_term_holes(
-        holes.sample_coeff_batch(m, 5, ids, 15, moduli=True), r, 0.0))
+    assert not np.any(holes._constant_term_holes(_moduli(m, 5, ids, 15), r,
+                                                 0.0))
     assert not np.any(holes._constant_term_prefix(
-        holes.sample_coeff_batch(m, 5, ids, 3, moduli=True), r, 0.0,
+        _moduli(m, 5, ids, 3), r, 0.0,
         holes._rounding_gamma(16), 0.0)[0])
     a = coefficients(m, 15)
     k, _ = holes._prefix((a * holes._moduli_weights(r, 16))[1:], a[0], False)
@@ -558,7 +568,7 @@ def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
                                    gaf.DEFAULT_FAIL_EXP,
                                    holes.DEFAULT_COMPUTE_BUDGET)
     ids = np.arange(trials, dtype=np.uint64)
-    A = gaf.sample_coeff_batch(m, seed, ids, N_t, moduli=True)
+    A = _moduli(m, seed, ids, N_t)
     C = gaf.sample_coeff_batch(m, seed, ids, N_t)
     W = A.copy()
     pre = screen(W, r, tail)
@@ -765,8 +775,8 @@ def test_the_screen_decides_on_moduli_as_on_the_complex_rows(L, r, rows):
     settled = 0
     for lo in range(0, rows, 1 << 15):
         ids = np.arange(lo, lo + (1 << 15), dtype=np.uint64)
-        on_moduli = holes._constant_term_holes(
-            gaf.sample_coeff_batch(m, 41, ids, N_t, moduli=True), r, tail)
+        on_moduli = holes._constant_term_holes(_moduli(m, 41, ids, N_t), r,
+                                               tail)
         on_rows = holes._constant_term_holes(
             np.abs(gaf.sample_coeff_batch(m, 41, ids, N_t)), r, tail)
         assert np.array_equal(on_moduli, on_rows), lo
@@ -835,6 +845,17 @@ def test_inner_rows_of_an_explicit_model_hold_their_roots():
     assert est.metadata["zeros_certified"] >= int(_zero(exact, tail).sum())
 
 
+def test_an_all_zero_explicit_model_has_no_inner_pass_and_no_warning():
+    # E N(r) is 0/0 for the zero function: no inner pass, no warning, and
+    # every trial is Inconclusive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = holes.estimate_hole_direct(explicit((0.0, 0.0, 0.0)), 0.5, 64, 1)
+    assert est.inconclusive == 64 and est.hits == 0
+    assert est.metadata["zeros_certified"] == 0
+    assert est.kernel["inner_r"] is None
+
+
 @pytest.mark.parametrize("L, r", [(2.0, 0.9), (1.0, 0.9), (0.5, 0.95)])
 def test_inner_pass_keeps_the_holes_of_the_r_ladder(L, r):
     # certified holes equal those of the ladder at r alone, and rows only
@@ -850,14 +871,35 @@ def test_inner_pass_keeps_the_holes_of_the_r_ladder(L, r):
         assert est.inconclusive <= int((~(hole | zero)).sum())
 
 
-def _planted(monkeypatch, roots):
-    """Draw trial t as z - roots[t] (padded to degree N_t) in both stages."""
-    def rows(model, seed, ids, N_t, moduli=False, out=None):
-        C = np.zeros((ids.size, N_t + 1), dtype=complex)
-        C[:, 0], C[:, 1] = -np.asarray(roots)[ids.astype(np.int64)], 1.0
-        return np.abs(C) if moduli else C
+def _sample_draws(monkeypatch, gaussians):
+    """Draw the PURPOSE_SAMPLE Gaussians of the trials ids, columns lo..hi,
+    as gaussians(ids, lo, hi, moduli), so that the screen's moduli, its
+    quadratic step and the ladder read the same rows."""
+    draw = rng.gaussian_rows
 
-    monkeypatch.setattr(holes, "sample_coeff_batch", rows)
+    def rows(seed, streams, purpose, lo, hi, moduli=False, out=None):
+        if purpose != rng.PURPOSE_SAMPLE:
+            return draw(seed, streams, purpose, lo, hi, moduli, out)
+        Z = gaussians(np.asarray(streams), lo, hi, moduli)
+        if out is None:
+            return Z
+        out[...] = Z
+        return out
+
+    monkeypatch.setattr(rng, "gaussian_rows", rows)
+
+
+def _planted(monkeypatch, m, roots):
+    """Draw trial t as z - roots[t] (padded to degree N_t, the coefficient
+    of z within rounding of 1) in every stage."""
+    a1 = coefficients(m, 1)[1]
+
+    def gaussians(ids, lo, hi, moduli):
+        Z = np.zeros((ids.size, max(hi, 2)), dtype=complex)
+        Z[:, 0], Z[:, 1] = -np.asarray(roots)[ids.astype(np.int64)], 1.0 / a1
+        return np.abs(Z[:, lo:hi]) if moduli else Z[:, lo:hi]
+
+    _sample_draws(monkeypatch, gaussians)
 
 
 def test_a_root_between_the_circles_is_left_to_the_r_ladder(monkeypatch):
@@ -865,14 +907,24 @@ def test_a_root_between_the_circles_is_left_to_the_r_ladder(monkeypatch):
     # the inner disk, and the ladder at r certifies it
     m, r = hyperbolic(2.0), 0.9
     between, inside = 0.8 * np.exp(1j), 0.5 * np.exp(2j)
-    _planted(monkeypatch, [between])
+    _planted(monkeypatch, m, [between])
     est = holes.estimate_hole_direct(m, r, 1, 7)
     assert est.kernel["inner"] == 0 and est.kernel["uniform_ladder"] == 1
     assert est.metadata["zeros_certified"] == 1 and est.inconclusive == 0
-    _planted(monkeypatch, [between, inside])
+    _planted(monkeypatch, m, [between, inside])
     est = holes.estimate_hole_direct(m, r, 2, 7)
     assert est.kernel["inner"] == 1 and est.kernel["uniform_ladder"] == 1
     assert est.metadata["zeros_certified"] == 2
+
+
+def test_a_planted_root_outside_the_circle_settles_on_the_screen(monkeypatch):
+    # z - 0.95 at r = 0.9: the constant term beats the rest of the series
+    # on the disk, so the screen settles the row as a hole
+    m = hyperbolic(2.0)
+    _planted(monkeypatch, m, [0.95])
+    est = holes.estimate_hole_direct(m, 0.9, 1, 7)
+    assert est.kernel["constant_term"] == 1 and est.kernel["uniform_ladder"] == 0
+    assert est.hits == 1 and est.inconclusive == 0
 
 
 @pytest.mark.parametrize("L, seed, trial, wind, K", [
@@ -888,10 +940,9 @@ def test_rows_open_at_the_cap_settle_on_the_inner_circle(monkeypatch, L, seed,
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
     C = gaf.sample_coeff_batch(m, seed, np.array([trial], dtype=np.uint64), N_t)
     assert holes._certify_rows(C, r, tail=tail)["settle_K"][0] == 0
-    sample = holes.sample_coeff_batch
-    monkeypatch.setattr(holes, "sample_coeff_batch",
-                        lambda model, s, ids, N_t, **kw:
-                        sample(model, s, ids + np.uint64(trial), N_t, **kw))
+    draw = rng.gaussian_rows
+    _sample_draws(monkeypatch, lambda ids, lo, hi, moduli: draw(
+        seed, ids + np.uint64(trial), rng.PURPOSE_SAMPLE, lo, hi, moduli))
     est = holes.estimate_hole_direct(m, r, 1, seed)
     assert est.kernel["inner"] == 1 and est.kernel["inner_settle_K"] == {K: 1}
     assert est.metadata["zeros_certified"] == 1 and est.inconclusive == 0
