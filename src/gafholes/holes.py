@@ -217,18 +217,17 @@ of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials for the screen, so
 that a narrow row pays its per-call costs once per about 2^17 moduli (the
 cap prefix of every row, then the other columns of the rows it leaves),
 then the full rows of the trials the screen leaves, in ladder chunks of
-BATCH_TRIALS rows.  Both stages run through _pool_map, which draws each
-span or chunk into one row buffer per worker thread, overwritten wherever
-it is read.
-Everything is elementwise per trial row, so buffers, span and chunk
-composition and thread scheduling never change results; merged counters
-are plain integer sums.
+BATCH_TRIALS rows.  Both stages run through _pool_map, which hands the
+spans and chunks to the worker threads; each span and chunk draws into new
+arrays of its own.
+Everything is elementwise per trial row, so span and chunk composition and
+thread scheduling never change results; merged counters are plain integer
+sums.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -883,12 +882,18 @@ def _check_ladder_args(r: float, K_cap: int):
         raise DomainError(f"K_cap must be >= 1 and finite, got {K_cap}")
 
 
-def _check_estimator_args(r: float, trials: int, confidence: float, *,
-                          K_cap: int, workers: int):
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _check_estimator_args(r: float, trials: int, seed: int, confidence: float,
+                          *, K_cap: int, workers: int):
     _check_ladder_args(r, K_cap)
     for name, n in (("trials", trials), ("workers", workers)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    if not _is_integer(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
 
@@ -910,19 +915,13 @@ def _truncate(model: CoefficientModel, r: float, trials: int, tau_rel: float,
         "certificate_failure_budget": trials * math.exp(log_fail)}
 
 
-def _pool_map(worker_fn, n: int, workers: int, width: int, dtype,
-              span: int) -> list:
-    """[worker_fn(lo, hi, out)] over the spans of span trials of range(n), in
-    order; out is the first hi - lo rows of the calling thread's (min(n,
-    span), width) buffer of dtype, made once per thread and call."""
+def _pool_map(worker_fn, n: int, workers: int, span: int) -> list:
+    """[worker_fn(lo, hi)] over the spans of span trials of range(n), in
+    order, on up to workers threads."""
     los = range(0, n, span)
-    local = threading.local()
 
     def run(lo):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((min(n, span), width), dtype)
-        hi = min(lo + span, n)
-        return worker_fn(lo, hi, local.buf[:hi - lo])
+        return worker_fn(lo, min(lo + span, n))
 
     if workers <= 1 or len(los) <= 1:
         return [run(lo) for lo in los]
@@ -975,12 +974,13 @@ def _screened_counts(trials: int, workers: int, width: int, hists: list,
     per histogram, zeros left out), each summed over the spans and chunks.
 
     draw(ids, out, moduli, lo=0) fills out (float, moduli only) or
-    (complex) with the columns lo.. of the rows of the trials ids.  Each
-    span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials draws the
-    first k moduli columns, prefix = (k, test), and test(P) of those rows
-    returns the masks of the rows it settles and of the rows it leaves to
-    the ladder.  The other rows draw their other columns, and screen(ids,
-    A) gets their trials and whole moduli rows and returns the mask of the
+    (complex) with the columns lo.. of the rows of the trials ids; each
+    span and chunk makes its out where it fills it.  Each span of
+    max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials draws the first k
+    moduli columns, prefix = (k, test), and test(P) of those rows returns
+    the masks of the rows it settles and of the rows it leaves to the
+    ladder.  The other rows draw their other columns, and screen(ids, A)
+    gets their trials and whole moduli rows and returns the mask of the
     rows it settles and a tuple of int counts of them; the rows test
     settles add to the first.  With k = width every row goes to screen.
     ladder(C) gets the full rows of the rest, pooled in trial order into
@@ -989,8 +989,9 @@ def _screened_counts(trials: int, workers: int, width: int, hists: list,
     """
     k, test = prefix
 
-    def first(lo: int, hi: int, out: np.ndarray):
+    def first(lo: int, hi: int):
         ids = np.arange(lo, hi, dtype=np.uint64)
+        out = np.empty((ids.size, width))
         if k < width:
             P = draw(ids, out[:, :k], True)
             settled, rejected = test(P)
@@ -1005,12 +1006,14 @@ def _screened_counts(trials: int, workers: int, width: int, hists: list,
         settled[left], tally = screen(ids[left], out[:left.size])
         return ids[~settled], (tally[0] + pre, *tally[1:])
 
-    rest, tallies = zip(*_pool_map(first, trials, workers, width, float,
+    rest, tallies = zip(*_pool_map(first, trials, workers,
                                    max(BATCH_TRIALS, _SCREEN_DRAWS // width)))
     rest = np.concatenate(rest)   # frees the per-span ids before the ladder
     tallies = [sum(col) for col in zip(*tallies)]
-    counts = _pool_map(lambda lo, hi, out: ladder(draw(rest[lo:hi], out, False)),
-                       rest.size, workers, width, complex, BATCH_TRIALS)
+    counts = _pool_map(
+        lambda lo, hi: ladder(draw(rest[lo:hi],
+                                   np.empty((hi - lo, width), complex), False)),
+        rest.size, workers, BATCH_TRIALS)
     total = [sum(map(int, col)) for col in zip(*counts)] \
         or [0] * (5 + sum(map(len, hists)))
     settled, i = [], 5
@@ -1083,7 +1086,8 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     circle's rows; uniform_ladder, tube, open_at_cap and settle_K count
     the rows of the ladder at r only.
     """
-    _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
+    _check_estimator_args(r, trials, seed, confidence, K_cap=K_cap,
+                          workers=workers)
     N_t, tail, meta = _truncate(model, r, trials, tau_rel, fail_exp, budget)
     a = coefficients(model, N_t)
     r_in = _inner_radius(a, r)
@@ -1255,7 +1259,7 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
     z^shift * F per trial t, the one layout of a lower-bound stream: T's
     coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo} from lo on,
     zeta_n the Gaussian at index n of stream t under purpose, laid out in
-    place in the worker thread's _pool_map buffers.  Rows the screen misses
+    place in the rows _screened_counts makes.  Rows the screen misses
     (_sup_prefix on the cap prefix, then _sup_screen on the whole moduli
     rows) run _sup_counts; only they enter tube_hits, grid_points and
     settle_K."""
@@ -1301,7 +1305,8 @@ def estimate_hole_lower_threshold(model: CoefficientModel, r: float,
     p_high is 1: this mode only certifies a lower bound.  eps, B and
     alpha_exp feed the default threshold and are ignored when M is given.
     """
-    _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
+    _check_estimator_args(r, trials, seed, confidence, K_cap=K_cap,
+                          workers=workers)
     if M is None:
         L = model.L if model.kind in ("Hyperbolic", "PowerLaw") else 1.0
         M = default_threshold(L, r, eps=eps, B=B, alpha_exp=alpha_exp)
@@ -1408,7 +1413,8 @@ def estimate_hole_lower_tilted(model: CoefficientModel, r: float,
     at confidence 1 - (1-confidence)/2, so both failures stay within 1 -
     confidence; p_low may underflow to 0, and metadata keeps log10_p_low.
     """
-    _check_estimator_args(r, trials, confidence, K_cap=K_cap, workers=workers)
+    _check_estimator_args(r, trials, seed, confidence, K_cap=K_cap,
+                          workers=workers)
     q, N, N1, M, r2, alpha1, log_Q2 = tilt_profile(model, r, alpha_exp, alpha1)
     if N < 1:
         raise TiltOutOfRange(

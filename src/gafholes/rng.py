@@ -38,11 +38,9 @@ u2) bit for bit.
 gaussian_rows fills wide batches in row blocks of about _BLOCK_DRAWS draws,
 so that each block's temporaries stay in cache; since every operation is
 elementwise, the blocks change no draw.  complex_gaussians, gaussian_moduli
-and gaussian_rows write into a caller-owned out= array when given one, and
-keep their Box-Muller temporaries (words, shifts, uniforms, angles) in one
-scratch per thread of _BLOCK_DRAWS draws, reused by every call that fits in
-it.  The scratch changes when memory is allocated, never a draw: every call
-overwrites the entries it reads, with the same operations in the same order.
+and gaussian_rows write into a caller-owned out= array when given one; each
+call makes its own Box-Muller temporaries (words, shifts, uniforms), so no
+state is shared between calls or threads.
 
 All arithmetic is wrapping uint64 ufunc arithmetic.  numpy's scalar + and *
 warn on a result that wraps, so the operations that can see numpy scalars
@@ -53,7 +51,6 @@ one, and the purpose tag) call np.add and np.multiply, which never warn.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -78,9 +75,6 @@ MODULUS_CAP = math.sqrt(54.0 * math.log(2.0)) * (1.0 + 2.0 ** -40)
 # gaussian_rows draws about this many draws (at least one row) at a time,
 # so that the temporaries of a block stay in cache
 _BLOCK_DRAWS = 1 << 15
-
-# each thread's (words, shifts, reals) scratch of _BLOCK_DRAWS entries
-_scratch = threading.local()
 
 
 def _mix_into(z: np.ndarray, t: np.ndarray) -> None:
@@ -108,25 +102,14 @@ def stream_key(seed: int, stream_id, purpose: int) -> np.ndarray:
     Returns a uint64 array shaped like stream_id (0-d for scalars).
     """
     s = np.asarray(stream_id, dtype=np.uint64)
-    k = mix64(np.asarray(np.uint64(seed % (1 << 64))) ^ _SEED_TAG)
+    k = mix64(np.asarray(np.uint64(int(seed) % (1 << 64))) ^ _SEED_TAG)
     k = mix64(k ^ (s * GOLDEN))
     return mix64(k ^ np.multiply(np.uint64(purpose), _PURPOSE_TAG))
 
 
 def _temporaries(shape) -> tuple:
-    """(words, shifts, reals) arrays of the given shape: views of this
-    thread's scratch when they fit in _BLOCK_DRAWS entries, else new."""
-    size = math.prod(shape)
-    if size > _BLOCK_DRAWS:
-        bufs = (np.empty(size, np.uint64), np.empty(size, np.uint64),
-                np.empty(size))
-    else:
-        bufs = getattr(_scratch, "bufs", None)
-        if bufs is None:
-            bufs = _scratch.bufs = (np.empty(_BLOCK_DRAWS, np.uint64),
-                                    np.empty(_BLOCK_DRAWS, np.uint64),
-                                    np.empty(_BLOCK_DRAWS))
-    return tuple(b[:size].reshape(shape) for b in bufs)
+    """New (words, shifts, reals) arrays of the given shape."""
+    return np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape)
 
 
 def _uniforms_into(u: np.ndarray, key: np.ndarray, c: np.ndarray,

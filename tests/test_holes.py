@@ -469,6 +469,29 @@ def test_trials_and_workers_must_be_integers_before_any_pool(monkeypatch,
             est(m, r, seed=1, **kw)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, math.nan, "3", None])
+def test_seed_must_be_an_integer_before_any_pool(monkeypatch, bad):
+    # seed=1.5 and seed=True once ran seed 1 and recorded "seed": 1
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool should be built")
+
+    monkeypatch.setattr(holes, "ThreadPoolExecutor", no_pool)
+    for est, m, r in ((holes.estimate_hole_direct, hyperbolic(1.0), 0.3),
+                      (holes.estimate_hole_lower_threshold, hyperbolic(1.0), 0.5),
+                      (holes.estimate_hole_lower_tilted, hyperbolic(2.0), 0.9)):
+        with pytest.raises(DomainError, match="seed"):
+            est(m, r, 4096, bad, workers=2)
+
+
+def test_numpy_integer_seeds_run_their_int_seed():
+    for est, m, r in ((holes.estimate_hole_direct, hyperbolic(1.0), 0.3),
+                      (holes.estimate_hole_lower_threshold, hyperbolic(1.0), 0.5),
+                      (holes.estimate_hole_lower_tilted, hyperbolic(2.0), 0.9)):
+        want = est(m, r, 64, 7).to_record()
+        for seed in (np.int64(7), np.uint64(7)):
+            assert est(m, r, 64, seed).to_record() == want
+
+
 @pytest.mark.parametrize("call, want", [
     (lambda: holes.default_threshold(math.nan, 0.5), InvalidIntensity),
     (lambda: holes.default_threshold(math.inf, 0.5), InvalidIntensity),

@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or keeps
+per-thread state.
 
 The toolchain has no linter, so this reads each module's syntax tree: a
 name an import binds must be read somewhere in the module or listed in its
-__all__.  `from __future__ import annotations` binds no name.
+__all__.  `from __future__ import annotations` binds no name.  No module
+may bind threading.local: every array is allocated where it is filled, and
+a per-thread cache must come back with a measurement that it pays.
 """
 
 import ast
@@ -51,3 +54,32 @@ def test_the_check_sees_an_unused_import():
               "__all__ = ['sample']\n")
     assert _unused_imports(source) == ["ev", "os"]
     assert _unused_imports(source + "x = os.sep + ev\n") == []
+
+
+def _thread_locals(source: str) -> list:
+    """Lines that bind threading.local, under any name of the module."""
+    tree = ast.parse(source)
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             for a in node.names if a.name == "threading"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "threading":
+            lines += [node.lineno for a in node.names if a.name == "local"]
+        elif isinstance(node, ast.Attribute) and node.attr == "local" \
+                and isinstance(node.value, ast.Name) and node.value.id in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_keeps_per_thread_state(path):
+    assert _thread_locals(path.read_text()) == []
+
+
+def test_the_check_sees_a_thread_local():
+    assert _thread_locals("import threading\nx = threading.local()\n") == [2]
+    assert _thread_locals("import threading as t\n\nx = t.local\n") == [3]
+    assert _thread_locals("from threading import local as L\n") == [1]
+    assert _thread_locals("import threading\nx = threading.Lock()\n"
+                          "local = 1\ny = x.local\n") == []

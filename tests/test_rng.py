@@ -6,6 +6,8 @@ counter), so the tests here check exact recomputability and random
 access alongside the usual distributional sanity.
 """
 
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -107,8 +109,8 @@ def test_row_blocks_change_no_draw(cols):
         radius, z = _box_muller_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
                                      lo, lo + cols)
         for moduli, ref in ((False, z), (True, radius)):
-            # a draw of another width first leaves other values in this
-            # thread's scratch; no draw may read them
+            # a draw of another width first: no draw may read what an
+            # earlier one left in memory
             wide = rng.gaussian_rows(9, streams[:2], rng.PURPOSE_TILT_MIDDLE,
                                      lo, lo + cols + 57, moduli)
             got = rng.gaussian_rows(9, streams, rng.PURPOSE_TILT_MIDDLE,
@@ -145,6 +147,43 @@ def test_draws_into_an_out_of_another_shape_are_refused():
         with pytest.raises(ValueError, match="shape"):
             rng.gaussian_rows(9, [0, 1, 2], 1, 0, 5, moduli,
                               out=np.empty((4, 5), dtype=dtype))
+
+
+def test_four_threads_drawing_the_same_ids_at_once_draw_the_serial_values():
+    # complex rows, moduli rows and uniforms of the same streams, in one
+    # row block and over several, drawn by four threads at once, each in
+    # its own order: every call makes its own temporaries, so every thread
+    # gets the serial draws bit for bit
+    streams = np.arange(300, dtype=np.uint64)
+    keys = rng.stream_key(4, streams, rng.PURPOSE_SAMPLE)[:, None]
+    counters = np.arange(200, dtype=np.uint64)[None, :]
+    jobs = [lambda cols=cols, moduli=moduli: rng.gaussian_rows(
+                4, streams, rng.PURPOSE_SAMPLE, 3, 3 + cols, moduli)
+            for cols in (16, 193) for moduli in (False, True)]
+    jobs.append(lambda: rng.uniforms(keys, counters))
+    want = [job().view(np.uint64) for job in jobs]
+    assert streams.size * 16 <= rng._BLOCK_DRAWS < streams.size * 193
+    start, bad = threading.Barrier(4), []
+
+    def run(t):
+        start.wait()
+        for _ in range(10):
+            for j in range(len(jobs)):
+                j = (j + t) % len(jobs)
+                if not np.array_equal(jobs[j]().view(np.uint64), want[j]):
+                    bad.append((t, j))
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and bad == []
 
 
 def test_complex_gaussians_streams_uncorrelated():

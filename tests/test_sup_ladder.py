@@ -203,9 +203,9 @@ def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
     # the ladder the full rows of exactly the trials that the full-row
     # screen leaves, in trial order: the prefix settles the same rows.
     # Full screen spans and a short one (2520 + 1640 trials at threshold's
-    # width 52, 2 x 2048 + 64 at the tilted widths 93 and 100), so each
-    # stream's buffers are reused and only partly rewritten, and the
-    # ladder's chunks are not the screen's spans
+    # width 52, 2 x 2048 + 64 at the tilted widths 93 and 100), so a short
+    # span and chunk follow full ones, and the ladder's chunks are not the
+    # screen's spans
     rows = 2 * holes.BATCH_TRIALS + 64
     got = _rows_of_both_stages(
         monkeypatch, lambda: holes.estimate_hole_lower_threshold(
@@ -236,10 +236,10 @@ def test_each_stream_hands_the_ladder_the_hand_built_rows(monkeypatch):
 
 
 def test_reused_stream_buffers_change_no_estimate():
-    # each _pool_map call makes one row buffer per worker thread and reuses
-    # it for that thread's batches: the threshold stream's zero column must
-    # be set on every batch, and no two threads may share a buffer, at any
-    # worker count and after other estimates in the same process
+    # each span and chunk draws into rows of its own: the threshold stream's
+    # zero column must be set on every batch, and no thread may see another
+    # thread's rows, at any worker count and after other estimates in the
+    # same process
     trials = 2 * holes.BATCH_TRIALS + 64
     runs = []
     for workers in (1, 3, 1, 2):

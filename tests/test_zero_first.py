@@ -516,8 +516,8 @@ def test_two_stage_estimate_equals_the_one_stage_reference(L, r, trials):
     record, kernel = _one_stage_estimate(m, r, trials, 29)
     # the ladder stage has more than one chunk
     assert trials - kernel["constant_term"] > holes.BATCH_TRIALS
-    # twice at 1 and 3 workers in one process: stale rows left in a reused
-    # buffer, or two threads sharing one, would change a later estimate
+    # twice at 1 and 3 workers in one process: state left by an earlier
+    # estimate, or shared by two threads, would change a later estimate
     for workers in (1, 2, 3, 1, 3):
         est = holes.estimate_hole_direct(m, r, trials, 29, workers=workers)
         # JSON, as the CLI writes them: equal values and plain ints
@@ -602,21 +602,34 @@ def test_a_screen_that_settles_every_row_leaves_no_ladder_chunk(monkeypatch):
 
 
 def _spans_of_each_stage(monkeypatch, estimate):
-    """[(n, width, dtype, span, [(hi - lo, rows of out)])] of each _pool_map
-    call an estimate makes, in order."""
+    """[(n, span, [hi - lo], [(rows, width, dtype)])] of each _pool_map call
+    an estimate makes, in order, with the shapes and dtypes of the arrays
+    that its screen or ladder calls get."""
     calls, pool_map = [], holes._pool_map
+    screened_counts = holes._screened_counts
 
-    def spy(worker_fn, n, workers, width, dtype, span):
-        sizes = []
+    def spy(worker_fn, n, workers, span):
+        sizes, arrays = [], []
 
-        def fn(lo, hi, out):
-            sizes.append((hi - lo, out.shape[0]))
-            return worker_fn(lo, hi, out)
+        def fn(lo, hi):
+            sizes.append(hi - lo)
+            return worker_fn(lo, hi)
 
-        calls.append((n, width, dtype, span, sizes))
-        return pool_map(fn, n, workers, width, dtype, span)
+        calls.append((n, span, sizes, arrays))
+        return pool_map(fn, n, workers, span)
+
+    def seen(stage):
+        def fn(*args):
+            calls[-1][3].append((*args[-1].shape, args[-1].dtype))
+            return stage(*args)
+        return fn
+
+    def counts_spy(trials, workers, width, hists, draw, prefix, screen, ladder):
+        return screened_counts(trials, workers, width, hists, draw, prefix,
+                               seen(screen), seen(ladder))
 
     monkeypatch.setattr(holes, "_pool_map", spy)
+    monkeypatch.setattr(holes, "_screened_counts", counts_spy)
     estimate()
     return calls
 
@@ -633,19 +646,23 @@ def _spans_of_each_stage(monkeypatch, estimate):
 def test_screen_spans_follow_the_draws_and_ladder_chunks_the_trials(
         monkeypatch, estimate, widths):
     # each stream screens in spans of max(BATCH_TRIALS, _SCREEN_DRAWS //
-    # width) trials, then climbs the ladder in chunks of BATCH_TRIALS rows;
-    # every buffer row is the row of one trial of the span
+    # width) trials of float moduli rows, then climbs the ladder in chunks
+    # of BATCH_TRIALS complex rows of the same width, one row per trial
     calls = _spans_of_each_stage(monkeypatch, estimate)
     B = holes.BATCH_TRIALS
-    assert [c[1] for c in calls[::2]] == widths
-    for (n, width, dtype, span, sizes), (m, width2, dtype2, chunk, chunks) in \
-            zip(calls[::2], calls[1::2]):
-        assert (dtype, dtype2, width2) == (float, complex, width)
+    assert len(calls) == 2 * len(widths)
+    for width, (n, span, sizes, screened), (m, chunk, chunks, laddered) in \
+            zip(widths, calls[::2], calls[1::2]):
+        assert {a[1:] for a in screened} == {(width, np.dtype(float))}
+        assert len(screened) == len(sizes)
+        assert all(a[0] <= k for a, k in zip(screened, sizes))
+        assert [a[1:] for a in laddered] == \
+            [(width, np.dtype(complex))] * len(chunks)
+        assert [a[0] for a in laddered] == chunks
         assert span == max(B, holes._SCREEN_DRAWS // width) and chunk == B
         for got, step, total in ((sizes, span, n), (chunks, B, m)):
-            want = [min(step, total - lo) for lo in range(0, total, step)]
-            assert got == [(k, k) for k in want]
-    assert [c[3] for c in calls[::2]] == \
+            assert got == [min(step, total - lo) for lo in range(0, total, step)]
+    assert [c[1] for c in calls[::2]] == \
         [8192 if w == 16 else 4854 if w == 27 else B for w in widths]
 
 
