@@ -123,17 +123,15 @@ def _hyperbolic_periods(model: CoefficientModel, start: int, stop: int,
     return out.reshape(-1), b
 
 
-def log_sq_block(model: CoefficientModel, start: int, stop: int,
-                 carry: Optional[float] = None) -> np.ndarray:
+def log_sq_block(model: CoefficientModel, start: int, stop: int) -> np.ndarray:
     """log(a_n^2) for n in [start, stop).
 
-    For Hyperbolic, `carry` must be log(a_start^2) when start > 0
-    (log_sq_blocks carries it from block to block); passing carry=None with
-    start=0 is the common entry point.  Other kinds ignore carry.
+    Hyperbolic runs its recurrence from log_sq_at(model, start) at start >
+    0, as log_sq_blocks does, so the values are bit for bit those of the
+    block of log_sq_blocks(model, start, size=stop - start).
     """
     if model.kind == "Hyperbolic":
-        if start > 0 and carry is None:
-            raise ValueError("Hyperbolic block continuation needs carry")
+        carry = log_sq_at(model, start) if start > 0 else None
         return _hyperbolic_periods(model, start, stop, stop - start, carry)[0]
     n = np.arange(start, stop, dtype=np.float64)
     if model.kind == "PowerLaw":

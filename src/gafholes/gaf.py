@@ -89,18 +89,18 @@ def sample(model: CoefficientModel, seed: int, stream_id: int, N_t: int) -> GafS
 
 
 def sample_coeff_batch(model: CoefficientModel, seed: int, stream_ids,
-                       N_t: int, out=None) -> np.ndarray:
-    """Coefficient rows c_n = zeta_n a_n for many streams at once, in out
-    (len(stream_ids), N_t + 1) when given.
+                       N_t: int) -> np.ndarray:
+    """Coefficient rows c_n = zeta_n a_n for many streams at once, shape
+    (len(stream_ids), N_t + 1).
 
     Identical to stacking single-stream sample() calls bit for bit: every
     draw depends only on (seed, stream_id, n), and all transformations are
     elementwise.  For the same reason, and since a_n does not depend on
     N_t, the rows at degree k are the first k + 1 columns of the rows at
-    any degree N_t >= k, bit for bit.
+    any degree N_t >= k, bit for bit.  holes draws c_0..c_2 here for its
+    quadratic step; its runner draws the same full rows itself.
     """
-    C = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1,
-                          out=out)
+    C = rng.gaussian_rows(seed, stream_ids, rng.PURPOSE_SAMPLE, 0, N_t + 1)
     C *= coefficients(model, N_t)[None, :]
     return C
 

@@ -209,17 +209,20 @@ fewest whose expected sum (sqrt(pi)/2) sum_{n<k} W_n reaches 2s
 (E|zeta| = sqrt(pi)/2), past which most rows fail on the prefix alone.
 That is 4 of 16 columns for direct L=1, r=0.3, 81 of 193 for direct
 L=2, r=0.9, and 27 of the 92 drawn columns of the tilted middle stream
-at L=2, r=0.9.
+at L=2, r=0.9.  The direct k may be the whole row (a_0 = 0, or Explicit
+(1, 0, 2) at r = 0.5); then rem = 0 and the screen gets the rows the
+prefix test leaves, with no further draw and, by the above, no count moved.
 
-One runner, _screened_counts, draws the rows of every stream (the direct
-one and each lower-bound stream) for both stages: the moduli of each span
-of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials for the screen, so
-that a narrow row pays its per-call costs once per about 2^17 moduli (the
-cap prefix of every row, then the other columns of the rows it leaves),
-then the full rows of the trials the screen leaves, in ladder chunks of
-BATCH_TRIALS rows.  Both stages run through _pool_map, which hands the
-spans and chunks to the worker threads; each span and chunk draws into new
-arrays of its own.
+One runner, _screened_counts, gets the layout of every stream (the direct
+one, (seed, PURPOSE_SAMPLE, 0, 0, a), and each lower-bound stream) and the
+estimator's decisions, and draws the rows of both stages itself: the
+moduli of each span of max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials
+for the screen, so that a narrow row pays its per-call costs once per
+about 2^17 moduli (the cap prefix of every row, then the other columns of
+the rows it leaves), then the full rows of the trials the screen leaves,
+in ladder chunks of BATCH_TRIALS rows.  Both stages run through
+_pool_map, which hands the spans and chunks to the worker threads; each
+span and chunk draws into new arrays of its own.
 Everything is elementwise per trial row, so span and chunk composition and
 thread scheduling never change results; merged counters are plain integer
 sums.
@@ -892,8 +895,7 @@ def _check_estimator_args(r: float, trials: int, seed: int, confidence: float,
     for name, n in (("trials", trials), ("workers", workers)):
         if not _is_integer(n) or n < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
-    if not _is_integer(seed):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    rng.check_seed(seed)   # also before a stream that draws nothing
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
 
@@ -929,24 +931,6 @@ def _pool_map(worker_fn, n: int, workers: int, span: int) -> list:
         return list(ex.map(run, los))
 
 
-def _row_drawer(seed: int, purpose: int, z: int, first: int, w: np.ndarray):
-    """draw(ids, out, moduli, lo=0) of a stream for _screened_counts: the
-    row of trial t is z zero columns, then zeta_n w_{n - first} for n =
-    first, first + 1, ..., zeta_n the Gaussian at index n of stream t under
-    purpose; out gets the columns lo.. of the rows of the trials ids, laid
-    out in place, and with moduli=True |zeta_n| w_{n - first}."""
-    def draw(ids: np.ndarray, out: np.ndarray, moduli: bool, lo: int = 0):
-        c = max(lo, z) - lo   # out's first drawn column
-        out[:, :c] = 0.0
-        n = first + lo + c - z
-        if out.shape[1] > c:
-            rng.gaussian_rows(seed, ids, purpose, n, n + out.shape[1] - c,
-                              moduli, out[:, c:])
-            out[:, c:] *= w[n - first:n - first + out.shape[1] - c]
-        return out
-    return draw
-
-
 def _prefix(W: np.ndarray, slack: float, lower: bool):
     """(k, cap sum_{c>=k} W_c): the k columns a moduli screen draws first,
     from the weights W of its columns and its slack (module docstring), and
@@ -967,46 +951,55 @@ def _prefix(W: np.ndarray, slack: float, lower: bool):
     return k, float(rem[k])
 
 
-def _screened_counts(trials: int, workers: int, width: int, hists: list,
-                     draw, prefix, screen, ladder):
+def _screened_counts(trials: int, workers: int, stream: tuple, hists: list,
+                     prefix, screen, ladder):
     """The runner of a stream's two stages (module docstring): (the
     screen's counts, the first five counts of ladder, one {K: rows} dict
     per histogram, zeros left out), each summed over the spans and chunks.
 
-    draw(ids, out, moduli, lo=0) fills out (float, moduli only) or
-    (complex) with the columns lo.. of the rows of the trials ids; each
-    span and chunk makes its out where it fills it.  Each span of
-    max(BATCH_TRIALS, _SCREEN_DRAWS // width) trials draws the first k
-    moduli columns, prefix = (k, test), and test(P) of those rows returns
-    the masks of the rows it settles and of the rows it leaves to the
-    ladder.  The other rows draw their other columns, and screen(ids, A)
-    gets their trials and whole moduli rows and returns the mask of the
-    rows it settles and a tuple of int counts of them; the rows test
-    settles add to the first.  With k = width every row goes to screen.
-    ladder(C) gets the full rows of the rest, pooled in trial order into
-    chunks of BATCH_TRIALS rows, and returns five int counts, then one
-    count per level K of each list of levels in hists.
+    stream = (seed, purpose, z, first, w) lays out the row of trial t: z
+    zero columns, then zeta_n w_{n - first} for n = first, first + 1, ...,
+    zeta_n the Gaussian at index n of stream t under purpose, width = z +
+    w.size columns in all; the runner draws every row itself, moduli
+    |zeta_n| w_{n - first} for the screen, each span and chunk into arrays
+    it makes where it fills them.  Each span of max(BATCH_TRIALS,
+    _SCREEN_DRAWS // width) trials draws the first k moduli columns, prefix
+    = (k, test), and test(P) of those rows returns the masks of the rows it
+    settles and of the rows it leaves to the ladder.  The other rows draw
+    their other columns (none when k = width), and screen(ids, A) gets
+    their trials and whole moduli rows and returns the mask of the rows it
+    settles and a tuple of int counts of them; the rows test settles add
+    to the first.  ladder(C) gets the full rows of the rest, pooled in
+    trial order into chunks of BATCH_TRIALS rows, and returns five int
+    counts, then one count per level K of each list of levels in hists.
     """
-    k, test = prefix
+    seed, purpose, z, first, w = stream
+    width, (k, test) = z + w.size, prefix
 
-    def first(lo: int, hi: int):
+    def draw(ids: np.ndarray, out: np.ndarray, moduli: bool, lo: int = 0):
+        c = max(lo, z) - lo   # out's first drawn column
+        out[:, :c] = 0.0
+        n = first + lo + c - z
+        if out.shape[1] > c:
+            rng.gaussian_rows(seed, ids, purpose, n, n + out.shape[1] - c,
+                              moduli, out[:, c:])
+            out[:, c:] *= w[n - first:n - first + out.shape[1] - c]
+        return out
+
+    def screen_span(lo: int, hi: int):
         ids = np.arange(lo, hi, dtype=np.uint64)
         out = np.empty((ids.size, width))
-        if k < width:
-            P = draw(ids, out[:, :k], True)
-            settled, rejected = test(P)
-            left = np.flatnonzero(~(settled | rejected))
-            out[:left.size, :k] = P[left]
-            if left.size:
-                draw(ids[left], out[:left.size, k:], True, k)
-        else:
-            settled, left = np.zeros(ids.size, dtype=bool), np.arange(ids.size)
-            draw(ids, out, True)
+        P = draw(ids, out[:, :k], True)
+        settled, rejected = test(P)
+        left = np.flatnonzero(~(settled | rejected))
+        out[:left.size, :k] = P[left]
+        if left.size:
+            draw(ids[left], out[:left.size, k:], True, k)
         pre = int(settled.sum())
         settled[left], tally = screen(ids[left], out[:left.size])
         return ids[~settled], (tally[0] + pre, *tally[1:])
 
-    rest, tallies = zip(*_pool_map(first, trials, workers,
+    rest, tallies = zip(*_pool_map(screen_span, trials, workers,
                                    max(BATCH_TRIALS, _SCREEN_DRAWS // width)))
     rest = np.concatenate(rest)   # frees the per-span ids before the ladder
     tallies = [sum(col) for col in zip(*tallies)]
@@ -1067,19 +1060,19 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     """Direct Monte Carlo estimate of the hole probability at radius r.
 
     Each trial samples a truncated series on its own stream (stream id =
-    trial index) and runs the certified decision.  A screen on the moduli
-    settles the rows whose constant term dominates the rest of the series
-    on the disk as holes, on their cap prefix (_constant_term_prefix) or
-    whole (_constant_term_holes), then, drawing c_0..c_2 of
-    the others, the rows whose quadratic part dominates the rest
-    (_quadratic_zeros) as holes or non-holes; the others, pooled across
-    spans, draw their phases.  When E N(r) >= 2 (module docstring), the
-    rows with a certified zero inside the inner circle of radius r_in are
-    non-holes; the rest climb the ladder at r from K_INIT = 8 points to the
-    cap level, and rows still open there are Inconclusive.  zeros_certified
-    holds the certified non-holes.  Inconclusive trials widen the Wilson
-    interval pessimistically: they count as hits for p_high and as misses
-    for p_low.
+    trial index), which _screened_counts draws, and runs the certified
+    decision.  A screen on the moduli settles the rows whose constant term
+    dominates the rest of the series on the disk as holes, on their cap
+    prefix (_constant_term_prefix) or whole (_constant_term_holes), then,
+    drawing c_0..c_2 of the others (sample_coeff_batch), the rows whose
+    quadratic part dominates the rest (_quadratic_zeros) as holes or
+    non-holes; the others, pooled across spans, draw their phases.  When
+    E N(r) >= 2 (module docstring), the rows with a certified zero inside
+    the inner circle of radius r_in are non-holes; the rest climb the
+    ladder at r from K_INIT = 8 points to the cap level, and rows still
+    open there are Inconclusive.  zeros_certified holds the certified
+    non-holes.  Inconclusive trials widen the Wilson interval
+    pessimistically: they count as hits for p_high and as misses for p_low.
     kernel holds the sidecar counters (cli module docstring): constant_term
     and quadratic count the rows of the two screen steps; inner,
     inner_settle_K and inner_r (None without a pass) count the inner
@@ -1093,12 +1086,6 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
     r_in = _inner_radius(a, r)
     g = _rounding_gamma(N_t + 1)
     k, rem = _prefix((a * _moduli_weights(r, N_t + 1))[1:], a[0], False)
-    moduli_rows = _row_drawer(seed, rng.PURPOSE_SAMPLE, 0, 0, a)
-
-    def draw(ids: np.ndarray, out: np.ndarray, moduli: bool, lo: int = 0):
-        if moduli:
-            return moduli_rows(ids, out, True, lo)
-        return sample_coeff_batch(model, seed, ids, N_t, out=out)
 
     def certified(res):   # decided against the tail bound
         return (res["mm_lb"] - tail > 0.0) & res["wind_ok"]
@@ -1130,7 +1117,8 @@ def estimate_hole_direct(model: CoefficientModel, r: float, trials: int,
 
     levels = _ladder_levels(K_cap)
     (pre_n, quad_holes, quad_zeros), counts, (settle_K, inner_settle_K) = \
-        _screened_counts(trials, workers, N_t + 1, [levels, levels], draw,
+        _screened_counts(trials, workers, (seed, rng.PURPOSE_SAMPLE, 0, 0, a),
+                         [levels, levels],
                          (1 + k, lambda P: _constant_term_prefix(
                              P, r, tail, g, rem)), screen, ladder)
     ladder_holes, ladder_zeros, inc_n, tube_n, open_n = counts
@@ -1258,8 +1246,9 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
     """(Wilson lower bound on the hit rate, sidecar counters) of one row T =
     z^shift * F per trial t, the one layout of a lower-bound stream: T's
     coefficient n is 0 for shift <= n < lo and zeta_n w_{n - lo} from lo on,
-    zeta_n the Gaussian at index n of stream t under purpose, laid out in
-    place in the rows _screened_counts makes.  Rows the screen misses
+    zeta_n the Gaussian at index n of stream t under purpose.  It hands
+    _screened_counts the layout (seed, purpose, lo - shift, lo, w), and the
+    runner draws the rows in place.  Rows the screen misses
     (_sup_prefix on the cap prefix, then _sup_screen on the whole moduli
     rows) run _sup_counts; only they enter tube_hits, grid_points and
     settle_K."""
@@ -1273,8 +1262,8 @@ def _sup_stream(seed: int, purpose: int, shift: int, lo: int, w: np.ndarray,
         return hit, (int(hit.sum()),)
 
     (screened,), (hits, misses, inc, tube_hits, points), (settle_K,) = \
-        _screened_counts(trials, workers, n1, [_ladder_levels(K_cap)],
-                         _row_drawer(seed, purpose, z, lo, w),
+        _screened_counts(trials, workers, (seed, purpose, z, lo, w),
+                         [_ladder_levels(K_cap)],
                          (z + k, lambda P: _sup_prefix(P, rho, M, tail, shift,
                                                        g, rem)), screen,
                          lambda C: _sup_counts(C, rho, M, tail, K_cap=K_cap,

@@ -54,6 +54,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -96,11 +98,19 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def check_seed(seed) -> None:
+    """DomainError unless seed is an int or numpy integer (not a bool)."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+
+
 def stream_key(seed: int, stream_id, purpose: int) -> np.ndarray:
     """Derive per-stream keys.  stream_id may be a scalar or uint64 array.
 
-    Returns a uint64 array shaped like stream_id (0-d for scalars).
+    Returns a uint64 array shaped like stream_id (0-d for scalars).  Every
+    draw comes through here, so check_seed covers every sampler.
     """
+    check_seed(seed)
     s = np.asarray(stream_id, dtype=np.uint64)
     k = mix64(np.asarray(np.uint64(int(seed) % (1 << 64))) ^ _SEED_TAG)
     k = mix64(k ^ (s * GOLDEN))

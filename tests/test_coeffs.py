@@ -67,6 +67,16 @@ def test_log_sq_block_agrees_with_pointwise():
         assert la[n] == pytest.approx(coeffs.log_sq_at(m, n), rel=0, abs=1e-11)
 
 
+def test_a_hyperbolic_block_past_zero_is_the_block_of_the_scan():
+    # log_sq_block once needed a carry from its caller at start > 0 and
+    # raised ValueError without one
+    m = hyperbolic(2.5)
+    got = coeffs.log_sq_block(m, 100, 200)
+    n, want = next(coeffs.log_sq_blocks(m, 100, size=100))
+    assert n.tolist() == list(range(100, 200))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_monotonicity_classification():
     assert coeffs.is_nonincreasing(hyperbolic(0.5))
     assert coeffs.is_nonincreasing(hyperbolic(1.0))

@@ -1,11 +1,13 @@
 """No module of the package imports a name it never uses or keeps
-per-thread state.
+per-thread state, and holes draws its rows in one place.
 
 The toolchain has no linter, so this reads each module's syntax tree: a
 name an import binds must be read somewhere in the module or listed in its
 __all__.  `from __future__ import annotations` binds no name.  No module
 may bind threading.local: every array is allocated where it is filled, and
-a per-thread cache must come back with a measurement that it pays.
+a per-thread cache must come back with a measurement that it pays.  In
+holes, rng.gaussian_rows occurs only in the runner _screened_counts and
+sample_coeff_batch only in the direct estimator's quadratic step.
 """
 
 import ast
@@ -83,3 +85,39 @@ def test_the_check_sees_a_thread_local():
     assert _thread_locals("from threading import local as L\n") == [1]
     assert _thread_locals("import threading\nx = threading.Lock()\n"
                           "local = 1\ny = x.local\n") == []
+
+
+def _users(source: str, name: str) -> list:
+    """The top-level definitions of a module in which name occurs as a name
+    or an attribute, "<module>" for its other statements; imports do not
+    count."""
+    found = set()
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == name or \
+                    isinstance(node, ast.Attribute) and node.attr == name:
+                found.add(where)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name, users", [
+    ("gaussian_rows", ["_screened_counts"]),
+    # the quadratic step's c_0..c_2
+    ("sample_coeff_batch", ["estimate_hole_direct"]),
+])
+def test_one_runner_draws_the_rows_of_every_estimator(name, users):
+    # the runner lays out and draws every stream's rows from its (seed,
+    # purpose, z, first, w); a second drawer in holes must change this test
+    assert _users((SRC / "holes.py").read_text(), name) == users
+
+
+def test_the_check_sees_every_user_of_a_name():
+    source = ("from . import rng\nfrom .gaf import draw\n"
+              "def f():\n    return rng.draw(1)\n"
+              "class C:\n    def g(self):\n        return draw\n"
+              "x = draw\ndef h():\n    return 'draw'\n")
+    assert _users(source, "draw") == ["<module>", "C", "f"]
+    assert _users(source, "rng") == ["f"]

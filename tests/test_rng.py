@@ -6,6 +6,7 @@ counter), so the tests here check exact recomputability and random
 access alongside the usual distributional sanity.
 """
 
+import math
 import sys
 import threading
 import warnings
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from gafholes import oracles, rng
+from gafholes.errors import DomainError
 
 
 def _key(seed=0, stream=0, purpose=rng.PURPOSE_SAMPLE):
@@ -335,3 +337,36 @@ def test_uniform_range_and_the_modulus_cap(n):
         if word < 1 << 11:
             assert abs(modulus - exact) <= 2.0 ** -50 * exact
     assert exact < rng.MODULUS_CAP <= exact * (1 + 2.0 ** -39)
+
+
+def _every_sampler(seed):
+    """One call of each public sampler at seed; each draws through
+    rng.stream_key."""
+    from gafholes import gaf, spectra
+    from gafholes.coeffs import constant_unit, hyperbolic
+
+    m, ids = hyperbolic(1.0), np.arange(4, dtype=np.uint64)
+    split = spectra.split_coefficients(hyperbolic(0.5), 0.9, 8)
+    return {
+        "gaf.sample": lambda: gaf.sample(m, seed, 0, 8),
+        "gaf.sample_coeff_batch": lambda: gaf.sample_coeff_batch(m, seed, ids, 8),
+        "rng.gaussian_rows": lambda: rng.gaussian_rows(seed, ids, 1, 0, 9),
+        "spectra.split_sample_batch": lambda: spectra.split_sample_batch(
+            split, 12, seed, ids),
+        "oracles.gaussian_coupling_sample": lambda: oracles.gaussian_coupling_sample(
+            0.5, seed, ids),
+        "oracles.gaf_coupling_sample": lambda: oracles.gaf_coupling_sample(
+            [1.0, 1.0], [0.5, 0.5], 1, seed, ids),
+        "oracles.joint_neg_moment_check": lambda: oracles.joint_neg_moment_check(
+            constant_unit(), 0.5, 2, 0.5, 64, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.7, 1.0, True, math.nan, "3", None])
+@pytest.mark.parametrize("name", list(_every_sampler(0)))
+def test_every_sampler_rejects_a_seed_that_is_not_an_integer(name, bad):
+    # gaf.sample(hyperbolic(1.0), 1.5, 0, 8) once drew seed 1's coefficients
+    # and recorded seed=1, gaussian_coupling_sample(0.5, 2.7, 3) drew seed
+    # 2's, and "3" ran seed 3
+    with pytest.raises(DomainError, match="seed"):
+        _every_sampler(bad)[name]()

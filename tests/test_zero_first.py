@@ -19,8 +19,9 @@ rows on their coefficient moduli and pools the other rows across batches
 for the ladder: it must give the record and kernel counts of a reference
 that draws each batch in full and settles it in place, and the screen must
 decide on moduli as the certificate does on the complex rows.  Every
-screen's cap prefix must give the estimates of whole moduli rows, and a
-stream its cap bound settles must draw nothing.  The
+screen's cap prefix must give the estimates of whole moduli rows, a cap
+prefix that is the whole row the estimate of the reference that draws in
+full, and a stream its cap bound settles must draw nothing.  The
 inner-circle pass must certify only true zeros inside r_in, keep the holes
 of the ladder at r, leave a root between the circles to that ladder, and
 settle the two recorded rows that stay open at the cap of the ladder at r;
@@ -624,8 +625,8 @@ def _spans_of_each_stage(monkeypatch, estimate):
             return stage(*args)
         return fn
 
-    def counts_spy(trials, workers, width, hists, draw, prefix, screen, ladder):
-        return screened_counts(trials, workers, width, hists, draw, prefix,
+    def counts_spy(trials, workers, stream, hists, prefix, screen, ladder):
+        return screened_counts(trials, workers, stream, hists, prefix,
                                seen(screen), seen(ladder))
 
     monkeypatch.setattr(holes, "_pool_map", spy)
@@ -732,6 +733,29 @@ def test_cap_prefixes_give_the_estimates_of_full_moduli_rows(monkeypatch,
     assert prefixes and all(k < n for k, n in prefixes)
     _with_full_moduli_rows(monkeypatch)
     assert got == _record_and_kernel(CAP_CASES[case](1))
+
+
+def test_a_cap_prefix_of_the_whole_row_gives_the_one_stage_estimate():
+    # Explicit (1, 0, 2) at r = 0.5: N_t = 2 and the cap prefix is all 3
+    # columns, so the prefix test runs on whole rows with no remainder and
+    # the screen gets the rows it leaves, none drawn again; the reference
+    # draws complex rows and shares no code with the cap prefix
+    m, r, trials, seed = explicit([1.0, 0.0, 2.0]), 0.5, 4096, 5
+    N_t, _, _ = holes._truncate(m, r, trials, gaf.DEFAULT_TAU_REL,
+                                gaf.DEFAULT_FAIL_EXP,
+                                holes.DEFAULT_COMPUTE_BUDGET)
+    a = coefficients(m, N_t)
+    k, rem = holes._prefix((a * holes._moduli_weights(r, N_t + 1))[1:], a[0],
+                           False)
+    assert (1 + k, rem) == (N_t + 1, 0.0) == (3, 0.0)
+    record, kernel = _one_stage_estimate(m, r, trials, seed)
+    assert (kernel["constant_term"], kernel["quadratic"]) == (3251, 845)
+    for workers in (1, 3):
+        est = holes.estimate_hole_direct(m, r, trials, seed, workers=workers)
+        assert json.dumps(est.to_record(), sort_keys=True) \
+            == json.dumps(record, sort_keys=True)
+        assert json.dumps(est.kernel, sort_keys=True) \
+            == json.dumps(kernel, sort_keys=True)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
