@@ -93,8 +93,8 @@ _KEYS: Dict[str, tuple] = {
     "budget": (float, holes.DEFAULT_COMPUTE_BUDGET, "trials*N_t compute cap"),
     "K_cap": (int, holes.K_CAP_DEFAULT, "grid cap: the ladder stops at its first "
               "level >= K_cap; rows open there are Inconclusive"),
-    "c_cfg": (float, None, "lower band/defect constant override"),
-    "C_cfg": (float, None, "upper band/defect constant override"),
+    "c_cfg": (float, None, "lower flat-band constant override"),
+    "C_cfg": (float, None, "upper flat-band constant override"),
     "band": (str, "hyperbolic", "envelope family: hyperbolic|decaying|flat"),
     "out": (str, None, "output path (stdout when omitted)"),
     "results": (str, None, "results directory or file for report"),
@@ -202,16 +202,26 @@ def _dump_row(row: dict) -> str:
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-def write_jsonl(rows: List[dict], out: Optional[str],
-                wall_times: Optional[List[float]] = None,
-                kernel: Optional[List[dict]] = None) -> None:
-    body = "".join(_dump_row(r) + "\n" for r in rows)
+def _write(body: str, out: Optional[str], **meta) -> None:
+    """body to stdout, or to out with the sidecar out.meta.json: the
+    timestamp plus each meta entry that is not None."""
     if out is None:
         sys.stdout.write(body)
         return
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(body)
-    _write_sidecar(out, wall_times, kernel)
+    sidecar = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    sidecar.update((k, v) for k, v in meta.items() if v is not None)
+    with open(out + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(rows: List[dict], out: Optional[str],
+                wall_times: Optional[List[float]] = None,
+                kernel: Optional[List[dict]] = None) -> None:
+    _write("".join(_dump_row(r) + "\n" for r in rows), out,
+           wall_time_s=wall_times, kernel=kernel)
 
 
 def write_csv(header: List[str], rows: List[List[object]],
@@ -222,26 +232,8 @@ def write_csv(header: List[str], rows: List[List[object]],
         if isinstance(x, float):
             return repr(x)
         return str(x)
-    body = ",".join(header) + "\n" + "".join(
-        ",".join(fmt(x) for x in row) + "\n" for row in rows)
-    if out is None:
-        sys.stdout.write(body)
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(body)
-    _write_sidecar(out, None)
-
-
-def _write_sidecar(out: str, wall_times: Optional[List[float]],
-                   kernel: Optional[List[dict]] = None) -> None:
-    meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    if wall_times is not None:
-        meta["wall_time_s"] = wall_times
-    if kernel is not None:
-        meta["kernel"] = kernel
-    with open(out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write(",".join(header) + "\n" + "".join(
+        ",".join(fmt(x) for x in row) + "\n" for row in rows), out)
 
 
 def _provenance(cfg: dict, streams: Optional[List[int]] = None) -> dict:
@@ -452,7 +444,6 @@ def _direct_vs_oracle_report() -> oracles.CheckReport:
               {"check": "inconclusive <= 0"}],
         measured=[est.p_low, oracle, float(est.inconclusive)],
         asserted=[oracle, est.p_high, 0.0],
-        passed=est.p_low <= oracle <= est.p_high and est.inconclusive == 0,
         constants={"L": 1.0, "r": 0.5, "trials": 10000, "seed": 11})
 
 

@@ -881,19 +881,15 @@ def hole_decision(sample: GafSample, r: float, tail_bound: float, *,
 def _check_ladder_args(r: float, K_cap: int):
     if not (0.0 < r < 1.0):
         raise InvalidRadius(f"r must lie in (0, 1), got {r}")
-    if not (1 <= K_cap < math.inf):
-        raise DomainError(f"K_cap must be >= 1 and finite, got {K_cap}")
-
-
-def _is_integer(n) -> bool:
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not rng.is_integer(K_cap) or K_cap < 1:
+        raise DomainError(f"K_cap must be an integer >= 1, got {K_cap!r}")
 
 
 def _check_estimator_args(r: float, trials: int, seed: int, confidence: float,
                           *, K_cap: int, workers: int):
     _check_ladder_args(r, K_cap)
     for name, n in (("trials", trials), ("workers", workers)):
-        if not _is_integer(n) or n < 1:
+        if not rng.is_integer(n) or n < 1:
             raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
     rng.check_seed(seed)   # also before a stream that draws nothing
     if not (0.0 < confidence < 1.0):

@@ -13,7 +13,7 @@ rely on:
     shifted negative moment for small theta, the joint negative-moment
     bound for correlated Gaussian vectors on the circle, the root-of-unity
     averaging defect for log|polynomial|, and the negative-moment sup
-    bound over shifts;
+    bound over shifts, each with its constants fixed at DEFAULT_* below;
   * mixture/rejection coupling samplers realizing a standard complex
     Gaussian that conditionally has a smaller variance (componentwise over
     coefficient sequences: conditionally a damped Gaussian Taylor series),
@@ -34,8 +34,8 @@ with i0e the exponentially scaled Bessel I0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import List
 
 import numpy as np
 
@@ -55,28 +55,22 @@ DEFAULT_DEFECT_C = 10.0            # C in the averaging-defect bound
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Measured-versus-asserted record for one verifier over a grid."""
+    """Measured-versus-asserted record for one verifier over a grid;
+    passed is derived: measured <= asserted pointwise (a NaN fails)."""
 
     check_id: str
     grid: List[dict]
     measured: List[float]
     asserted: List[float]
-    passed: bool
+    passed: bool = field(init=False)
     constants: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(
+            m <= b for m, b in zip(self.measured, self.asserted)))
+
     def to_record(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "grid": self.grid,
-            "measured": self.measured,
-            "asserted": self.asserted,
-            "passed": self.passed,
-            "constants": self.constants,
-        }
-
-
-def _passed(measured: Sequence[float], asserted: Sequence[float]) -> bool:
-    return all(m <= b for m, b in zip(measured, asserted))
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +171,7 @@ def log_abs_moment_exact(t: float) -> float:
 # grid verifiers
 # ---------------------------------------------------------------------------
 
-def neg_moment_contraction_check(t, theta,
-                                 c_cfg: float = DEFAULT_CONTRACTION_C_LOW,
-                                 C_cfg: float = DEFAULT_CONTRACTION_C_HIGH) -> CheckReport:
+def neg_moment_contraction_check(t, theta) -> CheckReport:
     """Check m(t, theta) = E|1 + zeta/t|^{-theta} <= 1 - c th e^{-t^2}/(1+t^2) + C th^2.
 
     The small-theta contraction: the shifted negative moment dips strictly
@@ -192,26 +184,26 @@ def neg_moment_contraction_check(t, theta,
         raise DomainError("theta must lie in [0, 1/2] for the contraction check")
     if np.any(ts <= 0.0):
         raise DomainError("t must be positive")
+    c, C = DEFAULT_CONTRACTION_C_LOW, DEFAULT_CONTRACTION_C_HIGH
     grid, measured, asserted = [], [], []
     for tv in ts:
         for th in thetas:
             m = neg_moment_quadrature(th, tv, 1.0 + 0.0j)
-            bound = 1.0 - c_cfg * th * math.exp(-tv * tv) / (1.0 + tv * tv) \
-                + C_cfg * th * th
+            bound = 1.0 - c * th * math.exp(-tv * tv) / (1.0 + tv * tv) \
+                + C * th * th
             grid.append({"t": float(tv), "theta": float(th)})
             measured.append(float(m))
             asserted.append(float(bound))
     return CheckReport(
         check_id="neg_moment_contraction", grid=grid, measured=measured,
-        asserted=asserted, passed=_passed(measured, asserted),
-        constants={"c_cfg": c_cfg, "C_cfg": C_cfg})
+        asserted=asserted, constants={"c_cfg": c, "C_cfg": C})
 
 
-def neg_moment_sup_check(theta, t, C_cfg: float = DEFAULT_SUP_C) -> CheckReport:
+def neg_moment_sup_check(theta, t) -> CheckReport:
     """Check sup_w E|w + zeta/t|^{-theta} <= t^theta (1 + C theta).
 
     The rearrangement argument places the supremum at w = 0, where the
-    moment is exactly t^theta Gamma(1 - theta/2); the configured constant
+    moment is exactly t^theta Gamma(1 - theta/2); C = DEFAULT_SUP_C
     absorbs Gamma(1 - theta/2) <= 1 + C theta for theta <= 1.
     """
     w_grid = [0.0, 0.5, 1.0, 1.0 + 1.0j, 2.0, 5.0]
@@ -223,15 +215,14 @@ def neg_moment_sup_check(theta, t, C_cfg: float = DEFAULT_SUP_C) -> CheckReport:
     for th in thetas:
         for tv in ts:
             sup = max(neg_moment_quadrature(th, tv, complex(w)) for w in w_grid)
-            bound = tv ** th * (1.0 + C_cfg * th)
+            bound = tv ** th * (1.0 + DEFAULT_SUP_C * th)
             grid.append({"theta": float(th), "t": float(tv),
                          "n_w": len(w_grid)})
             measured.append(float(sup))
             asserted.append(float(bound))
     return CheckReport(
         check_id="neg_moment_sup", grid=grid, measured=measured,
-        asserted=asserted, passed=_passed(measured, asserted),
-        constants={"C_cfg": C_cfg})
+        asserted=asserted, constants={"C_cfg": DEFAULT_SUP_C})
 
 
 def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
@@ -274,7 +265,6 @@ def joint_neg_moment_check(model: CoefficientModel, r: float, N: int,
                "trials": trials}],
         measured=[est],
         asserted=[float(tol)],
-        passed=est <= tol,
         constants={"seed": seed, "se": se, "bound": bound,
                    "log_det": sp.log_det, "Lambda_max": sp.Lambda_max})
 
@@ -304,9 +294,9 @@ def unity_average_defect(poly_coeffs, k: int) -> float:
     return float(math.log(abs(c[0])) - np.max(averages))
 
 
-def unity_average_defect_check(C_cfg: float = DEFAULT_DEFECT_C) -> CheckReport:
-    """Defect check D <= C/k^2 over sample polynomials, including the
-    on-circle-root hard case."""
+def unity_average_defect_check() -> CheckReport:
+    """Defect check D <= C/k^2, C = DEFAULT_DEFECT_C, over sample
+    polynomials, including the on-circle-root hard case."""
     polys = {
         "1+0.5z": [1.0, 0.5],
         "1-z": [1.0, -1.0],
@@ -319,11 +309,10 @@ def unity_average_defect_check(C_cfg: float = DEFAULT_DEFECT_C) -> CheckReport:
             d = unity_average_defect(coeffs, k)
             grid.append({"poly": name, "k": k})
             measured.append(float(d))
-            asserted.append(float(C_cfg / (k * k)))
+            asserted.append(float(DEFAULT_DEFECT_C / (k * k)))
     return CheckReport(
         check_id="unity_average_defect", grid=grid, measured=measured,
-        asserted=asserted, passed=_passed(measured, asserted),
-        constants={"C_cfg": C_cfg})
+        asserted=asserted, constants={"C_cfg": DEFAULT_DEFECT_C})
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +340,7 @@ def gaussian_coupling_sample(sigma, seed: int, stream):
     sig = np.asarray(sigma, dtype=float)
     if not np.all((0.0 < sig) & (sig <= 1.0)):
         raise DomainError(f"sigma must lie in (0, 1], got {sigma}")
-    s = np.asarray(stream)
-    if s.dtype.kind not in "iu" or np.any(s < 0):
-        raise DomainError(f"stream must be an integer in [0, 2^64), got {stream}")
-    keys = rng.stream_key(seed, s, rng.PURPOSE_COUPLING)
+    keys = rng.stream_key(seed, stream, rng.PURPOSE_COUPLING)
     shape = np.broadcast_shapes(sig.shape, keys.shape)
     keys, sig = (np.broadcast_to(x, shape).ravel() for x in (keys, sig))
     in_event = rng.uniforms(keys, 0) < sig * sig

@@ -98,21 +98,34 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def is_integer(n) -> bool:
+    """Whether n is an int or numpy integer (not a bool): every integer
+    argument's test."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def check_seed(seed) -> None:
-    """DomainError unless seed is an int or numpy integer (not a bool)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    """DomainError unless seed is an integer in [0, 2^64)."""
+    if not (is_integer(seed) and 0 <= int(seed) < 1 << 64):
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def stream_key(seed: int, stream_id, purpose: int) -> np.ndarray:
-    """Derive per-stream keys.  stream_id may be a scalar or uint64 array.
+    """Derive per-stream keys.  stream_id is an integer or an integer array
+    of ids in [0, 2^64), else DomainError (a uint64 array passes on its
+    dtype alone).
 
     Returns a uint64 array shaped like stream_id (0-d for scalars).  Every
-    draw comes through here, so check_seed covers every sampler.
+    draw comes through here, so these checks cover every sampler.
     """
     check_seed(seed)
-    s = np.asarray(stream_id, dtype=np.uint64)
-    k = mix64(np.asarray(np.uint64(int(seed) % (1 << 64))) ^ _SEED_TAG)
+    s = np.asarray(stream_id)
+    if s.dtype != np.uint64:
+        if s.dtype.kind not in "iu" or np.any(s < 0):
+            raise DomainError(
+                f"stream must be an integer in [0, 2^64), got {stream_id!r}")
+        s = s.astype(np.uint64)
+    k = mix64(np.asarray(np.uint64(seed)) ^ _SEED_TAG)
     k = mix64(k ^ (s * GOLDEN))
     return mix64(k ^ np.multiply(np.uint64(purpose), _PURPOSE_TAG))
 

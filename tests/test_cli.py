@@ -1,5 +1,6 @@
 """Command line interface: records, config precedence, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -457,13 +458,41 @@ def test_verify_unknown_level_rejected(capsys):
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
     failing = oracles.CheckReport(check_id="always_fails", grid=[{}],
-                                  measured=[1.0], asserted=[0.0], passed=False)
+                                  measured=[1.0], asserted=[0.0])
     monkeypatch.setattr(oracles, "standard_reports",
                         lambda seed, quick: [failing])
     assert cli.main(["verify", "--level", "quick"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  always_fails" in out
     assert out.strip().endswith("1/2 checks passed")
+
+
+# The verifier's output, frozen byte for byte: the sha256 of the
+# `oracle-verify --level quick` JSONL and the text `verify --level quick`
+# prints.  A change here is a change in a checked moment fact, its grid or
+# its constants, or in the serialization.
+FROZEN_ORACLE_VERIFY_QUICK_SHA256 = (
+    "ca922ded6f81ca4af282a0f20d29df491b08f067b5925370b19f3713e23e31e3")
+FROZEN_VERIFY_QUICK_STDOUT = (
+    "PASS  unity_average_defect\n"
+    "PASS  neg_moment_sup\n"
+    "PASS  neg_moment_contraction\n"
+    "PASS  joint_neg_moment\n"
+    "PASS  direct_vs_oracle\n"
+    "5/5 checks passed\n"
+)
+
+
+def test_oracle_verify_quick_output_frozen(capsys):
+    assert cli.main(["oracle-verify", "--level", "quick"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == FROZEN_ORACLE_VERIFY_QUICK_SHA256
+
+
+def test_verify_quick_output_frozen(capsys):
+    assert cli.main(["verify", "--level", "quick"]) == 0
+    assert capsys.readouterr().out == FROZEN_VERIFY_QUICK_STDOUT
 
 
 def test_oracle_verify_writes_one_row_per_report(tmp_path):
@@ -522,3 +551,12 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_estimate_rejects_a_seed_outside_64_bits(seed, capsys):
+    # --seed -1 once ran seed 2^64 - 1 and recorded -1
+    assert cli.main(["estimate", "--trials", "64", f"--seed={seed}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "seed" in err

@@ -435,7 +435,7 @@ def test_non_positive_K_cap_rejected(K):
             holes.estimate_hole_lower_tilted(hyperbolic(2.0), 0.9, 8, 0, **kw)
 
 
-@pytest.mark.parametrize("K", [math.inf, math.nan])
+@pytest.mark.parametrize("K", [math.inf, math.nan, True, 1.5, 0])
 @pytest.mark.parametrize("name", ["K_cap"])
 def test_non_finite_grid_sizes_rejected_before_any_ladder(monkeypatch, name, K):
     # an infinite cap would double the ladder's levels forever, and a NaN
@@ -481,6 +481,26 @@ def test_seed_must_be_an_integer_before_any_pool(monkeypatch, bad):
                       (holes.estimate_hole_lower_tilted, hyperbolic(2.0), 0.9)):
         with pytest.raises(DomainError, match="seed"):
             est(m, r, 4096, bad, workers=2)
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 64, (1 << 64) + 5])
+def test_seed_outside_64_bits_rejected_before_any_pool(monkeypatch, bad):
+    # seeds were once reduced mod 2^64: seed 5 + 2^64 gave seed 5's hits
+    # but recorded the larger seed, and seed -1 gave seed 2^64 - 1's
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool should be built")
+
+    monkeypatch.setattr(holes, "ThreadPoolExecutor", no_pool)
+    for est, m, r in ((holes.estimate_hole_direct, hyperbolic(1.0), 0.3),
+                      (holes.estimate_hole_lower_threshold, hyperbolic(1.0), 0.5),
+                      (holes.estimate_hole_lower_tilted, hyperbolic(2.0), 0.9)):
+        with pytest.raises(DomainError, match="seed"):
+            est(m, r, 4096, bad, workers=2)
+
+
+def test_largest_seed_runs():
+    est = holes.estimate_hole_direct(hyperbolic(1.0), 0.3, 64, (1 << 64) - 1)
+    assert est.to_record()["seed"] == (1 << 64) - 1
 
 
 def test_numpy_integer_seeds_run_their_int_seed():

@@ -98,6 +98,21 @@ def test_contraction_and_sup_reports_pass():
     assert oracles.neg_moment_sup_check(0.5, 2.0).passed
 
 
+@pytest.mark.parametrize("measured", [[0.5, math.nan], [math.nan, 0.5],
+                                      [0.5, 2.0]])
+def test_check_report_derives_a_failing_verdict(measured):
+    # passed is derived from the numbers: a NaN or a measured value above
+    # its asserted bound fails the check, and no caller can say otherwise
+    rep = oracles.CheckReport(check_id="c", grid=[{}, {}], measured=measured,
+                              asserted=[1.0, 1.0])
+    assert rep.passed is False
+    assert list(rep.to_record()) == ["check_id", "grid", "measured",
+                                     "asserted", "passed", "constants"]
+    assert oracles.CheckReport("c", [{}, {}], [0.5, 1.0], [1.0, 1.0]).passed
+    with pytest.raises(TypeError):
+        oracles.CheckReport("c", [{}], [0.5], [1.0], passed=False)
+
+
 def test_joint_neg_moment_bound_holds():
     rep = oracles.joint_neg_moment_check(constant_unit(), 0.5, 1, 0.5, 4000, seed=9)
     assert rep.passed

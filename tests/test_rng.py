@@ -370,3 +370,50 @@ def test_every_sampler_rejects_a_seed_that_is_not_an_integer(name, bad):
     # 2's, and "3" ran seed 3
     with pytest.raises(DomainError, match="seed"):
         _every_sampler(bad)[name]()
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 64, (1 << 64) + 5])
+@pytest.mark.parametrize("name", list(_every_sampler(0)))
+def test_every_sampler_rejects_a_seed_outside_64_bits(name, bad):
+    # seeds were once reduced mod 2^64: seed 5 + 2^64 drew seed 5's rows
+    # but recorded the larger seed, and seed -1 drew seed 2^64 - 1's
+    with pytest.raises(DomainError, match="seed"):
+        _every_sampler(bad)[name]()
+
+
+def _every_stream_keyer(stream):
+    """One call of each sampler that keys the stream ids it is given."""
+    from gafholes import gaf, spectra
+    from gafholes.coeffs import hyperbolic
+
+    m = hyperbolic(1.0)
+    split = spectra.split_coefficients(hyperbolic(0.5), 0.9, 8)
+    return {
+        "gaf.sample": lambda: gaf.sample(m, 7, stream, 8),
+        "gaf.sample_coeff_batch": lambda: gaf.sample_coeff_batch(m, 7, stream, 8),
+        "rng.gaussian_rows": lambda: rng.gaussian_rows(7, stream, 1, 0, 3),
+        "spectra.split_sample_batch": lambda: spectra.split_sample_batch(
+            split, 12, 7, stream),
+        "rng.stream_key": lambda: rng.stream_key(7, stream, rng.PURPOSE_SAMPLE),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3", -1, 1 << 64, None,
+                                 np.array([1.7])],
+                         ids=["1.5", "True", "str", "-1", "2^64", "None",
+                              "float-array"])
+@pytest.mark.parametrize("name", list(_every_stream_keyer(0)))
+def test_every_stream_keyer_rejects_a_stream_id_that_is_not_in_64_bits(name, bad):
+    # gaf.sample(m, 7, 1.5, 8) and gaf.sample(m, 7, True, 8) once drew
+    # stream 1 and recorded stream_id=1, "3" drew stream 3, -1 drew stream
+    # 2^64 - 1, and a float array was truncated to its integer parts
+    with pytest.raises(DomainError, match="stream"):
+        _every_stream_keyer(bad)[name]()
+
+
+def test_integer_stream_ids_of_any_width_key_like_uint64():
+    want = rng.stream_key(7, np.arange(4, dtype=np.uint64), rng.PURPOSE_SAMPLE)
+    for ids in (np.arange(4), np.arange(4, dtype=np.int32),
+                np.arange(4, dtype=np.uint8), [0, 1, 2, 3]):
+        got = rng.stream_key(7, ids, rng.PURPOSE_SAMPLE)
+        assert got.tobytes() == want.tobytes(), ids
