@@ -9,6 +9,8 @@ rng        counter-based splittable random streams (bit-exact, order-free)
 gaf        truncated series sampling, evaluation, and tail certificates
 spectra    circulant covariance spectra on scaled roots of unity and the
            independence-producing splitting
+ladder     the certificate kernel: one ladder of certified circle bounds
+intervals  binomial confidence intervals (Wilson)
 holes      certified hole/zero decisions and the three hole-probability
            estimators (direct, threshold lower bound, tilted lower bound)
 oracles    special-function reference values and numerical lemma checkers

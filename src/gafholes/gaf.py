@@ -145,8 +145,8 @@ def tail_sup_bound(model: CoefficientModel, N_t: int, rho: float,
     """
     if not (0.0 < rho < 1.0):
         raise InvalidRadius(f"rho must lie in (0, 1), got {rho}")
-    if not (fail_exp > 0):
-        raise DomainError(f"fail_exp must be > 0, got {fail_exp}")
+    if not (0 < fail_exp < np.inf):
+        raise DomainError(f"fail_exp must lie in (0, inf), got {fail_exp}")
     log_fail_prob = -float(fail_exp) - float(np.log(1.0 - np.exp(-1.0)))
     if model.kind == "Explicit":
         seq = np.asarray(model.explicit_seq)

@@ -9,6 +9,7 @@ rely on:
     E|zeta|^{-theta} = Gamma(1 - theta/2) and the shifted variant
     E|w + zeta/t|^{-theta};
   * the log-modulus moment E[log|1 + zeta/t|] = E1(t^2)/2;
+  * the exact flat-model (L = 1) hole probability prod_k (1 - r^{2k});
   * grid verifiers packaged as CheckReport records: the contraction of the
     shifted negative moment for small theta, the joint negative-moment
     bound for correlated Gaussian vectors on the circle, the root-of-unity
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import rng
 from .coeffs import CoefficientModel
-from .errors import DomainError, RatioOutOfRange, ZeroConstantTerm
+from .errors import DomainError, InvalidRadius, RatioOutOfRange, ZeroConstantTerm
 from .gaf import horner
 from .spectra import circulant_eigenvalues
 
@@ -165,6 +166,36 @@ def log_abs_moment_exact(t: float) -> float:
     if not (t > 0.0):
         raise DomainError(f"t must be positive, got {t}")
     return 0.5 * exp_integral_e1(t * t)
+
+
+def log_determinantal_hole_probability(r: float) -> float:
+    """log of the exact flat-model (L = 1) hole probability.
+
+    Stays finite for r arbitrarily close to 1 where the probability
+    itself underflows (it is of order exp(-(pi^2/12)/(1-r))).
+    """
+    if not (0.0 <= r < 1.0):
+        raise InvalidRadius(f"r must lie in [0, 1), got {r}")
+    if r == 0.0:
+        return 0.0
+    log_acc = 0.0
+    r2k = 1.0
+    r2 = r * r
+    while True:
+        r2k *= r2
+        if r2k < 1e-16:
+            break
+        log_acc += math.log1p(-r2k)
+    return log_acc
+
+
+def determinantal_hole_probability(r: float) -> float:
+    """Exact hole probability for the flat model (L = 1): prod_k (1 - r^{2k}).
+
+    Factors are truncated once r^{2k} < 1e-16, keeping the relative error
+    of the product below 1e-12 for r <= 0.999.
+    """
+    return math.exp(log_determinantal_hole_probability(r))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +448,8 @@ __all__ = [
     "neg_moment_exact",
     "neg_moment_quadrature",
     "log_abs_moment_exact",
+    "log_determinantal_hole_probability",
+    "determinantal_hole_probability",
     "neg_moment_contraction_check",
     "neg_moment_sup_check",
     "joint_neg_moment_check",

@@ -205,13 +205,18 @@ def gaussian_rows(seed: int, streams, purpose: int, lo: int, hi: int,
     """The row sampler: Gaussians at indices lo..hi-1 of each stream's key,
     or with moduli=True their moduli alone, in out when given.
 
-    Shape (len(streams), hi - lo); every batch of draws comes from here.
-    Rows are drawn in blocks of _BLOCK_DRAWS // (hi - lo) rows (at least
-    one), each bit for bit the rows of the whole batch, and each block
-    through complex_gaussians or gaussian_moduli with its slice of out as
-    their out.  A caller that passes the same out again gets its entries
+    Shape (len(streams), hi - lo), DomainError unless streams is 1-D and 0
+    <= lo <= hi; every batch of draws comes from here.  Rows are drawn in
+    blocks of _BLOCK_DRAWS // (hi - lo) rows (at least one), each bit for
+    bit the rows of the whole batch, and each block through
+    complex_gaussians or gaussian_moduli with its slice of out as their
+    out.  A caller that passes the same out again gets its entries
     overwritten, never read.
     """
+    if np.ndim(streams) != 1 or not 0 <= lo <= hi:
+        raise DomainError(f"rows need 1-D streams and 0 <= lo <= hi, got "
+                          f"streams of shape {np.shape(streams)}, lo={lo}, "
+                          f"hi={hi}")
     keys = stream_key(seed, streams, purpose)[:, None]
     idx = np.arange(lo, hi, dtype=np.uint64)[None, :]
     draw = gaussian_moduli if moduli else complex_gaussians

@@ -1,6 +1,6 @@
 """The min-modulus / winding ladder behind every hole decision.
 
-holes._certify_rows doubles the circle grid, evaluates only the new odd
+ladder._certify_rows doubles the circle grid, evaluates only the new odd
 points at each doubling and interleaves them with the kept values of the
 previous level.  Its lower bound is the larger of the first-order bound
 gmin - D pi rho / K and the second-order ("tube") bound segmin - (h^2/8) D_2,
@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gafholes import gaf, holes
+from gafholes import gaf, ladder
 from gafholes.coeffs import explicit, hyperbolic
 
 KEYS = ("mm_lb", "mm_gm", "mm_K", "wind", "wind_ok", "wind_K", "hopeless",
@@ -39,17 +39,17 @@ def _empty(B):
 
 def _full_grid(C, rho, K):
     """Horner values of each row on the full K-point grid."""
-    return gaf.evaluate_on_grid(C, holes._grid_points(rho, K))
+    return gaf.evaluate_on_grid(C, ladder._grid_points(rho, K))
 
 
 def _level_grid(C, rho, K, bounds):
     """(values, E) of each row on the full K-point grid, assembled afresh
     from the level evaluator: the K_INIT-point level, then the odd points
     of every doubling up to K, interleaved; E is the largest level E."""
-    V, E = holes._grid_values(C, rho, holes.K_INIT, False, bounds, {})
-    K2 = 2 * holes.K_INIT
+    V, E = ladder._grid_values(C, rho, ladder.K_INIT, False, bounds, {})
+    K2 = 2 * ladder.K_INIT
     while K2 <= K:
-        new, E2 = holes._grid_values(C, rho, K2, True, bounds, {})
+        new, E2 = ladder._grid_values(C, rho, K2, True, bounds, {})
         V = np.stack([V, new], axis=2).reshape(C.shape[0], K2)
         E = np.maximum(E, E2)
         K2 *= 2
@@ -67,8 +67,8 @@ def _bounds(C, rho):
     n1 = C.shape[1]
     n = np.arange(n1, dtype=np.float64)
     A = np.abs(C)
-    g = holes._rounding_gamma(n1)
-    eta = holes._GRID_ETA
+    g = ladder._rounding_gamma(n1)
+    eta = ladder._GRID_ETA
     D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
     D2 = np.sum(A * (n * n * rho ** n), axis=1)
     E = g * np.sum(A * (rho * (1.0 + eta)) ** n, axis=1) + D * (eta * rho)
@@ -78,8 +78,8 @@ def _bounds(C, rho):
 def _evaluator_bounds(C, rho):
     """(scale, g, Eg, Eh) of the level evaluator for the rows of C."""
     n1 = C.shape[1]
-    g = holes._rounding_gamma(n1)
-    eta = holes._GRID_ETA
+    g = ladder._rounding_gamma(n1)
+    eta = ladder._GRID_ETA
     A = np.abs(C)
     Eg = g * np.sum(A * (rho * (1.0 + eta)) ** np.arange(n1), axis=1)
     return 1.0, g, Eg, _bounds(C, rho)[3]
@@ -103,7 +103,7 @@ def _reference(C, rho, K_cap, tail=-np.inf):
     scale, _, Eg, Eh = _evaluator_bounds(C, rho)
     res = _empty(B)
     active = np.arange(B)
-    K = holes.K_INIT
+    K = ladder.K_INIT
     while active.size:
         V, E = _level_grid(C[active], rho, K,
                            (scale, g, Eg[active], Eh[active]))
@@ -153,7 +153,7 @@ def _first_order_reference(C, rho, K_cap, tail=None):
     res["wind_gm"] = np.zeros(B)
     mm_done = np.zeros(B, dtype=bool)
     active = np.arange(B)
-    K = holes.K_INIT
+    K = ladder.K_INIT
     while active.size:
         V = _full_grid(C[active], rho, K)
         gmin = np.abs(V).min(axis=1)
@@ -205,7 +205,7 @@ def _assert_bytes_equal(res, ref):
 # grid caps; 1000 is no level (the ladder ends at 1024), and at 8 the first
 # level is also the cap level.  Ids read first level-cap.
 LEVELS = [1 << 14, 1000, 256, 64, 8]
-LEVEL_IDS = [f"{holes.K_INIT}-{K_cap}" for K_cap in LEVELS]
+LEVEL_IDS = [f"{ladder.K_INIT}-{K_cap}" for K_cap in LEVELS]
 # both cases run the FFT on every level
 CASES = [(1.0, 0.7, 256), (2.0, 0.9, 48)]
 # the model's tail bound, on the default evaluators and on Horner alone; a
@@ -220,7 +220,7 @@ def _tail_for(mode, tail):
 
 def _horner_only(monkeypatch):
     """Raise the FFT crossover above every degree: each level runs Horner."""
-    monkeypatch.setattr(holes, "_FFT_MIN_DEGREE", 1 << 30)
+    monkeypatch.setattr(ladder, "_FFT_MIN_DEGREE", 1 << 30)
 
 
 @pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
@@ -233,9 +233,9 @@ def test_ladder_matches_the_full_grid_ladder(K_cap, L, r, n, mode, horner,
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
     if mode != "-inf":
-        res = holes._certify_rows(C, r, K_cap=K_cap, tail=tail)
+        res = ladder._certify_rows(C, r, K_cap=K_cap, tail=tail)
     else:
-        res = holes._certify_rows(C, r, K_cap=K_cap)
+        res = ladder._certify_rows(C, r, K_cap=K_cap)
     ref = _reference(C, r, K_cap, tail=tail)
     _assert_bytes_equal(res, ref)
     # the NaN row never certifies and runs to the cap
@@ -272,7 +272,7 @@ def test_no_row_flips_against_the_first_order_ladder(K_cap, L, r, n, mode,
         _horner_only(monkeypatch)
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
-    new = holes._certify_rows(C, r, K_cap=K_cap, tail=tail)
+    new = ladder._certify_rows(C, r, K_cap=K_cap, tail=tail)
     old = _first_order_reference(C, r, K_cap,
                                  tail=None if mode == "-inf" else tail)
     _, D, _, E = _bounds(C, r)
@@ -299,17 +299,17 @@ def test_rows_settle_across_the_levels():
     # the cases above are only meaningful if rows settle late and some
     # rows take each exit
     C, tail = _rows(2.0, 0.9, 48)
-    res = holes._certify_rows(C, 0.9, K_cap=1 << 14, tail=tail)
+    res = ladder._certify_rows(C, 0.9, K_cap=1 << 14, tail=tail)
     assert res["wind_K"].max() >= 1024
     assert len(set(res["wind_K"][res["wind_ok"]])) >= 3
     assert res["tube"].any() and len(set(res["settle_K"])) >= 4
     for L, r, n in CASES:
         C, _ = _rows(L, r, n)
-        res = holes._certify_rows(C, r, K_cap=1 << 14, tail=WIDE_TAIL)
+        res = ladder._certify_rows(C, r, K_cap=1 << 14, tail=WIDE_TAIL)
         assert res["hopeless"].any()
         assert ((res["mm_lb"] > WIDE_TAIL) & res["wind_ok"]).any()
     C, tail = _rows(1.0, 0.7, 256)
-    res = holes._certify_rows(C, 0.7, K_cap=1 << 14, tail=tail)
+    res = ladder._certify_rows(C, 0.7, K_cap=1 << 14, tail=tail)
     assert (res["wind_ok"] & (res["wind"] == 0)).any()
     assert (res["wind_ok"] & (res["wind"] >= 1)).any()
 
@@ -321,21 +321,21 @@ def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
            _reference(C, 0.9, 1000, tail=WIDE_TAIL),
            _reference(C, 0.9, 2048)]
     bounds = _evaluator_bounds(C, 0.9)
-    level = holes._grid_values(C, 0.9, 4096, True, bounds, {})
+    level = ladder._grid_values(C, 0.9, 4096, True, bounds, {})
     # a chunk below the grid size also sends the open rows up the rest of
     # the ladder one at a time, and evaluates one row per FFT chunk
-    monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
-    res = [holes._certify_rows(C, 0.9, K_cap=4096, tail=tail),
-           holes._certify_rows(C, 0.9, K_cap=1000, tail=WIDE_TAIL),
-           holes._certify_rows(C, 0.9, K_cap=2048)]
+    monkeypatch.setattr(ladder, "_CHUNK_ELEMS", chunk)
+    res = [ladder._certify_rows(C, 0.9, K_cap=4096, tail=tail),
+           ladder._certify_rows(C, 0.9, K_cap=1000, tail=WIDE_TAIL),
+           ladder._certify_rows(C, 0.9, K_cap=2048)]
     for a, b in zip(res, ref):
         _assert_bytes_equal(a, b)
-    for a, b in zip(holes._grid_values(C, 0.9, 4096, True, bounds, {}), level):
+    for a, b in zip(ladder._grid_values(C, 0.9, 4096, True, bounds, {}), level):
         assert a.tobytes() == b.tobytes()
     # on Horner, a row's points are evaluated in slices above the chunk
     _horner_only(monkeypatch)
-    z = holes._grid_points(0.9, 4096)[1::2]
-    V, E = holes._grid_values(C, 0.9, 4096, True, bounds, {})
+    z = ladder._grid_points(0.9, 4096)[1::2]
+    V, E = ladder._grid_values(C, 0.9, 4096, True, bounds, {})
     assert V.tobytes() == gaf.evaluate_on_grid(C, z).tobytes()
     assert E.tobytes() == bounds[3].tobytes()
 
@@ -366,7 +366,7 @@ def _segment_cases():
 def test_segment_distance_against_mpmath():
     # on the two-point rows [a, b], both cyclic arcs are [a, b]
     a, b = _segment_cases()
-    got = holes._arc_bounds(np.stack([a, b], axis=1))[1]
+    got = ladder._arc_bounds(np.stack([a, b], axis=1))[1]
     assert np.isnan(got[-2:]).all()
     u = 2.0 ** -53
     with mpmath.workprec(200):
@@ -396,7 +396,7 @@ def test_arc_bounds_are_the_minima_of_every_arc(K, B):
     V[2] = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(K) / K)
     want = (np.abs(V).min(axis=1),
             _seg_dist(V, np.roll(V, -1, axis=1)).min(axis=1))
-    got = holes._arc_bounds(V)
+    got = ladder._arc_bounds(V)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
 
@@ -415,7 +415,7 @@ def test_arc_bounds_of_planted_polygons():
          2 - 2j]])
     assert 2.0 / abs(1 + 1j) < abs(1 + 1j)
     V = np.concatenate([np.roll(polys, k, axis=1) for k in range(8)])
-    gmin, segmin = holes._arc_bounds(V)
+    gmin, segmin = ladder._arc_bounds(V)
     want = np.tile([1.0, abs(1 + 1j), 1.0], 8)
     assert np.array_equal(segmin, want)
     assert np.array_equal(gmin, np.tile([1.0, abs(1 + 1j), abs(1 - 1j)], 8))
@@ -436,12 +436,12 @@ def _assert_sound(C, rho, tail, K_cap=1 << 14):
     in the scalar mode.  Returns the tail-mode result."""
     inside = np.array([np.sum(np.abs(np.roots(c[::-1])) < rho) for c in C])
     for t in (tail, -np.inf):
-        res = holes._certify_rows(C, rho, K_cap=K_cap, tail=t)
+        res = ladder._certify_rows(C, rho, K_cap=K_cap, tail=t)
         ok = res["wind_ok"]
         assert np.array_equal(res["wind"][ok], inside[ok])
         hole = ok & (res["mm_lb"] > t) & (res["wind"] == 0)
         assert not np.any(hole & (inside > 0))
-    return holes._certify_rows(C, rho, K_cap=K_cap, tail=tail)
+    return ladder._certify_rows(C, rho, K_cap=K_cap, tail=tail)
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-4, -1e-4, -1e-9, -1e-12])
@@ -474,7 +474,7 @@ def test_dyadic_root_clusters(e, side):
     C = _poly_rows(roots, 5)
     inside = np.array([k if side < 0 else 0 for k in (1, 2, 3) for _ in range(8)])
     for t in (0.0, -np.inf):
-        res = holes._certify_rows(C, rho, K_cap=1 << 14, tail=t)
+        res = ladder._certify_rows(C, rho, K_cap=1 << 14, tail=t)
         ok = res["wind_ok"]
         assert np.array_equal(res["wind"][ok], inside[ok])
         assert not np.any(ok & (res["mm_lb"] > t) & (inside > 0)
@@ -528,6 +528,6 @@ def test_step_condition_carries_the_rounding_term():
     V, E = _level_grid(row(hi), rho, 8, _evaluator_bounds(row(hi), rho))
     assert 2.0 * ((1.0 + g) * D[0] * (np.pi * rho / 8)) < np.abs(V).min() - E[0]
     for eps, K in ((lo, 8), (hi, 16)):
-        res = holes._certify_rows(row(eps), rho, K_cap=16)
+        res = ladder._certify_rows(row(eps), rho, K_cap=16)
         assert res["wind_ok"][0] and res["wind"][0] == 0
         assert res["wind_K"][0] == K and not res["tube"][0]

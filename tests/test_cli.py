@@ -425,6 +425,14 @@ def test_arguments_that_are_not_radii_exit_2(args, capsys):
     assert args[-2].lstrip("-").replace("-", "_") in err
 
 
+def test_an_infinite_failure_exponent_exits_2_naming_it(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(ESTIMATE_ARGS + ["--fail-exp", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fail_exp" in err
+
+
 def test_config_hash_ignores_operational_keys():
     base = {"command": "estimate", "seed": 1, "trials": 256}
     h1 = cli.config_hash({**base, "workers": 1, "out": "a.jsonl", "results": None})

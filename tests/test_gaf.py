@@ -1,6 +1,7 @@
 """Sampling layer: truncation control, tail certificates, evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ def test_tolerance_and_failure_exponent_are_domain_errors():
     for fe in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="fail_exp"):
             gaf.tail_sup_bound(m, 10, 0.5, fe)
+
+
+@pytest.mark.parametrize("model", [hyperbolic(1.0), coeffs.explicit([1.0, 0.5, 0.25])],
+                         ids=["Hyperbolic", "Explicit"])
+def test_an_infinite_failure_exponent_is_a_domain_error(model):
+    # fail_exp = inf once gave an Explicit model the bound (inf, -inf), so
+    # every trial came out Inconclusive, and made the open-ended scan warn
+    # and give up with a NoConvergence that did not name fail_exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="fail_exp"):
+            gaf.tail_sup_bound(model, 1, 0.5, math.inf)
 
 
 def test_tail_sup_bound_shrinks_with_degree():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from gafholes import coeffs, gaf, holes, oracles
+from gafholes import coeffs, gaf, holes, intervals, ladder, oracles
 from gafholes.coeffs import constant_unit, explicit, hyperbolic
 from gafholes.errors import (ComputeBudgetExceeded, DomainError,
                              IntensityOutOfRange, InvalidIntensity,
@@ -35,7 +35,7 @@ def test_min_modulus_constant():
     # F = 1: no variation, so the bound is the grid value less the rounding
     # term E = g |c_0|
     lb, gmin, K = holes.min_modulus_certified(_poly_sample([1.0]), 0.5)
-    assert (lb, gmin, K) == (1.0 - holes._rounding_gamma(1), 1.0, 8)
+    assert (lb, gmin, K) == (1.0 - ladder._rounding_gamma(1), 1.0, 8)
 
 
 def test_min_modulus_linear():
@@ -164,17 +164,17 @@ def test_decision_fixture_frozen():
 # ---------------------------------------------------------------------------
 
 def test_wilson_interval_basics():
-    lo, hi = holes.wilson_interval(50, 100, 0.95)
+    lo, hi = intervals.wilson_interval(50, 100, 0.95)
     assert 0.0 < lo < 0.5 < hi < 1.0
     assert hi - lo < 0.25
-    assert holes.wilson_interval(0, 100, 0.99)[0] == 0.0
-    assert holes.wilson_interval(100, 100, 0.99)[1] == 1.0
+    assert intervals.wilson_interval(0, 100, 0.99)[0] == 0.0
+    assert intervals.wilson_interval(100, 100, 0.99)[1] == 1.0
     # widening confidence widens the interval
-    lo2, hi2 = holes.wilson_interval(50, 100, 0.99)
+    lo2, hi2 = intervals.wilson_interval(50, 100, 0.99)
     assert lo2 < lo and hi2 > hi
     for hits in (11, -1):
         with pytest.raises(ValueError, match="hits"):
-            holes.wilson_interval(hits, 10, 0.99)
+            intervals.wilson_interval(hits, 10, 0.99)
 
 
 def test_normal_quantile_equals_scipy_ndtri():
@@ -188,7 +188,7 @@ def test_normal_quantile_equals_scipy_ndtri():
     x8 = [math.sqrt(-2.0 * math.log(1.0 - p)) for p in ps[-3:]]
     assert min(x8) < 8.0 <= max(x8) and 1.0 in ps
     for p in ps:
-        assert holes._ndtri_upper(p) == float(ndtri(p)), p
+        assert intervals._ndtri_upper(p) == float(ndtri(p)), p
 
 
 def _wilson_with_scipy_z(hits, trials, confidence):
@@ -205,15 +205,15 @@ def test_wilson_interval_equals_the_scipy_quantile_formula():
     for n in (1, 2, 7, 100, 4096, 400000):
         for k in sorted({0, 1, n // 3, n - 1, n}):
             for conf in (0.5, 0.9, 0.95, 0.99, 0.995, 1.0 - 1e-15, 1.0 - 2.0 ** -53):
-                assert holes.wilson_interval(k, n, conf) == _wilson_with_scipy_z(k, n, conf)
+                assert intervals.wilson_interval(k, n, conf) == _wilson_with_scipy_z(k, n, conf)
 
 
 def test_wilson_interval_is_the_whole_range_when_the_quantile_is_infinite():
     # 0.5 + c/2 rounds to 1 at c = 1 - 2^-53, so z = inf
-    assert holes._ndtri_upper(0.5 + (1.0 - 2.0 ** -53) / 2.0) == math.inf
+    assert intervals._ndtri_upper(0.5 + (1.0 - 2.0 ** -53) / 2.0) == math.inf
     for n in (1, 7, 400000):
         for k in (0, n // 2, n):
-            assert holes.wilson_interval(k, n, 1.0 - 2.0 ** -53) == (0.0, 1.0)
+            assert intervals.wilson_interval(k, n, 1.0 - 2.0 ** -53) == (0.0, 1.0)
 
 
 def test_direct_estimate_frozen_and_contains_oracle():
@@ -258,9 +258,9 @@ def test_inconclusive_trials_counted_pessimistically():
     # turn out to be: hits count toward the upper end, misses toward the
     # lower end
     est = holes.estimate_hole_direct(hyperbolic(1.0), 0.5, 2048, 6)
-    lo_all, _ = holes.wilson_interval(est.hits, est.trials, est.confidence)
-    _, hi_all = holes.wilson_interval(est.hits + est.inconclusive,
-                                      est.trials, est.confidence)
+    lo_all, _ = intervals.wilson_interval(est.hits, est.trials, est.confidence)
+    _, hi_all = intervals.wilson_interval(est.hits + est.inconclusive,
+                                          est.trials, est.confidence)
     assert est.p_low == pytest.approx(lo_all, rel=1e-12)
     assert est.p_high == pytest.approx(hi_all, rel=1e-12)
 
@@ -444,7 +444,8 @@ def test_non_finite_grid_sizes_rejected_before_any_ladder(monkeypatch, name, K):
         raise AssertionError("no ladder should run")
 
     monkeypatch.setattr(holes, "_ladder_levels", no_ladder)
-    monkeypatch.setattr(holes, "_climb", no_ladder)
+    monkeypatch.setattr(ladder, "_ladder_levels", no_ladder)
+    monkeypatch.setattr(ladder, "_climb", no_ladder)
     with pytest.raises(DomainError, match=name):
         holes.hole_decision(_poly_sample([1.0]), 0.5, 0.1, **{name: K})
     with pytest.raises(DomainError, match=name):
@@ -564,7 +565,7 @@ def test_every_scalar_operation_reports_the_same_circle(r):
 def test_every_ladder_starts_at_8_points_and_ends_at_the_first_level_at_the_cap(
         K_cap, top):
     # so every level is 8 2^k, a power of two: the FFT needs no other check
-    Ks = holes._ladder_levels(K_cap)
+    Ks = ladder._ladder_levels(K_cap)
     assert Ks == [8 << k for k in range(len(Ks))]
     assert Ks[-1] == top and Ks[-1] >= K_cap
     assert len(Ks) == 1 or Ks[-2] < K_cap
@@ -581,9 +582,9 @@ def test_ladder_parameters_past_the_sample_are_keyword_only():
     with pytest.raises(TypeError):
         holes.hole_decision(s, 0.5, 0.0, 8)
     with pytest.raises(TypeError):
-        holes._certify_rows(s.coeffs[None, :], 0.5, 8)
+        ladder._certify_rows(s.coeffs[None, :], 0.5, 8)
     with pytest.raises(TypeError):
-        holes._sup_counts(s.coeffs[None, :], 0.5, 2.0, 0.0, 8)
+        ladder._sup_counts(s.coeffs[None, :], 0.5, 2.0, 0.0, 8)
     for est in (holes.estimate_hole_direct, holes.estimate_hole_lower_threshold,
                 holes.estimate_hole_lower_tilted):
         params = inspect.signature(est).parameters

@@ -411,6 +411,41 @@ def test_every_stream_keyer_rejects_a_stream_id_that_is_not_in_64_bits(name, bad
         _every_stream_keyer(bad)[name]()
 
 
+def _every_row_sampler(streams):
+    """One call of each sampler that draws rows of shape (len(streams), n)."""
+    from gafholes import gaf, spectra
+    from gafholes.coeffs import hyperbolic
+
+    split = spectra.split_coefficients(hyperbolic(0.5), 0.9, 8)
+    return {
+        "rng.gaussian_rows": lambda: rng.gaussian_rows(7, streams, 1, 0, 3),
+        "gaf.sample_coeff_batch": lambda: gaf.sample_coeff_batch(
+            hyperbolic(1.0), 7, streams, 3),
+        "spectra.split_sample_batch": lambda: spectra.split_sample_batch(
+            split, 3, 7, streams),
+    }
+
+
+@pytest.mark.parametrize("streams", [5, np.arange(4).reshape(2, 2)],
+                         ids=["scalar", "2-D"])
+@pytest.mark.parametrize("name", list(_every_row_sampler([0])))
+def test_every_row_sampler_rejects_stream_ids_that_are_not_1d(name, streams):
+    # a scalar id raised a raw IndexError and a 2-D array a raw ValueError,
+    # or drew rows of another shape than (len(streams), n)
+    with pytest.raises(DomainError, match="1-D streams"):
+        _every_row_sampler(streams)[name]()
+    assert _every_row_sampler([5])[name]() is not None
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 2)],
+                         ids=["negative-lo", "hi-below-lo"])
+def test_gaussian_rows_rejects_indices_outside_0_lo_hi(lo, hi):
+    # lo = -1 raised a raw OverflowError and hi < lo returned empty rows
+    with pytest.raises(DomainError, match="0 <= lo <= hi"):
+        rng.gaussian_rows(7, [0, 1], 1, lo, hi)
+    assert rng.gaussian_rows(7, [0, 1], 1, 2, 2).shape == (2, 0)
+
+
 def test_integer_stream_ids_of_any_width_key_like_uint64():
     want = rng.stream_key(7, np.arange(4, dtype=np.uint64), rng.PURPOSE_SAMPLE)
     for ids in (np.arange(4), np.arange(4, dtype=np.int32),

@@ -1,6 +1,6 @@
 """The sup ladder behind the threshold and tilted lower bounds.
 
-holes._sup_counts doubles the circle grid and, at each doubling, evaluates
+ladder._sup_counts doubles the circle grid and, at each doubling, evaluates
 only the new odd points: the even points of the 2K-grid are the K-grid bit
 for bit, and the maximum is exact.  A row is a hit once its grid max plus
 the smaller of the first-order and the second-order ("tube") interpolation
@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gafholes import cli, gaf, holes, rng
+from gafholes import cli, gaf, holes, ladder, rng
 from gafholes.coeffs import coefficients, hyperbolic, log_sq_range
 
 HIT, MISS, OPEN = 1, -1, 0
@@ -35,11 +35,11 @@ def _level_max(C, rho, K, bounds):
     """(max |F| over the full K-point grid, E) of each row, from the level
     evaluator: the K_INIT-point level and the odd points of every doubling
     up to K; E is the largest level E."""
-    V, E = holes._grid_values(C, rho, holes.K_INIT, False, bounds, {})
+    V, E = ladder._grid_values(C, rho, ladder.K_INIT, False, bounds, {})
     gmax = np.abs(V).max(axis=1)
-    K2 = 2 * holes.K_INIT
+    K2 = 2 * ladder.K_INIT
     while K2 <= K:
-        V, E2 = holes._grid_values(C, rho, K2, True, bounds, {})
+        V, E2 = ladder._grid_values(C, rho, K2, True, bounds, {})
         gmax = np.maximum(gmax, np.abs(V).max(axis=1))
         E = np.maximum(E, E2)
         K2 *= 2
@@ -63,8 +63,8 @@ def _reference_ladder(C, rho, M, tail, K_cap, shift=0, first_order=False):
         D = (gaf.derivative_sup_bound_rows(C, rho) if shift == 0
              else np.sum(A * (n * rho ** (n - 1)), axis=1))
     else:
-        g = holes._rounding_gamma(n1)
-        eta = holes._GRID_ETA
+        g = ladder._rounding_gamma(n1)
+        eta = ladder._GRID_ETA
         D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
         D2 = np.sum(A * (n * n * rho ** n), axis=1)
         Eg = (scale * g) * np.sum(A * (rho * (1.0 + eta)) ** np.arange(n1),
@@ -74,10 +74,10 @@ def _reference_ladder(C, rho, M, tail, K_cap, shift=0, first_order=False):
     tube = np.zeros(B, dtype=bool)
     settled = {}
     active = np.arange(B)
-    K = holes.K_INIT
+    K = ladder.K_INIT
     while active.size:
         if first_order:
-            z = holes._grid_points(rho, K)
+            z = ladder._grid_points(rho, K)
             gmax = np.abs(gaf.evaluate_on_grid(C[active], z)).max(axis=1)
         else:
             gmax, E = _level_max(C[active], rho, K,
@@ -112,8 +112,8 @@ def _reference_counts(C, rho, M, tail, K_cap, shift=0):
 
 def _settled_by_K(counts, K_cap):
     """{K: rows settled at K} of _sup_counts' counts, zeros left out."""
-    return {K: n for K, n in zip(holes._ladder_levels(K_cap),
-                                 counts[5:]) if n}
+    return {K: n for K, n in zip(ladder._ladder_levels(K_cap),
+                                  counts[5:]) if n}
 
 
 def _threshold_rows(rows, seed=3, r=0.7, moduli=False):
@@ -173,7 +173,7 @@ def _rows_of_both_stages(monkeypatch, estimate):
     rows handed to the ladder)} of each stream of estimate(), the batches of
     each stage joined in call order (trial order at one worker)."""
     calls = {}
-    screen, sup_counts = holes._sup_screen, holes._sup_counts
+    screen, sup_counts = holes._sup_screen, ladder._sup_counts
 
     def record(stage, C, args):
         calls.setdefault(args, ([], [], []))[stage].append(C)
@@ -259,9 +259,9 @@ def test_reused_stream_buffers_change_no_estimate():
 @pytest.mark.parametrize("K", [1, 8, 12])
 @pytest.mark.parametrize("rho", [1e-3, 0.5, 0.9, 0.999])
 def test_even_points_of_the_doubled_grid_are_the_grid(K, rho):
-    z = holes._grid_points(rho, K)
+    z = ladder._grid_points(rho, K)
     while K <= 1 << 20:
-        z2 = holes._grid_points(rho, 2 * K)
+        z2 = ladder._grid_points(rho, 2 * K)
         assert z2[::2].tobytes() == z.tobytes(), K
         K, z = 2 * K, z2
 
@@ -274,14 +274,14 @@ def test_even_points_of_the_doubled_grid_are_the_grid(K, rho):
 # is a hit at 8 points, so the smallest cap is 16 (a cap at the first level
 # is in test_rows_just_above_M_are_never_hits).  Ids read first level-cap.
 LEVELS = [4096, 1000, 256, 64, 16]
-LEVEL_IDS = [f"{holes.K_INIT}-{K_cap}" for K_cap in LEVELS]
+LEVEL_IDS = [f"{ladder.K_INIT}-{K_cap}" for K_cap in LEVELS]
 
 
 @pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
 @pytest.mark.parametrize("M", [1.5, 2.0])
 def test_threshold_rows_match_the_full_grid_ladder(K_cap, M):
     C, tail = _threshold_rows(512)
-    counts = holes._sup_counts(C, 0.7, M, tail, K_cap=K_cap)
+    counts = ladder._sup_counts(C, 0.7, M, tail, K_cap=K_cap)
     hit, miss, inc, tube, settled = _reference_counts(C, 0.7, M, tail, K_cap)
     assert counts[:4] == (hit, miss, inc, tube)
     assert hit > 0 and miss > 0
@@ -291,12 +291,12 @@ def test_threshold_rows_match_the_full_grid_ladder(K_cap, M):
 @pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
 def test_tilted_rows_match_the_full_grid_ladder(K_cap):
     mid, inner, shift, tail, half = _tilted_rows(256)
-    counts = holes._sup_counts(mid, 0.9, half, 0.0, K_cap=K_cap)
+    counts = ladder._sup_counts(mid, 0.9, half, 0.0, K_cap=K_cap)
     ref = _reference_counts(mid, 0.9, half, 0.0, K_cap)
     assert counts[:4] == ref[:4]
     assert _settled_by_K(counts, K_cap) == ref[4]
-    counts = holes._sup_counts(inner, 0.9, half, tail, K_cap=K_cap,
-                               shift=shift)
+    counts = ladder._sup_counts(inner, 0.9, half, tail, K_cap=K_cap,
+                                shift=shift)
     ref = _reference_counts(inner, 0.9, half, tail, K_cap, shift=shift)
     assert counts[:4] == ref[:4]
     assert _settled_by_K(counts, K_cap) == ref[4]
@@ -305,7 +305,7 @@ def test_tilted_rows_match_the_full_grid_ladder(K_cap):
 def test_middle_rows_reach_the_upper_levels():
     # the tilted cases above are only meaningful if rows settle late
     mid, *_, half = _tilted_rows(256)
-    counts = holes._sup_counts(mid, 0.9, half, 0.0, K_cap=256)
+    counts = ladder._sup_counts(mid, 0.9, half, 0.0, K_cap=256)
     assert max(_settled_by_K(counts, 256)) >= 256
     assert counts[2] > 0
 
@@ -313,7 +313,7 @@ def test_middle_rows_reach_the_upper_levels():
 def test_nan_rows_run_to_the_cap_and_end_inconclusive():
     C, tail = _threshold_rows(64)
     C[::7, 3] = np.nan
-    counts = holes._sup_counts(C, 0.7, 1.5, tail, K_cap=512)
+    counts = ladder._sup_counts(C, 0.7, 1.5, tail, K_cap=512)
     assert counts[:4] == _reference_counts(C, 0.7, 1.5, tail, 512)[:4]
     assert counts[2] >= len(range(0, 64, 7))
 
@@ -348,10 +348,10 @@ def test_grid_points_lie_within_half_eta_of_the_circle_grid(rho):
     # rho = 1 gives the FFT's twiddles and twists
     # powers of two, and sizes whose step 2 pi / K is not exact
     pick = np.random.default_rng(11)
-    bound = 0.5 * holes._GRID_ETA * rho
+    bound = 0.5 * ladder._GRID_ETA * rho
     for K in (1, 8, 12, 1000, 3000, 1 << 10, 12 << 14, 1000 << 10, 1 << 16,
               1 << 20):
-        z = holes._grid_points(rho, K)
+        z = ladder._grid_points(rho, K)
         js = np.unique(np.concatenate([np.arange(min(K, 16)),
                                        K - 1 - np.arange(min(K, 16)),
                                        pick.integers(0, K, 48)]))
@@ -368,7 +368,7 @@ GAP = 1e-13
 def _scaled_to(C, rho, M, shift, factor):
     """C scaled so that rho^shift * max |F| over the 2^16-point grid is
     M * factor (for factor > 1 a lower bound on the sup of every row)."""
-    z = holes._grid_points(rho, 1 << 16)
+    z = ladder._grid_points(rho, 1 << 16)
     gmax = np.abs(gaf.evaluate_on_grid(C, z)).max(axis=1)
     return C * (M * factor / (rho ** shift * gmax))[:, None]
 
@@ -378,15 +378,15 @@ def test_rows_just_above_M_are_never_hits(K_cap):
     for name, C, rho, M, tail, shift in _streams(24):
         above = _scaled_to(C, rho, M, shift, 1.0 + GAP)
         above[-1, 2] = np.nan
-        counts = holes._sup_counts(above, rho, M, tail, K_cap=K_cap,
-                                   shift=shift)
+        counts = ladder._sup_counts(above, rho, M, tail, K_cap=K_cap,
+                                    shift=shift)
         assert counts[0] == 0, name
         assert counts[2] >= 1, name          # the NaN row stays open
         # not vacuous: the same rows a little below M are hits
         if K_cap == 1 << 16:
             below = _scaled_to(C, rho, M - tail, shift, 1.0 - 1e-3)
-            counts = holes._sup_counts(below, rho, M, tail, K_cap=K_cap,
-                                       shift=shift)
+            counts = ladder._sup_counts(below, rho, M, tail, K_cap=K_cap,
+                                        shift=shift)
             assert counts[0] == below.shape[0], name
 
 
@@ -395,12 +395,12 @@ def test_rounding_terms_decide_constant_rows():
     # so a row is a hit iff (1 + g)(|c| + g |c|) < M, i.e. |c| < M (1 - 2g)
     # to first order in g
     M = 1.5
-    g = holes._rounding_gamma(1)
+    g = ladder._rounding_gamma(1)
     ks = np.array([0.5, 1.5, 1.9, 2.1, 3.0, 4.0])
     C = (M * (1.0 - ks * g))[:, None].astype(complex)
     for j, k in enumerate(ks):
-        hit, miss, inc, tube, *_ = holes._sup_counts(C[j:j + 1], 0.9, M, 0.0,
-                                                     K_cap=64)
+        hit, miss, inc, tube, *_ = ladder._sup_counts(C[j:j + 1], 0.9, M, 0.0,
+                                                      K_cap=64)
         assert (hit, miss, tube) == (int(k > 2.0), 0, 0), k
         assert inc == 1 - hit
 
@@ -430,8 +430,8 @@ def test_every_screened_row_is_a_ladder_hit(seed):
     screened = {}
     for name, A, C, rho, M, tail, shift in _screen_cases(seed):
         mask = holes._sup_screen(A.copy(), rho, M, tail, shift)
-        hit, miss, inc, *_ = holes._sup_counts(
-            C[mask], rho, M, tail, K_cap=holes.K_CAP_DEFAULT, shift=shift)
+        hit, miss, inc, *_ = ladder._sup_counts(
+            C[mask], rho, M, tail, K_cap=ladder.K_CAP_DEFAULT, shift=shift)
         assert (hit, miss, inc) == (int(mask.sum()), 0, 0), name
         screened[name] = int(mask.sum())
     # not vacuous: the default M screens most threshold rows, M = 1.5 some
@@ -460,7 +460,7 @@ def test_a_row_whose_triangle_sum_is_M_minus_tail_is_not_screened(shift):
     assert exact == Fraction(M) - Fraction(tail)
     assert not holes._sup_screen(A.copy(), rho, M, tail, shift)[0]
     # the same bound without its factor 1 + g would screen it
-    W = A * (rho * (1.0 + holes._GRID_ETA)) ** np.arange(A.shape[1])
+    W = A * (rho * (1.0 + ladder._GRID_ETA)) ** np.arange(A.shape[1])
     assert rho ** shift * np.sum(W, axis=1)[0] + tail < M
 
 
@@ -471,10 +471,10 @@ def test_a_cap_prefix_decides_only_rows_the_whole_row_decides_alike(shift,
     # the cap: a row the prefix settles is a hit of the whole-row screen,
     # and a row it leaves to the ladder is none, at every M
     rho, k, n1 = 0.8, 5, 24
-    g = holes._rounding_gamma(n1)
+    g = ladder._rounding_gamma(n1)
     A = np.random.default_rng(5).uniform(0.0, rng.MODULUS_CAP, (2000, n1))
-    rem = rng.MODULUS_CAP * float(np.sum(holes._moduli_weights(rho, n1)[k:]))
-    S = rho ** shift * np.sum(A * holes._moduli_weights(rho, n1), axis=1)
+    rem = rng.MODULUS_CAP * float(np.sum(ladder._moduli_weights(rho, n1)[k:]))
+    S = rho ** shift * np.sum(A * ladder._moduli_weights(rho, n1), axis=1)
     decided = [0, 0]
     for M in np.quantile((1.0 + g) * S + tail, np.linspace(0.0, 1.0, 41)):
         hit = holes._sup_screen(A.copy(), rho, M, tail, shift)
@@ -493,11 +493,11 @@ def test_a_cap_prefix_keeps_a_row_whose_sum_rounds_below_its_prefix_sum():
     # sum's bound such a row is a hit of the whole-row screen; the factor
     # 1 - g keeps the prefix from leaving it to the ladder
     rho, k, n1 = 0.5, 9, 16
-    g = holes._rounding_gamma(n1)
+    g = ladder._rounding_gamma(n1)
     A = np.random.default_rng(3).uniform(0.5, 2.0, (4096, n1))
     A[:, k:] = 1e-30
-    full = np.sum(A * holes._moduli_weights(rho, n1), axis=1)
-    pre = np.sum(A[:, :k] * holes._moduli_weights(rho, k), axis=1)
+    full = np.sum(A * ladder._moduli_weights(rho, n1), axis=1)
+    pre = np.sum(A[:, :k] * ladder._moduli_weights(rho, k), axis=1)
     M = (1.0 + g) * pre
     below = np.flatnonzero((1.0 + g) * full < M)
     assert below.size > 0
@@ -537,10 +537,10 @@ def test_all_screened_and_none_screened_streams_ignore_worker_count():
 
 def test_batch_counts_are_the_sum_of_single_row_counts():
     mid, *_, half = _tilted_rows(holes.BATCH_TRIALS)
-    batch = holes._sup_counts(mid, 0.9, half, 0.0, K_cap=1024)
+    batch = ladder._sup_counts(mid, 0.9, half, 0.0, K_cap=1024)
     total = np.zeros(len(batch), dtype=np.int64)
     for i in range(mid.shape[0]):
-        total += holes._sup_counts(mid[i:i + 1], 0.9, half, 0.0, K_cap=1024)
+        total += ladder._sup_counts(mid[i:i + 1], 0.9, half, 0.0, K_cap=1024)
     assert tuple(int(v) for v in total) == batch
 
 
@@ -548,25 +548,25 @@ def test_batch_counts_are_the_sum_of_single_row_counts():
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     mid, inner, shift, tail, half = _tilted_rows(256)
     C, t_thr = _threshold_rows(256)
-    before = [holes._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
-              holes._sup_counts(inner, 0.9, half, tail, K_cap=3000,
-                                shift=shift),
-              holes._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
-    g, scale, _, _, Eg, Eh = holes._circle_bounds(mid, 0.9)
+    before = [ladder._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
+              ladder._sup_counts(inner, 0.9, half, tail, K_cap=3000,
+                                 shift=shift),
+              ladder._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
+    g, scale, _, _, Eg, Eh = ladder._circle_bounds(mid, 0.9)
     bounds = (scale, g, Eg, Eh)
-    level = holes._grid_max(mid, 0.9, 4096, True, bounds, {})
-    monkeypatch.setattr(holes, "_CHUNK_ELEMS", chunk)
-    after = [holes._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
-             holes._sup_counts(inner, 0.9, half, tail, K_cap=3000,
-                               shift=shift),
-             holes._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
+    level = ladder._grid_max(mid, 0.9, 4096, True, bounds, {})
+    monkeypatch.setattr(ladder, "_CHUNK_ELEMS", chunk)
+    after = [ladder._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
+             ladder._sup_counts(inner, 0.9, half, tail, K_cap=3000,
+                                shift=shift),
+             ladder._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
     assert after == before
-    for a, b in zip(holes._grid_max(mid, 0.9, 4096, True, bounds, {}), level):
+    for a, b in zip(ladder._grid_max(mid, 0.9, 4096, True, bounds, {}), level):
         assert a.tobytes() == b.tobytes()
     # on Horner, a row's points are evaluated in slices above the chunk
-    monkeypatch.setattr(holes, "_FFT_MIN_DEGREE", 1 << 30)
-    z = holes._grid_points(0.9, 4096)[1::2]
-    gmax, E = holes._grid_max(mid, 0.9, 4096, True, bounds, {})
+    monkeypatch.setattr(ladder, "_FFT_MIN_DEGREE", 1 << 30)
+    z = ladder._grid_points(0.9, 4096)[1::2]
+    gmax, E = ladder._grid_max(mid, 0.9, 4096, True, bounds, {})
     full = np.abs(gaf.evaluate_on_grid(mid, z)).max(axis=1)
     assert gmax.tobytes() == full.tobytes()
     assert E.tobytes() == bounds[3].tobytes()
@@ -607,7 +607,7 @@ def test_tilted_sidecar_counts_add_up_and_ignore_worker_count(tmp_path):
         assert s["screened"] + sum(s["settle_K"].values()) \
             == s["hit"] + s["miss"]
         ladder_rows = s["hit"] + s["miss"] + s["inconclusive"] - s["screened"]
-        assert s["grid_points"] >= ladder_rows * holes.K_INIT
+        assert s["grid_points"] >= ladder_rows * ladder.K_INIT
         total += s["hit"] + s["miss"] + s["inconclusive"]
     assert total == 2 * 2500
     assert (k["middle"]["inconclusive"] + k["tail"]["inconclusive"]
@@ -625,5 +625,5 @@ def test_threshold_kernel_counts_every_trial():
     assert 0 < s["screened"] <= s["hit"]
     assert s["screened"] + sum(s["settle_K"].values()) == s["hit"] + s["miss"]
     assert s["grid_points"] >= (600 - s["screened"]) * 8
-    assert set(s["settle_K"]) <= set(holes._ladder_levels(256))
+    assert set(s["settle_K"]) <= set(ladder._ladder_levels(256))
     assert "kernel" not in est.to_record()

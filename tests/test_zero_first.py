@@ -39,7 +39,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gafholes import gaf, holes, rng
+from gafholes import gaf, holes, intervals, ladder, rng
 from gafholes.coeffs import coefficients, explicit, hyperbolic
 
 
@@ -72,14 +72,14 @@ def _zero(res, tail):
 @pytest.mark.parametrize("L, r", [(1.0, 0.7), (2.0, 0.9)])
 def test_row_results_identical_alone_and_in_a_full_batch(L, r):
     C, tail = _batch(L, r, 61, holes.BATCH_TRIALS)
-    batch = holes._certify_rows(C, r, tail=tail)
+    batch = ladder._certify_rows(C, r, tail=tail)
     # holes, zeros, and the rows that climbed the ladder highest
     picks = np.concatenate([np.nonzero(_hole(batch, tail))[0][:6],
                             np.nonzero(_zero(batch, tail))[0][:6],
                             np.argsort(batch["settle_K"], kind="stable")[-4:]])
     assert np.any(_zero(batch, tail)[picks])
     for i in picks:
-        alone = holes._certify_rows(C[i:i + 1], r, tail=tail)
+        alone = ladder._certify_rows(C[i:i + 1], r, tail=tail)
         for key, col in batch.items():
             assert col[i:i + 1].tobytes() == alone[key].tobytes(), (i, key)
 
@@ -120,7 +120,7 @@ def test_direct_estimate_matches_ladder_only_counts(r):
     est = holes.estimate_hole_direct(hyperbolic(1.0), r, trials, 23)
     assert est.kernel["constant_term"] > 0
     C, tail = _batch(1.0, r, 23, trials)
-    exact = holes._certify_rows(C, r, tail=tail)
+    exact = ladder._certify_rows(C, r, tail=tail)
     ok = (exact["mm_lb"] > tail) & exact["wind_ok"]
     assert est.hits == int(np.sum(ok & (exact["wind"] == 0)))
     assert est.metadata["zeros_certified"] == int(np.sum(ok & (exact["wind"] >= 1)))
@@ -131,8 +131,8 @@ def test_direct_estimate_matches_ladder_only_counts(r):
 # adversarial inputs: every root outside the closed disk
 # ---------------------------------------------------------------------------
 
-def _assert_no_zero_certified(C, rho, tail, K_cap=holes.K_CAP_DEFAULT):
-    res = holes._certify_rows(C, rho, K_cap=K_cap, tail=tail)
+def _assert_no_zero_certified(C, rho, tail, K_cap=ladder.K_CAP_DEFAULT):
+    res = ladder._certify_rows(C, rho, K_cap=K_cap, tail=tail)
     assert not np.any(_zero(res, tail))
     # every certified winding is exact: no root inside
     assert not np.any(res["wind_ok"] & (res["wind"] != 0))
@@ -170,7 +170,7 @@ def test_root_just_outside_the_circle_is_not_certified(delta):
     # mirrored just inside, the same roots are never a hole, and every
     # certified row counts exactly one zero
     inside = _planted_rows(rho * (1.0 - delta), rho, seed)
-    res = holes._certify_rows(inside, rho, tail=0.0)
+    res = ladder._certify_rows(inside, rho, tail=0.0)
     assert not np.any(_hole(res, 0.0))
     assert np.all(res["wind"][res["wind_ok"]] == 1)
     assert np.sum(_zero(res, 0.0)) >= _DECIDED_INSIDE[delta]
@@ -196,7 +196,7 @@ def test_explicit_model_with_zero_tail_certifies_only_true_zeros():
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
     assert N_t == 5 and tail == 0.0
     C = gaf.sample_coeff_batch(m, 3, np.arange(4096, dtype=np.uint64), N_t)
-    res = holes._certify_rows(C, r, tail=tail)
+    res = ladder._certify_rows(C, r, tail=tail)
     zero = _zero(res, tail)
     assert zero.sum() > 1000
     inside = np.array([np.sum(np.abs(np.roots(c[::-1])) < r) for c in C])
@@ -245,7 +245,7 @@ def test_constant_term_certificate_keeps_roots_on_or_inside_the_circle(rho):
 def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
     m, r = hyperbolic(1.0), 0.3
     rows = rng.gaussian_rows
-    certify = holes._certify_rows
+    certify = ladder._certify_rows
     seen = []
 
     def with_nans(seed, streams, purpose, lo, hi, moduli=False, out=None):
@@ -273,14 +273,14 @@ def test_constant_term_certificate_leaves_nan_rows_to_the_ladder(monkeypatch):
                                                  0.0))
     assert not np.any(holes._constant_term_prefix(
         _moduli(m, 5, ids, 3), r, 0.0,
-        holes._rounding_gamma(16), 0.0)[0])
+        ladder._rounding_gamma(16), 0.0)[0])
     a = coefficients(m, 15)
-    k, _ = holes._prefix((a * holes._moduli_weights(r, 16))[1:], a[0], False)
+    k, _ = holes._prefix((a * ladder._moduli_weights(r, 16))[1:], a[0], False)
     assert 1 + k == 4
     monkeypatch.setattr(holes, "_certify_rows", spy)
     est = holes.estimate_hole_direct(m, r, 256, 5, K_cap=256)
-    (ladder,) = seen
-    assert np.sum(np.any(np.isnan(ladder), axis=1)) == 2
+    (climbed,) = seen
+    assert np.sum(np.any(np.isnan(climbed), axis=1)) == 2
     assert est.kernel["open_at_cap"] == 2 and est.inconclusive == 2
     assert est.kernel["constant_term"] > 0
 
@@ -290,10 +290,10 @@ def test_a_cap_prefix_settles_only_constant_term_holes():
     # cap: a row the prefix settles is a hole of the whole-row constant
     # term, at every tail bound, and the prefix leaves no row to the ladder
     rho, k, n1 = 0.5, 4, 16
-    g = holes._rounding_gamma(n1)
+    g = ladder._rounding_gamma(n1)
     A = np.random.default_rng(9).uniform(0.0, rng.MODULUS_CAP, (4000, n1))
     A[:, 0] *= 4.0
-    rem = rng.MODULUS_CAP * float(np.sum(holes._moduli_weights(rho, n1)[k:]))
+    rem = rng.MODULUS_CAP * float(np.sum(ladder._moduli_weights(rho, n1)[k:]))
     settled_n = 0
     for tail in np.linspace(0.0, 20.0, 41):
         holes_ = holes._constant_term_holes(A.copy(), rho, tail)
@@ -316,7 +316,7 @@ def test_constant_term_certificate_with_an_explicit_zero_tail(r):
     # F = F_N here: no settled row has a root in the closed disk
     nearest = np.array([np.min(np.abs(np.roots(c[::-1]))) for c in C[pre]])
     assert np.all(nearest > r)
-    assert np.all(_hole(holes._certify_rows(C[pre], r, tail=tail), tail))
+    assert np.all(_hole(ladder._certify_rows(C[pre], r, tail=tail), tail))
 
 
 @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
@@ -326,7 +326,7 @@ def test_constant_term_rows_are_holes_of_the_ladder(L, r):
     pre = holes._constant_term_holes(np.abs(C), r, tail)
     # at L = 2, r = 0.7 no row qualifies (its tail bound is the largest)
     assert pre.any() or (L, r) == (2.0, 0.7)
-    res = holes._certify_rows(C[pre], r, tail=tail)
+    res = ladder._certify_rows(C[pre], r, tail=tail)
     assert np.all(_hole(res, tail))
 
 
@@ -350,7 +350,7 @@ def test_quadratic_rows_are_decided_alike_by_the_ladder(L, r):
         k, left = _quadratic(C, r, tail)
         settled = k >= 0
         assert settled.any() and not settled.all()
-        res = holes._certify_rows(C[left][settled], r, tail=tail)
+        res = ladder._certify_rows(C[left][settled], r, tail=tail)
         assert np.all((res["mm_lb"] > tail) & res["wind_ok"])
         assert np.array_equal(res["wind"], k[settled])
 
@@ -446,7 +446,7 @@ def test_no_quadratic_step_below_degree_two():
     est = holes.estimate_hole_direct(m, r, 512, 3)
     assert est.metadata["N_t"] == 1 and est.kernel["quadratic"] == 0
     C = gaf.sample_coeff_batch(m, 3, np.arange(512, dtype=np.uint64), 1)
-    exact = holes._certify_rows(C, r, tail=0.0)
+    exact = ladder._certify_rows(C, r, tail=0.0)
     assert est.hits == int(_hole(exact, 0.0).sum())
     assert est.metadata["zeros_certified"] == int(_zero(exact, 0.0).sum())
 
@@ -478,13 +478,13 @@ def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
         zero_n += int((k > 0).sum())
         C = C[k < 0]
         if r_in is not None:   # zeros inside the inner circle, then r
-            res = holes._certify_rows(C, r_in, tail=tail)
+            res = ladder._certify_rows(C, r_in, tail=tail)
             inner = _zero(res, tail)
             inner_n += int(inner.sum())
             for K in res["settle_K"][inner].tolist():
                 inner_K[K] = inner_K.get(K, 0) + 1
             C = C[~inner]
-        res = holes._certify_rows(C, r, tail=tail)
+        res = ladder._certify_rows(C, r, tail=tail)
         hole, zero = _hole(res, tail), _zero(res, tail)
         pre_n += int(pre.sum())
         hole_n += int(hole.sum())
@@ -497,8 +497,8 @@ def _one_stage_estimate(m, r, trials, seed, confidence=0.99):
     hits = pre_n + hole_n
     record = {"mode": "direct", "model": m.describe(), "r": r, "M": None,
               "trials": trials, "hits": hits, "inconclusive": inc_n,
-              "p_low": holes.wilson_interval(hits, trials, confidence)[0],
-              "p_high": holes.wilson_interval(hits + inc_n, trials, confidence)[1],
+              "p_low": intervals.wilson_interval(hits, trials, confidence)[0],
+              "p_high": intervals.wilson_interval(hits + inc_n, trials, confidence)[1],
               "confidence": confidence, "seed": seed, **meta,
               "zeros_certified": inner_n + zero_n}
     kernel = {"constant_term": pre_n, "quadratic": quad_n, "inner": inner_n,
@@ -545,7 +545,7 @@ def test_each_direct_stage_gets_the_rows_of_its_trials(monkeypatch, workers):
     # screen span of _SCREEN_DRAWS // 27 trials and a short one, ladder
     # chunks of BATCH_TRIALS rows and a short last one
     m, r, trials, seed = hyperbolic(1.0), 0.5, 6181, 29
-    screen, certify = holes._constant_term_holes, holes._certify_rows
+    screen, certify = holes._constant_term_holes, ladder._certify_rows
     quadratic = holes._quadratic_zeros
     screened, quad, laddered = [], [], []
 
@@ -745,7 +745,7 @@ def test_a_cap_prefix_of_the_whole_row_gives_the_one_stage_estimate():
                                 gaf.DEFAULT_FAIL_EXP,
                                 holes.DEFAULT_COMPUTE_BUDGET)
     a = coefficients(m, N_t)
-    k, rem = holes._prefix((a * holes._moduli_weights(r, N_t + 1))[1:], a[0],
+    k, rem = holes._prefix((a * ladder._moduli_weights(r, N_t + 1))[1:], a[0],
                            False)
     assert (1 + k, rem) == (N_t + 1, 0.0) == (3, 0.0)
     record, kernel = _one_stage_estimate(m, r, trials, seed)
@@ -848,7 +848,7 @@ def test_inner_radius_is_the_hyperbolic_closed_form(L, r):
 def test_no_inner_pass_below_two_expected_zeros(monkeypatch):
     # E N(0.7) = 0.96 at L = 1: the ladder runs at r only
     radii = []
-    certify = holes._certify_rows
+    certify = ladder._certify_rows
 
     def spy(C, rho, *args, **kwargs):
         radii.append(rho)
@@ -870,13 +870,13 @@ def test_inner_rows_of_an_explicit_model_hold_their_roots():
     r_in = holes._inner_radius(coefficients(m, N_t), r)
     assert r_in is not None and r_in < r
     C = gaf.sample_coeff_batch(m, 5, np.arange(4096, dtype=np.uint64), N_t)
-    inner = _zero(holes._certify_rows(C, r_in, tail=tail), tail)
+    inner = _zero(ladder._certify_rows(C, r_in, tail=tail), tail)
     assert inner.sum() > 1000
-    res = holes._certify_rows(C[inner], r_in, tail=tail)
+    res = ladder._certify_rows(C[inner], r_in, tail=tail)
     roots = [np.sum(np.abs(np.roots(c[::-1])) < r_in) for c in C[inner]]
     assert np.array_equal(res["wind"], roots)
     est = holes.estimate_hole_direct(m, r, 4096, 5)
-    exact = holes._certify_rows(C, r, tail=tail)
+    exact = ladder._certify_rows(C, r, tail=tail)
     # the inner pass gets the rows that neither screen step settles
     A = np.abs(C)
     left = ~holes._constant_term_holes(A, r, tail)
@@ -905,7 +905,7 @@ def test_inner_pass_keeps_the_holes_of_the_r_ladder(L, r):
         est = holes.estimate_hole_direct(hyperbolic(L), r, 256, seed)
         assert est.kernel["inner_r"] is not None and est.kernel["inner"] > 0
         C, tail = _batch(L, r, seed, 256)
-        exact = holes._certify_rows(C, r, tail=tail)
+        exact = ladder._certify_rows(C, r, tail=tail)
         hole, zero = _hole(exact, tail), _zero(exact, tail)
         assert est.hits == int(hole.sum())
         assert est.metadata["zeros_certified"] >= int(zero.sum())
@@ -980,12 +980,12 @@ def test_rows_open_at_the_cap_settle_on_the_inner_circle(monkeypatch, L, seed,
     N_t = gaf.truncation_degree(m, r, gaf.DEFAULT_TAU_REL)
     tail, _ = gaf.tail_sup_bound(m, N_t, r)
     C = gaf.sample_coeff_batch(m, seed, np.array([trial], dtype=np.uint64), N_t)
-    assert holes._certify_rows(C, r, tail=tail)["settle_K"][0] == 0
+    assert ladder._certify_rows(C, r, tail=tail)["settle_K"][0] == 0
     draw = rng.gaussian_rows
     _sample_draws(monkeypatch, lambda ids, lo, hi, moduli: draw(
         seed, ids + np.uint64(trial), rng.PURPOSE_SAMPLE, lo, hi, moduli))
     est = holes.estimate_hole_direct(m, r, 1, seed)
     assert est.kernel["inner"] == 1 and est.kernel["inner_settle_K"] == {K: 1}
     assert est.metadata["zeros_certified"] == 1 and est.inconclusive == 0
-    res = holes._certify_rows(C, est.kernel["inner_r"], tail=tail)
+    res = ladder._certify_rows(C, est.kernel["inner_r"], tail=tail)
     assert res["wind"][0] == wind and res["settle_K"][0] == K
