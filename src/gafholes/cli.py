@@ -204,17 +204,20 @@ def _dump_row(row: dict) -> str:
 
 def _write(body: str, out: Optional[str], **meta) -> None:
     """body to stdout, or to out with the sidecar out.meta.json: the
-    timestamp plus each meta entry that is not None."""
+    timestamp plus each meta entry that is not None.  A file that cannot
+    be written is a ConfigError naming its path."""
     if out is None:
         sys.stdout.write(body)
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(body)
     sidecar = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     sidecar.update((k, v) for k, v in meta.items() if v is not None)
-    with open(out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    sidecar = json.dumps(sidecar, indent=1, sort_keys=True) + "\n"
+    for path, text in ((out, body), (out + ".meta.json", sidecar)):
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"output file {path!r}: {exc}")
 
 
 def write_jsonl(rows: List[dict], out: Optional[str],

@@ -23,9 +23,12 @@ each doubling evaluates only the K new odd points.  The sup certificate
 folds their maximum |F| into the previous level's (max is exact); the
 min/winding one interleaves them with the kept values of its open rows,
 so it holds the whole grid.  A NaN propagates the same way.  At each level
-the certificate's decision says which rows leave.  The ladder stops at its
-first level at or above the cap (8 2^k >= K_cap), in every operation and
-estimator: a row still open there is Inconclusive.
+the certificate's decision says which rows leave.  The climb carries the
+indices of its open rows, not a copy of them: each chunk of a level
+gathers its own rows from the caller's coefficients, which stay
+unmodified.  The ladder stops at its first level at or above the cap
+(8 2^k >= K_cap), in every operation and estimator: a row still open
+there is Inconclusive.
 
 Let f(theta) = F(rho e^{i theta}), h = 2 pi / K, D = sum n |c_n| rho^{n-1}
 >= sup |F'| and D_2 = sum n^2 |c_n| rho^n >= sup |f''|.  Between adjacent
@@ -122,7 +125,9 @@ from .gaf import evaluate_on_grid
 
 K_INIT = 8   # the first level of every ladder, so every level is 8 2^k
 K_CAP_DEFAULT = 1 << 20
-_CHUNK_ELEMS = 1 << 16         # max complex grid entries evaluated at once
+# max coefficient values gathered, or grid values evaluated, per chunk of
+# rows; it also bounds the row blocks of _circle_bounds
+_CHUNK_ELEMS = 1 << 15
 # max grid values per _arc_bounds chunk; every value ends two arcs, so
 # segmin = min(gmin, perpendiculars of the arcs whose foot falls inside)
 _ARC_ELEMS = 1 << 14
@@ -231,14 +236,18 @@ def _fft_values(C: np.ndarray, rho: float, u: np.ndarray, odd: bool):
     return _fft(x, u[::2] if odd else u).T, c * nrm
 
 
-def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
-    """Yield (rows, values, E) of the level K (its K/2 odd points when odd)
-    over chunks of whole rows, at most _CHUNK_ELEMS values or one row.
+def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds,
+                 grids: dict, rows: np.ndarray):
+    """Yield (chunk, values, E) of the level K (its K/2 odd points when
+    odd) for the rows of C indexed by rows, chunk a slice of rows.
 
-    A level runs the FFT (_fft_level) or Horner.  bounds = (scale, g, Eg,
-    Eh) of the rows (_circle_bounds): E is Eh on Horner, Eg + scale (1 + g)
-    (FFT error) on the FFT.  Every operation is elementwise per row, so
-    nothing depends on the chunking.
+    Each chunk gathers its rows, C[rows[chunk]], at most _CHUNK_ELEMS
+    coefficient values and at most _CHUNK_ELEMS grid values, or one row;
+    the caller's C is never copied whole.  A level runs the FFT
+    (_fft_level) or Horner.  bounds = (scale, g, Eg, Eh) of the indexed rows
+    (_circle_bounds): E is Eh on Horner, Eg + scale (1 + g) (FFT error) on
+    the FFT.  Every operation is elementwise per row, so nothing depends on
+    the chunking.
     """
     scale, g, Eg, Eh = bounds
     P = K // 2 if odd else K
@@ -247,31 +256,38 @@ def _grid_chunks(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: di
     if (r, K) not in grids:
         grids[r, K] = _grid_points(r, K)
     z = grids[r, K][1::2] if odd else grids[r, K]
-    for rows in _row_slices(C.shape[0], P, _CHUNK_ELEMS):
+    for chunk in _row_slices(rows.size, max(P, C.shape[1]), _CHUNK_ELEMS):
+        Cc = C[rows[chunk]]
         if fft:
-            V, err = _fft_values(C[rows], rho, grids[r, K], odd)
-            yield rows, V, Eg[rows] + (scale * (1.0 + g)) * err
+            V, err = _fft_values(Cc, rho, grids[r, K], odd)
+            yield chunk, V, Eg[chunk] + (scale * (1.0 + g)) * err
         else:
-            yield rows, evaluate_on_grid(C[rows], z), Eh[rows]
+            yield chunk, evaluate_on_grid(Cc, z), Eh[chunk]
 
 
-def _grid_max(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
-    """(max of |F| over the level's points, E) per row.  max is exact and
-    keeps a NaN, so the result does not depend on the chunking."""
-    gmax, E = np.full(C.shape[0], -np.inf), np.empty(C.shape[0])
-    for rows, V, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
-        gmax[rows] = np.maximum(gmax[rows], np.abs(V).max(axis=1))
-        E[rows] = Ec
+def _grid_max(C: np.ndarray, rho: float, K: int, odd: bool, bounds,
+              grids: dict, rows=None):
+    """(max of |F| over the level's points, E) of the rows of C indexed by
+    rows, every row by default.  max is exact and keeps a NaN, so the
+    result does not depend on the chunking."""
+    rows = np.arange(C.shape[0]) if rows is None else rows
+    gmax, E = np.empty(rows.size), np.empty(rows.size)
+    for chunk, V, Ec in _grid_chunks(C, rho, K, odd, bounds, grids, rows):
+        gmax[chunk] = np.abs(V).max(axis=1)
+        E[chunk] = Ec
     return gmax, E
 
 
-def _grid_values(C: np.ndarray, rho: float, K: int, odd: bool, bounds, grids: dict):
-    """(values at the level's points -> (rows, points), E) per row."""
+def _grid_values(C: np.ndarray, rho: float, K: int, odd: bool, bounds,
+                 grids: dict, rows=None):
+    """(values at the level's points -> (rows, points), E) of the rows of C
+    indexed by rows, every row by default."""
+    rows = np.arange(C.shape[0]) if rows is None else rows
     P = K // 2 if odd else K
-    V, E = np.empty((C.shape[0], P), dtype=complex), np.empty(C.shape[0])
-    for rows, W, Ec in _grid_chunks(C, rho, K, odd, bounds, grids):
-        V[rows] = W
-        E[rows] = Ec
+    V, E = np.empty((rows.size, P), dtype=complex), np.empty(rows.size)
+    for chunk, W, Ec in _grid_chunks(C, rho, K, odd, bounds, grids, rows):
+        V[chunk] = W
+        E[chunk] = Ec
     return V, E
 
 
@@ -329,16 +345,21 @@ def _circle_bounds(C: np.ndarray, rho: float, shift: int = 0):
     sum n^2 |c_n| rho^n >= sup |d^2 T / d theta^2|, both over the indices
     n of T; Eg = scale g sum |c_n| (rho (1 + eta))^n and Eh = Eg + D eta rho,
     the E of a Horner level (_grid_chunks), with g = _rounding_gamma(columns
-    of C) (module docstring).
+    of C) (module docstring).  |C| and its weighted sums are formed in
+    blocks of at most _CHUNK_ELEMS coefficients (or one row); each row's
+    sums are its own, so the blocks change nothing.
     """
-    n1 = C.shape[1]
+    B, n1 = C.shape
     n = np.arange(shift, shift + n1, dtype=np.float64)
-    A = np.abs(C)
     scale = rho ** shift
     g = _rounding_gamma(n1)
-    D = np.sum(A * (n * rho ** (n - 1.0)), axis=1)
-    D2 = np.sum(A * (n * n * rho ** n), axis=1)
-    Eg = (scale * g) * np.sum(A * _moduli_weights(rho, n1), axis=1)
+    w = (n * rho ** (n - 1.0), n * n * rho ** n, _moduli_weights(rho, n1))
+    D, D2, S = np.empty((3, B))
+    for rows in _row_slices(B, n1, _CHUNK_ELEMS):
+        A = np.abs(C[rows])
+        for out, wk in zip((D, D2, S), w):
+            out[rows] = np.sum(A * wk, axis=1)
+    Eg = (scale * g) * S
     return g, scale, D, D2, Eg, Eg + D * (_GRID_ETA * rho)
 
 
@@ -346,12 +367,15 @@ def _climb(C: np.ndarray, rho: float, shift: int, whole: bool, decide, *,
            K_cap: int):
     """(settle_K, grid points evaluated) of the ladder of T = z^shift * F
     over the rows of C (module docstring), keeping whole grids
-    (_grid_values) or the running max of |F| (_grid_max).  Above
-    _CHUNK_ELEMS points whole-grid rows climb one at a time, so the kept
-    values never exceed one row.  decide(K, rows, values or max, E, D, D_2,
-    g, last) gets the open rows (indices into C), the largest E of their
-    levels, D, D_2 and g of _circle_bounds and whether K is the cap level;
-    it returns the mask of rows that leave.  settle_K is 0 if open at the cap.
+    (_grid_values) or the running max of |F| (_grid_max).  The climb carries
+    the indices of its open rows, never a copy of their coefficients: each
+    level gathers its rows chunk by chunk (_grid_chunks), and C is not
+    modified.  Above _CHUNK_ELEMS points whole-grid rows climb one at a
+    time, so the kept values never exceed one row.  decide(K, rows, values
+    or max, E, D, D_2, g, last) gets the open rows (indices into C), the
+    largest E of their levels, D, D_2 and g of _circle_bounds and whether K
+    is the cap level; it returns the mask of rows that leave.  settle_K is
+    0 if open at the cap.
     """
     B = C.shape[0]
     g, scale, D, D2, Eg, Eh = _circle_bounds(C, rho, shift)
@@ -360,16 +384,16 @@ def _climb(C: np.ndarray, rho: float, shift: int, whole: bool, decide, *,
     grids, points = {}, 0   # grid points by size, shared by every row
     level = _grid_values if whole else _grid_max
     kept = np.empty((B, 0), dtype=complex) if whole else np.full(B, -np.inf)
-    groups = [(np.arange(B), C, kept, 0)]  # (open rows, C rows, kept, level)
+    groups = [(np.arange(B), kept, 0)]  # (open rows of C, kept, level)
     while groups:
-        rows, Cr, X, j0 = groups.pop()
+        rows, X, j0 = groups.pop()
         for j, K in enumerate(Ks[j0:], j0):
             if whole and K > _CHUNK_ELEMS and rows.size > 1:
-                groups += [(rows[i:i + 1], Cr[i:i + 1], X[i:i + 1], j)
+                groups += [(rows[i:i + 1], X[i:i + 1], j)
                            for i in range(rows.size)]
                 break
-            new, El = level(Cr, rho, K, j > 0, (scale, g, Eg[rows], Eh[rows]),
-                            grids)
+            new, El = level(C, rho, K, j > 0, (scale, g, Eg[rows], Eh[rows]),
+                            grids, rows)
             points += rows.size * (K // 2 if j else K)
             if whole and j:   # interleave with the kept even points
                 new = np.stack([X, new], axis=2).reshape(rows.size, K)
@@ -380,7 +404,7 @@ def _climb(C: np.ndarray, rho: float, shift: int, whole: bool, decide, *,
             keep = np.flatnonzero(~out)
             if K >= K_cap or not keep.size:
                 break
-            rows, Cr, X = rows[keep], Cr[keep], X[keep]
+            rows, X = rows[keep], X[keep]
     return settle_K, points
 
 

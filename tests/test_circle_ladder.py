@@ -223,6 +223,22 @@ def _horner_only(monkeypatch):
     monkeypatch.setattr(ladder, "_FFT_MIN_DEGREE", 1 << 30)
 
 
+def _horner_calls(monkeypatch):
+    """The number of points of each ladder.evaluate_on_grid call; an FFT
+    level fails."""
+    calls = []
+
+    def counted(rows, points):
+        calls.append(points.shape[0])
+        return gaf.horner(rows, points)
+
+    def no_fft(*args):
+        raise AssertionError("an FFT level ran in the Horner-only mode")
+    monkeypatch.setattr(ladder, "evaluate_on_grid", counted)
+    monkeypatch.setattr(ladder, "_fft_values", no_fft)
+    return calls
+
+
 @pytest.mark.parametrize("K_cap", LEVELS, ids=LEVEL_IDS)
 @pytest.mark.parametrize("L, r, n", CASES)
 @pytest.mark.parametrize("mode, horner", MODES)
@@ -230,12 +246,18 @@ def test_ladder_matches_the_full_grid_ladder(K_cap, L, r, n, mode, horner,
                                              monkeypatch):
     if horner:
         _horner_only(monkeypatch)
+        calls = _horner_calls(monkeypatch)
     C, tail = _rows(L, r, n)
     tail = _tail_for(mode, tail)
     if mode != "-inf":
         res = ladder._certify_rows(C, r, K_cap=K_cap, tail=tail)
     else:
         res = ladder._certify_rows(C, r, K_cap=K_cap)
+    if horner:
+        # the NaN row climbs to the cap, so every level is visited: the
+        # first on its K points, each doubling on its K/2 odd ones
+        Ks = ladder._ladder_levels(K_cap)
+        assert set(calls) == {Ks[0]} | {K // 2 for K in Ks[1:]}
     ref = _reference(C, r, K_cap, tail=tail)
     _assert_bytes_equal(res, ref)
     # the NaN row never certifies and runs to the cap
@@ -317,9 +339,11 @@ def test_rows_settle_across_the_levels():
 @pytest.mark.parametrize("chunk", [64, 1000])
 def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     C, tail = _rows(2.0, 0.9, 48)
+    given = C.tobytes()
     ref = [_reference(C, 0.9, 4096, tail=tail),
            _reference(C, 0.9, 1000, tail=WIDE_TAIL),
            _reference(C, 0.9, 2048)]
+    cb = [np.asarray(v).tobytes() for v in ladder._circle_bounds(C, 0.9)]
     bounds = _evaluator_bounds(C, 0.9)
     level = ladder._grid_values(C, 0.9, 4096, True, bounds, {})
     # a chunk below the grid size also sends the open rows up the rest of
@@ -328,8 +352,11 @@ def test_ladder_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     res = [ladder._certify_rows(C, 0.9, K_cap=4096, tail=tail),
            ladder._certify_rows(C, 0.9, K_cap=1000, tail=WIDE_TAIL),
            ladder._certify_rows(C, 0.9, K_cap=2048)]
+    # the ladder gathers the rows it evaluates and never writes its input
+    assert C.tobytes() == given
     for a, b in zip(res, ref):
         _assert_bytes_equal(a, b)
+    assert [np.asarray(v).tobytes() for v in ladder._circle_bounds(C, 0.9)] == cb
     for a, b in zip(ladder._grid_values(C, 0.9, 4096, True, bounds, {}), level):
         assert a.tobytes() == b.tobytes()
     # on Horner, a row's points are evaluated in slices above the chunk

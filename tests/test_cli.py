@@ -348,6 +348,28 @@ def test_envelope_bands_write_csv_and_sidecar(tmp_path, flags, env):
     assert set(meta) == {"timestamp"}
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--trials", "8", "--r", "0.5"],
+    ["envelope", "--band", "flat", "--r", "0.9"],
+], ids=["estimate", "envelope"])
+@pytest.mark.parametrize("blocked", ["data", "sidecar"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, args,
+                                                       blocked):
+    # a data file under a missing directory, or a sidecar path taken by a
+    # directory, is reported by path, not as a traceback
+    if blocked == "data":
+        out = tmp_path / "missing" / "x.out"
+        named = str(out)
+    else:
+        out = tmp_path / "x.out"
+        named = str(out) + ".meta.json"
+        (tmp_path / "x.out.meta.json").mkdir()
+    assert cli.main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(named) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_defaults_command_lists_registry(capsys):
     assert cli.main(["defaults"]) == 0
     d = json.loads(capsys.readouterr().out)

@@ -19,6 +19,7 @@ the sum of its prefix.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -544,14 +545,24 @@ def test_batch_counts_are_the_sum_of_single_row_counts():
     assert tuple(int(v) for v in total) == batch
 
 
+def _bounds_bytes(*args):
+    """The bytes of each of the six outputs of ladder._circle_bounds."""
+    return [np.asarray(v).tobytes() for v in ladder._circle_bounds(*args)]
+
+
 @pytest.mark.parametrize("chunk", [64, 1000])
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     mid, inner, shift, tail, half = _tilted_rows(256)
     C, t_thr = _threshold_rows(256)
+    inputs = [a.tobytes() for a in (mid, inner, C)]
     before = [ladder._sup_counts(mid, 0.9, half, 0.0, K_cap=4096),
               ladder._sup_counts(inner, 0.9, half, tail, K_cap=3000,
                                  shift=shift),
               ladder._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
+    # the ladder gathers the rows it evaluates and never writes its input
+    assert [a.tobytes() for a in (mid, inner, C)] == inputs
+    cb = [_bounds_bytes(mid, 0.9), _bounds_bytes(inner, 0.9, shift),
+          _bounds_bytes(C, 0.7)]
     g, scale, _, _, Eg, Eh = ladder._circle_bounds(mid, 0.9)
     bounds = (scale, g, Eg, Eh)
     level = ladder._grid_max(mid, 0.9, 4096, True, bounds, {})
@@ -560,7 +571,10 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
              ladder._sup_counts(inner, 0.9, half, tail, K_cap=3000,
                                 shift=shift),
              ladder._sup_counts(C, 0.7, 1.5, t_thr, K_cap=2048)]
+    assert [a.tobytes() for a in (mid, inner, C)] == inputs
     assert after == before
+    assert [_bounds_bytes(mid, 0.9), _bounds_bytes(inner, 0.9, shift),
+            _bounds_bytes(C, 0.7)] == cb
     for a, b in zip(ladder._grid_max(mid, 0.9, 4096, True, bounds, {}), level):
         assert a.tobytes() == b.tobytes()
     # on Horner, a row's points are evaluated in slices above the chunk
@@ -570,6 +584,25 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     full = np.abs(gaf.evaluate_on_grid(mid, z)).max(axis=1)
     assert gmax.tobytes() == full.tobytes()
     assert E.tobytes() == bounds[3].tobytes()
+
+
+def test_the_ladder_working_memory_does_not_grow_with_the_rows():
+    # the climb carries the indices of its open rows and each chunk gathers
+    # at most _CHUNK_ELEMS values, so doubling the rows of C adds only the
+    # per-row scalars (a few arrays of B floats) to the traced peak above
+    # the input; a copy of the open rows per level would add megabytes
+    mid, *_, half = _tilted_rows(8192)
+    peaks = []
+    for rows in (4096, 8192):
+        C = mid[:rows].copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ladder._sup_counts(C, 0.9, half, 0.0, K_cap=1 << 16)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 # ---------------------------------------------------------------------------
